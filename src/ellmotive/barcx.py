@@ -23,16 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg
-from .cycles import (
-    CycleSum,
-    ParamCycle,
-    boundary,
-    build_family,
-    build_mu_killer,
-    build_nu_killer,
-    decorate,
-    external_product,
-)
+from .cycles import CycleSum, ParamCycle, boundary, build_family, decorate, external_product
+from .formulas import KillCycleReport, _match_groups, verify_mu_killer, verify_nu_killer
 from .gl2 import PureMotive, clebsch_gordan
 
 
@@ -167,36 +159,31 @@ def verify_cocycle(chain: BarChain):
 # descriptors: the named families a chain layer can be built from
 
 
-def _pt_key(p: CurvePoint) -> str:
-    return p.key()
-
-
 def desc_key(desc) -> str:
     kind = desc[0]
     if kind == "pt":
-        return f"pt[{_pt_key(desc[1])}]"
+        return f"pt[{desc[1].key()}]"
     if kind == "eta":
-        pts = ",".join(_pt_key(p) for p in desc[1])
+        pts = ",".join(p.key() for p in desc[1])
         return f"eta[{pts}][{','.join(desc[2])}]"
     if kind == "mu":
-        return f"mu[{_pt_key(desc[1])}][{','.join(desc[2])}]"
+        return f"mu[{desc[1].key()}][{','.join(desc[2])}]"
     if kind == "nu":
-        return f"nu[{desc[1]}][{_pt_key(desc[2])},{_pt_key(desc[3])}][{','.join(desc[4])}]"
+        return f"nu[{desc[1]}][{desc[2].key()},{desc[3].key()}][{','.join(desc[4])}]"
     if kind == "kmu":
-        return f"kmu[{desc[1]}][{_pt_key(desc[2])}][{','.join(desc[3])}]"
+        return f"kmu[{desc[1]}][{desc[2].key()}][{','.join(desc[3])}]"
     if kind == "knu":
-        return f"knu[{desc[1]}][{_pt_key(desc[2])},{_pt_key(desc[3])}][{','.join(desc[4])}]"
+        return f"knu[{desc[1]}][{desc[2].key()},{desc[3].key()}][{','.join(desc[4])}]"
     raise ChainConstructionError(f"unknown descriptor {desc!r}")
 
 
 class FamilyContext:
     """Materializes descriptors over a fixed admissible function tuple."""
 
-    def __init__(self, curve, gs, mode="fbar", uv=None):
+    def __init__(self, curve, gs, mode="fbar"):
         self.curve = curve
         self.gs = {g.name: g for g in gs}
         self.mode = mode
-        self.uv = uv
         self._cache = {}
 
     def g_tuple(self, names):
@@ -212,9 +199,7 @@ class FamilyContext:
         elif kind == "eta":
             pts, names = desc[1], desc[2]
             gsub = self.g_tuple(names)
-            X = build_family(
-                "X", self.curve, len(gsub), gsub, fixed=tuple(pts), mode=self.mode, uv=self.uv
-            )
+            X = build_family("X", self.curve, len(gsub), gsub, fixed=tuple(pts), mode=self.mode)
             out = decorate("eta", X, n=len(gsub))
         elif kind == "mu":
             c, names = desc[1], desc[2]
@@ -226,19 +211,6 @@ class FamilyContext:
             gsub = self.g_tuple(names)
             Z = build_family("Z", self.curve, len(gsub), gsub, j=j, b1=b1, b2=b2)
             out = decorate("nu", Z, n=len(gsub))
-        elif kind == "kmu":
-            i, shift, names = desc[1], desc[2], desc[3]
-            gsub = self.g_tuple(names)
-            out = CycleSum.single(
-                build_mu_killer(self.curve, gsub, i, shift), motives=(PureMotive(len(gsub) + 1, 0),)
-            )
-        elif kind == "knu":
-            j, b1, b2, names = desc[1], desc[2], desc[3], desc[4]
-            gsub = self.g_tuple(names)
-            out = CycleSum.single(
-                build_nu_killer(self.curve, gsub, j, b1, b2),
-                motives=(PureMotive(len(gsub) - 1, 1),),
-            )
         else:
             raise ChainConstructionError(f"unknown descriptor {desc!r}")
         self._cache[key] = out
@@ -298,14 +270,6 @@ def _sorted_pts(pts):
 # chain construction
 
 
-@dataclass
-class DescriptorWord:
-    descs: tuple
-
-    def key(self):
-        return tuple(desc_key(d) for d in self.descs)
-
-
 def _materialize_word(ctx: FamilyContext, descs, coeff=1) -> BarChain:
     sums = [ctx.materialize(d) for d in descs]
     if any(s.is_zero() for s in sums):
@@ -313,47 +277,78 @@ def _materialize_word(ctx: FamilyContext, descs, coeff=1) -> BarChain:
     return BarChain.from_cycle_sums(sums, coeff)
 
 
+class _Echelon:
+    """Incremental exact row echelon over sparse vectors (key -> Fraction).
+
+    Keys are replaced by their rank in first-appearance order, and a row's
+    pivot is its least rank.  Each row also records the combination of
+    added vectors it equals, as {tag: coefficient}.  Neither membership nor
+    that combination depends on the key order: a vector becomes a row only
+    when it is independent of the vectors added before it, and a vector in
+    the span of independent vectors has exactly one combination over them.
+    """
+
+    def __init__(self):
+        self.rank = {}  # key -> position of its first appearance
+        self.rows = {}  # pivot rank -> (vector with pivot coefficient 1, combination)
+
+    def reduce(self, vec: dict):
+        """(residual, combination) with residual = vec + sum_t c_t * added_t,
+        keyed by rank; the residual is empty iff vec lies in the span."""
+        rank = self.rank
+        vec = {rank.setdefault(k, len(rank)): v for k, v in vec.items() if v}
+        combo = {}
+        while vec:
+            pivot = min(vec)
+            if pivot not in self.rows:
+                break
+            row, row_combo = self.rows[pivot]
+            f = vec[pivot]
+            _axpy(vec, -f, row)
+            _axpy(combo, -f, row_combo)
+        return vec, combo
+
+    def add(self, vec: dict, tag) -> bool:
+        vec, combo = self.reduce(vec)
+        if not vec:
+            return False
+        combo[tag] = Fraction(1)
+        pivot = min(vec)
+        pv = vec[pivot]
+        self.rows[pivot] = (
+            {k: v / pv for k, v in vec.items()},
+            {t: c / pv for t, c in combo.items()},
+        )
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)[0]
+
+
+def _axpy(acc: dict, f, vec: dict):
+    """acc += f * vec, dropping the entries that cancel."""
+    for k, v in vec.items():
+        c = acc.get(k, 0) + f * v
+        if c:
+            acc[k] = c
+        else:
+            del acc[k]
+
+
 def _solve_exact(columns, rhs):
     """Solve sum_j x_j * columns[j] = rhs over sparse Fraction vectors.
 
-    Returns the coefficient list (free variables set to zero) or None when
-    inconsistent.  Deterministic: first-key pivoting in sorted key order.
+    Returns the coefficient list, or None when inconsistent.  x is nonzero
+    only on the columns independent of the earlier ones (the free variables
+    are 0), so it is unique: the key order of `_Echelon` cannot move it.
     """
-    keys = set(rhs)
-    for col in columns:
-        keys.update(col)
-    keys = sorted(keys, key=repr)
-    rows = {k: [col.get(k, Fraction(0)) for col in columns] + [rhs.get(k, Fraction(0))] for k in keys}
-    m = [rows[k] for k in keys]
-    ncols = len(columns)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for rr in range(r, len(m)):
-            if m[rr][c] != 0:
-                sel = rr
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for rr in range(len(m)):
-            if rr != r and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for rr in range(r, len(m)):
-        if m[rr][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = m[row_idx][ncols]
-    return x
+    ech = _Echelon()
+    for j, col in enumerate(columns):
+        ech.add(col, j)
+    residual, combo = ech.reduce(rhs)
+    if residual:
+        return None
+    return [-combo.get(j, Fraction(0)) for j in range(len(columns))]
 
 
 @dataclass
@@ -367,19 +362,16 @@ class MotiveChain:
     kills: list = field(default_factory=list)  # KillCertificate records
 
 
-def build_motive_chain(curve, gs, fixed=(), mode="fbar", uv=None, max_layers=None,
-                       certify_kills=True) -> MotiveChain:
+def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
     """Assemble the canonical cocycle with leading term eta^{fixed}(gs)."""
-    ctx = FamilyContext(curve, gs, mode, uv)
+    ctx = FamilyContext(curve, gs, mode)
     names = tuple(g.name for g in gs)
     top = ("eta", _sorted_pts(tuple(fixed)), names)
     layers = [[(Fraction(1), (top,))]]
     chain = _materialize_word(ctx, (top,))
     if chain.is_zero():
         raise ChainConstructionError("leading family is zero")
-    bound = max_layers or (len(gs) + len(fixed) + 4)
-
-    for step in range(bound):
+    for step in range(len(gs) + len(fixed) + 4):
         residual = bar_differential(chain)
         if residual.is_zero():
             break
@@ -429,8 +421,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar", uv=None, max_layers=Non
     if not ok:
         raise ChainConstructionError("constructed chain is not a cocycle", diff)
     out = MotiveChain(chain, [w for layer in layers for w in layer], ctx, top)
-    if certify_kills:
-        out.kills = kill_certificates(out)
+    out.kills = kill_certificates(out)
     return out
 
 
@@ -450,9 +441,13 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar", uv=None, max_layers=Non
 class KillCertificate:
     family: str  # descriptor key of the mu/nu family
     killer: str  # descriptor key of the kill cycle used
-    swept: list  # (descriptor key, coefficient) of the swept combination
-    exact: bool  # the swept combination plus tail equals d(killer) exactly
-    tail_terms: int
+    check: KillCycleReport  # the swept combination inside d(killer)
+
+    @property
+    def exact(self) -> bool:
+        """Every swept member is reproduced inside d(killer); the rest is
+        the face tail."""
+        return self.check.all_reproduced
 
 
 def _chain_mu_nu_families(layers):
@@ -468,69 +463,25 @@ def _chain_mu_nu_families(layers):
 
 def kill_certificates(mc: "MotiveChain") -> list:
     """For every mu/nu family in the chain, certify the coboundary relation
-    d(kill cycle) = swept family combination + explicit face tail, exactly."""
+    d(kill cycle) = swept family combination + explicit face tail, exactly.
+    The check is the boundaries suite's own (formulas.verify_mu_killer and
+    formulas.verify_nu_killer)."""
     ctx = mc.context
     out = []
     for d in _chain_mu_nu_families(mc.layers):
         if d[0] == "mu":
             _, c, names = d
+            gs = ctx.g_tuple(names)
             # choose the sweep through the first divisor point of g_1
-            g = ctx.gs[names[0]]
-            p0 = g.divisor.terms[0][0]
-            shift = ec_add(c, ec_neg(p0))
+            shift = ec_add(c, ec_neg(gs[0].divisor.terms[0][0]))
             killer = ("kmu", 1, shift, names)
-            swept = [
-                (desc_key(("mu", ec_add(p, shift), names)), m)
-                for p, m in g.divisor.terms
-            ]
+            check = verify_mu_killer(ctx.curve, gs, 1, shift)
         else:
             _, j, b1, b2, names = d
-            g = ctx.gs[names[j - 1]]
             killer = ("knu", j, b1, b2, names)
-            swept = [
-                (desc_key(("nu", j, ec_add(b1, ec_add(s, ec_neg(b2))), b2, names)), m)
-                for s, m in g.divisor.terms
-            ]
-        exact, tail = _check_kill(ctx, d, killer)
-        out.append(KillCertificate(desc_key(d), desc_key(killer), swept, exact, tail))
+            check = verify_nu_killer(ctx.curve, ctx.g_tuple(names), j, b1, b2)
+        out.append(KillCertificate(desc_key(d), desc_key(killer), check))
     return out
-
-
-def _check_kill(ctx, family, killer):
-    """d(killer) minus the swept family combination leaves only the face
-    tail; solved exactly per swept member."""
-    lhs = boundary(ctx.materialize(killer))
-    residual = {t: c for c, t in lhs.terms}
-    if killer[0] == "kmu":
-        _, i, shift, names = killer
-        g = ctx.gs[names[i - 1]]
-        targets = [
-            (ctx.materialize(("mu", ec_add(p, shift), names)), m) for p, m in g.divisor.terms
-        ]
-    else:
-        _, j, b1, b2, names = killer
-        g = ctx.gs[names[j - 1]]
-        targets = [
-            (ctx.materialize(("nu", j, ec_add(b1, ec_add(s, ec_neg(b2))), b2, names)), m)
-            for s, m in g.divisor.terms
-        ]
-    ok = True
-    for mat, m in targets:
-        if mat.is_zero():
-            continue  # the sweep legitimately passes through a vanishing class
-        scalar = None
-        for c, t in mat.terms:
-            if t in residual:
-                scalar = residual[t] / (c * m)
-                break
-        if scalar is None:
-            ok = False
-            continue
-        for c, t in mat.terms:
-            residual[t] = residual.get(t, Fraction(0)) - scalar * m * c
-            if residual[t] == 0:
-                del residual[t]
-    return ok, len(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -641,21 +592,7 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
             target = _materialize_word(
                 ctx, (("eta", _sorted_pts(mc.leading[1] + (p,)), rest),)
             )
-            ok = not target.is_zero()
-            residual = {w: c for c, w in lead.terms}
-            scalar = None
-            for c, w in target.terms:
-                if w in residual:
-                    scalar = residual[w] / c
-                    break
-            if scalar is None:
-                ok = False
-            else:
-                for c, w in target.terms:
-                    residual[w] = residual.get(w, Fraction(0)) - scalar * c
-                    if residual[w] == 0:
-                        del residual[w]
-                ok = not residual
+            ok = not target.is_zero() and _match_groups(lead, [("eta", p.key(), target)]).complete
             middle.append((p.key(), is_cocycle, ok))
     return ComultiplyReport(
         verify_counit(chain), verify_coassociativity(chain), leading_ok, trailing_ok, middle
@@ -749,39 +686,6 @@ class ComoduleSpanReport:
     failures: list
 
 
-class _Echelon:
-    """Incremental exact row echelon over sparse word-keyed vectors."""
-
-    def __init__(self):
-        self.rows = {}  # pivot key -> dict vector with pivot coefficient 1
-
-    def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        while vec:
-            pivot = min(vec, key=repr)
-            row = self.rows.get(pivot)
-            if row is None:
-                return vec
-            f = vec[pivot]
-            for k, v in row.items():
-                vec[k] = vec.get(k, Fraction(0)) - f * v
-                if vec[k] == 0:
-                    del vec[k]
-        return vec
-
-    def add(self, vec: dict) -> bool:
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        pivot = min(vec, key=repr)
-        pv = vec[pivot]
-        self.rows[pivot] = {k: v / pv for k, v in vec.items()}
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-
 def _chain_vec(chain: BarChain) -> dict:
     return {w: c for c, w in chain.terms}
 
@@ -807,8 +711,8 @@ def comodule_span(mc: MotiveChain) -> ComoduleSpanReport:
         labels[right] = lbl
         members.append((lbl, left_sum))
     ech = _Echelon()
-    for _, ch in members:
-        ech.add(_chain_vec(ch))
+    for i, (_, ch) in enumerate(members):
+        ech.add(_chain_vec(ch), i)
     failures = []
     for lbl, ch in members:
         for right, left_sum in comultiply_grouped(ch).items():

@@ -159,10 +159,6 @@ def ec_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     return CurvePoint(E, x3, y3)
 
 
-def ec_sub(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    return ec_add(P, ec_neg(Q))
-
-
 def ec_scalar_mul(n: int, P: CurvePoint) -> CurvePoint:
     """n-fold sum by double-and-add; 0*P is the identity."""
     if n < 0:

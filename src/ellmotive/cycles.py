@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
+from .curves import full_two_torsion
 from .divisors import (
     DegeneracyError,
     DivisorError,
     FormalDivisor,
-    FnDivisorReport,
     ProductDivisorClass,
     is_principal,
     make_fbar_divisor,
@@ -190,36 +190,29 @@ class FbarSpec:
 
 @dataclass(frozen=True)
 class FnSpec:
-    """F-bar_n corrected by h_n in coordinates 2..n; two divisor readings."""
+    """F-bar_n corrected by h_n in coordinates 2..n (the product reading)."""
 
     curve: EllipticCurve
     n: int
     u: CurvePoint
     v: CurvePoint
-    construction: str = "product"  # "product" | "displayed"
 
     @property
     def arity(self) -> int:
         return self.n
 
-    def report(self) -> FnDivisorReport:
-        return make_fn_divisor(self.curve, self.n, self.u, self.v)
-
     def divisor_class(self) -> ProductDivisorClass:
-        rep = self.report()
-        return rep.product if self.construction == "product" else rep.displayed
+        return make_fn_divisor(self.curve, self.n, self.u, self.v).product
 
     def components(self):
         return list(self.divisor_class().terms)
 
     def sym_classes(self):
-        if self.construction == "product":
-            # coordinate 1 keeps its poles at 0, coordinates 2..n are interchangeable
-            return ((1,), tuple(range(2, self.n + 1)))
-        return (tuple(range(1, self.n + 1)),)
+        # coordinate 1 keeps its poles at 0, coordinates 2..n are interchangeable
+        return ((1,), tuple(range(2, self.n + 1)))
 
     def spec_key(self) -> str:
-        return f"fn:{self.n}:{self.u.key()}:{self.v.key()}:{self.construction}"
+        return f"fn:{self.n}:{self.u.key()}:{self.v.key()}"
 
 
 @dataclass(frozen=True)
@@ -523,7 +516,7 @@ def _qcoord_orders(cycle, qdata, naming, signs):
             groups.append([j])
     for choice in itertools.product(*[list(itertools.permutations(g)) for g in groups]):
         qorder = [j for g in choice for j in g]
-        parity = _arrangement_parity(_positions_to_perm(qorder))
+        parity = _arrangement_parity(qorder)
         full = dict(naming)
         counter = len(full)
         ok = True
@@ -540,11 +533,6 @@ def _qcoord_orders(cycle, qdata, naming, signs):
                             ok = False  # sign not absorbed; covered by flip variants
         if ok:
             yield full, qorder, parity
-
-
-def _positions_to_perm(order):
-    # order[pos] = original index; parity of the rearrangement
-    return order
 
 
 def _expr_ser(e: PointExpr, naming: dict):
@@ -629,11 +617,6 @@ def _cycle_sort_key(cyc: ParamCycle):
         tuple(_expr_ser(e, naming) for e in cyc.ecoords),
         tuple(_qcoord_ser(q, naming) for q in cyc.qcoords),
     )
-
-
-def canonicalize(s: CycleSum) -> CycleSum:
-    """Normal form; CycleSum.of already canonicalizes, this re-normalizes."""
-    return CycleSum.of(list(s.terms), s.motives)
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +850,6 @@ def check_admissible(gs, mode: str = "fbar", n: int = None, curve=None) -> Admis
         zero = CurvePoint.at_infinity(gs[0].divisor.curve)
         special.add(zero)
         if mode == "fn":
-            from .curves import full_two_torsion
-
             special.update(full_two_torsion(gs[0].divisor.curve))
     for g, supp in zip(gs, supports):
         hit = supp & special
@@ -911,15 +892,19 @@ def _check_fixed_points(fixed, gs):
 # the cycle families
 
 
-def _fspec(curve, N, mode, u=None, v=None, construction="product"):
+def _fspec(curve, N, mode):
     if mode == "fbar":
         return FbarSpec(curve, N)
     if mode == "fn":
-        return FnSpec(curve, N, u, v, construction)
+        # h_n is built on the first two points of the full 2-torsion
+        tors = full_two_torsion(curve)
+        if len(tors) < 3:
+            raise CycleError("fn mode needs a curve with full rational 2-torsion")
+        return FnSpec(curve, N, tors[0], tors[1])
     raise CycleError(f"unknown mode {mode!r}")
 
 
-def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=None, uv=None):
+def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=None):
     """Construct the X, Y, or Z family as a single ParamCycle.
 
     X(n, r): E-coordinates (x, -x - sum(y) - sum(a), y_1..y_n), cube
@@ -931,7 +916,6 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
     report = check_admissible(gs, mode)
     if not report.passed:
         raise AdmissibilityError(report)
-    u, v = uv if uv else (None, None)
 
     if kind == "X":
         r = len(fixed)
@@ -951,7 +935,7 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
             ec_neg(asum),
         )
         fargs = tuple([x] + ys + [PointExpr.constant(a) for a in fixed])
-        qcoords = [FunCoord(_fspec(curve, N, mode, u, v), fargs)]
+        qcoords = [FunCoord(_fspec(curve, N, mode), fargs)]
         qcoords += [FunCoord(g, (ys[i],)) for i, g in enumerate(gs)]
         return ParamCycle(curve, params, tuple([x, balance] + ys), tuple(qcoords))
 

@@ -44,7 +44,15 @@ class GroupMatchReport:
     target: str
     instances: list
     unmatched: list  # (repr, coefficient) pairs left over
-    complete: bool
+
+    @property
+    def matched(self) -> bool:
+        """Every instance with terms received a scalar."""
+        return all(inst.scalar is not None or inst.term_count == 0 for inst in self.instances)
+
+    @property
+    def complete(self) -> bool:
+        return not self.unmatched and self.matched
 
     def scalars(self, group: str):
         return [inst.scalar for inst in self.instances if inst.group == group]
@@ -82,33 +90,22 @@ class BoundaryFormulaReport:
         return self.eta.complete and self.mu.complete and nu_ok and killers_ok
 
 
-def _match_groups(lhs: CycleSum, instances) -> GroupMatchReport:
-    """Greedy exact matching: each instance is a CycleSum whose coefficient is
-    solved from its first key present in the residual, then subtracted."""
+def _match_groups(lhs, instances, target="") -> GroupMatchReport:
+    """Greedy exact matching of a sum (a CycleSum or a BarChain): each
+    instance is a sum of the same kind whose coefficient is solved from its
+    first key present in the residual, then subtracted.  An instance with no
+    terms is skipped: a swept family may pass through a vanishing class."""
     residual = {t: c for c, t in lhs.terms}
     done = []
     for group, label, grp in instances:
-        if grp.is_zero():
-            done.append(MatchInstance(group, label, None, 0))
-            continue
-        scalar = None
-        for c, t in grp.terms:
-            if t in residual:
-                scalar = residual[t] / c
-                break
-        if scalar is None:
-            done.append(MatchInstance(group, label, None, len(grp.terms)))
-            continue
-        for c, t in grp.terms:
-            residual[t] = residual.get(t, Fraction(0)) - scalar * c
-            if residual[t] == 0:
-                del residual[t]
+        scalar = next((residual[t] / c for c, t in grp.terms if t in residual), None)
+        if scalar is not None:
+            for c, t in grp.terms:
+                residual[t] = residual.get(t, Fraction(0)) - scalar * c
+                if residual[t] == 0:
+                    del residual[t]
         done.append(MatchInstance(group, label, scalar, len(grp.terms)))
-    unmatched = [(repr(t), c) for t, c in residual.items()]
-    complete = not unmatched and all(
-        inst.scalar is not None or inst.term_count == 0 for inst in done
-    )
-    return GroupMatchReport("", done, unmatched, complete)
+    return GroupMatchReport(target, done, [(repr(t), c) for t, c in residual.items()])
 
 
 def _point_sum(curve, points):
@@ -118,16 +115,14 @@ def _point_sum(curve, points):
     return acc
 
 
-def eta_group_instances(curve, n, gs, fixed, mode="fbar", uv=None):
+def eta_group_instances(curve, n, gs, fixed, mode="fbar"):
     """The right-hand-side instances of the eta boundary display."""
     instances = []
     if n >= 1:
         for i, g in enumerate(gs):
             rest = [h for h in gs if h is not g]
             for p, m in g.divisor.terms:
-                Xp = build_family(
-                    "X", curve, n - 1, rest, fixed=tuple(fixed) + (p,), mode=mode, uv=uv
-                )
+                Xp = build_family("X", curve, n - 1, rest, fixed=tuple(fixed) + (p,), mode=mode)
                 grp = external_product(
                     decorate("eta", Xp, n=n - 1), decorate("eta_point", p)
                 ).scale(m)
@@ -157,12 +152,11 @@ def eta_group_instances(curve, n, gs, fixed, mode="fbar", uv=None):
     return instances
 
 
-def verify_eta_boundary(curve, n, gs, fixed=(), mode="fbar", uv=None) -> GroupMatchReport:
-    X = build_family("X", curve, n, gs, fixed=tuple(fixed), mode=mode, uv=uv)
+def verify_eta_boundary(curve, n, gs, fixed=(), mode="fbar") -> GroupMatchReport:
+    X = build_family("X", curve, n, gs, fixed=tuple(fixed), mode=mode)
     lhs = boundary(decorate("eta", X, n=n))
-    report = _match_groups(lhs, eta_group_instances(curve, n, gs, fixed, mode, uv))
-    report.target = f"eta(n={n}, r={len(fixed)})"
-    return report
+    instances = eta_group_instances(curve, n, gs, fixed, mode)
+    return _match_groups(lhs, instances, f"eta(n={n}, r={len(fixed)})")
 
 
 def verify_mu_boundary(curve, n, gs, a) -> GroupMatchReport:
@@ -177,9 +171,7 @@ def verify_mu_boundary(curve, n, gs, a) -> GroupMatchReport:
                 decorate("mu", Yp, n=n - 1), decorate("eta_point", p)
             ).scale(m)
             instances.append(("mu-lower", f"g{i + 1}:{p.key()}", grp))
-    report = _match_groups(lhs, instances)
-    report.target = f"mu(n={n})"
-    return report
+    return _match_groups(lhs, instances, f"mu(n={n})")
 
 
 def verify_nu_boundary(curve, n, gs, j, b1, b2) -> NuBoundaryReport:
@@ -200,67 +192,43 @@ def verify_nu_boundary(curve, n, gs, j, b1, b2) -> NuBoundaryReport:
                 decorate("nu", Zv, n=n - 1), decorate("eta_point", q)
             ).scale(m)
             instances.append(("nu-discharge", f"g{i + 1}:{q.key()}", grp))
-    discharge = _match_groups(lhs, instances)
-    discharge.target = f"nu(n={n}, j={j}) discharge"
+    discharge = _match_groups(lhs, instances, f"nu(n={n}, j={j}) discharge")
     return NuBoundaryReport(n, False, len(lhs.terms), discharge)
 
 
 def verify_mu_killer(curve, gs, i, shift) -> KillCycleReport:
     """The z-face of the mu kill-cycle sweeps sum_p m_p mu^{p+shift}(gs)."""
     lhs = boundary(CycleSum.single(build_mu_killer(curve, gs, i, shift)))
-    residual = {t: c for c, t in lhs.terms}
-    reproduced = []
-    ok = True
+    swept = []
     for p, m in gs[i - 1].divisor.terms:
         Y = build_family("Y", curve, len(gs), gs, fixed=(ec_add(p, shift),))
-        mu = decorate("mu", Y, n=len(gs))
-        scalar = None
-        for c, t in mu.terms:
-            if t in residual:
-                scalar = residual[t] / (c * m)
-                break
-        if scalar is None:
-            ok = False
-        else:
-            for c, t in mu.terms:
-                residual[t] = residual.get(t, Fraction(0)) - scalar * m * c
-                if residual[t] == 0:
-                    del residual[t]
-        reproduced.append((f"mu^{{{p.key()}+shift}}", scalar))
-    return KillCycleReport("mu-killer", reproduced, ok, len(residual))
+        swept.append(("mu", f"mu^{{{p.key()}+shift}}", decorate("mu", Y, n=len(gs)).scale(m)))
+    return _kill_report("mu-killer", lhs, swept)
 
 
 def verify_nu_killer(curve, gs, j, b1, b2) -> KillCycleReport:
     """The y_j-face of the nu kill-cycle sweeps the nu family; the term at
     the divisor point b2 is the nu cycle itself."""
     lhs = boundary(CycleSum.single(build_nu_killer(curve, gs, j, b1, b2)))
-    residual = {t: c for c, t in lhs.terms}
-    reproduced = []
-    ok = True
+    swept = []
     for s, m in gs[j - 1].divisor.terms:
         Zv = build_family(
             "Z", curve, len(gs), gs, j=j, b1=ec_add(b1, ec_add(s, ec_neg(b2))), b2=b2
         )
-        nuv = decorate("nu", Zv, n=len(gs))
-        scalar = None
-        for c, t in nuv.terms:
-            if t in residual:
-                scalar = residual[t] / (c * m)
-                break
-        if scalar is None:
-            ok = False
-        else:
-            for c, t in nuv.terms:
-                residual[t] = residual.get(t, Fraction(0)) - scalar * m * c
-                if residual[t] == 0:
-                    del residual[t]
-        reproduced.append((f"Z^{{b1+{s.key()}-b2}}", scalar))
-    return KillCycleReport("nu-killer", reproduced, ok, len(residual))
+        swept.append(("nu", f"Z^{{b1+{s.key()}-b2}}", decorate("nu", Zv, n=len(gs)).scale(m)))
+    return _kill_report("nu-killer", lhs, swept)
 
 
-def verify_boundary_formulas(curve, n, gs, fixed=(), mode="fbar", uv=None) -> BoundaryFormulaReport:
+def _kill_report(family, lhs, swept) -> KillCycleReport:
+    # what is left after the swept members is the face tail, not a failure
+    rep = _match_groups(lhs, swept)
+    reproduced = [(inst.label, inst.scalar) for inst in rep.instances]
+    return KillCycleReport(family, reproduced, rep.matched, len(rep.unmatched))
+
+
+def verify_boundary_formulas(curve, n, gs, fixed=(), mode="fbar") -> BoundaryFormulaReport:
     """Full check of the displayed boundary identities at one (n, r)."""
-    eta_rep = verify_eta_boundary(curve, n, gs, fixed, mode, uv)
+    eta_rep = verify_eta_boundary(curve, n, gs, fixed, mode)
     if n >= 1:
         a = fixed[0] if fixed else _default_mu_const(curve, gs)
         mu_rep = verify_mu_boundary(curve, n, gs, a)
@@ -272,7 +240,7 @@ def verify_boundary_formulas(curve, n, gs, fixed=(), mode="fbar", uv=None) -> Bo
             verify_nu_killer(curve, gs, 1, b1, b2),
         ]
     else:
-        mu_rep = GroupMatchReport(f"mu(n={n})", [], [], True)
+        mu_rep = GroupMatchReport(f"mu(n={n})", [], [])
         nu_rep = NuBoundaryReport(n, True, 0, None)
         killers = []
     return BoundaryFormulaReport(eta_rep, mu_rep, nu_rep, killers)

@@ -6,6 +6,7 @@ checks draw from a generator seeded by the config."""
 from __future__ import annotations
 
 import random
+from math import factorial
 
 from . import barcx, curves, cycles, divisors, formulas, symgrp
 from .config import Config
@@ -35,8 +36,6 @@ def run_suite(cfg: Config, suite: str) -> Report:
 
 
 def _suite_projectors(cfg: Config, report: Report):
-    from math import factorial
-
     # quasi-idempotency e_T^2 = (b!/dim) e_T for all standard tableaux, b <= 5
     all_ok = True
     checked = 0
@@ -80,7 +79,7 @@ def _suite_projectors(cfg: Config, report: Report):
     alt_ok = True
     for c in range(1, 4):
         alt = symgrp.alt_signed_group(c)
-        lam = (2**c) * _fact(c)
+        lam = (2**c) * factorial(c)
         if alt * alt != alt.scale(lam):
             alt_ok = False
     report.add(
@@ -121,13 +120,6 @@ def _suite_projectors(cfg: Config, report: Report):
             ),
         },
     )
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _rand_rows(rng, b):

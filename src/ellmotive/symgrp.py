@@ -168,10 +168,6 @@ class GroupAlgebraElement:
         return " + ".join(f"{c}*[{p!r}]" for p, c in self.terms)
 
 
-def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    return a * b
-
-
 def right_act(vector: GroupAlgebraElement, sigma: Permutation, convention: str = "parity"):
     """Right action on formal vectors: v . sigma = sign * (sigma^{-1} v).
 

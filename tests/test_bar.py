@@ -1,10 +1,16 @@
 """Bar words, chains, cocycles, comultiplication, the nontriviality witness."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellmotive.barcx import (
     BarChain,
     BarWord,
+    _Echelon,
+    _solve_exact,
     build_motive_chain,
     bar_differential,
     comodule_span,
@@ -180,3 +186,96 @@ def test_degenerate_witness_two_torsion():
     chain = BarChain.from_cycle_sums([cyc]) if not cyc.is_zero() else BarChain.of([])
     cert = nontriviality_witness(chain)
     assert not cert.nontrivial
+
+
+# ---------------------------------------------------------------------------
+# the exact sparse eliminator behind the contraction solve and the span check
+
+
+def _rank(vectors):
+    """Dense Fraction rank, independent of the eliminator under test."""
+    keys = sorted({k for v in vectors for k in v})
+    rows = [[Fraction(v.get(k, 0)) for k in keys] for v in vectors]
+    rank = 0
+    for c in range(len(keys)):
+        sel = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _apply(columns, x):
+    out = {}
+    for xj, col in zip(x, columns):
+        for k, v in col.items():
+            out[k] = out.get(k, 0) + xj * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+_coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+_sparse_vec = st.dictionaries(st.integers(0, 7), _coeff, max_size=4)
+
+
+@st.composite
+def _systems(draw):
+    """Random sparse columns, some of them combinations of earlier ones."""
+    columns = []
+    for _ in range(draw(st.integers(0, 7))):
+        if columns and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(range(len(columns))), min_size=1, max_size=3))
+            columns.append(_apply([columns[j] for j in picks], [draw(_coeff) for _ in picks]))
+        else:
+            columns.append(draw(_sparse_vec))
+    x0 = [draw(st.integers(-2, 2)) for _ in columns]
+    return columns, x0
+
+
+@given(_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_solves_consistent_systems(system):
+    columns, x0 = system
+    rhs = _apply(columns, x0)
+    x = _solve_exact(columns, rhs)
+    assert x is not None and _apply(columns, x) == rhs
+    # the key order is first appearance: reversing every column's insertion
+    # order must not move the solution
+    flipped = [dict(reversed(list(col.items()))) for col in columns]
+    assert _solve_exact(flipped, dict(reversed(list(rhs.items())))) == x
+
+
+@given(_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_zero_on_dependent_columns(system):
+    columns, x0 = system
+    x = _solve_exact(columns, _apply(columns, x0))
+    for j, col in enumerate(columns):
+        if _rank(columns[: j + 1]) == _rank(columns[:j]):
+            assert x[j] == 0, j
+
+
+@given(_systems(), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_rejects_rhs_outside_span(system, key):
+    columns, x0 = system
+    # key 8 occurs in no column; other keys may already lie in the span
+    if _rank(columns + [{key: 1}]) == _rank(columns):
+        key = 8
+    rhs = _apply(columns, x0)
+    rhs[key] = rhs.get(key, 0) + 1
+    assert _solve_exact(columns, {k: v for k, v in rhs.items() if v != 0}) is None
+
+
+@given(_systems(), _sparse_vec)
+@settings(max_examples=200, deadline=None)
+def test_echelon_contains_agrees_with_solve(system, vec):
+    columns, _ = system
+    ech = _Echelon()
+    for j, col in enumerate(columns):
+        ech.add(col, j)
+    assert ech.contains(vec) == (_solve_exact(columns, vec) is not None)
+    assert ech.contains(vec) == (_rank(columns + [vec]) == _rank(columns))

@@ -1,6 +1,9 @@
 """Config ingestion, suites, report emission, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -149,3 +152,61 @@ def test_build_motive_command(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["summary"]["fail"] == 0
+
+
+# y^2 = x(x-2)(x-5) over F_101 with P = (99, 67) of order 58:
+# g1 = (2P) + (3P) - (P) - (4P), g2 = (5P) + (8P) - (6P) - (7P)
+FN_CONFIG = {
+    "curve": {"a1": "0", "a2": "-7", "a3": "0", "a4": "10", "a6": "0", "field": "prime:101"},
+    "functions": [
+        {
+            "name": "g1",
+            "divisor": [
+                {"point": ["81", "98"], "coeff": "1"},
+                {"point": ["94", "31"], "coeff": "1"},
+                {"point": ["99", "67"], "coeff": "-1"},
+                {"point": ["84", "41"], "coeff": "-1"},
+            ],
+        },
+        {
+            "name": "g2",
+            "divisor": [
+                {"point": ["51", "97"], "coeff": "1"},
+                {"point": ["97", "84"], "coeff": "1"},
+                {"point": ["1", "99"], "coeff": "-1"},
+                {"point": ["32", "8"], "coeff": "-1"},
+            ],
+        },
+    ],
+    "mode": "fn",
+    "bounds": {"n_max": 2, "r_max": 1, "random_trials": 3},
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["verify", "boundaries"], ["verify", "bar"], ["build-motive", "--n", "2"]]
+)
+def test_fn_mode_commands_pass(tmp_path, command):
+    # fn mode builds h_n on the first two points of the full 2-torsion
+    out = tmp_path / "report.json"
+    code = main(["--config", write_config(tmp_path, FN_CONFIG), "--out", str(out), *command])
+    payload = json.loads(out.read_text())
+    assert code == 0, payload["records"]
+    assert payload["summary"]["fail"] == 0
+    assert payload["summary"]["pass"] > 0
+    assert not any("aborted" in r["id"] for r in payload["records"])
+
+
+def test_report_bytes_independent_of_hash_seed():
+    # key orders follow dict insertion, never set or hash order
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    procs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "ellmotive.cli", "report"]
+        procs.append(subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE))
+    outputs = [proc.communicate()[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -12,7 +12,6 @@ from ellmotive.cycles import (
     UserFunction,
     boundary,
     build_family,
-    canonicalize,
     check_admissible,
     cube_swap,
     decorate,
@@ -296,11 +295,9 @@ def test_canonical_form_orbit_invariance(setup):
 
 
 def test_fn_mode_families():
-    from ellmotive.curves import full_two_torsion
     from ellmotive.fixtures import two_torsion_curve_f101
 
     curve = two_torsion_curve_f101()
-    u, v, w = full_two_torsion(curve)
     # an admissible function away from 0 and the 2-torsion (P has odd order)
     P = CurvePoint.affine(curve, 1, 2)
     g = UserFunction(
@@ -315,6 +312,15 @@ def test_fn_mode_families():
             ],
         ),
     )
-    X = build_family("X", curve, 1, [g], mode="fn", uv=(u, v))
+    X = build_family("X", curve, 1, [g], mode="fn")
     eta = decorate("eta", X, n=1)
     assert boundary(boundary(eta)).is_zero()
+
+
+def test_fn_mode_needs_full_two_torsion(setup):
+    # y^2 + y = x^3 - x has no rational 2-torsion to build h_n on
+    from ellmotive.cycles import CycleError
+
+    curve, gs, _ = setup
+    with pytest.raises(CycleError, match="2-torsion"):
+        build_family("X", curve, 1, gs[:1], mode="fn")

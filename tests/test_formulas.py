@@ -89,13 +89,12 @@ def test_full_report_passes(setup):
 
 
 def test_fn_mode_formula_n1():
-    from ellmotive.curves import CurvePoint, full_two_torsion
+    from ellmotive.curves import CurvePoint
     from ellmotive.cycles import UserFunction
     from ellmotive.divisors import FormalDivisor
     from ellmotive.fixtures import two_torsion_curve_f101
 
     curve = two_torsion_curve_f101()
-    u, v, _ = full_two_torsion(curve)
     P = CurvePoint.affine(curve, 1, 2)
     g = UserFunction(
         "g",
@@ -109,5 +108,5 @@ def test_fn_mode_formula_n1():
             ],
         ),
     )
-    rep = verify_eta_boundary(curve, 1, [g], mode="fn", uv=(u, v))
+    rep = verify_eta_boundary(curve, 1, [g], mode="fn")
     assert rep.complete
