@@ -99,11 +99,17 @@ def _build_motive(cfg, n: int) -> Report:
     if not 1 <= n <= len(cfg.functions):
         raise ConfigError(f"--n must be between 1 and {len(cfg.functions)}")
     gs = cfg.functions[:n]
-    mc = barcx.build_motive_chain(cfg.curve, gs, mode=cfg.mode)
+    anchor = "the chain of successive boundaries defines a cohomology class"
+    try:
+        mc = barcx.build_motive_chain(cfg.curve, gs, mode=cfg.mode)
+    except barcx.ChainConstructionError as exc:
+        # a failed construction is a failed check (exit 1), not bad input
+        report.add(f"build-motive:n={n}", anchor, False, exc.args[0])
+        return report
     ok, _ = barcx.verify_cocycle(mc.chain)
     report.add(
         f"build-motive:n={n}",
-        "the chain of successive boundaries defines a cohomology class",
+        anchor,
         ok,
         {
             "words": len(mc.chain.terms),

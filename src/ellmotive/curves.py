@@ -4,11 +4,14 @@ Curves are y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over an exact field
 (Q or F_p).  Points are either the identity (the point at infinity, written 0
 in divisor recipes) or affine pairs satisfying the equation exactly.  All
 operations are pure; points are immutable and compared structurally.
+
+Keys and hashes are computed once per object: a curve builds its key string
+and hash on construction, a point its key and hash on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
 from .fields import FieldError, PrimeField, RationalField
@@ -18,7 +21,7 @@ class CurveError(ValueError):
     """Structural errors: singular curve, off-curve point, mismatched curves."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EllipticCurve:
     field: object
     a1: object
@@ -26,6 +29,15 @@ class EllipticCurve:
     a3: object
     a4: object
     a6: object
+    _key: str = _field(init=False, repr=False, compare=False)
+    _hash: int = _field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        F = self.field
+        coeffs = ",".join(F.key(c) for c in (self.a1, self.a2, self.a3, self.a4, self.a6))
+        key = f"E[{coeffs}]/{F}"
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     @staticmethod
     def from_coeffs(field, a1, a2, a3, a4, a6) -> "EllipticCurve":
@@ -68,15 +80,20 @@ class EllipticCurve:
         return F.is_zero(F.sub(lhs, rhs))
 
     def key(self) -> str:
-        F = self.field
-        coeffs = ",".join(F.key(c) for c in (self.a1, self.a2, self.a3, self.a4, self.a6))
-        return f"E[{coeffs}]/{F}"
+        return self._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles recompute the caches (str hashes are per process)
+        return EllipticCurve, (self.field, self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def __repr__(self) -> str:
-        return self.key()
+        return self._key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
     """A point of E(k): Infinity (the group identity 0) or an affine (x, y)."""
 
@@ -84,6 +101,9 @@ class CurvePoint:
     x: object = None
     y: object = None
     infinity: bool = False
+    # filled on first use by key() and __hash__
+    _key: str = _field(init=False, repr=False, compare=False)
+    _hash: int = _field(init=False, repr=False, compare=False)
 
     @staticmethod
     def at_infinity(curve: EllipticCurve) -> "CurvePoint":
@@ -97,27 +117,31 @@ class CurvePoint:
         return CurvePoint(curve, x, y)
 
     def key(self) -> str:
-        if self.infinity:
-            return "inf"
-        F = self.curve.field
-        return f"({F.key(self.x)},{F.key(self.y)})"
+        try:
+            return self._key
+        except AttributeError:
+            if self.infinity:
+                key = "inf"
+            else:
+                F = self.curve.field
+                key = f"({F.key(self.x)},{F.key(self.y)})"
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __repr__(self) -> str:
         return self.key()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        if self.curve != other.curve:
-            return False
-        if self.infinity or other.infinity:
-            return self.infinity and other.infinity
-        return self.x == other.x and self.y == other.y
-
     def __hash__(self) -> int:
-        if self.infinity:
-            return hash((self.curve.key(), "inf"))
-        return hash((self.curve.key(), self.x, self.y))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.curve._hash, self.key()))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # copies and pickles recompute the caches (str hashes are per process)
+        return CurvePoint, (self.curve, self.x, self.y, self.infinity)
 
 
 def _require_same_curve(P: CurvePoint, Q: CurvePoint):

@@ -28,7 +28,7 @@ substitutes; signs follow the fixed convention sum_k (-1)^(k-1) (d0_k - dinf_k).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
@@ -62,7 +62,7 @@ class AdmissibilityError(ValueError):
 # affine E-valued expressions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointExpr:
     """sum(c_k * t_k) + const, with integer coefficients and a point constant."""
 
@@ -128,6 +128,9 @@ class PointExpr:
     def key(self) -> str:
         body = "+".join(f"{c}{n}" for n, c in self.coeffs)
         return f"{body}|{self.const.key()}"
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.const))
 
     def __repr__(self) -> str:
         return self.key()
@@ -215,7 +218,7 @@ class FnSpec:
         return f"fn:{self.n}:{self.u.key()}:{self.v.key()}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunCoord:
     spec: object
     args: tuple  # tuple of PointExpr, length spec.arity
@@ -225,7 +228,7 @@ class FunCoord:
             raise CycleError("argument count does not match the function arity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstCoord:
     """A function evaluated at a fixed point; faces on it are empty."""
 
@@ -237,12 +240,13 @@ class ConstCoord:
 # parametric cycles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamCycle:
     curve: EllipticCurve
     params: tuple  # ordered tuple of names
     ecoords: tuple  # tuple of PointExpr
     qcoords: tuple  # tuple of FunCoord | ConstCoord
+    _hash: int = field(init=False, repr=False, compare=False)  # filled on first use
 
     def __post_init__(self):
         used = set()
@@ -299,6 +303,18 @@ class ParamCycle:
         qcoords = tuple(self.qcoords[inv(i) - 1] for i in range(1, self.c + 1))
         return ParamCycle(self.curve, self.params, self.ecoords, qcoords)
 
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.params, self.ecoords, self.qcoords))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # copies and pickles recompute the hash (str hashes are per process)
+        return ParamCycle, (self.curve, self.params, self.ecoords, self.qcoords)
+
     def __repr__(self) -> str:
         es = ", ".join(e.key() for e in self.ecoords)
         qs = ", ".join(_qcoord_key(q, {}) for q in self.qcoords)
@@ -343,7 +359,8 @@ def canonical_term(cycle: ParamCycle):
     E-coordinate negations, parameter renaming/sign absorption, cube
     coordinate sorting) and returns the minimal serialization.  If the same
     serialization is reached with opposite accumulated signs the class is
-    zero.
+    zero.  The +-e variants of the E-coordinates are built once per call,
+    and only the minimal candidate is rebuilt into a cycle.
     """
     cached = _canonical_cache.get(cycle)
     if cached is not None:
@@ -359,39 +376,31 @@ def canonical_term(cycle: ParamCycle):
         else:
             blocks.append([idx])
 
-    best = None  # (serialization, sign, rebuilt cycle)
+    signed = [(e, -e) for e in cycle.ecoords]  # indexed by flip: 0 keeps, 1 negates
+    best = None  # (serialization, sign, _rebuild arguments)
     seen_signs: dict = {}
     dead = False
 
     for arrangement in _block_arrangements(blocks):
         perm_sign = _arrangement_parity(arrangement)
-        ecoords = [cycle.ecoords[i] for i in arrangement]
-        for flips in itertools.product((1, -1), repeat=b):
-            flip_sign = 1
-            flipped = []
-            for e, f in zip(ecoords, flips):
-                if f == -1:
-                    flip_sign = -flip_sign
-                    flipped.append(-e)
-                else:
-                    flipped.append(e)
-            total = perm_sign * flip_sign
-            for ser, extra, rebuilt in _serialize_candidates(cycle, flipped):
+        choices = [signed[i] for i in arrangement]
+        for flips in itertools.product((0, 1), repeat=b):
+            flipped = [pair[f] for pair, f in zip(choices, flips)]
+            total = -perm_sign if sum(flips) % 2 else perm_sign
+            for ser, extra, parts in _serialize_candidates(cycle, flipped):
                 s = total * extra
-                prev = seen_signs.get(ser)
-                if prev is None:
-                    seen_signs[ser] = (s, rebuilt)
-                elif prev[0] != s:
+                prev = seen_signs.setdefault(ser, s)
+                if prev != s:
                     dead = True
                     break
                 if best is None or ser < best[0]:
-                    best = (ser, s, rebuilt)
+                    best = (ser, s, parts)
             if dead:
                 break
         if dead:
             break
 
-    result = (None, Fraction(0)) if dead else (best[2], Fraction(best[1]))
+    result = (None, Fraction(0)) if dead else (_rebuild(cycle, *best[2]), Fraction(best[1]))
     _canonical_cache[cycle] = result
     return result
 
@@ -425,18 +434,16 @@ def _serialize_candidates(cycle: ParamCycle, ecoords):
 
     Parameters are renamed in first-occurrence order with their signs absorbed
     (reparametrization is free); naming ties among parameters introduced
-    together, and cube-coordinate sort ties, are enumerated.
+    together, and cube-coordinate sort ties, are enumerated.  Yields
+    (serialization, sign, the `_rebuild` arguments after the cycle).
     """
-    out = []
     for naming, signs in _namings_from_ecoords(cycle, ecoords):
         norm_ecoords = [_normalize_expr(e, signs) for e in ecoords]
         qdata = [_normalize_qcoord(q, signs) for q in cycle.qcoords]
         for full_naming, qorder, qsign in _qcoord_orders(cycle, qdata, naming, signs):
             eser = tuple(_expr_ser(e, full_naming) for e in norm_ecoords)
             qser = tuple(_qcoord_ser(qdata[j], full_naming) for j in qorder)
-            rebuilt = _rebuild(cycle, norm_ecoords, qdata, qorder, full_naming)
-            out.append(((eser, qser), qsign, rebuilt))
-    return out
+            yield (eser, qser), qsign, (norm_ecoords, qdata, qorder, full_naming)
 
 
 def _namings_from_ecoords(cycle, ecoords):
@@ -476,9 +483,8 @@ def _namings_from_ecoords(cycle, ecoords):
 
 
 def _normalize_expr(e: PointExpr, signs: dict) -> PointExpr:
-    return PointExpr.make(
-        e.curve, [(n, c * signs.get(n, 1)) for n, c in e.coeffs], e.const
-    )
+    # a sign change keeps names and nonzero coefficients: still sorted
+    return PointExpr(e.curve, tuple((n, c * signs.get(n, 1)) for n, c in e.coeffs), e.const)
 
 
 def _const_collapse(q):

@@ -210,3 +210,23 @@ def test_report_bytes_independent_of_hash_seed():
     outputs = [proc.communicate()[0] for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_build_motive_chain_failure_exits_one(tmp_path, monkeypatch):
+    # a failed chain construction is a failed check with a record, not bad input
+    from ellmotive import barcx
+
+    def broken(*args, **kwargs):
+        raise barcx.ChainConstructionError("leading family is zero")
+
+    monkeypatch.setattr(barcx, "build_motive_chain", broken)
+    out = tmp_path / "motive.json"
+    code = main(
+        ["--config", write_config(tmp_path, GOOD_CONFIG), "--out", str(out), "build-motive"]
+    )
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["fail"] == 1
+    (record,) = [r for r in payload["records"] if r["status"] == "fail"]
+    assert record["id"] == "build-motive:n=1"
+    assert record["details"] == "leading family is zero"

@@ -12,10 +12,12 @@ from ellmotive.cycles import (
     UserFunction,
     boundary,
     build_family,
+    canonical_term,
     check_admissible,
     cube_swap,
     decorate,
     external_product,
+    term_faces,
 )
 from ellmotive.divisors import DegeneracyError, FormalDivisor
 from ellmotive.fixtures import fixed_points, generator, rank_one_curve, standard_functions
@@ -160,8 +162,6 @@ def test_face_counts(setup):
     # each unary cube coordinate with divisor of positive degree d contributes
     # d zero faces and d pole faces, before cancellation
     curve, gs, afix = setup
-    from ellmotive.cycles import term_faces
-
     Y = build_family("Y", curve, 2, gs[:2], fixed=(afix[0],))
     faces = term_faces(Y)
     # two functions, each with 2 zeros and 2 poles
@@ -254,22 +254,25 @@ def test_degenerate_face_detected(setup):
     assert not adm.passed
 
 
-def test_canonical_form_orbit_invariance(setup):
-    # random words of the signed symmetry group map a term to +-itself
-    import random
-
-    from ellmotive.cycles import canonical_term
-    from ellmotive.symgrp import Permutation
-
+def _orbit_seeds(setup):
+    """The three n=2 families and six faces of X."""
     curve, gs, afix = setup
-    rng = random.Random(5)
     seeds = [
         build_family("X", curve, 2, gs[:2], fixed=(afix[0],)),
         build_family("Y", curve, 2, gs[:2], fixed=(afix[1],)),
         build_family("Z", curve, 2, gs[:2], j=2, b1=afix[0], b2=afix[1]),
     ]
-    seeds += [f for _, f in __import__("ellmotive.cycles", fromlist=["term_faces"]).term_faces(seeds[0])[:6]]
-    for base in seeds:
+    return seeds + [f for _, f in term_faces(seeds[0])[:6]]
+
+
+def test_canonical_form_orbit_invariance(setup):
+    # random words of the signed symmetry group map a term to +-itself
+    import random
+
+    from ellmotive.symgrp import Permutation
+
+    rng = random.Random(5)
+    for base in _orbit_seeds(setup):
         canon, sign = canonical_term(base)
         if canon is None:
             continue
@@ -292,6 +295,31 @@ def test_canonical_form_orbit_invariance(setup):
             canon2, sign2 = canonical_term(moved)
             assert canon2 == canon
             assert sign2 == sign * acc
+
+
+def test_canonical_form_is_a_fixed_point(setup):
+    # the rebuilt minimal candidate is its own canonical form, with sign +1
+    survivors = 0
+    for base in _orbit_seeds(setup):
+        canon, _ = canonical_term(base)
+        if canon is None:
+            continue
+        survivors += 1
+        assert canonical_term(canon) == (canon, 1)
+    assert survivors > 0
+
+
+def test_constant_two_torsion_ecoord_dies():
+    # T = -T, so negating the coordinate maps the term to minus itself
+    from ellmotive.curves import full_two_torsion
+    from ellmotive.fixtures import two_torsion_curve_f101
+
+    curve = two_torsion_curve_f101()
+    T = full_two_torsion(curve)[0]
+    assert canonical_term(ParamCycle(curve, (), (PointExpr.constant(T),), ())) == (None, 0)
+    P = CurvePoint.affine(curve, 1, 2)  # of odd order
+    canon, sign = canonical_term(ParamCycle(curve, (), (PointExpr.constant(P),), ()))
+    assert canon is not None and sign in (1, -1)
 
 
 def test_fn_mode_families():

@@ -1,9 +1,14 @@
 """Exact field arithmetic and the elliptic-curve group law."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellmotive.curves import (
     CurveError,
@@ -16,8 +21,10 @@ from ellmotive.curves import (
     full_two_torsion,
     is_two_torsion,
 )
+from ellmotive.cycles import FbarSpec, FunCoord, ParamCycle, PointExpr
 from ellmotive.fields import FieldError, PrimeField, RationalField, field_from_tag
 from ellmotive.fixtures import generator, rank_one_curve, two_torsion_curve_f11
+from ellmotive.symgrp import Permutation
 
 
 def test_prime_field_ops():
@@ -137,3 +144,96 @@ def test_is_two_torsion_includes_identity():
     E = rank_one_curve()
     assert is_two_torsion(CurvePoint.at_infinity(E))
     assert not is_two_torsion(generator(E))
+
+
+# ---------------------------------------------------------------------------
+# hash/equality properties over random smooth curves mod p <= 101
+
+_PRIMES = [p for p in range(3, 102) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def _curves(draw):
+    p = draw(st.sampled_from(_PRIMES))
+    coeffs = draw(st.tuples(*[st.integers(0, p - 1)] * 5))
+    try:
+        return EllipticCurve.from_coeffs(PrimeField(p), *coeffs)
+    except CurveError:
+        assume(False)
+
+
+@st.composite
+def _points(draw, E):
+    """An affine point found from a drawn x, or the identity if E(F_p) = {0}."""
+    p = E.field.p
+    x0 = draw(st.integers(0, p - 1))
+    for dx in range(p):
+        x = (x0 + dx) % p
+        ys = [y for y in range(p) if E.contains(x, y)]
+        if ys:
+            return CurvePoint.affine(E, x, draw(st.sampled_from(ys)))
+    return CurvePoint.at_infinity(E)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_computed_points_hash_like_affine_points(data):
+    E = data.draw(_curves())
+    P, Q = data.draw(_points(E)), data.draw(_points(E))
+    k = data.draw(st.integers(-6, 6))
+    # an equal curve built separately: equality and hashes must not rely on identity
+    E2 = EllipticCurve.from_coeffs(E.field, E.a1, E.a2, E.a3, E.a4, E.a6)
+    assert E2 == E and hash(E2) == hash(E) and E2.key() == E.key()
+    for R in (ec_add(P, Q), ec_scalar_mul(k, P), ec_add(ec_neg(P), P)):
+        h = hash(R)  # hash before key, the fresh point below the other way round
+        if R.infinity:
+            fresh = CurvePoint.at_infinity(E2)
+        else:
+            fresh = CurvePoint.affine(E2, R.x, R.y)
+        assert fresh.key() == R.key()
+        assert fresh == R and hash(fresh) == h
+        assert len({R, fresh}) == 1
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_param_cycle_moves_round_trip(data):
+    E = data.draw(_curves())
+    P, Q = data.draw(_points(E)), data.draw(_points(E))
+    k = data.draw(st.integers(-3, 3).filter(bool))
+    s, t = PointExpr.param(E, "s"), PointExpr.param(E, "t")
+    ecoords = ((s + t).sub_point(P), s.scale(k), (t - s).sub_point(Q))
+    qcoords = (FunCoord(FbarSpec(E, 2), (s.sub_point(Q), t.scale(k))),)
+    cycle = ParamCycle(E, ("s", "t"), ecoords, qcoords)
+    h = hash(cycle)
+    sigma = Permutation(tuple(data.draw(st.permutations((1, 2, 3)))))
+    moved = cycle.permute_ecoords(sigma).permute_ecoords(sigma.inverse())
+    assert moved == cycle and hash(moved) == h
+    # renaming s, t -> v, u reverses the sorted coefficient order and back
+    renamed = cycle.rename_params({"s": "v", "t": "u"})
+    moved = renamed.rename_params({"v": "s", "u": "t"})
+    assert renamed != cycle
+    assert moved == cycle and hash(moved) == h
+
+
+def test_value_objects_stay_frozen():
+    E = two_torsion_curve_f11()
+    P = full_two_torsion(E)[0]
+    hash(P)  # the lazily filled slots stay read-only too
+    s = PointExpr.param(E, "s")
+    cycle = ParamCycle(E, ("s",), (s,), ())
+    hash(cycle)
+    for obj, name in ((E, "a1"), (E, "_hash"), (P, "x"), (P, "_key"), (s, "const"), (cycle, "_hash")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+
+
+def test_value_objects_copy_and_pickle():
+    # before and after the lazy caches are filled
+    E = two_torsion_curve_f11()
+    P = CurvePoint.affine(E, 2, 0)
+    cycle = ParamCycle(E, ("s",), (PointExpr.param(E, "s").sub_point(P),), ())
+    for _ in range(2):
+        for obj in (E, P, cycle):
+            dups = (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj)))
+            assert all(dup == obj and hash(dup) == hash(obj) for dup in dups)

@@ -1,0 +1,69 @@
+"""The benchmark tracer's hooks must still find every layer entry point.
+
+`perfbench/trace.py` wraps functions and methods from outside by looking
+them up in the owner's `__dict__`.  A refactor that moves a method (say, a
+dataclass rebuilt with `slots=True`) would otherwise leave a layer silently
+unhooked and its counter at zero.
+"""
+
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_PATH = ROOT / "perfbench" / "trace.py"
+
+
+def _load_trace():
+    spec = importlib.util.spec_from_file_location("perfbench_trace", TRACE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_entry_point_resolves():
+    trace = _load_trace()
+    for mod_name, attr, name, _ in trace.ENTRY_POINTS:
+        owner = importlib.import_module(f"ellmotive.{mod_name}")
+        *cls_path, fname = attr.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        assert fname in owner.__dict__, f"{name}: {mod_name}.{attr} is not defined there"
+        assert callable(owner.__dict__[fname]), name
+
+
+_COUNT_HOOKS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_trace", sys.argv[1])
+trace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(trace)
+import ellmotive
+tracer = trace.Tracer()
+tracer.install(ellmotive)
+from ellmotive.fixtures import generator, rank_one_curve
+E = rank_one_curve()
+P = generator(E)
+hash(P), hash(P), E.key(), E.field.key(P.x)
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_hot_hooks_count_calls():
+    # install the tracer in a child so this process keeps unwrapped functions
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_HOOKS, str(TRACE_PATH)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    metrics = json.loads(out.stdout)
+    assert metrics["curves.point_hash.calls"] == 2
+    assert metrics["curves.curve_key.calls"] >= 1
+    assert metrics["fields.key.calls"] >= 1
