@@ -108,7 +108,7 @@ class BarChain:
 
 
 def _word_key(w: BarWord):
-    return tuple(repr(s) for s in w.slots)
+    return tuple(s.key() for s in w.slots)
 
 
 def _slot_sum(cycle: ParamCycle, motives) -> CycleSum:
@@ -160,6 +160,8 @@ def verify_cocycle(chain: BarChain):
 
 
 def desc_key(desc) -> str:
+    """The sort key of chain candidates and the label of kill certificates;
+    descriptors themselves are the cache keys."""
     kind = desc[0]
     if kind == "pt":
         return f"pt[{desc[1].key()}]"
@@ -190,9 +192,8 @@ class FamilyContext:
         return [self.gs[n] for n in names]
 
     def materialize(self, desc) -> CycleSum:
-        key = desc_key(desc)
-        if key in self._cache:
-            return self._cache[key]
+        if desc in self._cache:
+            return self._cache[desc]
         kind = desc[0]
         if kind == "pt":
             out = decorate("eta_point", desc[1])
@@ -213,7 +214,7 @@ class FamilyContext:
             out = decorate("nu", Z, n=len(gsub))
         else:
             raise ChainConstructionError(f"unknown descriptor {desc!r}")
-        self._cache[key] = out
+        self._cache[desc] = out
         return out
 
     def expansions(self, desc):
@@ -384,9 +385,8 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
             for i, d in enumerate(descs):
                 for left, right in ctx.expansions(d):
                     new = descs[:i] + (left, right) + descs[i + 1 :]
-                    key = tuple(desc_key(x) for x in new)
-                    if key not in seen:
-                        seen.add(key)
+                    if new not in seen:
+                        seen.add(new)
                         cand_words.append(new)
         cand_words.sort(key=lambda ds: tuple(desc_key(d) for d in ds))
         if not cand_words:
@@ -707,7 +707,7 @@ def comodule_span(mc: MotiveChain) -> ComoduleSpanReport:
     ):
         if left_sum.is_zero():
             continue
-        lbl = "E" if right.length == 0 else f"layer<-[{_word_key(right)}]"
+        lbl = "E" if right.length == 0 else f"layer<-[{right!r}]"
         labels[right] = lbl
         members.append((lbl, left_sum))
     ech = _Echelon()

@@ -94,6 +94,7 @@ def main(argv=None) -> int:
 
 def _build_motive(cfg, n: int) -> Report:
     from . import barcx
+    from .divisors import DegeneracyError
 
     report = Report(cfg.raw)
     if not 1 <= n <= len(cfg.functions):
@@ -102,7 +103,7 @@ def _build_motive(cfg, n: int) -> Report:
     anchor = "the chain of successive boundaries defines a cohomology class"
     try:
         mc = barcx.build_motive_chain(cfg.curve, gs, mode=cfg.mode)
-    except barcx.ChainConstructionError as exc:
+    except (barcx.ChainConstructionError, DegeneracyError) as exc:
         # a failed construction is a failed check (exit 1), not bad input
         report.add(f"build-motive:n={n}", anchor, False, exc.args[0])
         return report

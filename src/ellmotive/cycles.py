@@ -16,9 +16,16 @@ ambient algebra imposes:
 * permuting cube coordinates costs the sign character (the G_c alternation).
 
 A term carried to itself by an odd symmetry is zero; the orbit scan detects
-this as the same canonical string reached with both signs.  This single rule
+this as the same serialization reached with both signs.  This single rule
 is what kills constant 2-torsion E-coordinates and the diagonal-type faces of
 the boundary.
+
+There is one serialization of expressions and cube coordinates under a
+naming of the parameters (see `_expr_ser`).  The orbit scan compares its
+candidates by it, a canonical term's serialization under its own names
+(`ParamCycle.key`) orders cycle sums and bar words, and reprs render it.
+The scan names the parameters t0, t1, .. itself, so the canonical form does
+not depend on the parameter names a term was built with.
 
 The cubical boundary takes, for each cube slot, the zero and pole faces of
 the coordinate's divisor, solves the face equation for one parameter, and
@@ -125,15 +132,11 @@ class PointExpr:
             self.curve, [(mapping.get(n, n), c) for n, c in self.coeffs], self.const
         )
 
-    def key(self) -> str:
-        body = "+".join(f"{c}{n}" for n, c in self.coeffs)
-        return f"{body}|{self.const.key()}"
-
     def __hash__(self) -> int:
         return hash((self.coeffs, self.const))
 
     def __repr__(self) -> str:
-        return self.key()
+        return _render_expr(_expr_ser(self))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +250,7 @@ class ParamCycle:
     ecoords: tuple  # tuple of PointExpr
     qcoords: tuple  # tuple of FunCoord | ConstCoord
     _hash: int = field(init=False, repr=False, compare=False)  # filled on first use
+    _key: tuple = field(init=False, repr=False, compare=False)  # filled on first use
 
     def __post_init__(self):
         used = set()
@@ -315,22 +319,24 @@ class ParamCycle:
         # copies and pickles recompute the hash (str hashes are per process)
         return ParamCycle, (self.curve, self.params, self.ecoords, self.qcoords)
 
+    def key(self) -> tuple:
+        """The serialization under the cycle's own names: the sort key of
+        canonical terms."""
+        try:
+            return self._key
+        except AttributeError:
+            k = (
+                tuple(_expr_ser(e) for e in self.ecoords),
+                tuple(_qcoord_ser(q)[0] for q in self.qcoords),
+            )
+            object.__setattr__(self, "_key", k)
+            return k
+
     def __repr__(self) -> str:
-        es = ", ".join(e.key() for e in self.ecoords)
-        qs = ", ".join(_qcoord_key(q, {}) for q in self.qcoords)
+        eser, qser = self.key()
+        es = ", ".join(_render_expr(e) for e in eser)
+        qs = ", ".join(_render_qcoord(q) for q in qser)
         return f"Cycle[({es}) ; ({qs})]"
-
-
-def _qcoord_key(q, naming: dict) -> str:
-    if isinstance(q, ConstCoord):
-        return f"K({q.spec.spec_key()}@{q.point.key()})"
-    args = ",".join(_expr_key(a, naming) for a in q.args)
-    return f"F({q.spec.spec_key()};{args})"
-
-
-def _expr_key(e: PointExpr, naming: dict) -> str:
-    body = "+".join(f"{c}{naming.get(n, '?' + n)}" for n, c in e.coeffs)
-    return f"{body}|{e.const.key()}"
 
 
 # ---------------------------------------------------------------------------
@@ -359,57 +365,66 @@ def canonical_term(cycle: ParamCycle):
     E-coordinate negations, parameter renaming/sign absorption, cube
     coordinate sorting) and returns the minimal serialization.  If the same
     serialization is reached with opposite accumulated signs the class is
-    zero.  The +-e variants of the E-coordinates are built once per call,
-    and only the minimal candidate is rebuilt into a cycle.
+    zero.  Every candidate names the parameters t0, t1, .. itself, so the
+    result does not depend on the names the term came with.  Only the
+    minimal candidate is rebuilt into a cycle.
     """
     cached = _canonical_cache.get(cycle)
     if cached is not None:
         return cached
-
-    b = cycle.b
-    profiles = [_ecoord_profile(e) for e in cycle.ecoords]
-    order = sorted(range(b), key=lambda i: (profiles[i], i))
-    blocks = []
-    for idx in order:
-        if blocks and profiles[blocks[-1][-1]] == profiles[idx]:
-            blocks[-1].append(idx)
-        else:
-            blocks.append([idx])
-
-    signed = [(e, -e) for e in cycle.ecoords]  # indexed by flip: 0 keeps, 1 negates
     best = None  # (serialization, sign, _rebuild arguments)
     seen_signs: dict = {}
-    dead = False
-
-    for arrangement in _block_arrangements(blocks):
-        perm_sign = _arrangement_parity(arrangement)
-        choices = [signed[i] for i in arrangement]
-        for flips in itertools.product((0, 1), repeat=b):
-            flipped = [pair[f] for pair, f in zip(choices, flips)]
-            total = -perm_sign if sum(flips) % 2 else perm_sign
-            for ser, extra, parts in _serialize_candidates(cycle, flipped):
-                s = total * extra
-                prev = seen_signs.setdefault(ser, s)
-                if prev != s:
-                    dead = True
-                    break
-                if best is None or ser < best[0]:
-                    best = (ser, s, parts)
-            if dead:
-                break
-        if dead:
+    for ser, sign, parts in _orbit(cycle):
+        if seen_signs.setdefault(ser, sign) != sign:
+            result = (None, Fraction(0))
             break
-
-    result = (None, Fraction(0)) if dead else (_rebuild(cycle, *best[2]), Fraction(best[1]))
+        if best is None or ser < best[0]:
+            best = (ser, sign, parts)
+    else:
+        result = (_rebuild(cycle, *best[2]), Fraction(best[1]))
     _canonical_cache[cycle] = result
     return result
 
 
-def _block_arrangements(blocks):
-    """All position orders obtained by permuting within equal-profile blocks."""
-    perms_per_block = [list(itertools.permutations(block)) for block in blocks]
-    for choice in itertools.product(*perms_per_block):
-        yield [i for block in choice for i in block]
+def _orbit(cycle: ParamCycle):
+    """(serialization, sign, `_rebuild` arguments) of every orbit candidate.
+
+    For each arrangement of the E-coordinates and each pattern of negations,
+    every first-occurrence naming (`_namings`) serializes each coordinate
+    once; the cube slots are sorted by those serializations, ties enumerated
+    with their parities.
+    """
+    profiles = [_ecoord_profile(e) for e in cycle.ecoords]
+    signed = [(e, -e) for e in cycle.ecoords]  # indexed by flip: 0 keeps, 1 negates
+    qcoords = [_const_collapse(q) for q in cycle.qcoords]
+    # parameters only the cube coordinates see are named last, in every
+    # order, with their signs kept
+    tail = [tuple((p, 1) for p in cycle.params)]
+    for arrangement, perm_sign in _sorted_arrangements(profiles):
+        choices = [signed[i] for i in arrangement]
+        for flips in itertools.product((0, 1), repeat=cycle.b):
+            ecoords = [pair[f] for pair, f in zip(choices, flips)]
+            total = -perm_sign if sum(flips) % 2 else perm_sign
+            for naming in _namings([e.coeffs for e in ecoords] + tail):
+                eser = tuple(_expr_ser(e, naming) for e in ecoords)
+                qsers = [_qcoord_ser(q, naming)[0] for q in qcoords]
+                for qorder, qsign in _sorted_arrangements(qsers):
+                    qser = tuple(qsers[j] for j in qorder)
+                    yield (eser, qser), total * qsign, (ecoords, qcoords, qorder, naming)
+
+
+def _sorted_arrangements(keys):
+    """Every order of the positions that sorts the keys, equal keys permuted
+    in all ways, each with its parity."""
+    blocks = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if blocks and keys[blocks[-1][-1]] == keys[i]:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    for choice in itertools.product(*[list(itertools.permutations(block)) for block in blocks]):
+        arrangement = [i for block in choice for i in block]
+        yield arrangement, _arrangement_parity(arrangement)
 
 
 def _arrangement_parity(arrangement) -> int:
@@ -429,62 +444,35 @@ def _arrangement_parity(arrangement) -> int:
     return sign
 
 
-def _serialize_candidates(cycle: ParamCycle, ecoords):
-    """Serializations of one (sigma, flips) variant.
+def _namings(coeff_lists):
+    """Name the parameters t0, t1, .. in first-occurrence order along the
+    coefficient lists: {name: (new name, sign)}.
 
-    Parameters are renamed in first-occurrence order with their signs absorbed
-    (reparametrization is free); naming ties among parameters introduced
-    together, and cube-coordinate sort ties, are enumerated.  Yields
-    (serialization, sign, the `_rebuild` arguments after the cycle).
-    """
-    for naming, signs in _namings_from_ecoords(cycle, ecoords):
-        norm_ecoords = [_normalize_expr(e, signs) for e in ecoords]
-        qdata = [_normalize_qcoord(q, signs) for q in cycle.qcoords]
-        for full_naming, qorder, qsign in _qcoord_orders(cycle, qdata, naming, signs):
-            eser = tuple(_expr_ser(e, full_naming) for e in norm_ecoords)
-            qser = tuple(_qcoord_ser(qdata[j], full_naming) for j in qorder)
-            yield (eser, qser), qsign, (norm_ecoords, qdata, qorder, full_naming)
-
-
-def _namings_from_ecoords(cycle, ecoords):
-    """Name parameters in first-occurrence order along the E-coordinates.
-
-    Within one expression, new parameters are ordered by (|coeff|, sign); ties
-    are enumerated.  Each parameter's sign is absorbed so its first occurrence
+    Within one list, new parameters are ordered by |coeff|; ties are
+    enumerated.  Each parameter's sign is absorbed so its first occurrence
     has a positive coefficient.
     """
-    orderings = [([], {})]  # (ordered names, sign map)
-    for e in ecoords:
-        new_orderings = []
-        for names, signs in orderings:
-            fresh = [(n, c) for n, c in e.coeffs if n not in signs]
-            if not fresh:
-                new_orderings.append((names, signs))
-                continue
-            fresh_sorted = sorted(fresh, key=lambda t: abs(t[1]))
-            groups = itertools.groupby(fresh_sorted, key=lambda t: abs(t[1]))
-            variants = [[]]
-            for _, group in groups:
-                group = list(group)
-                variants = [v + list(p) for v in variants for p in itertools.permutations(group)]
-            for variant in variants:
-                names2 = list(names)
-                signs2 = dict(signs)
-                for n, c in variant:
-                    names2.append(n)
-                    signs2[n] = 1 if c > 0 else -1
-                new_orderings.append((names2, signs2))
-        orderings = new_orderings
-    results = []
-    for names, signs in orderings:
-        naming = {n: f"t{i}" for i, n in enumerate(names)}
-        results.append((naming, signs))
-    return results
+    namings = [{}]
+    for coeffs in coeff_lists:
+        # every naming so far covers the same parameters
+        fresh = [t for t in coeffs if t[0] not in namings[0]]
+        if not fresh:
+            continue
+        variants = [[]]
+        for _, group in itertools.groupby(sorted(fresh, key=_abs_coeff), key=_abs_coeff):
+            group = list(group)
+            variants = [v + list(p) for v in variants for p in itertools.permutations(group)]
+        if len(variants) > 1:  # one copy of each naming per variant, in variant order
+            namings = [dict(naming) for naming in namings for _ in variants]
+        k = len(namings[0])
+        for naming, v in zip(namings, itertools.cycle(variants)):
+            for i, (n, c) in enumerate(v):
+                naming[n] = (f"t{k + i}", 1 if c > 0 else -1)
+    return namings
 
 
-def _normalize_expr(e: PointExpr, signs: dict) -> PointExpr:
-    # a sign change keeps names and nonzero coefficients: still sorted
-    return PointExpr(e.curve, tuple((n, c * signs.get(n, 1)) for n, c in e.coeffs), e.const)
+def _abs_coeff(item):
+    return abs(item[1])
 
 
 def _const_collapse(q):
@@ -494,75 +482,64 @@ def _const_collapse(q):
     return q
 
 
-def _normalize_qcoord(q, signs):
-    q = _const_collapse(q)
+# The serialization: an expression under a naming {name: (new name, sign)},
+# or under its own names (naming None), is (sorted (new name, sign * coeff)
+# pairs, constant key); a cube coordinate is ("K", spec key, point key) or
+# ("F", spec key, argument serializations), the arguments of each symmetric
+# class sorted.  The orbit scan compares candidates by it, a cycle under its
+# own names sorts sums by it, and reprs render it.
+
+
+def _expr_ser(e: PointExpr, naming: dict = None):
+    if naming is None:  # own names: the coefficients are already sorted pairs
+        return e.coeffs, e.const.key()
+    items = []
+    for n, c in e.coeffs:
+        new, sign = naming[n]
+        items.append((new, sign * c))
+    items.sort()
+    return tuple(items), e.const.key()
+
+
+def _qcoord_ser(q, naming: dict = None):
+    """(serialization, argument order) of a cube coordinate under a naming."""
     if isinstance(q, ConstCoord):
-        return q
-    args = tuple(_normalize_expr(a, signs) for a in q.args)
-    # sort arguments within the spec's symmetric argument classes
-    arg_list = list(args)
+        return ("K", q.spec.spec_key(), q.point.key()), None
+    sers = [_expr_ser(a, naming) for a in q.args]
+    order = list(range(len(sers)))
     for cls in q.spec.sym_classes():
         if len(cls) > 1:
-            chunk = sorted((arg_list[i - 1] for i in cls), key=lambda a: a.key())
-            for pos, val in zip(cls, chunk):
-                arg_list[pos - 1] = val
-    return FunCoord(q.spec, tuple(arg_list))
+            for pos, i in zip(cls, sorted((i - 1 for i in cls), key=sers.__getitem__)):
+                order[pos - 1] = i
+    return ("F", q.spec.spec_key(), tuple(sers[i] for i in order)), order
 
 
-def _qcoord_orders(cycle, qdata, naming, signs):
-    """Sorted cube-slot orders; parameters unseen on the E side are named in
-    sorted-slot scan order.  Ties are enumerated with their parities."""
-    keys = [_qcoord_ser(q, naming) for q in qdata]
-    order = sorted(range(len(qdata)), key=lambda j: (keys[j], j))
-    groups = []
-    for j in order:
-        if groups and keys[groups[-1][-1]] == keys[j]:
-            groups[-1].append(j)
-        else:
-            groups.append([j])
-    for choice in itertools.product(*[list(itertools.permutations(g)) for g in groups]):
-        qorder = [j for g in choice for j in g]
-        parity = _arrangement_parity(qorder)
-        full = dict(naming)
-        counter = len(full)
-        ok = True
-        for j in qorder:
-            q = qdata[j]
-            if isinstance(q, ConstCoord):
-                continue
-            for a in q.args:
-                for n, c in a.coeffs:
-                    if n not in full:
-                        full[n] = f"t{counter}"
-                        counter += 1
-                        if signs.get(n, 1) == -1:
-                            ok = False  # sign not absorbed; covered by flip variants
-        if ok:
-            yield full, qorder, parity
+def _render_expr(ser) -> str:
+    items, const = ser
+    return "+".join(f"{c}{n}" for n, c in items) + f"|{const}"
 
 
-def _expr_ser(e: PointExpr, naming: dict):
-    items = tuple(sorted((naming.get(n, "?"), c) for n, c in e.coeffs))
-    return ("e", items, e.const.key())
+def _render_qcoord(ser) -> str:
+    if ser[0] == "K":
+        return f"K({ser[1]}@{ser[2]})"
+    return f"F({ser[1]};{','.join(_render_expr(a) for a in ser[2])})"
 
 
-def _qcoord_ser(q, naming: dict):
-    if isinstance(q, ConstCoord):
-        return ("K", q.spec.spec_key(), q.point.key())
-    return ("F", q.spec.spec_key(), tuple(_expr_ser(a, naming) for a in q.args))
+def _rename(e: PointExpr, naming: dict) -> PointExpr:
+    return PointExpr.make(e.curve, [(naming[n][0], naming[n][1] * c) for n, c in e.coeffs], e.const)
 
 
-def _rebuild(cycle, ecoords, qdata, qorder, naming) -> ParamCycle:
-    ecoords2 = tuple(e.rename(naming) for e in ecoords)
+def _rebuild(cycle, ecoords, qcoords, qorder, naming) -> ParamCycle:
     qcoords2 = []
     for j in qorder:
-        q = qdata[j]
-        if isinstance(q, ConstCoord):
-            qcoords2.append(q)
-        else:
-            qcoords2.append(FunCoord(q.spec, tuple(a.rename(naming) for a in q.args)))
-    names = sorted(naming.values(), key=lambda s: int(s[1:]))
-    return ParamCycle(cycle.curve, tuple(names), ecoords2, tuple(qcoords2))
+        q = qcoords[j]
+        if isinstance(q, FunCoord):
+            order = _qcoord_ser(q, naming)[1]
+            q = FunCoord(q.spec, tuple(_rename(q.args[i], naming) for i in order))
+        qcoords2.append(q)
+    names = tuple(f"t{i}" for i in range(len(naming)))
+    ecoords2 = tuple(_rename(e, naming) for e in ecoords)
+    return ParamCycle(cycle.curve, names, ecoords2, tuple(qcoords2))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +565,7 @@ class CycleSum:
                 continue
             acc[canon] = acc.get(canon, Fraction(0)) + coeff * sign
         terms = tuple(
-            sorted(((c, k) for k, c in acc.items() if c != 0), key=lambda t: _cycle_sort_key(t[1]))
+            sorted(((c, k) for k, c in acc.items() if c != 0), key=lambda t: t[1].key())
         )
         return CycleSum(terms, tuple(motives))
 
@@ -615,14 +592,6 @@ class CycleSum:
         if not self.terms:
             return "0"
         return " + ".join(f"{c}*{cyc!r}" for c, cyc in self.terms)
-
-
-def _cycle_sort_key(cyc: ParamCycle):
-    naming = {p: p for p in cyc.params}
-    return (
-        tuple(_expr_ser(e, naming) for e in cyc.ecoords),
-        tuple(_qcoord_ser(q, naming) for q in cyc.qcoords),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +642,7 @@ def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr):
             pivot = (name, c)
             break
     if pivot is None:
-        raise DegeneracyError(f"face equation {eq.key()} has no unit pivot")
+        raise DegeneracyError(f"face equation {eq!r} has no unit pivot")
     name, c = pivot
     rest = PointExpr(eq.curve, tuple((n, v) for n, v in eq.coeffs if n != name), eq.const)
     repl = rest.scale(-c)  # c = +-1

@@ -1,5 +1,6 @@
 """Config ingestion, suites, report emission, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ import sys
 
 import pytest
 
+from ellmotive import barcx
 from ellmotive.cli import main
 from ellmotive.config import ConfigError, config_from_dict, default_config, load_config
+from ellmotive.divisors import DegeneracyError
 from ellmotive.report import Report, emit_report
 from ellmotive.suites import run_suite
 
@@ -198,6 +201,11 @@ def test_fn_mode_commands_pass(tmp_path, command):
     assert not any("aborted" in r["id"] for r in payload["records"])
 
 
+# sha256 of `ellmotive report` on the default config; refactors keep the
+# report byte-identical (ROADMAP aim 2), so only a deliberate change moves it
+REPORT_SHA256 = "ea0afb64f39653fcf14ffcd079194e18840923d60a4f9f51f1a347f79187faef"
+
+
 def test_report_bytes_independent_of_hash_seed():
     # key orders follow dict insertion, never set or hash order
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -210,14 +218,16 @@ def test_report_bytes_independent_of_hash_seed():
     outputs = [proc.communicate()[0] for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
     assert outputs[0] and outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0]).hexdigest() == REPORT_SHA256
 
 
-def test_build_motive_chain_failure_exits_one(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "error", [barcx.ChainConstructionError, DegeneracyError], ids=lambda e: e.__name__
+)
+def test_build_motive_chain_failure_exits_one(tmp_path, monkeypatch, error):
     # a failed chain construction is a failed check with a record, not bad input
-    from ellmotive import barcx
-
     def broken(*args, **kwargs):
-        raise barcx.ChainConstructionError("leading family is zero")
+        raise error("leading family is zero")
 
     monkeypatch.setattr(barcx, "build_motive_chain", broken)
     out = tmp_path / "motive.json"
@@ -230,3 +240,19 @@ def test_build_motive_chain_failure_exits_one(tmp_path, monkeypatch):
     (record,) = [r for r in payload["records"] if r["status"] == "fail"]
     assert record["id"] == "build-motive:n=1"
     assert record["details"] == "leading family is zero"
+
+
+def test_build_motive_inadmissible_input_exits_two(tmp_path, monkeypatch):
+    # inadmissible functions are invalid input: exit 2 and no report
+    from ellmotive.cycles import AdmissibilityError, AdmissibilityReport
+
+    def broken(*args, **kwargs):
+        raise AdmissibilityError(AdmissibilityReport(False, ("g1 is even",)))
+
+    monkeypatch.setattr(barcx, "build_motive_chain", broken)
+    out = tmp_path / "motive.json"
+    code = main(
+        ["--config", write_config(tmp_path, GOOD_CONFIG), "--out", str(out), "build-motive"]
+    )
+    assert code == 2
+    assert not out.exists()

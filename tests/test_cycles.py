@@ -1,5 +1,7 @@
 """The symbolic cycle engine: families, canonical forms, boundary, products."""
 
+import itertools
+
 import pytest
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ from ellmotive.curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul
 from ellmotive.cycles import (
     AdmissibilityError,
     CycleSum,
+    FbarSpec,
+    FunCoord,
     ParamCycle,
     PointExpr,
     UserFunction,
@@ -22,6 +26,7 @@ from ellmotive.cycles import (
 from ellmotive.divisors import DegeneracyError, FormalDivisor
 from ellmotive.fixtures import fixed_points, generator, rank_one_curve, standard_functions
 from ellmotive.gl2 import PureMotive
+from ellmotive.symgrp import Permutation
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +88,12 @@ def test_inadmissible_input_raises(setup):
 def test_canonicalize_merges_relabeled_copies(setup):
     curve, gs, _ = setup
     X = build_family("X", curve, 1, gs[:1])
-    relabeled = X.rename_params({"x": "a", "y1": "b"})
-    s = CycleSum.of([(1, X), (-1, relabeled)])
-    assert s.is_zero()
-    s = CycleSum.of([(1, X), (1, relabeled)])
-    assert len(s.terms) == 1 and s.terms[0][0] == 2
+    # the reversed mapping also reverses the alphabetical order of the names
+    for mapping in ({"x": "a", "y1": "b"}, {"x": "b", "y1": "a"}):
+        relabeled = X.rename_params(mapping)
+        assert CycleSum.of([(1, X), (-1, relabeled)]).is_zero()
+        s = CycleSum.of([(1, X), (1, relabeled)])
+        assert len(s.terms) == 1 and s == CycleSum.single(X).scale(2)
 
 
 def test_canonicalize_negation_and_swap(setup):
@@ -269,11 +275,13 @@ def test_canonical_form_orbit_invariance(setup):
     # random words of the signed symmetry group map a term to +-itself
     import random
 
-    from ellmotive.symgrp import Permutation
-
     rng = random.Random(5)
     for base in _orbit_seeds(setup):
         canon, sign = canonical_term(base)
+        # every alphabetical order of the parameter names gives the same form
+        for order in itertools.permutations(range(base.dim)):
+            mapping = {p: f"p{k}" for p, k in zip(base.params, order)}
+            assert canonical_term(base.rename_params(mapping)) == (canon, sign)
         if canon is None:
             continue
         for _ in range(12):
@@ -295,6 +303,21 @@ def test_canonical_form_orbit_invariance(setup):
             canon2, sign2 = canonical_term(moved)
             assert canon2 == canon
             assert sign2 == sign * acc
+
+
+def test_cube_only_parameters_rename_invariant(setup):
+    # z and w occur only inside a symmetric cube coordinate
+    curve, gs, _ = setup
+    x, z, w = (PointExpr.param(curve, n) for n in ("x", "z", "w"))
+    fbar = FunCoord(FbarSpec(curve, 2), (z, w - z))
+    base = ParamCycle(curve, ("x", "z", "w"), (x,), (fbar, FunCoord(gs[0], (x,))))
+    canon, sign = canonical_term(base)
+    assert canon is not None
+    for order in itertools.permutations(range(3)):
+        mapping = {p: f"p{k}" for p, k in zip(base.params, order)}
+        assert canonical_term(base.rename_params(mapping)) == (canon, sign)
+    swapped = base.permute_qcoords(Permutation((2, 1)))
+    assert canonical_term(swapped) == (canon, -sign)
 
 
 def test_canonical_form_is_a_fixed_point(setup):
