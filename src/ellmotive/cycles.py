@@ -9,19 +9,21 @@ symbolic constant.
 Equality of cycle sums is canonical-form equality under the symmetries the
 ambient algebra imposes:
 
-* reparametrization (renaming and sign changes of parameters) is free;
+* reparametrization (renaming and sign changes of parameters, those only
+  cube coordinates see included) is free;
 * negating one E-coordinate costs a sign (the (Z/2Z)^b alternation);
 * permuting E-coordinates costs the sign character (the tensor identification
   over the symmetric group transports cycles with that sign);
 * permuting cube coordinates costs the sign character (the G_c alternation).
 
-A term carried to itself by an odd symmetry is zero; the orbit scan detects
-this as the same serialization reached with both signs.  This single rule
-is what kills constant 2-torsion E-coordinates and the diagonal-type faces of
-the boundary.
+A term carried to itself by an odd symmetry is zero.  This single rule is
+what kills constant 2-torsion E-coordinates and the diagonal-type faces of
+the boundary.  `canonical_term` finds the least normal form one E-position
+at a time, never the whole orbit, and the term is zero iff that form is
+reached with both signs.
 
 There is one serialization of expressions and cube coordinates under a
-naming of the parameters (see `_expr_ser`).  The orbit scan compares its
+naming of the parameters (see `_expr_ser`).  The scan compares its
 candidates by it, a canonical term's serialization under its own names
 (`ParamCycle.key`) orders cycle sums and bar words, and reprs render it.
 The scan names the parameters t0, t1, .. itself, so the canonical form does
@@ -343,15 +345,13 @@ class ParamCycle:
 # canonical forms
 
 
-def _point_orbit_key(p: CurvePoint) -> str:
-    return min(p.key(), ec_neg(p).key())
-
-
-def _ecoord_profile(e: PointExpr) -> tuple:
+def _ecoord_profile(pair) -> tuple:
+    """What no symmetry changes in an E-coordinate, given as (e, -e)."""
+    e, neg = pair
+    orbit = min(e.const.key(), neg.const.key())
     if e.is_const():
-        return ("c", _point_orbit_key(e.const))
-    mags = tuple(sorted(abs(c) for _, c in e.coeffs))
-    return ("x", mags, _point_orbit_key(e.const))
+        return ("c", orbit)
+    return ("x", tuple(sorted(abs(c) for _, c in e.coeffs)), orbit)
 
 
 _canonical_cache: dict = {}
@@ -360,57 +360,94 @@ _canonical_cache: dict = {}
 def canonical_term(cycle: ParamCycle):
     """Canonical representative and sign, or (None, 0) when the term dies.
 
-    Scans the orbit of the term under the signed symmetries (E-coordinate
-    permutations within equal-profile blocks after profile sorting,
-    E-coordinate negations, parameter renaming/sign absorption, cube
-    coordinate sorting) and returns the minimal serialization.  If the same
-    serialization is reached with opposite accumulated signs the class is
-    zero.  Every candidate names the parameters t0, t1, .. itself, so the
-    result does not depend on the names the term came with.  Only the
-    minimal candidate is rebuilt into a cycle.
+    The candidates are the signed symmetries carrying the term to normal form:
+    E-coordinates sorted by profile, each negated or not; parameters named
+    t0, t1, .. in first-occurrence order along them, by |coeff| within one,
+    signed to a positive first coefficient; those only cube coordinates see
+    next, with both signs; cube slots sorted; ties in every order.  The least
+    serialization wins.  It compares E-position by E-position, so candidates
+    grow one position at a time and only those least there go on.  The term
+    is zero iff the minimum is reached with both signs: if g1 and g2 give one
+    normal form with opposite signs, g2^-1 g1 is an odd symmetry fixing the
+    term, so g_min g2^-1 g1 reaches the minimum with g_min's sign reversed.
     """
     cached = _canonical_cache.get(cycle)
     if cached is not None:
         return cached
-    best = None  # (serialization, sign, _rebuild arguments)
-    seen_signs: dict = {}
-    for ser, sign, parts in _orbit(cycle):
-        if seen_signs.setdefault(ser, sign) != sign:
-            result = (None, Fraction(0))
-            break
-        if best is None or ser < best[0]:
-            best = (ser, sign, parts)
+    signed = [(e, -e) for e in cycle.ecoords]  # indexed by flip: 0 keeps, 1 negates
+    qcoords = [_const_collapse(q) for q in cycle.qcoords]
+    best, both = None, False  # (serialization, sign, naming, choices, cube order)
+    prefixes = _least_prefixes(signed, cycle.params)
+    for sign, naming, chosen in prefixes or ():
+        qsers = [_qcoord_ser(q, naming)[0] for q in qcoords]
+        for qorder, qsign in _sorted_arrangements(qsers):
+            ser = tuple(qsers[j] for j in qorder)
+            if best is None or ser < best[0]:
+                best, both = (ser, sign * qsign, naming, chosen, qorder), False
+            elif ser == best[0] and sign * qsign != best[1]:
+                both = True
+    if prefixes is None or both:
+        result = (None, Fraction(0))
     else:
-        result = (_rebuild(cycle, *best[2]), Fraction(best[1]))
+        _, sign, naming, chosen, qorder = best
+        ecoords = [signed[i][flip] for i, flip in chosen]
+        result = (_rebuild(cycle, ecoords, qcoords, qorder, naming), Fraction(sign))
     _canonical_cache[cycle] = result
     return result
 
 
-def _orbit(cycle: ParamCycle):
-    """(serialization, sign, `_rebuild` arguments) of every orbit candidate.
+def _least_prefixes(signed, params):
+    """(sign, naming, ((index, flip), ..)) of the candidates' least E-parts,
+    with every naming of the parameters only cube coordinates see; None if
+    the term dies already."""
+    profiles = [_ecoord_profile(pair) for pair in signed]
+    states = [(0, 1, {}, ())]  # (used indices as a bitmask, sign, naming, choices)
+    for profile in sorted(profiles):
+        least, kept = None, {}
+        for used, sign, naming, chosen in states:
+            for i, p in enumerate(profiles):
+                if used >> i & 1 or p != profile:
+                    continue
+                # i lands after every used index: one inversion per used index above i
+                s = -sign if (used >> i).bit_count() % 2 else sign
+                for flip in (0, 1):
+                    e = signed[i][flip]
+                    ser = _expr_ser(e, naming)  # the same under every extension
+                    if least is None or ser < least:
+                        least, kept = ser, {}
+                    if ser != least:
+                        continue
+                    for ext in _extend_naming(naming, e.coeffs):
+                        # same placed set and naming: same completions; opposite signs: zero
+                        state = (used | 1 << i, -s if flip else s, ext, chosen + ((i, flip),))
+                        key = (state[0], frozenset(ext.items()))
+                        if kept.setdefault(key, state)[1] != state[1]:
+                            return None
+        states = kept.values()
+    # parameters only cube slots see: every order (all tie at |1|), both signs
+    rest = [p for p in params if p not in next(iter(states))[2]]
+    return [
+        (s, full, chosen)
+        for _, s, naming, chosen in states
+        for signs in itertools.product((1, -1), repeat=len(rest))
+        for full in _extend_naming(naming, list(zip(rest, signs)))
+    ]
 
-    For each arrangement of the E-coordinates and each pattern of negations,
-    every first-occurrence naming (`_namings`) serializes each coordinate
-    once; the cube slots are sorted by those serializations, ties enumerated
-    with their parities.
-    """
-    profiles = [_ecoord_profile(e) for e in cycle.ecoords]
-    signed = [(e, -e) for e in cycle.ecoords]  # indexed by flip: 0 keeps, 1 negates
-    qcoords = [_const_collapse(q) for q in cycle.qcoords]
-    # parameters only the cube coordinates see are named last, in every
-    # order, with their signs kept
-    tail = [tuple((p, 1) for p in cycle.params)]
-    for arrangement, perm_sign in _sorted_arrangements(profiles):
-        choices = [signed[i] for i in arrangement]
-        for flips in itertools.product((0, 1), repeat=cycle.b):
-            ecoords = [pair[f] for pair, f in zip(choices, flips)]
-            total = -perm_sign if sum(flips) % 2 else perm_sign
-            for naming in _namings([e.coeffs for e in ecoords] + tail):
-                eser = tuple(_expr_ser(e, naming) for e in ecoords)
-                qsers = [_qcoord_ser(q, naming)[0] for q in qcoords]
-                for qorder, qsign in _sorted_arrangements(qsers):
-                    qser = tuple(qsers[j] for j in qorder)
-                    yield (eser, qser), total * qsign, (ecoords, qcoords, qorder, naming)
+
+def _extend_naming(naming: dict, coeffs):
+    """Every extension of the naming {name: (new name, sign)} to the new
+    parameters among the coefficients: they take the next names in order of
+    |coeff|, ties in every order, each signed to a positive coefficient."""
+    fresh = sorted((t for t in coeffs if t[0] not in naming), key=lambda t: abs(t[1]))
+    if not fresh:
+        yield naming
+        return
+    groups = [list(g) for _, g in itertools.groupby(fresh, key=lambda t: abs(t[1]))]
+    for choice in itertools.product(*map(itertools.permutations, groups)):
+        ext = dict(naming)
+        for n, c in itertools.chain.from_iterable(choice):
+            ext[n] = (f"t{len(ext)}", 1 if c > 0 else -1)
+        yield ext
 
 
 def _sorted_arrangements(keys):
@@ -424,55 +461,8 @@ def _sorted_arrangements(keys):
             blocks.append([i])
     for choice in itertools.product(*[list(itertools.permutations(block)) for block in blocks]):
         arrangement = [i for block in choice for i in block]
-        yield arrangement, _arrangement_parity(arrangement)
-
-
-def _arrangement_parity(arrangement) -> int:
-    seen = [False] * len(arrangement)
-    sign = 1
-    for start in range(len(arrangement)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = arrangement[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _namings(coeff_lists):
-    """Name the parameters t0, t1, .. in first-occurrence order along the
-    coefficient lists: {name: (new name, sign)}.
-
-    Within one list, new parameters are ordered by |coeff|; ties are
-    enumerated.  Each parameter's sign is absorbed so its first occurrence
-    has a positive coefficient.
-    """
-    namings = [{}]
-    for coeffs in coeff_lists:
-        # every naming so far covers the same parameters
-        fresh = [t for t in coeffs if t[0] not in namings[0]]
-        if not fresh:
-            continue
-        variants = [[]]
-        for _, group in itertools.groupby(sorted(fresh, key=_abs_coeff), key=_abs_coeff):
-            group = list(group)
-            variants = [v + list(p) for v in variants for p in itertools.permutations(group)]
-        if len(variants) > 1:  # one copy of each naming per variant, in variant order
-            namings = [dict(naming) for naming in namings for _ in variants]
-        k = len(namings[0])
-        for naming, v in zip(namings, itertools.cycle(variants)):
-            for i, (n, c) in enumerate(v):
-                naming[n] = (f"t{k + i}", 1 if c > 0 else -1)
-    return namings
-
-
-def _abs_coeff(item):
-    return abs(item[1])
+        inversions = sum(i > j for i, j in itertools.combinations(arrangement, 2))
+        yield arrangement, -1 if inversions % 2 else 1
 
 
 def _const_collapse(q):
@@ -484,19 +474,27 @@ def _const_collapse(q):
 
 # The serialization: an expression under a naming {name: (new name, sign)},
 # or under its own names (naming None), is (sorted (new name, sign * coeff)
-# pairs, constant key); a cube coordinate is ("K", spec key, point key) or
-# ("F", spec key, argument serializations), the arguments of each symmetric
-# class sorted.  The orbit scan compares candidates by it, a cycle under its
-# own names sorts sums by it, and reprs render it.
+# pairs, constant key); parameters the naming lacks take the next names by
+# |coeff| and coefficient |coeff|, as under every `_extend_naming` of it.  A
+# cube coordinate is ("K", spec key, point key) or ("F", spec key, argument
+# serializations), the arguments of each symmetric class sorted.  The scan
+# compares candidates by it, a cycle under its own names sorts sums by it,
+# and reprs render it.
 
 
 def _expr_ser(e: PointExpr, naming: dict = None):
     if naming is None:  # own names: the coefficients are already sorted pairs
         return e.coeffs, e.const.key()
-    items = []
+    items, fresh = [], []
     for n, c in e.coeffs:
-        new, sign = naming[n]
-        items.append((new, sign * c))
+        named = naming.get(n)
+        if named is None:
+            fresh.append(abs(c))
+        else:
+            items.append((named[0], named[1] * c))
+    if fresh:
+        fresh.sort()
+        items.extend((f"t{len(naming) + j}", c) for j, c in enumerate(fresh))
     items.sort()
     return tuple(items), e.const.key()
 

@@ -146,11 +146,15 @@ class GroupAlgebraElement:
 
     def __mul__(self, other):
         self._check(other)
-        items = []
+        acc = {}
         for p1, c1 in self.terms:
+            images = p1.images
             for p2, c2 in other.terms:
-                items.append((p1 * p2, c1 * c2))
-        return GroupAlgebraElement.of(self.degree, items)
+                # (p1 * p2)(x) = p1(p2(x))
+                key = tuple([images[x - 1] for x in p2.images])
+                acc[key] = acc.get(key, 0) + c1 * c2
+        terms = tuple((Permutation(key), c) for key, c in sorted(acc.items()) if c != 0)
+        return GroupAlgebraElement(self.degree, terms)
 
     def _check(self, other):
         if not isinstance(other, GroupAlgebraElement) or self.degree != other.degree:

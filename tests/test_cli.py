@@ -141,6 +141,34 @@ def test_divisors_suite_has_flagged_records(tmp_path):
     assert not rep.failed
 
 
+def test_boundaries_suite_isolates_degenerate_checks(tmp_path, monkeypatch):
+    # one degenerate (n, r) or family fails its own record, not the rest
+    from ellmotive import cycles, formulas
+
+    cfg = load_config(write_config(tmp_path, GOOD_CONFIG))
+    real_verify, real_build = formulas.verify_boundary_formulas, cycles.build_family
+
+    def verify(curve, n, gs, fixed=(), mode="fbar"):
+        if len(fixed) == 0:
+            raise DegeneracyError("forced")
+        return real_verify(curve, n, gs, fixed=fixed, mode=mode)
+
+    def build(kind, *args, **kwargs):
+        if kind == "Y":
+            raise DegeneracyError("forced")
+        return real_build(kind, *args, **kwargs)
+
+    monkeypatch.setattr(formulas, "verify_boundary_formulas", verify)
+    monkeypatch.setattr(cycles, "build_family", build)
+    status = {r.id: r.status for r in run_suite(cfg, "boundaries").records}
+    assert status["boundaries:formulas:n=1,r=0"] == "fail"
+    assert status["boundaries:ddY:n=1"] == "fail"
+    assert status["boundaries:eta-formula:n=1,r=1"] == "pass"
+    assert status["boundaries:ddZ:n=1"] == "pass"
+    assert status["boundaries:ddX:n=1,r=1"] == "pass"
+    assert not any(i.endswith(":aborted") for i in status)
+
+
 def test_exit_one_on_failure():
     report = Report({})
     report.add("x", "anchor", False, "broken")

@@ -4,10 +4,13 @@ import itertools
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellmotive.curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul
 from ellmotive.cycles import (
     AdmissibilityError,
+    ConstCoord,
     CycleSum,
     FbarSpec,
     FunCoord,
@@ -22,6 +25,14 @@ from ellmotive.cycles import (
     decorate,
     external_product,
     term_faces,
+)
+from ellmotive.cycles import (
+    _const_collapse,
+    _ecoord_profile,
+    _expr_ser,
+    _qcoord_ser,
+    _rebuild,
+    _sorted_arrangements,
 )
 from ellmotive.divisors import DegeneracyError, FormalDivisor
 from ellmotive.fixtures import fixed_points, generator, rank_one_curve, standard_functions
@@ -318,6 +329,134 @@ def test_cube_only_parameters_rename_invariant(setup):
         assert canonical_term(base.rename_params(mapping)) == (canon, sign)
     swapped = base.permute_qcoords(Permutation((2, 1)))
     assert canonical_term(swapped) == (canon, -sign)
+
+
+def test_cube_only_parameter_sign_is_free(setup):
+    # z occurs only in a cube coordinate, so z -> -z is a free reparametrization
+    curve, gs, _ = setup
+    x, z = PointExpr.param(curve, "x"), PointExpr.param(curve, "z")
+    plus = ParamCycle(curve, ("x", "z"), (x,), (FunCoord(gs[0], (x,)), FunCoord(gs[1], (z,))))
+    minus = ParamCycle(curve, ("x", "z"), (x,), (FunCoord(gs[0], (x,)), FunCoord(gs[1], (-z,))))
+    assert CycleSum.of([(1, plus), (-1, minus)]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the minimal-prefix scan against an exhaustive reference scan
+
+
+def _reference_namings(ecoords, params):
+    """Every naming that puts the arranged E-coordinates in normal form (first
+    occurrences in order, by |coeff| within a coordinate, positive), then the
+    remaining parameters in every order with both signs."""
+    namings = [{}]
+    for e in ecoords:
+        extended = []
+        for naming in namings:
+            fresh = [(n, c) for n, c in e.coeffs if n not in naming]
+            for order in itertools.permutations(fresh):
+                if [abs(c) for _, c in order] != sorted(abs(c) for _, c in order):
+                    continue
+                ext = dict(naming)
+                for n, c in order:
+                    ext[n] = (f"t{len(ext)}", 1 if c > 0 else -1)
+                extended.append(ext)
+        namings = extended
+    out = []
+    for naming in namings:
+        rest = [p for p in params if p not in naming]
+        for order in itertools.permutations(rest):
+            for signs in itertools.product((1, -1), repeat=len(rest)):
+                ext = dict(naming)
+                for p, s in zip(order, signs):
+                    ext[p] = (f"t{len(ext)}", s)
+                out.append(ext)
+    return out
+
+
+def _reference_canonical(cycle):
+    """The full product of arrangements, negations, namings and cube orders:
+    the least serialization, or zero when any serialization is reached with
+    both signs."""
+    profiles = [_ecoord_profile((e, -e)) for e in cycle.ecoords]
+    qcoords = [_const_collapse(q) for q in cycle.qcoords]
+    seen, best = {}, None
+    for arrangement, perm_sign in _sorted_arrangements(profiles):
+        for flips in itertools.product((0, 1), repeat=cycle.b):
+            ecoords = [-cycle.ecoords[i] if f else cycle.ecoords[i]
+                       for i, f in zip(arrangement, flips)]
+            sign = -perm_sign if sum(flips) % 2 else perm_sign
+            for naming in _reference_namings(ecoords, cycle.params):
+                eser = tuple(_expr_ser(e, naming) for e in ecoords)
+                qsers = [_qcoord_ser(q, naming)[0] for q in qcoords]
+                for qorder, qsign in _sorted_arrangements(qsers):
+                    ser = (eser, tuple(qsers[j] for j in qorder))
+                    if seen.setdefault(ser, sign * qsign) != sign * qsign:
+                        return None, 0
+                    if best is None or ser < best[0]:
+                        best = (ser, sign * qsign, (ecoords, qcoords, qorder, naming))
+    return _rebuild(cycle, *best[2]), best[1]
+
+
+def test_scan_matches_reference_on_families_and_faces(setup):
+    for seed in _orbit_seeds(setup):
+        for cycle in [seed] + [f for _, f in term_faces(seed)]:
+            assert canonical_term(cycle) == _reference_canonical(cycle), cycle
+
+
+def _f101_pieces():
+    from ellmotive.curves import full_two_torsion
+    from ellmotive.fixtures import two_torsion_curve_f101
+
+    curve = two_torsion_curve_f101()
+    P = CurvePoint.affine(curve, 1, 2)  # of odd order
+    g = UserFunction(
+        "g",
+        FormalDivisor.of(
+            curve,
+            [(ec_scalar_mul(k, P), c) for k, c in ((2, 1), (3, 1), (1, -1), (4, -1))],
+        ),
+    )
+    # a 2-torsion constant makes a negated constant coordinate equal to itself
+    consts = [CurvePoint.at_infinity(curve), P, ec_neg(P), ec_scalar_mul(3, P)]
+    consts.append(full_two_torsion(curve)[0])
+    return curve, g, FbarSpec(curve, 2), consts
+
+
+_F101 = _f101_pieces()
+
+
+@st.composite
+def _f101_cycles(draw):
+    curve, g, fbar, consts = _F101
+    names = ("u", "v", "w")[: draw(st.integers(1, 3))]
+    coeff = st.sampled_from((-2, -1, -1, 0, 0, 1, 1, 2))
+
+    def expr(names=names):
+        items = [(n, draw(coeff)) for n in names]
+        return PointExpr.make(curve, items, draw(st.sampled_from(consts)))
+
+    pool = [expr(), expr()]  # repeated coordinates and arguments
+    b = draw(st.integers(1, 4))
+    ecoords = [draw(st.sampled_from(pool + [None])) or expr() for _ in range(b)]
+    qcoords = []
+    for kind in draw(st.lists(st.sampled_from("gKF"), max_size=3)):
+        # z is only ever seen by cube coordinates
+        arg = draw(st.sampled_from(pool + [None])) or expr(names + ("z",))
+        if kind == "g":
+            qcoords.append(FunCoord(g, (arg,)))
+        elif kind == "K":
+            qcoords.append(ConstCoord(g, consts[1]))
+        else:
+            qcoords.append(FunCoord(fbar, (expr(names + ("z",)), arg)))
+    used = {n for e in ecoords for n in e.params()}
+    used.update(n for q in qcoords if isinstance(q, FunCoord) for a in q.args for n in a.params())
+    return ParamCycle(curve, tuple(sorted(used)), tuple(ecoords), tuple(qcoords))
+
+
+@given(_f101_cycles())
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_reference_on_random_cycles(cycle):
+    assert canonical_term(cycle) == _reference_canonical(cycle)
 
 
 def test_canonical_form_is_a_fixed_point(setup):

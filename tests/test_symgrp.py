@@ -78,6 +78,9 @@ def test_associativity_random(b, rng):
 
     x, y, z = rand_elem(), rand_elem(), rand_elem()
     assert (x * y) * z == x * (y * z)
+    # the product composes images by index: Permutation.__mul__ is the reference
+    products = [(p * q, c * d) for p, c in x.terms for q, d in y.terms]
+    assert x * y == GroupAlgebraElement.of(b, products)
 
 
 def test_associativity_exhaustive_b3():

@@ -49,6 +49,11 @@ E = rank_one_curve()
 P = generator(E)
 hash(P), hash(P), E.key(), E.field.key(P.x)
 print(json.dumps(tracer.metrics()))
+from ellmotive import cycles
+t = cycles.PointExpr.param(E, "t")
+cycle = cycles.ParamCycle(E, ("t",), (t, t + cycles.PointExpr.constant(P)), ())
+cycles.canonical_term(cycle), cycles.canonical_term(cycle)
+print(json.dumps(tracer.metrics()))
 """
 
 
@@ -63,7 +68,29 @@ def test_hot_hooks_count_calls():
         text=True,
         check=True,
     )
-    metrics = json.loads(out.stdout)
+    lines = out.stdout.splitlines()
+    metrics = json.loads(lines[0])
     assert metrics["curves.point_hash.calls"] == 2
     assert metrics["curves.curve_key.calls"] >= 1
     assert metrics["fields.key.calls"] >= 1
+    # one miss and one hit of canonical_term
+    metrics = json.loads(lines[1])
+    assert metrics["cycles.canonical_term.calls"] == 2
+    assert metrics["cycles.canonical_term.misses"] == 1
+
+
+def test_canonical_cache_grows_by_one_per_miss():
+    # trace.py counts misses as the growth of cycles._canonical_cache, which
+    # it looks up by name: a renamed cache would read as 0 misses
+    from ellmotive import cycles
+    from ellmotive.fixtures import generator, rank_one_curve
+
+    E = rank_one_curve()
+    t = cycles.PointExpr.param(E, "cache_probe") + cycles.PointExpr.constant(generator(E))
+    cycle = cycles.ParamCycle(E, ("cache_probe",), (t,), ())
+    assert isinstance(cycles._canonical_cache, dict)
+    before = len(cycles._canonical_cache)
+    result = cycles.canonical_term(cycle)
+    assert len(cycles._canonical_cache) == before + 1
+    assert cycles.canonical_term(cycle) is result
+    assert len(cycles._canonical_cache) == before + 1
