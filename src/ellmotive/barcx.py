@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg
-from .cycles import CycleSum, ParamCycle, boundary, build_family, decorate, external_product
+from .cycles import CycleSum, boundary, build_family, decorate, external_product
 from .formulas import KillCycleReport, _match_groups, verify_mu_killer, verify_nu_killer
 from .gl2 import PureMotive, clebsch_gordan
+from .lincomb import LinComb, accumulate
 
 
 class ChainConstructionError(ValueError):
@@ -52,67 +53,36 @@ class BarWord:
         return " | ".join(repr(s) for s in self.slots)
 
 
-@dataclass(frozen=True)
-class BarChain:
-    terms: tuple = ()  # tuple of (Fraction, BarWord)
-
-    @staticmethod
-    def of(items) -> "BarChain":
-        acc = {}
-        for coeff, word in items:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            acc[word] = acc.get(word, Fraction(0)) + coeff
-        terms = tuple(
-            sorted(((c, w) for w, c in acc.items() if c != 0), key=lambda t: _word_key(t[1]))
-        )
-        return BarChain(terms)
-
-    @staticmethod
-    def from_cycle_sums(sums, coeff=1) -> "BarChain":
-        """Multilinear expansion of a tensor list of CycleSums into pure words."""
-        items = []
-        for picks in itertools.product(*[s.terms for s in sums]):
-            c = Fraction(coeff)
-            slots = []
-            for pc, pcyc in picks:
-                c *= pc
-                slots.append(pcyc)
-            motives = tuple(tuple(s.motives) for s in sums)
-            items.append((c, BarWord(tuple(slots), motives)))
-        return BarChain.of(items)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "BarChain") -> "BarChain":
-        return BarChain.of(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "BarChain") -> "BarChain":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "BarChain":
-        return BarChain(tuple((c * Fraction(k), w) for c, w in self.terms))
-
-    def component(self, length: int) -> "BarChain":
-        return BarChain(tuple((c, w) for c, w in self.terms if w.length == length))
-
-    def lengths(self):
-        return sorted({w.length for _, w in self.terms})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return "\n".join(f"{c} * [{w!r}]" for c, w in self.terms)
-
-
 def _word_key(w: BarWord):
     return tuple(s.key() for s in w.slots)
 
 
-def _slot_sum(cycle: ParamCycle, motives) -> CycleSum:
-    return CycleSum.single(cycle, motives=motives)
+class BarChain(LinComb):
+    """Exact linear combination of bar words."""
+
+    __slots__ = ()
+    sort_key = staticmethod(_word_key)
+
+    @staticmethod
+    def from_cycle_sums(sums, coeff=1) -> "BarChain":
+        """Multilinear expansion of a tensor list of CycleSums into pure words."""
+        motives = tuple(tuple(s.motives) for s in sums)
+        items = []
+        for picks in itertools.product(*[s.items() for s in sums]):
+            c = Fraction(coeff)
+            for _, pc in picks:
+                c *= pc
+            items.append((BarWord(tuple(p for p, _ in picks), motives), c))
+        return BarChain(items)
+
+    def component(self, length: int) -> "BarChain":
+        return self._like({w: c for w, c in self.items() if w.length == length})
+
+    def lengths(self):
+        return sorted({w.length for w in self})
+
+    def __repr__(self) -> str:
+        return "\n".join(f"{c} * [{w!r}]" for w, c in self.terms) or "0"
 
 
 def _prefix_parity(word: BarWord, i: int) -> int:
@@ -124,29 +94,20 @@ def _prefix_parity(word: BarWord, i: int) -> int:
 def bar_differential(chain: BarChain) -> BarChain:
     """Internal boundaries plus adjacent products, reduced-bar signs."""
     items = []
-    for coeff, word in chain.terms:
-        s = word.length
-        for i in range(s):
-            sign = _prefix_parity(word, i)
-            db = boundary(_slot_sum(word.slots[i], word.motives[i]))
-            for c2, cyc2 in db.terms:
-                slots = word.slots[:i] + (cyc2,) + word.slots[i + 1 :]
-                items.append((coeff * sign * c2, BarWord(slots, word.motives)))
-        for i in range(s - 1):
-            sign = _prefix_parity(word, i + 1)
-            prod = external_product(
-                _slot_sum(word.slots[i], word.motives[i]),
-                _slot_sum(word.slots[i + 1], word.motives[i + 1]),
-            )
-            for c2, cyc2 in prod.terms:
-                slots = word.slots[:i] + (cyc2,) + word.slots[i + 2 :]
-                motives = (
-                    word.motives[:i]
-                    + (word.motives[i] + word.motives[i + 1],)
-                    + word.motives[i + 2 :]
-                )
-                items.append((coeff * sign * c2, BarWord(slots, motives)))
-    return BarChain.of(items)
+    for word, coeff in chain.items():
+        slots, motives = word.slots, word.motives
+        # the slots are canonical already: they enter as they are
+        sums = [CycleSum([(s, 1)], m) for s, m in zip(slots, motives)]
+        for i in range(len(slots)):
+            c = coeff * _prefix_parity(word, i)
+            for face, fc in boundary(sums[i]).items():
+                items.append((BarWord(slots[:i] + (face,) + slots[i + 1 :], motives), c * fc))
+        for i in range(len(slots) - 1):
+            c = coeff * _prefix_parity(word, i + 1)
+            merged = motives[:i] + (motives[i] + motives[i + 1],) + motives[i + 2 :]
+            for prod, pc in external_product(sums[i], sums[i + 1]).items():
+                items.append((BarWord(slots[:i] + (prod,) + slots[i + 2 :], merged), c * pc))
+    return BarChain(items)
 
 
 def verify_cocycle(chain: BarChain):
@@ -274,7 +235,7 @@ def _sorted_pts(pts):
 def _materialize_word(ctx: FamilyContext, descs, coeff=1) -> BarChain:
     sums = [ctx.materialize(d) for d in descs]
     if any(s.is_zero() for s in sums):
-        return BarChain.of([])
+        return BarChain()
     return BarChain.from_cycle_sums(sums, coeff)
 
 
@@ -293,7 +254,7 @@ class _Echelon:
         self.rank = {}  # key -> position of its first appearance
         self.rows = {}  # pivot rank -> (vector with pivot coefficient 1, combination)
 
-    def reduce(self, vec: dict):
+    def reduce(self, vec):
         """(residual, combination) with residual = vec + sum_t c_t * added_t,
         keyed by rank; the residual is empty iff vec lies in the span."""
         rank = self.rank
@@ -304,12 +265,12 @@ class _Echelon:
             if pivot not in self.rows:
                 break
             row, row_combo = self.rows[pivot]
-            f = vec[pivot]
-            _axpy(vec, -f, row)
-            _axpy(combo, -f, row_combo)
+            f = -vec[pivot]
+            accumulate(vec, row.items(), f)
+            accumulate(combo, row_combo.items(), f)
         return vec, combo
 
-    def add(self, vec: dict, tag) -> bool:
+    def add(self, vec, tag) -> bool:
         vec, combo = self.reduce(vec)
         if not vec:
             return False
@@ -322,22 +283,13 @@ class _Echelon:
         )
         return True
 
-    def contains(self, vec: dict) -> bool:
+    def contains(self, vec) -> bool:
         return not self.reduce(vec)[0]
 
 
-def _axpy(acc: dict, f, vec: dict):
-    """acc += f * vec, dropping the entries that cancel."""
-    for k, v in vec.items():
-        c = acc.get(k, 0) + f * v
-        if c:
-            acc[k] = c
-        else:
-            del acc[k]
-
-
 def _solve_exact(columns, rhs):
-    """Solve sum_j x_j * columns[j] = rhs over sparse Fraction vectors.
+    """Solve sum_j x_j * columns[j] = rhs over sparse vectors (mappings
+    key -> Fraction, such as BarChains).
 
     Returns the coefficient list, or None when inconsistent.  x is nonzero
     only on the columns independent of the earlier ones (the free variables
@@ -393,27 +345,22 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
             raise ChainConstructionError(
                 f"no candidates for residual at length {ell}", target
             )
-        columns = []
-        mats = []
-        for descs in cand_words:
-            mat = _materialize_word(ctx, descs)
-            mats.append(mat)
-            dm = bar_differential(mat).component(ell)
-            columns.append({w: c for c, w in dm.terms})
-        rhs = {w: -c for c, w in target.terms}
-        x = _solve_exact(columns, rhs)
+        mats = [_materialize_word(ctx, descs) for descs in cand_words]
+        columns = [bar_differential(mat).component(ell) for mat in mats]
+        x = _solve_exact(columns, -target)
         if x is None:
             raise ChainConstructionError(
                 f"contraction equations at length {ell} are inconsistent", target
             )
+        # the whole layer is one accumulation
         layer = []
-        add = BarChain.of([])
+        items = list(chain.items())
         for xi, descs, mat in zip(x, cand_words, mats):
-            if xi != 0:
+            if xi:
                 layer.append((xi, descs))
-                add = add + mat.scale(xi)
+                items.extend((w, xi * c) for w, c in mat.items())
         layers.append(layer)
-        chain = chain + add
+        chain = BarChain(items)
     else:
         raise ChainConstructionError("chain construction did not terminate")
 
@@ -491,7 +438,7 @@ def kill_certificates(mc: "MotiveChain") -> list:
 def comultiply(chain: BarChain):
     """Deconcatenation: list of (coeff, left BarWord, right BarWord)."""
     out = []
-    for coeff, word in chain.terms:
+    for word, coeff in chain.items():
         for k in range(word.length + 1):
             left = BarWord(word.slots[:k], word.motives[:k])
             right = BarWord(word.slots[k:], word.motives[k:])
@@ -503,60 +450,64 @@ def comultiply_grouped(chain: BarChain):
     """Group the coproduct by the right tensor factor."""
     groups = {}
     for coeff, left, right in comultiply(chain):
-        groups.setdefault(right, []).append((coeff, left))
-    return {
-        right: BarChain.of(parts) for right, parts in groups.items()
-    }
+        groups.setdefault(right, []).append((left, coeff))
+    return {right: BarChain(parts) for right, parts in groups.items()}
+
+
+_UNIT = BarWord((), ())
+
+
+def _unit_groups(chain: BarChain, groups: dict):
+    """The E (x) 1 and 1 (x) E groups of the coproduct, given its grouping
+    by the right factor."""
+    leading = groups.get(_UNIT, BarChain())
+    trailing = BarChain((r, c) for c, l, r in comultiply(chain) if l.length == 0)
+    return leading, trailing
 
 
 def verify_counit(chain: BarChain) -> bool:
-    unit = BarWord((), ())
-    groups = comultiply_grouped(chain)
-    right_unit = groups.get(unit, BarChain.of([]))
-    # and the unit-left component
-    left_unit = BarChain.of(
-        [(c, r) for c, l, r in comultiply(chain) if l.length == 0]
-    )
-    return right_unit == chain and left_unit == chain
+    leading, trailing = _unit_groups(chain, comultiply_grouped(chain))
+    return leading == chain and trailing == chain
 
 
 def verify_coassociativity(chain: BarChain) -> bool:
     """Deconcatenation is coassociative: compare both double splits."""
-    first = {}
-    for coeff, word in chain.terms:
-        for k in range(word.length + 1):
-            for m in range(k, word.length + 1):
-                key = (word.slots[:k], word.slots[k:m], word.slots[m:])
-                first[key] = first.get(key, Fraction(0)) + coeff
+    first = LinComb(
+        ((word.slots[:k], word.slots[k:m], word.slots[m:]), coeff)
+        for word, coeff in chain.items()
+        for k in range(word.length + 1)
+        for m in range(k, word.length + 1)
+    )
     # (psi x id) psi and (id x psi) psi both enumerate exactly these splits
-    second = {}
-    for coeff, left, right in comultiply(chain):
-        for k in range(left.length + 1):
-            key = (left.slots[:k], left.slots[k:], right.slots)
-            second[key] = second.get(key, Fraction(0)) + coeff
-    third = {}
-    for coeff, left, right in comultiply(chain):
-        for k in range(right.length + 1):
-            key = (left.slots, right.slots[:k], right.slots[k:])
-            third[key] = third.get(key, Fraction(0)) + coeff
+    second = LinComb(
+        ((left.slots[:k], left.slots[k:], right.slots), coeff)
+        for coeff, left, right in comultiply(chain)
+        for k in range(left.length + 1)
+    )
+    third = LinComb(
+        ((left.slots, right.slots[:k], right.slots[k:]), coeff)
+        for coeff, left, right in comultiply(chain)
+        for k in range(right.length + 1)
+    )
     return first == second == third
 
 
 @dataclass
 class ComultiplyReport:
-    counital: bool
     coassociative: bool
     leading_ok: bool  # the E (x) 1 group equals the chain
     trailing_ok: bool  # the 1 (x) E group equals the chain
     middle: list  # (point key, cocycle flag, leading-match flag)
 
     @property
+    def counital(self) -> bool:
+        return self.leading_ok and self.trailing_ok
+
+    @property
     def passed(self) -> bool:
         return (
             self.counital
             and self.coassociative
-            and self.leading_ok
-            and self.trailing_ok
             and all(c and m for _, c, m in self.middle)
         )
 
@@ -569,10 +520,7 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
     ctx = mc.context
     chain = mc.chain
     groups = comultiply_grouped(chain)
-    unit = BarWord((), ())
-    leading_ok = groups.get(unit, BarChain.of([])) == chain
-    trailing = BarChain.of([(c, r) for c, l, r in comultiply(chain) if l.length == 0])
-    trailing_ok = trailing == chain
+    leading, trailing = _unit_groups(chain, groups)
     middle = []
     names = mc.leading[2]
     for name in names:
@@ -580,8 +528,8 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
         rest = tuple(n for n in names if n != name)
         for p, _m in g.divisor.terms:
             pt_word_chain = BarChain.from_cycle_sums([decorate("eta_point", p)])
-            left = BarChain.of([])
-            for _c, w in pt_word_chain.terms:
+            left = BarChain()
+            for w in pt_word_chain:
                 if w in groups:
                     left = left + groups[w]
             if left.is_zero():
@@ -595,7 +543,7 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
             ok = not target.is_zero() and _match_groups(lead, [("eta", p.key(), target)]).complete
             middle.append((p.key(), is_cocycle, ok))
     return ComultiplyReport(
-        verify_counit(chain), verify_coassociativity(chain), leading_ok, trailing_ok, middle
+        verify_coassociativity(chain), leading == chain, trailing == chain, middle
     )
 
 
@@ -607,9 +555,9 @@ def final_layer_points(chain: BarChain):
     """The point entries of the longest-layer words (the chain's last term)."""
     if chain.is_zero():
         return []
-    top = max(w.length for _, w in chain.terms)
+    top = max(w.length for w in chain)
     pts = []
-    for coeff, word in chain.terms:
+    for word, coeff in chain.terms:
         if word.length == top and is_point_word(word):
             pts.append((coeff, [s.ecoords[0].const for s in word.slots]))
     return pts
@@ -637,8 +585,7 @@ def grading_coherent(mc: MotiveChain) -> bool:
         for d in descs[1:]:
             nxt = set()
             for V in support:
-                for W, _ in clebsch_gordan(V, _descriptor_motive(d)).terms:
-                    nxt.add(W)
+                nxt.update(clebsch_gordan(V, _descriptor_motive(d)))
             support = nxt
         if target not in support:
             return False
@@ -686,10 +633,6 @@ class ComoduleSpanReport:
     failures: list
 
 
-def _chain_vec(chain: BarChain) -> dict:
-    return {w: c for c, w in chain.terms}
-
-
 def comodule_span(mc: MotiveChain) -> ComoduleSpanReport:
     """The finite spanning set of the comodule the chain generates.
 
@@ -699,25 +642,22 @@ def comodule_span(mc: MotiveChain) -> ComoduleSpanReport:
     grouped left factor of the coproduct of every member lies in the exact
     linear span of the members.
     """
-    unit_word = BarWord((), ())
-    members = [("1", BarChain.of([(1, unit_word)]))]
-    labels = {unit_word: "1"}
+    members = [("1", BarChain([(_UNIT, 1)]))]
     for right, left_sum in sorted(
         comultiply_grouped(mc.chain).items(), key=lambda t: (t[0].length, _word_key(t[0]))
     ):
         if left_sum.is_zero():
             continue
         lbl = "E" if right.length == 0 else f"layer<-[{right!r}]"
-        labels[right] = lbl
         members.append((lbl, left_sum))
     ech = _Echelon()
     for i, (_, ch) in enumerate(members):
-        ech.add(_chain_vec(ch), i)
+        ech.add(ch, i)
     failures = []
     for lbl, ch in members:
         for right, left_sum in comultiply_grouped(ch).items():
             if left_sum.is_zero():
                 continue
-            if not ech.contains(_chain_vec(left_sum)):
+            if not ech.contains(left_sum):
                 failures.append((lbl, repr(right)))
     return ComoduleSpanReport(members, not failures, failures)

@@ -113,7 +113,7 @@ def _build_motive(cfg, n: int) -> Report:
         anchor,
         ok,
         {
-            "words": len(mc.chain.terms),
+            "words": len(mc.chain),
             "lengths": mc.chain.lengths(),
             "layers": [
                 {"coeff": str(c), "word": [d[0] for d in descs]} for c, descs in mc.layers

@@ -192,8 +192,9 @@ def ec_scalar_mul(n: int, P: CurvePoint) -> CurvePoint:
     while n:
         if n & 1:
             acc = ec_add(acc, addend)
-        addend = ec_add(addend, addend)
         n >>= 1
+        if n:  # double only while bits remain
+            addend = ec_add(addend, addend)
     return acc
 
 

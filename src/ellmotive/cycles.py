@@ -24,8 +24,11 @@ reached with both signs.
 
 There is one serialization of expressions and cube coordinates under a
 naming of the parameters (see `_expr_ser`).  The scan compares its
-candidates by it, a canonical term's serialization under its own names
-(`ParamCycle.key`) orders cycle sums and bar words, and reprs render it.
+candidates by it, and reprs render it.  A canonical term's serialization
+under its own names (`ParamCycle.key`) orders the sorted `terms` view of
+cycle sums and bar words, which only the report edges read: reprs, the
+matcher's first-key rule and its unmatched list, and the nontriviality
+witness.
 The scan names the parameters t0, t1, .. itself, so the canonical form does
 not depend on the parameter names a term was built with.
 
@@ -52,7 +55,8 @@ from .divisors import (
     make_fn_divisor,
 )
 from .gl2 import PureMotive
-from .symgrp import GroupAlgebraElement, Permutation, YoungShape, action_sign, transpose_projector
+from .lincomb import LinComb
+from .symgrp import GroupAlgebraElement, Permutation, YoungShape, transpose_projector
 
 
 class CycleError(ValueError):
@@ -544,52 +548,39 @@ def _rebuild(cycle, ecoords, qcoords, qorder, naming) -> ParamCycle:
 # cycle sums
 
 
-@dataclass(frozen=True)
-class CycleSum:
-    """Exact linear combination of parametric cycles with a motive label."""
+class CycleSum(LinComb):
+    """Exact linear combination of canonical cycles with a motive label.
 
-    terms: tuple = ()  # tuple of (Fraction, ParamCycle)
-    motives: tuple = ()  # ordered tensor factors (PureMotive), bookkeeping only
+    `of` canonicalizes on entry; the plain constructor takes canonical
+    cycles as they are.
+    """
 
-    @staticmethod
-    def of(items, motives=()) -> "CycleSum":
-        acc = {}
-        for coeff, cyc in items:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            canon, sign = canonical_term(cyc)
-            if canon is None:
-                continue
-            acc[canon] = acc.get(canon, Fraction(0)) + coeff * sign
-        terms = tuple(
-            sorted(((c, k) for k, c in acc.items() if c != 0), key=lambda t: t[1].key())
-        )
-        return CycleSum(terms, tuple(motives))
+    __slots__ = labels = ("motives",)  # ordered tensor factors (PureMotive), bookkeeping only
+    sort_key = staticmethod(ParamCycle.key)
 
-    @staticmethod
-    def single(cycle: ParamCycle, coeff=1, motives=()) -> "CycleSum":
-        return CycleSum.of([(coeff, cycle)], motives)
+    @classmethod
+    def of(cls, items, motives=()) -> "CycleSum":
+        return cls(_canonical_items(items), tuple(motives))
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @classmethod
+    def single(cls, cycle: ParamCycle, coeff=1, motives=()) -> "CycleSum":
+        return cls.of([(cycle, coeff)], motives)
 
-    def __add__(self, other: "CycleSum") -> "CycleSum":
-        return CycleSum.of(list(self.terms) + list(other.terms), self.motives or other.motives)
-
-    def __sub__(self, other: "CycleSum") -> "CycleSum":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "CycleSum":
-        return CycleSum(tuple((c * Fraction(k), cyc) for c, cyc in self.terms), self.motives)
+    def _check(self, other):
+        # motive tags are bookkeeping: sums with other tags still add
+        if type(other) is not CycleSum:
+            raise TypeError(f"cannot add {type(other).__name__} to a CycleSum")
 
     def relabel(self, motives) -> "CycleSum":
-        return CycleSum(self.terms, tuple(motives))
+        return self._like(self._coeffs, (tuple(motives),))
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{cyc!r}" for c, cyc in self.terms)
+
+def _canonical_items(items):
+    for cyc, coeff in items:
+        if coeff:
+            canon, sign = canonical_term(cyc)
+            if canon is not None:
+                yield canon, coeff * sign
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +655,7 @@ def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr):
 def _check_nondegenerate(cycle: ParamCycle):
     for j, q in enumerate(cycle.qcoords, start=1):
         if isinstance(q, ConstCoord):
-            if q.spec.arity == 1 and q.point in q.spec.divisor.support():
+            if q.spec.arity == 1 and q.point in q.spec.divisor:
                 raise DegeneracyError(
                     f"cube coordinate {j} is the constant 0 or infinity"
                 )
@@ -701,11 +692,8 @@ def term_faces(cycle: ParamCycle):
 
 
 def boundary(s: CycleSum) -> CycleSum:
-    items = []
-    for coeff, cyc in s.terms:
-        for fc, face in term_faces(cyc):
-            items.append((coeff * fc, face))
-    return CycleSum.of(items, s.motives)
+    faces = ((face, c * fc) for cyc, c in s.items() for fc, face in term_faces(cyc))
+    return CycleSum.of(faces, s.motives)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +718,8 @@ def external_product(s1: CycleSum, s2: CycleSum, target: PureMotive = None) -> C
     the target must be a Clebsch-Gordan component of the factors' labels.
     """
     items = []
-    for c1, z1 in s1.terms:
-        for c2, z2 in s2.terms:
+    for z1, c1 in s1.items():
+        for z2, c2 in s2.items():
             z2f = _freshen(z2, set(z1.params))
             prod = ParamCycle(
                 z1.curve,
@@ -739,7 +727,7 @@ def external_product(s1: CycleSum, s2: CycleSum, target: PureMotive = None) -> C
                 z1.ecoords + z2f.ecoords,
                 z1.qcoords + z2f.qcoords,
             )
-            items.append((c1 * c2, prod))
+            items.append((prod, c1 * c2))
     motives = tuple(s1.motives) + tuple(s2.motives)
     if target is not None:
         if not tensor_supports(motives, target):
@@ -758,31 +746,31 @@ def tensor_supports(motives, target: PureMotive) -> bool:
         return target == PureMotive(0, 0)
     support = {motives[0]}
     for mot in motives[1:]:
-        support = {W for V in support for W, _ in clebsch_gordan(V, mot).terms}
+        support = {W for V in support for W in clebsch_gordan(V, mot)}
     return target in support
 
 
-def apply_projector_signed(s: CycleSum, element: GroupAlgebraElement, convention="parity") -> CycleSum:
+def apply_projector_signed(s: CycleSum, element: GroupAlgebraElement) -> CycleSum:
     """Formal signed action on E-coordinates: sum of c_g * sign(g) * g(Z).
 
-    With the parity convention this realizes the right action Z . p = p^t(Z)
-    of the untransposed projector.
+    This realizes the right action Z . p = p^t(Z) of the untransposed
+    projector.
     """
     items = []
-    for coeff, cyc in s.terms:
+    for cyc, coeff in s.items():
         if element.degree != cyc.b:
             raise CycleError("projector degree does not match the cycle")
-        for sigma, c in element.terms:
-            items.append((coeff * c * action_sign(sigma, convention), cyc.permute_ecoords(sigma)))
+        for sigma, c in element.items():
+            items.append((cyc.permute_ecoords(sigma), coeff * c * sigma.sign()))
     return CycleSum.of(items, s.motives)
 
 
 def cube_swap(s: CycleSum, i: int, j: int) -> CycleSum:
     """Transpose two cube slots (no sign; the class changes by the swap)."""
     items = []
-    for coeff, cyc in s.terms:
+    for cyc, coeff in s.items():
         sigma = Permutation.transposition(cyc.c, i, j)
-        items.append((coeff, cyc.permute_qcoords(sigma)))
+        items.append((cyc.permute_qcoords(sigma), coeff))
     return CycleSum.of(items, s.motives)
 
 
@@ -809,7 +797,7 @@ def check_admissible(gs, mode: str = "fbar", n: int = None, curve=None) -> Admis
     for g in gs:
         if not is_principal(g.divisor):
             raise DivisorError(f"divisor of {g.name} is not principal")
-        supports.append(set(g.divisor.support()))
+        supports.append(set(g.divisor))
     for i in range(len(gs)):
         for j in range(i + 1, len(gs)):
             overlap = supports[i] & supports[j]
@@ -855,7 +843,7 @@ def _check_fixed_points(fixed, gs):
             )
         seen.add(a)
         for g in gs:
-            if a in g.divisor.support() or ec_neg(a) in g.divisor.support():
+            if a in g.divisor or ec_neg(a) in g.divisor:
                 raise AdmissibilityError(
                     AdmissibilityReport(False, (f"fixed point {a.key()} meets the support of {g.name}",))
                 )
@@ -927,7 +915,7 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
             raise CycleError("Z needs j, b1, b2")
         if not 1 <= j <= n:
             raise CycleError("Z index j out of range")
-        if b2 in gs[j - 1].divisor.support():
+        if b2 in gs[j - 1].divisor:
             raise AdmissibilityError(
                 AdmissibilityReport(False, (f"b2 = {b2.key()} lies in the divisor of {gs[j-1].name}",))
             )
@@ -952,7 +940,7 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
     raise CycleError(f"unknown family kind {kind!r}")
 
 
-def decorate(kind, cycle_or_point, n=None, motive=None, convention="parity") -> CycleSum:
+def decorate(kind, cycle_or_point, n=None) -> CycleSum:
     """Projector decoration and motive tag for the cycle families.
 
     eta: signed transposed-tabloid action of rho^t_{n,1} on X, tagged
@@ -967,7 +955,7 @@ def decorate(kind, cycle_or_point, n=None, motive=None, convention="parity") -> 
         curve = p.curve
         plus = ParamCycle(curve, (), (PointExpr.constant(p),), ())
         minus = ParamCycle(curve, (), (PointExpr.constant(ec_neg(p)),), ())
-        return CycleSum.of([(1, plus), (-1, minus)], (PureMotive(1, 0),))
+        return CycleSum.of([(plus, 1), (minus, -1)], (PureMotive(1, 0),))
 
     cycle = cycle_or_point
     if kind == "eta":
@@ -975,12 +963,12 @@ def decorate(kind, cycle_or_point, n=None, motive=None, convention="parity") -> 
             raise CycleError("eta expects an X-family cycle with b = n + 2")
         shape = YoungShape.standard((n + 1, 1), "tabloid")
         element = transpose_projector(shape)
-        out = apply_projector_signed(CycleSum.single(cycle), element, convention)
-        return out.relabel((motive or PureMotive(n, 1),))
+        out = apply_projector_signed(CycleSum.single(cycle), element)
+        return out.relabel((PureMotive(n, 1),))
     if kind == "mu":
         if cycle.b != n + 1:
             raise CycleError("mu expects a Y-family cycle with b = n + 1")
-        return CycleSum.single(cycle, motives=(motive or PureMotive(n + 1, 0),))
+        return CycleSum.single(cycle, motives=(PureMotive(n + 1, 0),))
     if kind == "nu":
         if cycle.b != n + 1:
             raise CycleError("nu expects a Z-family cycle with b = n + 1")
@@ -988,8 +976,8 @@ def decorate(kind, cycle_or_point, n=None, motive=None, convention="parity") -> 
             raise CycleError("nu needs n >= 1")
         shape = YoungShape.standard((n, 1), "tabloid") if n >= 1 else None
         element = transpose_projector(shape)
-        out = apply_projector_signed(CycleSum.single(cycle), element, convention)
-        return out.relabel((motive or PureMotive(n - 1, 1),))
+        out = apply_projector_signed(CycleSum.single(cycle), element)
+        return out.relabel((PureMotive(n - 1, 1),))
     raise CycleError(f"unknown decoration kind {kind!r}")
 
 
@@ -1024,7 +1012,7 @@ def build_nu_killer(curve, gs, j: int, b1: CurvePoint, b2: CurvePoint):
     contributions (the s = b2 term is the nu cycle itself).
     """
     n = len(gs)
-    if b2 in gs[j - 1].divisor.support():
+    if b2 in gs[j - 1].divisor:
         raise AdmissibilityError(
             AdmissibilityReport(False, (f"b2 = {b2.key()} lies in the divisor of {gs[j-1].name}",))
         )

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
+from .lincomb import LinComb
 
 
 class DivisorError(ValueError):
@@ -39,59 +40,40 @@ class DegeneracyError(ValueError):
 # formal divisors on E
 
 
-@dataclass(frozen=True)
-class FormalDivisor:
-    """Exact formal sum of points on one curve; zero terms are never stored."""
+class FormalDivisor(LinComb):
+    """Exact formal sum of points on one curve."""
 
-    curve: EllipticCurve
-    terms: tuple = ()  # tuple of (CurvePoint, Fraction), sorted by point key
+    __slots__ = labels = ("curve",)
+    sort_key = staticmethod(CurvePoint.key)
+    error = DivisorError
 
-    @staticmethod
-    def of(curve: EllipticCurve, items) -> "FormalDivisor":
-        acc = {}
-        for point, coeff in items:
-            coeff = Fraction(coeff)
-            if point.curve != curve:
-                raise DivisorError("divisor point on the wrong curve")
-            acc[point] = acc.get(point, Fraction(0)) + coeff
-        terms = tuple(sorted(((p, c) for p, c in acc.items() if c != 0), key=lambda t: t[0].key()))
-        return FormalDivisor(curve, terms)
-
-    def coeff(self, point: CurvePoint) -> Fraction:
-        for p, c in self.terms:
-            if p == point:
-                return c
-        return Fraction(0)
+    @classmethod
+    def of(cls, curve: EllipticCurve, items) -> "FormalDivisor":
+        return cls(_on_curve(curve, items), curve)
 
     def support(self):
+        """The points, in key order."""
         return [p for p, _ in self.terms]
 
     def degree(self) -> Fraction:
-        return sum((c for _, c in self.terms), Fraction(0))
-
-    def __add__(self, other: "FormalDivisor") -> "FormalDivisor":
-        return FormalDivisor.of(self.curve, list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "FormalDivisor") -> "FormalDivisor":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "FormalDivisor":
-        return FormalDivisor.of(self.curve, [(p, c * Fraction(k)) for p, c in self.terms])
+        return sum(self.values(), Fraction(0))
 
     def negate_points(self) -> "FormalDivisor":
         """Pullback along x -> -x; detects even functions (self-invariance)."""
-        return FormalDivisor.of(self.curve, [(ec_neg(p), c) for p, c in self.terms])
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return FormalDivisor.of(self.curve, [(ec_neg(p), c) for p, c in self.items()])
 
     def serialize(self):
         return [{"point": point_payload(p), "coeff": str(c)} for p, c in self.terms]
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}({p!r})" for p, c in self.terms)
+    def _term_repr(self, point, coeff) -> str:
+        return f"{coeff}({point!r})"
+
+
+def _on_curve(curve, items):
+    for point, coeff in items:
+        if point.curve != curve:
+            raise DivisorError("divisor point on the wrong curve")
+        yield point, coeff
 
 
 def point_payload(p: CurvePoint):
@@ -104,7 +86,7 @@ def point_payload(p: CurvePoint):
 def is_principal(D: FormalDivisor) -> bool:
     """Abel's criterion on E: degree 0 and group-law sum equal to the identity."""
     sum_point = CurvePoint.at_infinity(D.curve)
-    for p, c in D.terms:
+    for p, c in D.items():
         if c.denominator != 1:
             raise DivisorError("principality requires integer coefficients")
         sum_point = ec_add(sum_point, ec_scalar_mul(int(c), p))
@@ -148,54 +130,29 @@ def _class_key(cls) -> str:
     raise DivisorError(f"unknown class {cls!r}")
 
 
-@dataclass(frozen=True)
-class ProductDivisorClass:
+class ProductDivisorClass(LinComb):
     """Formal sum of named codimension-1 classes on E^n."""
 
-    curve: EllipticCurve
-    n: int
-    terms: tuple = ()  # tuple of (NamedClass, Fraction), sorted by class key
+    __slots__ = labels = ("curve", "n")
+    sort_key = staticmethod(_class_key)
+    error = DivisorError
 
-    @staticmethod
-    def of(curve: EllipticCurve, n: int, items) -> "ProductDivisorClass":
-        acc = {}
-        for cls, coeff in items:
-            cls = _normalize_class(cls, n)
-            acc[cls] = acc.get(cls, Fraction(0)) + Fraction(coeff)
-        terms = tuple(sorted(((k, c) for k, c in acc.items() if c != 0), key=lambda t: _class_key(t[0])))
-        return ProductDivisorClass(curve, n, terms)
+    @classmethod
+    def of(cls, curve: EllipticCurve, n: int, items) -> "ProductDivisorClass":
+        return cls(((_normalize_class(k, n), c) for k, c in items), curve, n)
 
     def coeff(self, cls) -> Fraction:
-        cls = _normalize_class(cls, self.n)
-        for k, c in self.terms:
-            if k == cls:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise DivisorError("ambient exponent mismatch")
-        return ProductDivisorClass.of(self.curve, self.n, list(self.terms) + list(other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "ProductDivisorClass":
-        return ProductDivisorClass.of(self.curve, self.n, [(cls, c * Fraction(k)) for cls, c in self.terms])
+        return super().coeff(_normalize_class(cls, self.n))
 
     def diff(self, other: "ProductDivisorClass"):
-        """Term-by-term difference report: list of (class key, self coeff, other coeff)."""
-        keys = {}
-        for cls, c in self.terms:
-            keys.setdefault(_class_key(cls), [Fraction(0), Fraction(0)])[0] += c
-        for cls, c in other.terms:
-            keys.setdefault(_class_key(cls), [Fraction(0), Fraction(0)])[1] += c
-        return [(k, a, b) for k, (a, b) in sorted(keys.items()) if a != b]
+        """Term-by-term difference report: list of (class key, self coeff,
+        other coeff), in class-key order."""
+        return [
+            (_class_key(k), self.coeff(k), other.coeff(k)) for k, _ in (self - other).terms
+        ]
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{_class_key(cls)}" for cls, c in self.terms)
+    def _term_repr(self, cls, coeff) -> str:
+        return f"{coeff}*{_class_key(cls)}"
 
 
 def _normalize_class(cls, n: int):
@@ -234,7 +191,7 @@ def make_fbar_divisor(curve: EllipticCurve, n: int) -> ProductDivisorClass:
 
 def pullback_to_factor(D: FormalDivisor, n: int, j: int) -> ProductDivisorClass:
     """p_j^*(D) on E^n: each point q of D contributes D_j(q)."""
-    return ProductDivisorClass.of(D.curve, n, [(("D", j, p), c) for p, c in D.terms])
+    return ProductDivisorClass.of(D.curve, n, [(("D", j, p), c) for p, c in D.items()])
 
 
 @dataclass(frozen=True)
@@ -328,31 +285,24 @@ class SymPoint:
         return self.key()
 
 
-@dataclass(frozen=True)
-class SymbolicDivisor:
+class SymbolicDivisor(LinComb):
     """Formal divisor whose points are symbolic expressions."""
 
-    curve: EllipticCurve
-    terms: tuple = ()  # tuple of (SymPoint, Fraction)
+    __slots__ = labels = ("curve",)
+    sort_key = staticmethod(SymPoint.key)
+    error = DivisorError
 
-    @staticmethod
-    def of(curve, items) -> "SymbolicDivisor":
-        acc = {}
-        for pt, c in items:
-            acc[pt] = acc.get(pt, Fraction(0)) + Fraction(c)
-        terms = tuple(sorted(((p, c) for p, c in acc.items() if c != 0), key=lambda t: t[0].key()))
-        return SymbolicDivisor(curve, terms)
+    @classmethod
+    def of(cls, curve, items) -> "SymbolicDivisor":
+        return cls(items, curve)
 
     def degree(self) -> Fraction:
-        return sum((c for _, c in self.terms), Fraction(0))
+        return sum(self.values(), Fraction(0))
 
     def evaluate(self, assignment) -> FormalDivisor:
-        return FormalDivisor.of(self.curve, [(p.evaluate(assignment), c) for p, c in self.terms])
+        return FormalDivisor.of(self.curve, [(p.evaluate(assignment), c) for p, c in self.items()])
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}({p!r})" for p, c in self.terms)
+    _term_repr = FormalDivisor._term_repr
 
 
 def restrict_to_fiber(cls: ProductDivisorClass, i: int, fixed: dict) -> SymbolicDivisor:
@@ -434,7 +384,7 @@ def alt_project_square(cls: ProductDivisorClass) -> ProductDivisorClass:
     for e1 in (0, 1):
         for e2 in (0, 1):
             sign = (-1) ** (e1 + e2)
-            for named, c in cls.terms:
+            for named, c in cls.items():
                 img = named
                 if e1:
                     img = _negate_coordinate(img, 1, 2)
@@ -449,7 +399,7 @@ def swap_factors_square(cls: ProductDivisorClass) -> ProductDivisorClass:
     if cls.n != 2:
         raise DivisorError("factor swap is defined on E^2 classes")
     items = []
-    for named, c in cls.terms:
+    for named, c in cls.items():
         if named[0] == "D":
             _, i, q = named
             items.append((("D", 3 - i, q), c))

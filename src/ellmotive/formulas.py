@@ -93,19 +93,18 @@ class BoundaryFormulaReport:
 def _match_groups(lhs, instances, target="") -> GroupMatchReport:
     """Greedy exact matching of a sum (a CycleSum or a BarChain): each
     instance is a sum of the same kind whose coefficient is solved from its
-    first key present in the residual, then subtracted.  An instance with no
-    terms is skipped: a swept family may pass through a vanishing class."""
-    residual = {t: c for c, t in lhs.terms}
+    first term, in key order, present in the residual, then subtracted.  An
+    instance with no terms is skipped: a swept family may pass through a
+    vanishing class.  The unmatched terms are listed in key order."""
+    residual = lhs
     done = []
     for group, label, grp in instances:
-        scalar = next((residual[t] / c for c, t in grp.terms if t in residual), None)
+        scalar = next((residual[t] / c for t, c in grp.terms if t in residual), None)
         if scalar is not None:
-            for c, t in grp.terms:
-                residual[t] = residual.get(t, Fraction(0)) - scalar * c
-                if residual[t] == 0:
-                    del residual[t]
-        done.append(MatchInstance(group, label, scalar, len(grp.terms)))
-    return GroupMatchReport(target, done, [(repr(t), c) for t, c in residual.items()])
+            residual = residual - grp.scale(scalar)
+        done.append(MatchInstance(group, label, scalar, len(grp)))
+    unmatched = [(repr(t), c) for t, c in residual.terms]
+    return GroupMatchReport(target, done, unmatched)
 
 
 def _point_sum(curve, points):
@@ -193,7 +192,7 @@ def verify_nu_boundary(curve, n, gs, j, b1, b2) -> NuBoundaryReport:
             ).scale(m)
             instances.append(("nu-discharge", f"g{i + 1}:{q.key()}", grp))
     discharge = _match_groups(lhs, instances, f"nu(n={n}, j={j}) discharge")
-    return NuBoundaryReport(n, False, len(lhs.terms), discharge)
+    return NuBoundaryReport(n, False, len(lhs), discharge)
 
 
 def verify_mu_killer(curve, gs, i, shift) -> KillCycleReport:
@@ -253,8 +252,8 @@ def _default_mu_const(curve, gs):
 
     supports = set()
     for g in gs:
-        supports.update(g.divisor.support())
-        supports.update(ec_neg(p) for p in g.divisor.support())
+        supports.update(g.divisor)
+        supports.update(ec_neg(p) for p in g.divisor)
     for p in sorted(supports, key=lambda q: q.key()):
         cand = ec_add(p, p)
         if (

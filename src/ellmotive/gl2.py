@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .lincomb import LinComb, accumulate
+
 
 class MotiveError(ValueError):
     pass
@@ -60,42 +62,25 @@ TATE = PureMotive(0, 1)  # Q(-1) = wedge^2 h^1(E)
 H1 = PureMotive(1, 0)
 
 
-@dataclass(frozen=True)
-class MotiveSum:
-    """Multiset of pure motives with multiplicities."""
+class MotiveSum(LinComb):
+    """Multiset of pure motives with multiplicities, in motive order."""
 
-    terms: tuple = ()  # tuple of (PureMotive, int), sorted
+    __slots__ = ()
 
-    @staticmethod
-    def of(items) -> "MotiveSum":
-        acc = {}
-        for mot, mult in items:
-            acc[mot] = acc.get(mot, 0) + mult
-        terms = tuple(sorted((m, k) for m, k in acc.items() if k != 0))
-        if any(k < 0 for _, k in terms):
+    def _init(self, coeffs, labels):
+        if any(k < 0 for k in coeffs.values()):
             raise MotiveError("negative multiplicity")
-        return MotiveSum(terms)
-
-    def multiplicity(self, mot: PureMotive) -> int:
-        for m, k in self.terms:
-            if m == mot:
-                return k
-        return 0
+        return super()._init(coeffs, labels)
 
     def contains(self, mot: PureMotive) -> bool:
-        return self.multiplicity(mot) > 0
+        return self.coeff(mot) > 0
 
     @property
-    def dimension(self) -> int:
-        return sum(m.dimension * k for m, k in self.terms)
+    def dimension(self):
+        return sum(m.dimension * k for m, k in self.items())
 
-    def __add__(self, other: "MotiveSum") -> "MotiveSum":
-        return MotiveSum.of(list(self.terms) + list(other.terms))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join((f"{k}*" if k > 1 else "") + m.render() for m, k in self.terms)
+    def _term_repr(self, mot, mult) -> str:
+        return (f"{mult}*" if mult > 1 else "") + mot.render()
 
 
 def clebsch_gordan(V: PureMotive, W: PureMotive) -> MotiveSum:
@@ -145,24 +130,15 @@ def character(mot: PureMotive) -> dict:
     return {(mot.n - i + mot.m, i + mot.m): 1 for i in range(mot.n + 1)}
 
 
-def char_add(c1: dict, c2: dict) -> dict:
-    out = dict(c1)
-    for k, v in c2.items():
-        out[k] = out.get(k, 0) + v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
 def char_mul(c1: dict, c2: dict) -> dict:
-    out = {}
-    for (a1, b1), v1 in c1.items():
-        for (a2, b2), v2 in c2.items():
-            k = (a1 + a2, b1 + b2)
-            out[k] = out.get(k, 0) + v1 * v2
-            if out[k] == 0:
-                del out[k]
-    return out
+    return accumulate(
+        {},
+        (
+            ((a1 + a2, b1 + b2), v1 * v2)
+            for (a1, b1), v1 in c1.items()
+            for (a2, b2), v2 in c2.items()
+        ),
+    )
 
 
 def char_sym2(c: dict) -> dict:
@@ -189,7 +165,7 @@ def decompose_character(c: dict) -> MotiveSum:
             raise MotiveError("not a polynomial GL2 character")
         mot = PureMotive(a - b, b)
         items.append((mot, mult))
-        c = char_add(c, {k: -mult * v for k, v in character(mot).items()})
+        c = accumulate(c, character(mot).items(), -mult)
     return MotiveSum.of(items)
 
 

@@ -150,12 +150,12 @@ def _suite_divisors(cfg: Config, report: Report):
     report.add(
         "divisors:fbar2",
         "(F-bar_2) = Delta + Psi - 2{E x {0}} - 2{{0} x E}",
-        fb2.terms == expected.terms,
+        fb2 == expected,
     )
     report.add(
         "divisors:fbar2-symmetry",
         "F-bar_2(x, y) = F-bar_2(y, x)",
-        divisors.swap_factors_square(fb2).terms == fb2.terms,
+        divisors.swap_factors_square(fb2) == fb2,
     )
 
     # alternating projection identities on E^2
@@ -166,29 +166,29 @@ def _suite_divisors(cfg: Config, report: Report):
     report.add(
         "divisors:alt-delta",
         "Alt_{(Z/2Z)^2}(Delta) = 2(Delta - Psi)",
-        alt_d.terms == (delta.scale(2) - psi.scale(2)).terms,
+        alt_d == delta.scale(2) - psi.scale(2),
     )
     report.add(
         "divisors:alt-psi",
         "Alt(Psi) = 2(Psi - Delta)",
-        alt_p.terms == (psi.scale(2) - delta.scale(2)).terms,
+        alt_p == psi.scale(2) - delta.scale(2),
     )
     d1 = divisors.ProductDivisorClass.of(curve, 2, [(("D", 1, zero), 1)])
     report.add(
         "divisors:alt-kills-symmetric",
         "every element of CH^0(E^2) is invariant; the alternating projection is zero",
-        not divisors.alt_project_square(d1).terms,
+        divisors.alt_project_square(d1).is_zero(),
     )
     report.add(
         "divisors:alt-square",
         "Alt(Alt(c)) = 4 Alt(c)",
-        divisors.alt_project_square(alt_d).terms == alt_d.scale(4).terms,
+        divisors.alt_project_square(alt_d) == alt_d.scale(4),
     )
     report.add(
         "divisors:alt-swap-commutes",
         "swapping the factors of E^2 commutes with the alternating projection",
-        divisors.alt_project_square(divisors.swap_factors_square(delta)).terms
-        == divisors.swap_factors_square(alt_d).terms,
+        divisors.alt_project_square(divisors.swap_factors_square(delta))
+        == divisors.swap_factors_square(alt_d),
     )
 
     # h_n recipes over a full-2-torsion prime-field fixture
@@ -405,8 +405,8 @@ def _decoration_points(cfg: Config):
     """Decoration constants away from supports and small torsion."""
     supports = set()
     for g in cfg.functions:
-        supports.update(g.divisor.support())
-        supports.update(curves.ec_neg(p) for p in g.divisor.support())
+        supports.update(g.divisor)
+        supports.update(curves.ec_neg(p) for p in g.divisor)
     out = []
     base = sorted(supports, key=lambda p: p.key())
     for p in base:
@@ -433,12 +433,12 @@ def _decoration_points(cfg: Config):
 
 def _suite_bar(cfg: Config, report: Report):
     curve, gs = cfg.curve, cfg.functions
-    n_max = min(cfg.bounds.n_max, len(gs), 2)
+    n_max = min(cfg.bounds.n_max, len(gs))
     for n in range(1, n_max + 1):
         gsub = gs[:n]
         try:
             mc = barcx.build_motive_chain(curve, gsub, mode=cfg.mode)
-        except barcx.ChainConstructionError as exc:
+        except (barcx.ChainConstructionError, divisors.DegeneracyError) as exc:
             report.add(f"bar:chain:n={n}", "the motive chain exists", False, repr(exc))
             continue
         ok, _ = barcx.verify_cocycle(mc.chain)
@@ -446,7 +446,7 @@ def _suite_bar(cfg: Config, report: Report):
             f"bar:cocycle:n={n}",
             "the chain and its successive boundaries define a cohomology class",
             ok,
-            f"{len(mc.chain.terms)} words, lengths {mc.chain.lengths()}",
+            f"{len(mc.chain)} words, lengths {mc.chain.lengths()}",
         )
         dd = barcx.bar_differential(barcx.bar_differential(mc.chain))
         report.add(f"bar:DD:n={n}", "the bar differential squares to zero", dd.is_zero())
@@ -483,10 +483,7 @@ def _suite_bar(cfg: Config, report: Report):
             },
         )
         # leading-term cocycle must fail alone for n >= 1 (the boundary is nonempty)
-        top = barcx.BarChain.of(
-            [(c, w) for c, w in mc.chain.terms if w.length == 1]
-        )
-        leading_alone, _ = barcx.verify_cocycle(top)
+        leading_alone, _ = barcx.verify_cocycle(mc.chain.component(1))
         report.add(
             f"bar:leading-alone:n={n}",
             "the leading term alone is not a cocycle",

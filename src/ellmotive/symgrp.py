@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
+
+from .lincomb import LinComb
 
 
 class GroupAlgebraError(ValueError):
@@ -109,67 +110,45 @@ def action_sign(sigma: Permutation, convention: str = "parity") -> int:
     raise GroupAlgebraError(f"unknown sign convention {convention!r}")
 
 
-@dataclass(frozen=True)
-class GroupAlgebraElement:
-    degree: int
-    terms: tuple = ()  # tuple of (Permutation, Fraction), sorted
+def _images(perm: Permutation) -> tuple:
+    return perm.images
 
-    @staticmethod
-    def of(degree: int, items) -> "GroupAlgebraElement":
-        acc = {}
-        for perm, coeff in items:
-            if perm.degree != degree:
-                raise GroupAlgebraError("permutation degree mismatch")
-            acc[perm] = acc.get(perm, Fraction(0)) + Fraction(coeff)
-        terms = tuple(sorted(((p, c) for p, c in acc.items() if c != 0), key=lambda t: t[0].images))
-        return GroupAlgebraElement(degree, terms)
+
+class GroupAlgebraElement(LinComb):
+    """Exact formal sum of permutations of {1..degree}."""
+
+    __slots__ = labels = ("degree",)
+    sort_key = staticmethod(_images)
+    error = GroupAlgebraError
+
+    @classmethod
+    def of(cls, degree: int, items) -> "GroupAlgebraElement":
+        return cls(_of_degree(degree, items), degree)
 
     @staticmethod
     def unit(degree: int) -> "GroupAlgebraElement":
         return GroupAlgebraElement.of(degree, [(Permutation.identity(degree), 1)])
 
-    def coeff(self, perm: Permutation) -> Fraction:
-        for p, c in self.terms:
-            if p == perm:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other):
-        self._check(other)
-        return GroupAlgebraElement.of(self.degree, list(self.terms) + list(other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.of(self.degree, [(p, c * Fraction(k)) for p, c in self.terms])
-
     def __mul__(self, other):
         self._check(other)
         acc = {}
-        for p1, c1 in self.terms:
+        for p1, c1 in self.items():
             images = p1.images
-            for p2, c2 in other.terms:
+            for p2, c2 in other.items():
                 # (p1 * p2)(x) = p1(p2(x))
                 key = tuple([images[x - 1] for x in p2.images])
                 acc[key] = acc.get(key, 0) + c1 * c2
-        terms = tuple((Permutation(key), c) for key, c in sorted(acc.items()) if c != 0)
-        return GroupAlgebraElement(self.degree, terms)
+        return GroupAlgebraElement([(Permutation(k), c) for k, c in acc.items()], self.degree)
 
-    def _check(self, other):
-        if not isinstance(other, GroupAlgebraElement) or self.degree != other.degree:
-            raise GroupAlgebraError("degree mismatch")
+    def _term_repr(self, perm, coeff) -> str:
+        return f"{coeff}*[{perm!r}]"
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*[{p!r}]" for p, c in self.terms)
+def _of_degree(degree: int, items):
+    for perm, coeff in items:
+        if perm.degree != degree:
+            raise GroupAlgebraError("permutation degree mismatch")
+        yield perm, coeff
 
 
 def right_act(vector: GroupAlgebraElement, sigma: Permutation, convention: str = "parity"):
@@ -183,18 +162,19 @@ def right_act(vector: GroupAlgebraElement, sigma: Permutation, convention: str =
     return left * vector
 
 
-def right_act_element(vector, element: GroupAlgebraElement, convention: str = "parity"):
-    out = GroupAlgebraElement.of(vector.degree, [])
-    for sigma, c in element.terms:
-        out = out + right_act(vector, sigma, convention).scale(c)
-    return out
+def right_act_element(vector, element: GroupAlgebraElement):
+    """sum_g c_g * (v . g) under the parity convention, one accumulation."""
+    acted = (
+        (p, c * d) for sigma, c in element.items() for p, d in right_act(vector, sigma).items()
+    )
+    return GroupAlgebraElement.of(vector.degree, acted)
 
 
 def signed_antipode(element: GroupAlgebraElement, convention: str = "parity") -> GroupAlgebraElement:
     """sum c_g sign(g) g^{-1}; for a Young symmetrizer this is its transpose."""
     return GroupAlgebraElement.of(
         element.degree,
-        [(p.inverse(), c * action_sign(p, convention)) for p, c in element.terms],
+        [(p.inverse(), c * action_sign(p, convention)) for p, c in element.items()],
     )
 
 
@@ -382,41 +362,25 @@ class SignedGroupElement:
         return f"({''.join('+' if s == 1 else '-' for s in self.signs)};{self.perm!r})"
 
 
-@dataclass(frozen=True)
-class SignedGroupAlgebraElement:
-    degree: int
-    terms: tuple = ()
+def _signed_key(g: SignedGroupElement) -> tuple:
+    return g.signs, g.perm.images
 
-    @staticmethod
-    def of(degree: int, items) -> "SignedGroupAlgebraElement":
-        acc = {}
-        for g, coeff in items:
-            acc[g] = acc.get(g, Fraction(0)) + Fraction(coeff)
-        terms = tuple(
-            sorted(((g, c) for g, c in acc.items() if c != 0), key=lambda t: (t[0].signs, t[0].perm.images))
-        )
-        return SignedGroupAlgebraElement(degree, terms)
+
+class SignedGroupAlgebraElement(LinComb):
+    """Exact formal sum of elements of G_degree."""
+
+    __slots__ = labels = ("degree",)
+    sort_key = staticmethod(_signed_key)
+    error = GroupAlgebraError
+
+    @classmethod
+    def of(cls, degree: int, items) -> "SignedGroupAlgebraElement":
+        return cls(items, degree)
 
     def __mul__(self, other):
-        if self.degree != other.degree:
-            raise GroupAlgebraError("degree mismatch")
-        items = []
-        for g1, c1 in self.terms:
-            for g2, c2 in other.terms:
-                items.append((g1 * g2, c1 * c2))
-        return SignedGroupAlgebraElement.of(self.degree, items)
-
-    def scale(self, k):
-        return SignedGroupAlgebraElement.of(self.degree, [(g, c * Fraction(k)) for g, c in self.terms])
-
-    def __eq__(self, other):
-        return isinstance(other, SignedGroupAlgebraElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.degree, self.terms))
-
-    def term_count(self) -> int:
-        return len(self.terms)
+        self._check(other)
+        products = ((g1 * g2, c1 * c2) for g1, c1 in self.items() for g2, c2 in other.items())
+        return SignedGroupAlgebraElement(products, self.degree)
 
 
 def alt_signed_group(c: int) -> SignedGroupAlgebraElement:

@@ -78,9 +78,9 @@ def test_chain_n2_structure(chains):
     _, _, _, mc2 = chains
     assert verify_cocycle(mc2.chain)[0]
     assert mc2.chain.lengths() == [1, 2, 3, 4]
-    top = max(w.length for _, w in mc2.chain.terms)
+    top = max(w.length for w, _ in mc2.chain.terms)
     assert all(
-        is_point_word(w) for _, w in mc2.chain.terms if w.length == top
+        is_point_word(w) for w, _ in mc2.chain.terms if w.length == top
     )
 
 
@@ -91,14 +91,14 @@ def test_chain_n0_pairing_structure(chains):
     mc = build_motive_chain(curve, [], fixed=tuple(fixed_points(2)))
     assert verify_cocycle(mc.chain)[0]
     assert mc.chain.lengths() == [1, 2]
-    pair_words = [w for _, w in mc.chain.terms if w.length == 2]
+    pair_words = [w for w, _ in mc.chain.terms if w.length == 2]
     assert pair_words and all(is_point_word(w) for w in pair_words)
 
 
 def test_leading_term_alone_is_not_cocycle(chains):
     _, _, mc1, mc2 = chains
     for mc in (mc1, mc2):
-        top = BarChain.of([(c, w) for c, w in mc.chain.terms if w.length == 1])
+        top = BarChain.of([(w, c) for w, c in mc.chain.terms if w.length == 1])
         ok, diff = verify_cocycle(top)
         assert not ok and not diff.is_zero()
 
@@ -139,7 +139,7 @@ def test_comodule_span(chains):
     # layers n+2 = 3 deep plus the unit
     assert rep1.members[0][0] == "1"
     depths = {
-        max(w.length for _, w in ch.terms) for lbl, ch in rep1.members if lbl != "1"
+        max(w.length for w, _ in ch.terms) for lbl, ch in rep1.members if lbl != "1"
     }
     assert max(depths) == 3
     rep2 = comodule_span(mc2)

@@ -1,6 +1,7 @@
 """Config ingestion, suites, report emission, exit codes, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -167,6 +168,69 @@ def test_boundaries_suite_isolates_degenerate_checks(tmp_path, monkeypatch):
     assert status["boundaries:ddZ:n=1"] == "pass"
     assert status["boundaries:ddX:n=1,r=1"] == "pass"
     assert not any(i.endswith(":aborted") for i in status)
+
+
+def _workloads():
+    """The benchmark's workload module, loaded by path (it is not a package)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_bar_suite_honours_n_max_and_isolates_failures(monkeypatch):
+    # three functions with n_max = 3: every n gets its own record
+    cfg = config_from_dict(_workloads().make("boundaries-q-n3", 0).config)
+    assert cfg.bounds.n_max == 3 and len(cfg.functions) == 3
+
+    def broken(curve, gs, fixed=(), mode="fbar"):
+        if len(gs) == 2:
+            raise DegeneracyError("forced")
+        raise barcx.ChainConstructionError("forced")
+
+    monkeypatch.setattr(barcx, "build_motive_chain", broken)
+    status = {r.id: r.status for r in run_suite(cfg, "bar").records}
+    assert status == {
+        "bar:chain:n=1": "fail",
+        "bar:chain:n=2": "fail",
+        "bar:chain:n=3": "fail",
+        "bar:ext-witness": "pass",
+    }
+
+
+# sha256 of two seed-0 reports on the F_10007 config of the motive-fp-n2
+# workload.  `verify boundaries` is the only report that reaches the matcher's
+# failure edge (its first-key scalar and its unmatched order): it fails
+# boundaries:mu-formula:n=1,r=0, a known defect whose fix must move this hash.
+FP_REPORTS = [
+    pytest.param(
+        ("build-motive", "--n", "2"),
+        0,
+        "136543c36f9b56d8dc24da60271891bf52855236562650d7e5f1a99606a091dc",
+        id="build-motive",
+    ),
+    pytest.param(
+        ("verify", "boundaries"),
+        1,
+        "cc44c909858ea9e55e9ce473e71b94f9d07f93c01d25f95dda7867dd504ebc71",
+        id="verify-boundaries",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, code, sha256", FP_REPORTS)
+def test_fp_reports_are_byte_stable(tmp_path, command, code, sha256):
+    config = tmp_path / "fp.json"
+    config.write_text(json.dumps(_workloads().fp_config(0, p=10007)))
+    out = tmp_path / "report.json"
+    assert main(["--config", str(config), "--out", str(out), *command]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_exit_one_on_failure():

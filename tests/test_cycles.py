@@ -102,8 +102,8 @@ def test_canonicalize_merges_relabeled_copies(setup):
     # the reversed mapping also reverses the alphabetical order of the names
     for mapping in ({"x": "a", "y1": "b"}, {"x": "b", "y1": "a"}):
         relabeled = X.rename_params(mapping)
-        assert CycleSum.of([(1, X), (-1, relabeled)]).is_zero()
-        s = CycleSum.of([(1, X), (1, relabeled)])
+        assert CycleSum.of([(X, 1), (relabeled, -1)]).is_zero()
+        s = CycleSum.of([(X, 1), (relabeled, 1)])
         assert len(s.terms) == 1 and s == CycleSum.single(X).scale(2)
 
 
@@ -112,10 +112,10 @@ def test_canonicalize_negation_and_swap(setup):
     X = build_family("X", curve, 1, gs[:1])
     # negating one E-coordinate costs a sign
     negd = X.negate_ecoord(1)
-    s = CycleSum.of([(1, X), (1, negd)])
+    s = CycleSum.of([(X, 1), (negd, 1)])
     assert s.is_zero()
     # a term plus its own negation is empty
-    assert CycleSum.of([(1, X), (-1, X)]).is_zero()
+    assert CycleSum.of([(X, 1), (X, -1)]).is_zero()
 
 
 def test_cube_swap_alternating(setup):
@@ -127,7 +127,7 @@ def test_cube_swap_alternating(setup):
     # folds to -Z, so the symmetrized combination dies
     diff = s - swapped
     assert len(diff.terms) == 1
-    assert abs(diff.terms[0][0]) == 2
+    assert abs(diff.terms[0][1]) == 2
     assert (s + swapped).is_zero()
 
 
@@ -136,7 +136,7 @@ def test_eta_point_and_boundary(setup):
     P = generator(curve)
     eta = decorate("eta_point", P)
     assert eta.motives == (PureMotive(1, 0),)
-    assert len(eta.terms) == 1 and abs(eta.terms[0][0]) == 2  # (p) - (-p) folds
+    assert len(eta.terms) == 1 and abs(eta.terms[0][1]) == 2  # (p) - (-p) folds
     assert boundary(eta).is_zero()
     # at 2-torsion the class degenerates to zero
     from ellmotive.fixtures import two_torsion_curve_f11
@@ -145,7 +145,7 @@ def test_eta_point_and_boundary(setup):
     E11 = two_torsion_curve_f11()
     u = full_two_torsion(E11)[0]
     assert CycleSum.of(
-        [(1, ParamCycle(E11, (), (PointExpr.constant(u),), ()))]
+        [(ParamCycle(E11, (), (PointExpr.constant(u),), ()), 1)]
     ).is_zero()
 
 
@@ -156,10 +156,10 @@ def test_boundary_of_Y_matches_display(setup):
     B = boundary(CycleSum.single(Y))
     # one point-pair family per divisor point: (-q - a, q)
     assert len(B.terms) == len(gs[0].divisor.terms)
-    for coeff, cyc in B.terms:
+    for cyc, coeff in B.terms:
         assert cyc.b == 2 and cyc.c == 0 and cyc.dim == 0
     # and the multiplicities carry through with the face sign
-    mults = sorted(abs(c) for c, _ in B.terms)
+    mults = sorted(abs(c) for _, c in B.terms)
     assert mults == [1, 1, 1, 1]
 
 
@@ -220,7 +220,7 @@ def test_external_product(setup):
     a = decorate("eta_point", P)
     b = decorate("eta_point", Q)
     prod = external_product(a, b)
-    for _, cyc in prod.terms:
+    for cyc, _ in prod.terms:
         assert cyc.b == 2 and cyc.c == 0
     assert prod.motives == (PureMotive(1, 0), PureMotive(1, 0))
     # associativity after canonical forms
@@ -232,7 +232,7 @@ def test_external_product(setup):
     curve2, gs = standard_functions(2)
     Y = CycleSum.single(build_family("Y", curve2, 1, gs[:1], fixed=(ec_scalar_mul(13, P),)))
     py = external_product(Y, a)
-    for _, cyc in py.terms:
+    for cyc, _ in py.terms:
         assert cyc.b == 3 and cyc.c == 1
     # decoration projection onto a Clebsch-Gordan component
     projected = external_product(a, b, target=PureMotive(0, 1))
@@ -246,7 +246,7 @@ def test_leibniz_rule(setup):
     Y1 = CycleSum.single(build_family("Y", curve, 1, gs[:1], fixed=(afix[0],)))
     Y2 = CycleSum.single(build_family("Y", curve, 1, gs[1:2], fixed=(afix[1],)))
     lhs = boundary(external_product(Y1, Y2))
-    c1 = Y1.terms[0][1].c
+    c1 = Y1.terms[0][0].c
     sign = Fraction(-1) if c1 % 2 else Fraction(1)
     rhs = external_product(boundary(Y1), Y2) + external_product(Y1, boundary(Y2)).scale(sign)
     assert (lhs - rhs).is_zero()
@@ -337,7 +337,7 @@ def test_cube_only_parameter_sign_is_free(setup):
     x, z = PointExpr.param(curve, "x"), PointExpr.param(curve, "z")
     plus = ParamCycle(curve, ("x", "z"), (x,), (FunCoord(gs[0], (x,)), FunCoord(gs[1], (z,))))
     minus = ParamCycle(curve, ("x", "z"), (x,), (FunCoord(gs[0], (x,)), FunCoord(gs[1], (-z,))))
-    assert CycleSum.of([(1, plus), (-1, minus)]).is_zero()
+    assert CycleSum.of([(plus, 1), (minus, -1)]).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,35 @@ def test_param_cycle_moves_round_trip(data):
     assert moved == cycle and hash(moved) == h
 
 
+@pytest.mark.parametrize("n", [1, -1])
+def test_scalar_mul_by_unit_adds_once(monkeypatch, n):
+    # doubling stops with the last set bit: +-1 needs one addition, no doubling
+    from ellmotive import curves
+
+    calls = []
+
+    def counted(P, Q):
+        calls.append((P, Q))
+        return ec_add(P, Q)
+
+    monkeypatch.setattr(curves, "ec_add", counted)
+    P = generator(rank_one_curve())
+    assert curves.ec_scalar_mul(n, P) == (P if n == 1 else ec_neg(P))
+    assert len(calls) == 1
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_scalar_mul_matches_repeated_addition(data):
+    E = data.draw(_curves())
+    P = data.draw(_points(E))
+    n = data.draw(st.integers(-40, 40))
+    Q = CurvePoint.at_infinity(E)
+    for _ in range(abs(n)):
+        Q = ec_add(Q, P if n > 0 else ec_neg(P))
+    assert ec_scalar_mul(n, P) == Q
+
+
 def test_value_objects_stay_frozen():
     E = two_torsion_curve_f11()
     P = full_two_torsion(E)[0]

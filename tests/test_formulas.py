@@ -5,7 +5,9 @@ from fractions import Fraction
 
 from ellmotive.curves import ec_add, ec_scalar_mul
 from ellmotive.fixtures import fixed_points, generator, standard_functions
+from ellmotive.lincomb import LinComb
 from ellmotive.formulas import (
+    _match_groups,
     verify_boundary_formulas,
     verify_eta_boundary,
     verify_mu_boundary,
@@ -110,3 +112,14 @@ def test_fn_mode_formula_n1():
     )
     rep = verify_eta_boundary(curve, 1, [g], mode="fn")
     assert rep.complete
+
+
+def test_matcher_reads_key_order_not_insertion_order():
+    # bases inserted against their key order: the scalar comes from the least
+    # key present in the residual, and the leftover terms are listed by key
+    lhs = LinComb([(5, 4), (3, 1), (2, 3), (1, 2)])
+    grp = LinComb([(2, 1), (1, 1)])
+    rep = _match_groups(lhs, [("g", "first", grp), ("g", "absent", LinComb([(9, 1)]))])
+    assert [inst.scalar for inst in rep.instances] == [2, None]
+    assert rep.unmatched == [("2", 1), ("3", 1), ("5", 4)]
+    assert not rep.matched and not rep.complete

@@ -125,7 +125,7 @@ def test_untwist_presentations():
 
 def test_motive_sum_arithmetic():
     s = MotiveSum.of([(H1, 1), (TATE, 2)])
-    assert s.multiplicity(TATE) == 2
-    assert (s + s).multiplicity(H1) == 2
+    assert s.coeff(TATE) == 2
+    assert (s + s).coeff(H1) == 2
     with pytest.raises(MotiveError):
         MotiveSum.of([(H1, -1)])
