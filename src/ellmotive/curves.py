@@ -7,6 +7,12 @@ operations are pure; points are immutable and compared structurally.
 
 Keys and hashes are computed once per object: a curve builds its key string
 and hash on construction, a point its key and hash on first use.
+
+Each curve memoizes its group law: `ec_add` and `ec_neg` look their
+arguments up in the curve's `_sums` and `_negs` dicts and run the formulas
+only on a miss, so a repeated sum returns the identical point (whose key and
+hash are then already cached).  The memo lives exactly as long as its curve;
+equal curves do not share one, and copies and pickles start empty.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ class EllipticCurve:
     a6: object
     _key: str = _field(init=False, repr=False, compare=False)
     _hash: int = _field(init=False, repr=False, compare=False)
+    # the group-law memo: (P, Q) -> P + Q and P -> -P
+    _sums: dict = _field(init=False, repr=False, compare=False)
+    _negs: dict = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         F = self.field
@@ -38,6 +47,8 @@ class EllipticCurve:
         key = f"E[{coeffs}]/{F}"
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_negs", {})
 
     @staticmethod
     def from_coeffs(field, a1, a2, a3, a4, a6) -> "EllipticCurve":
@@ -87,6 +98,7 @@ class EllipticCurve:
 
     def __reduce__(self):
         # copies and pickles recompute the caches (str hashes are per process)
+        # and start with an empty group-law memo
         return EllipticCurve, (self.field, self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def __repr__(self) -> str:
@@ -153,17 +165,31 @@ def ec_neg(P: CurvePoint) -> CurvePoint:
     """-(x, y) = (x, -y - a1*x - a3); the identity is its own inverse."""
     if P.infinity:
         return P
-    F, E = P.curve.field, P.curve
-    return CurvePoint(E, P.x, F.sub(F.neg(P.y), F.add(F.mul(E.a1, P.x), E.a3)))
+    E = P.curve
+    neg = E._negs.get(P)
+    if neg is None:
+        F = E.field
+        neg = E._negs[P] = CurvePoint(E, P.x, F.sub(F.neg(P.y), F.add(F.mul(E.a1, P.x), E.a3)))
+    return neg
 
 
 def ec_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition in long Weierstrass form."""
+    """Chord-tangent addition in long Weierstrass form, memoized per curve."""
     _require_same_curve(P, Q)
     if P.infinity:
         return Q
     if Q.infinity:
         return P
+    sums = P.curve._sums
+    key = P, Q
+    total = sums.get(key)
+    if total is None:
+        total = sums[key] = _chord_tangent(P, Q)
+    return total
+
+
+def _chord_tangent(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+    """P + Q for affine points on one curve."""
     F, E = P.curve.field, P.curve
     if P.x == Q.x:
         if Q == ec_neg(P):

@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
 from .curves import full_two_torsion
@@ -175,8 +176,21 @@ class UserFunction:
         return f"user:{self.name}"
 
 
+class _ProductSpec:
+    """The face components of a spec whose divisor is a product class."""
+
+    @cached_property
+    def _components(self) -> tuple:
+        # built once per spec; not a field, so equality and hashing ignore it
+        return self.divisor_class().terms
+
+    def components(self):
+        """Face components as (kind tuple, coefficient), sorted."""
+        return self._components
+
+
 @dataclass(frozen=True)
-class FbarSpec:
+class FbarSpec(_ProductSpec):
     """The function on E^n with divisor -n sum D_i(0) + sum Delta_{i,j} + Dsum(0)."""
 
     curve: EllipticCurve
@@ -189,9 +203,6 @@ class FbarSpec:
     def divisor_class(self) -> ProductDivisorClass:
         return make_fbar_divisor(self.curve, self.n)
 
-    def components(self):
-        return list(self.divisor_class().terms)
-
     def sym_classes(self):
         # fully symmetric in all arguments
         return (tuple(range(1, self.n + 1)),)
@@ -201,7 +212,7 @@ class FbarSpec:
 
 
 @dataclass(frozen=True)
-class FnSpec:
+class FnSpec(_ProductSpec):
     """F-bar_n corrected by h_n in coordinates 2..n (the product reading)."""
 
     curve: EllipticCurve
@@ -215,9 +226,6 @@ class FnSpec:
 
     def divisor_class(self) -> ProductDivisorClass:
         return make_fn_divisor(self.curve, self.n, self.u, self.v).product
-
-    def components(self):
-        return list(self.divisor_class().terms)
 
     def sym_classes(self):
         # coordinate 1 keeps its poles at 0, coordinates 2..n are interchangeable

@@ -1,9 +1,12 @@
 """Exact sparse linear combinations: the one formal-sum type.
 
-Every object the verifier checks is a finite exact Q-linear combination:
+Every object the verifier checks is a finite exact linear combination:
 cycle classes, bar words, divisors, group-algebra elements, motive
 multiplicities.  `LinComb` is that combination, an immutable
-{basis: Fraction} mapping that never stores a zero.  Arithmetic
+{basis: coefficient} mapping that never stores a zero.  Each type names its
+zero in the class attribute `zero`: `Fraction(0)` by default, so
+coefficients are exact rationals; the group algebras use the int 0, so their
+integer coefficients stay plain ints and nothing divides them.  Arithmetic
 accumulates into a dict and never sorts.  The sorted view `terms` is built
 on first read and is the only place where anything sorts, so only output
 that depends on term order (reprs, report details, first-term rules) pays
@@ -26,13 +29,14 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 
 
-def accumulate(acc: dict, items, factor=1) -> dict:
+def accumulate(acc: dict, items, factor=1, zero=_ZERO) -> dict:
     """Add factor * c to acc[b] for every (b, c) in items, deleting the
-    entries that cancel, so acc never holds a zero.  Returns acc."""
+    entries that cancel, so acc never holds a zero.  A new entry starts at
+    `zero`, which fixes its type.  Returns acc."""
     get = acc.get
     scaled = factor != 1
     for basis, coeff in items:
-        coeff = get(basis, _ZERO) + (factor * coeff if scaled else coeff)
+        coeff = get(basis, zero) + (factor * coeff if scaled else coeff)
         if coeff:
             acc[basis] = coeff
         else:
@@ -41,14 +45,15 @@ def accumulate(acc: dict, items, factor=1) -> dict:
 
 
 class LinComb(Mapping):
-    """An exact formal sum: basis -> nonzero Fraction, immutable."""
+    """An exact formal sum: basis -> nonzero coefficient, immutable."""
 
     __slots__ = ("_coeffs", "_terms")
     labels = ()
     error = ValueError  # raised when labels disagree
+    zero = _ZERO  # the coefficient of an absent basis; fixes the type
 
     def __init__(self, items=(), *labels):
-        self._init(accumulate({}, items), labels)
+        self._init(accumulate({}, items, 1, self.zero), labels)
 
     def _init(self, coeffs: dict, labels):
         set_ = object.__setattr__
@@ -85,7 +90,7 @@ class LinComb(Mapping):
 
     # read-only mapping ---------------------------------------------------
 
-    def __getitem__(self, basis) -> Fraction:
+    def __getitem__(self, basis):
         return self._coeffs[basis]
 
     def __iter__(self):
@@ -103,8 +108,8 @@ class LinComb(Mapping):
     def values(self):
         return self._coeffs.values()
 
-    def coeff(self, basis) -> Fraction:
-        return self._coeffs.get(basis, _ZERO)
+    def coeff(self, basis):
+        return self._coeffs.get(basis, self.zero)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -120,11 +125,11 @@ class LinComb(Mapping):
 
     def __add__(self, other):
         self._check(other)
-        return self._like(accumulate(dict(self._coeffs), other.items()))
+        return self._like(accumulate(dict(self._coeffs), other.items(), 1, self.zero))
 
     def __sub__(self, other):
         self._check(other)
-        return self._like(accumulate(dict(self._coeffs), other.items(), -1))
+        return self._like(accumulate(dict(self._coeffs), other.items(), -1, self.zero))
 
     def __neg__(self):
         return self.scale(-1)

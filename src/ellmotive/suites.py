@@ -377,6 +377,7 @@ def _suite_boundaries(cfg: Config, report: Report):
                 f"boundaries:mu-formula:n={n},r={r}",
                 "d(mu^a) = sum delta[mu^{a+p} (x) eta(p)]",
                 rep.mu.complete,
+                None if rep.mu.complete else _match_failure(rep.mu),
             )
             nu_detail = (
                 "strictly zero"
@@ -399,6 +400,15 @@ def _suite_boundaries(cfg: Config, report: Report):
                     {"reproduced": [(lbl, str(s)) for lbl, s in k.reproduced],
                      "tail_terms": k.tail_term_count},
                 )
+
+
+def _match_failure(rep) -> dict:
+    """What a failed group match left: the instances that got no scalar and
+    the number of unmatched terms."""
+    return {
+        "no_scalar": [[i.group, i.label] for i in rep.instances if i.scalar is None],
+        "unmatched_terms": len(rep.unmatched),
+    }
 
 
 def _decoration_points(cfg: Config):
@@ -430,6 +440,80 @@ def _decoration_points(cfg: Config):
 
 # ---------------------------------------------------------------------------
 
+_CHAIN_ERRORS = (barcx.ChainConstructionError, divisors.DegeneracyError)
+
+
+def _bar_cocycle(mc):
+    ok, _ = barcx.verify_cocycle(mc.chain)
+    return ok, f"{len(mc.chain)} words, lengths {mc.chain.lengths()}"
+
+
+def _bar_dd(mc):
+    return barcx.bar_differential(barcx.bar_differential(mc.chain)).is_zero(), None
+
+
+def _bar_kills(mc):
+    return all(k.exact for k in mc.kills), f"{len(mc.kills)} families certified"
+
+
+def _bar_comultiply(mc):
+    crep = barcx.comultiply_report(mc)
+    return crep.passed, {"middle_groups": len(crep.middle)}
+
+
+def _bar_span(mc):
+    span = barcx.comodule_span(mc)
+    return span.closed, f"{len(span.members)} members"
+
+
+def _bar_nontriviality(mc):
+    cert = barcx.nontriviality_witness(mc.chain)
+    return cert.nontrivial, {
+        "point": cert.point.key() if cert.point else None,
+        "double": cert.double.key() if cert.double else None,
+        "reason": cert.reason,
+    }
+
+
+def _bar_leading_alone(mc):
+    # the boundary of the leading term is nonempty for n >= 1
+    leading_alone, _ = barcx.verify_cocycle(mc.chain.component(1))
+    return not leading_alone, None
+
+
+# (check, anchor, run): each runs on a built chain and returns (ok, details);
+# a chain error in one becomes that check's fail record
+_BAR_CHECKS = (
+    (
+        "cocycle",
+        "the chain and its successive boundaries define a cohomology class",
+        _bar_cocycle,
+    ),
+    ("DD", "the bar differential squares to zero", _bar_dd),
+    (
+        "kill-certificates",
+        "d(kill cycle) = swept mu/nu family combination + face tail, exactly",
+        _bar_kills,
+    ),
+    (
+        "comultiply",
+        "psi(E) = E (x) 1 + sum E^p (x) [p] + ... + 1 (x) E; counital, coassociative",
+        _bar_comultiply,
+    ),
+    (
+        "comodule-span",
+        "the layer chains, the point classes, and 1 span a comodule",
+        _bar_span,
+    ),
+    (
+        "nontriviality",
+        "the final term is generically not a coboundary: (P)-(-P) is not the "
+        "divisor of a function",
+        _bar_nontriviality,
+    ),
+    ("leading-alone", "the leading term alone is not a cocycle", _bar_leading_alone),
+)
+
 
 def _suite_bar(cfg: Config, report: Report):
     curve, gs = cfg.curve, cfg.functions
@@ -438,57 +522,15 @@ def _suite_bar(cfg: Config, report: Report):
         gsub = gs[:n]
         try:
             mc = barcx.build_motive_chain(curve, gsub, mode=cfg.mode)
-        except (barcx.ChainConstructionError, divisors.DegeneracyError) as exc:
+        except _CHAIN_ERRORS as exc:
             report.add(f"bar:chain:n={n}", "the motive chain exists", False, repr(exc))
             continue
-        ok, _ = barcx.verify_cocycle(mc.chain)
-        report.add(
-            f"bar:cocycle:n={n}",
-            "the chain and its successive boundaries define a cohomology class",
-            ok,
-            f"{len(mc.chain)} words, lengths {mc.chain.lengths()}",
-        )
-        dd = barcx.bar_differential(barcx.bar_differential(mc.chain))
-        report.add(f"bar:DD:n={n}", "the bar differential squares to zero", dd.is_zero())
-        report.add(
-            f"bar:kill-certificates:n={n}",
-            "d(kill cycle) = swept mu/nu family combination + face tail, exactly",
-            all(k.exact for k in mc.kills),
-            f"{len(mc.kills)} families certified",
-        )
-        crep = barcx.comultiply_report(mc)
-        report.add(
-            f"bar:comultiply:n={n}",
-            "psi(E) = E (x) 1 + sum E^p (x) [p] + ... + 1 (x) E; counital, coassociative",
-            crep.passed,
-            {"middle_groups": len(crep.middle)},
-        )
-        span = barcx.comodule_span(mc)
-        report.add(
-            f"bar:comodule-span:n={n}",
-            "the layer chains, the point classes, and 1 span a comodule",
-            span.closed,
-            f"{len(span.members)} members",
-        )
-        cert = barcx.nontriviality_witness(mc.chain)
-        report.add(
-            f"bar:nontriviality:n={n}",
-            "the final term is generically not a coboundary: (P)-(-P) is not the "
-            "divisor of a function",
-            cert.nontrivial,
-            {
-                "point": cert.point.key() if cert.point else None,
-                "double": cert.double.key() if cert.double else None,
-                "reason": cert.reason,
-            },
-        )
-        # leading-term cocycle must fail alone for n >= 1 (the boundary is nonempty)
-        leading_alone, _ = barcx.verify_cocycle(mc.chain.component(1))
-        report.add(
-            f"bar:leading-alone:n={n}",
-            "the leading term alone is not a cocycle",
-            not leading_alone,
-        )
+        for check, anchor, run in _BAR_CHECKS:
+            try:
+                ok, details = run(mc)
+            except _CHAIN_ERRORS as exc:
+                ok, details = False, repr(exc)
+            report.add(f"bar:{check}:n={n}", anchor, ok, details)
     # Ext witness at the h^1(E) layer
     P = _nontorsion_point(cfg)
     if P is not None:

@@ -2,10 +2,11 @@
 
 Permutations use one-line notation on {1..b}; composition is right-to-left,
 so (sigma * tau)(x) = sigma(tau(x)): tau acts first.  Group-algebra elements
-are exact-rational formal sums of permutations.  Young symmetrizers are
-stored unnormalized (the raw sums of group elements); a separate
-`normalize` divides by the quasi-idempotency eigenvalue when a true
-idempotent is needed.
+are formal sums of permutations with integer coefficients: their zero is the
+int 0, so sums and products of Young symmetrizers stay plain ints.  Young
+symmetrizers are stored unnormalized (the raw sums of group elements); the
+quasi-idempotency e * e = (b!/dim) e is checked by scaling with the integer
+eigenvalue, never by dividing.
 
 The right action of a permutation on cycle-valued vectors carries a sign.
 The displayed formula admits two readings of that sign, (-1)^{|sigma|} (the
@@ -54,6 +55,14 @@ class Permutation:
     def __post_init__(self):
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise GroupAlgebraError(f"{self.images} is not a permutation")
+
+    @staticmethod
+    def _trusted(images: tuple) -> "Permutation":
+        """A permutation from images known to be one (a composition of
+        permutations), without the bijection check."""
+        perm = object.__new__(Permutation)
+        object.__setattr__(perm, "images", images)
+        return perm
 
     @property
     def degree(self) -> int:
@@ -115,11 +124,12 @@ def _images(perm: Permutation) -> tuple:
 
 
 class GroupAlgebraElement(LinComb):
-    """Exact formal sum of permutations of {1..degree}."""
+    """Formal sum of permutations of {1..degree}; int coefficients stay ints."""
 
     __slots__ = labels = ("degree",)
     sort_key = staticmethod(_images)
     error = GroupAlgebraError
+    zero = 0
 
     @classmethod
     def of(cls, degree: int, items) -> "GroupAlgebraElement":
@@ -138,7 +148,8 @@ class GroupAlgebraElement(LinComb):
                 # (p1 * p2)(x) = p1(p2(x))
                 key = tuple([images[x - 1] for x in p2.images])
                 acc[key] = acc.get(key, 0) + c1 * c2
-        return GroupAlgebraElement([(Permutation(k), c) for k, c in acc.items()], self.degree)
+        trusted = Permutation._trusted
+        return self._like({trusted(k): c for k, c in acc.items() if c})
 
     def _term_repr(self, perm, coeff) -> str:
         return f"{coeff}*[{perm!r}]"
@@ -367,11 +378,12 @@ def _signed_key(g: SignedGroupElement) -> tuple:
 
 
 class SignedGroupAlgebraElement(LinComb):
-    """Exact formal sum of elements of G_degree."""
+    """Formal sum of elements of G_degree; int coefficients stay ints."""
 
     __slots__ = labels = ("degree",)
     sort_key = staticmethod(_signed_key)
     error = GroupAlgebraError
+    zero = 0
 
     @classmethod
     def of(cls, degree: int, items) -> "SignedGroupAlgebraElement":

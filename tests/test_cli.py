@@ -204,10 +204,56 @@ def test_bar_suite_honours_n_max_and_isolates_failures(monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "check, rid",
+    [
+        ("comultiply_report", "comultiply"),
+        ("comodule_span", "comodule-span"),
+        ("nontriviality_witness", "nontriviality"),
+    ],
+)
+def test_bar_check_errors_become_their_own_fail_record(monkeypatch, check, rid):
+    # a chain error after the chain is built fails that check alone, and the
+    # other checks of that n and the other n still run
+    cfg = config_from_dict(FN_CONFIG)  # two functions, n_max = 2
+    real = getattr(barcx, check)
+    calls = []
+
+    def broken(arg):
+        calls.append(arg)
+        if len(calls) == 1:
+            raise DegeneracyError("forced")
+        return real(arg)
+
+    monkeypatch.setattr(barcx, check, broken)
+    records = {r.id: r for r in run_suite(cfg, "bar").records}
+    failed = {i for i, r in records.items() if r.status == "fail"}
+    assert failed == {f"bar:{rid}:n=1"}
+    assert records[f"bar:{rid}:n=1"].details == repr(DegeneracyError("forced"))
+    assert records[f"bar:{rid}:n=2"].status == "pass"
+    assert {f"bar:leading-alone:n={n}" for n in (1, 2)} <= set(records)
+    assert not any(i.endswith(":aborted") for i in records)
+
+
+def test_failed_mu_record_names_its_unmatched_instances():
+    cfg = config_from_dict(_workloads().fp_config(0, p=10007))
+    records = run_suite(cfg, "boundaries").records
+    mu = [r for r in records if r.id.startswith("boundaries:mu-formula:")]
+    (bad,) = [r for r in mu if r.status == "fail"]
+    assert bad.id == "boundaries:mu-formula:n=1,r=0"
+    assert bad.details == {
+        "no_scalar": [["mu-lower", "g1:(10006,10006)"], ["mu-lower", "g1:(2,10004)"]],
+        "unmatched_terms": 0,
+    }
+    # passing records keep their bytes
+    assert len(mu) > 1 and all(r.details is None for r in mu if r is not bad)
+
+
 # sha256 of two seed-0 reports on the F_10007 config of the motive-fp-n2
 # workload.  `verify boundaries` is the only report that reaches the matcher's
 # failure edge (its first-key scalar and its unmatched order): it fails
 # boundaries:mu-formula:n=1,r=0, a known defect whose fix must move this hash.
+# That record's details name the two mu-lower instances that got no scalar.
 FP_REPORTS = [
     pytest.param(
         ("build-motive", "--n", "2"),
@@ -218,7 +264,7 @@ FP_REPORTS = [
     pytest.param(
         ("verify", "boundaries"),
         1,
-        "cc44c909858ea9e55e9ce473e71b94f9d07f93c01d25f95dda7867dd504ebc71",
+        "bdfc038106e938656d93e00c0e47b2cd2e9ff6895c0a257b675a2c515e0de2db",
         id="verify-boundaries",
     ),
 ]

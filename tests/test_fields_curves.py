@@ -266,3 +266,105 @@ def test_value_objects_copy_and_pickle():
         for obj in (E, P, cycle):
             dups = (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj)))
             assert all(dup == obj and hash(dup) == hash(obj) for dup in dups)
+
+
+# ---------------------------------------------------------------------------
+# the per-curve group-law memo
+
+
+def test_group_law_memo_returns_the_identical_point():
+    E = rank_one_curve()
+    P = generator(E)
+    Q = ec_scalar_mul(2, P)
+    S = ec_add(P, Q)
+    assert ec_add(P, Q) is S
+    # an equal point built separately hits the same entry
+    assert ec_add(CurvePoint.affine(E, P.x, P.y), Q) is S
+    assert ec_neg(S) is ec_neg(S) and ec_neg(ec_neg(S)) == S
+    assert S == ec_scalar_mul(3, P)
+
+
+def test_group_law_memo_still_checks_the_curve():
+    E, F = two_torsion_curve_f11(), rank_one_curve()
+    P = full_two_torsion(E)[0]
+    ec_add(P, P)
+    F_point = generator(F)
+    with pytest.raises(CurveError):
+        ec_add(P, F_point)
+    with pytest.raises(CurveError):
+        ec_add(F_point, P)
+
+
+def test_group_law_memo_belongs_to_one_curve():
+    E = rank_one_curve()
+    P = generator(E)
+    ec_add(P, ec_neg(P))
+    ec_scalar_mul(5, P)
+    assert E._sums and E._negs
+    twin = EllipticCurve.from_coeffs(E.field, E.a1, E.a2, E.a3, E.a4, E.a6)
+    dups = (copy.copy(E), copy.deepcopy(E), pickle.loads(pickle.dumps(E)), twin)
+    for dup in dups:
+        assert dup == E and hash(dup) == hash(E)
+        assert not dup._sums and not dup._negs
+    # equal curves do not share a memo: a sum on the twin lands on the twin
+    Pt = CurvePoint.affine(twin, P.x, P.y)
+    S = ec_add(Pt, Pt)
+    assert S.curve is twin and (Pt, Pt) in twin._sums
+    assert S == ec_add(P, P) and S is not ec_add(P, P)
+    assert "_sums" not in repr(E) and "_negs" not in repr(E)
+
+
+def _reference_neg(E, P):
+    """-P from the formula, on coordinate pairs mod p (None is the identity)."""
+    p = E.field.p
+    if P is None:
+        return None
+    x, y = P
+    return x, (-y - E.a1 * x - E.a3) % p
+
+
+def _reference_add(E, P, Q):
+    """P + Q from the chord-tangent formulas, on coordinate pairs mod p."""
+    p = E.field.p
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2 + E.a1 * x2 + E.a3) % p == 0:
+        return None
+    if x1 == x2:
+        num = 3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1
+        den = 2 * y1 + E.a1 * x1 + E.a3
+    else:
+        num, den = y2 - y1, x2 - x1
+    lam = num * pow(den, -1, p) % p
+    x3 = (lam * lam + E.a1 * lam - E.a2 - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1 - E.a1 * x3 - E.a3) % p
+    return x3, y3
+
+
+def _pair(P):
+    return None if P.infinity else (P.x, P.y)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_memoized_group_law_matches_the_formulas(data):
+    E = data.draw(_curves())
+    P, R = data.draw(_points(E)), data.draw(_points(E))
+    # Q = P exercises doubling, Q = -P the vertical chord
+    Q = data.draw(st.sampled_from([data.draw(_points(E)), P, ec_neg(P)]))
+    for X, Y in ((P, Q), (P, P), (Q, R)):
+        expected = _reference_add(E, _pair(X), _pair(Y))
+        first, second = ec_add(X, Y), ec_add(X, Y)
+        assert _pair(first) == _pair(second) == expected
+        assert first.curve == E and (first.infinity or E.contains(first.x, first.y))
+    assert _pair(ec_neg(P)) == _pair(ec_neg(P)) == _reference_neg(E, _pair(P))
+    assert ec_add(P, Q) == ec_add(Q, P)
+    assert ec_add(ec_add(P, Q), R) == ec_add(P, ec_add(Q, R))
+    assert ec_add(P, ec_neg(P)).infinity and ec_add(ec_neg(P), P).infinity
+    for T in full_two_torsion(E):
+        # the doubling branch's vertical tangent
+        assert ec_neg(T) == T and ec_add(T, T).infinity
+        assert _pair(ec_add(T, P)) == _reference_add(E, _pair(T), _pair(P))

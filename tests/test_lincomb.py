@@ -61,6 +61,19 @@ def test_arithmetic_laws(xs, ys, k):
     assert all(c != 0 for c in a.scale(k).values())
 
 
+def test_zero_fixes_the_coefficient_type():
+    # int inputs become Fractions in every type but the group algebras, so
+    # dividing two coefficients stays exact
+    a = LinComb([("x", 1), ("y", 2)])
+    for c in (a["x"], a.coeff("z"), (a + a)["y"], (a - a.scale(2))["x"]):
+        assert type(c) is Fraction
+    assert a["x"] / a["y"] == Fraction(1, 2)
+    d = ProductDivisorClass.of(rank_one_curve(), 2, [(("Delta", 1, 2), 1)])
+    assert {type(c) for c in d.values()} == {Fraction}
+    g = GroupAlgebraElement.unit(2)
+    assert {type(c) for c in (g + g).values()} == {int} and type(g.coeff(None)) is int
+
+
 def test_mapping_interface_and_labels():
     a = LinComb([("x", 2), ("y", Fraction(1, 3)), ("x", -2)])
     assert "x" not in a and a.coeff("x") == 0 and a["y"] == Fraction(1, 3)

@@ -1,6 +1,9 @@
 """Group algebra, Young symmetrizers, tabloids, and the signed group."""
 
+import copy
+import pickle
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -150,13 +153,42 @@ def test_transpose_projector():
                 assert back == p
 
 
+def _coeff_types(element):
+    return {type(c) for c in element.values()}
+
+
 def test_quasi_idempotency_small():
     for b in range(1, 5):
         for rows in partitions(b):
             lam = factorial(b) // hook_length_dimension(rows)
             for shape in standard_tableaux(rows):
                 e = young_symmetrizer(shape)
-                assert e * e == e.scale(lam)
+                square = e * e
+                assert square == e.scale(lam)
+                # nothing divides a symmetrizer: its coefficients and those of
+                # its square are plain ints, never Fractions
+                assert _coeff_types(e) == _coeff_types(square) == {int}
+                # the product builds its permutations unchecked; they are genuine
+                assert all(Permutation(p.images) == p for p in square)
+
+
+def test_group_algebras_keep_int_coefficients():
+    for c in (1, 2, 3):
+        alt = alt_signed_group(c)
+        assert _coeff_types(alt) == _coeff_types(alt * alt) == {int}
+    x = elem(2, (perm(2, 1), 2))
+    assert type(x.coeff(perm(1, 2))) is int and _coeff_types(x - x.scale(3)) == {int}
+    # a rational scale is kept exactly
+    assert x.scale(Fraction(1, 2)) == elem(2, (perm(2, 1), 1))
+
+
+def test_group_algebra_copy_and_pickle():
+    e = young_symmetrizer(YoungShape.standard((2, 1)))
+    e.terms  # fill the sorted view first
+    for dup in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert dup == e and hash(dup) == hash(e) and dup.degree == e.degree
+        assert repr(dup) == repr(e)
+        assert _coeff_types(dup) == {int}
 
 
 def test_hook_length_dimensions():
