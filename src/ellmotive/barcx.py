@@ -7,9 +7,10 @@ the cube-dimension parities (the convention compatible with the face-sign
 Leibniz rule); D squares to zero.
 
 `build_motive_chain` assembles the canonical cocycle with a given leading
-family: lower layers are generated mechanically by splicing in the verified
-boundary-formula expansions and solving the contraction equations exactly,
-layer by layer; the chain terminates in pure tensor words of point classes.
+family: lower layers are generated mechanically by splicing in the terms of
+the boundary-formula table that `formulas` verifies (`FamilyContext.expansions`,
+in both tensor orders) and solving the contraction equations exactly, layer
+by layer; the chain terminates in pure tensor words of point classes.
 The mu/nu families the expansions bring in are certified trivial by the two
 kill-cycle families (each swept family combination is exactly the boundary
 of its kill cycle; see `kill_certificates` for why the discharge lives at
@@ -23,9 +24,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg
-from .cycles import CycleSum, boundary, build_family, decorate, external_product
-from .formulas import KillCycleReport, _match_groups, verify_mu_killer, verify_nu_killer
-from .gl2 import PureMotive, clebsch_gordan
+from .cycles import CycleSum, boundary, external_product, tensor_supports
+from .formulas import (
+    FamilyContext,
+    KillCycleReport,
+    _match_groups,
+    _sorted_pts,
+    desc_key,
+    verify_killer,
+)
 from .lincomb import LinComb, accumulate
 
 
@@ -114,118 +121,6 @@ def verify_cocycle(chain: BarChain):
     """True iff the bar differential of the chain canonicalizes to zero."""
     diff = bar_differential(chain)
     return diff.is_zero(), diff
-
-
-# ---------------------------------------------------------------------------
-# descriptors: the named families a chain layer can be built from
-
-
-def desc_key(desc) -> str:
-    """The sort key of chain candidates and the label of kill certificates;
-    descriptors themselves are the cache keys."""
-    kind = desc[0]
-    if kind == "pt":
-        return f"pt[{desc[1].key()}]"
-    if kind == "eta":
-        pts = ",".join(p.key() for p in desc[1])
-        return f"eta[{pts}][{','.join(desc[2])}]"
-    if kind == "mu":
-        return f"mu[{desc[1].key()}][{','.join(desc[2])}]"
-    if kind == "nu":
-        return f"nu[{desc[1]}][{desc[2].key()},{desc[3].key()}][{','.join(desc[4])}]"
-    if kind == "kmu":
-        return f"kmu[{desc[1]}][{desc[2].key()}][{','.join(desc[3])}]"
-    if kind == "knu":
-        return f"knu[{desc[1]}][{desc[2].key()},{desc[3].key()}][{','.join(desc[4])}]"
-    raise ChainConstructionError(f"unknown descriptor {desc!r}")
-
-
-class FamilyContext:
-    """Materializes descriptors over a fixed admissible function tuple."""
-
-    def __init__(self, curve, gs, mode="fbar"):
-        self.curve = curve
-        self.gs = {g.name: g for g in gs}
-        self.mode = mode
-        self._cache = {}
-
-    def g_tuple(self, names):
-        return [self.gs[n] for n in names]
-
-    def materialize(self, desc) -> CycleSum:
-        if desc in self._cache:
-            return self._cache[desc]
-        kind = desc[0]
-        if kind == "pt":
-            out = decorate("eta_point", desc[1])
-        elif kind == "eta":
-            pts, names = desc[1], desc[2]
-            gsub = self.g_tuple(names)
-            X = build_family("X", self.curve, len(gsub), gsub, fixed=tuple(pts), mode=self.mode)
-            out = decorate("eta", X, n=len(gsub))
-        elif kind == "mu":
-            c, names = desc[1], desc[2]
-            gsub = self.g_tuple(names)
-            Y = build_family("Y", self.curve, len(gsub), gsub, fixed=(c,))
-            out = decorate("mu", Y, n=len(gsub))
-        elif kind == "nu":
-            j, b1, b2, names = desc[1], desc[2], desc[3], desc[4]
-            gsub = self.g_tuple(names)
-            Z = build_family("Z", self.curve, len(gsub), gsub, j=j, b1=b1, b2=b2)
-            out = decorate("nu", Z, n=len(gsub))
-        else:
-            raise ChainConstructionError(f"unknown descriptor {desc!r}")
-        self._cache[desc] = out
-        return out
-
-    def expansions(self, desc):
-        """The 2-slot splices of one descriptor, per the verified boundary
-        formula groups; both tensor orders are offered to the solver."""
-        kind = desc[0]
-        out = []
-        if kind == "eta":
-            pts, names = desc[1], desc[2]
-            total = CurvePoint.at_infinity(self.curve)
-            for p in pts:
-                total = ec_add(total, p)
-            if names:
-                for i, name in enumerate(names):
-                    rest = tuple(n for n in names if n != name)
-                    for p, _ in self.gs[name].divisor.terms:
-                        out.append((("eta", _sorted_pts(pts + (p,)), rest), ("pt", p)))
-                for idx, al in enumerate(pts):
-                    out.append((("pt", al), ("mu", ec_add(total, al), names)))
-                    for j in range(1, len(names) + 1):
-                        out.append((("nu", j, total, al, names), ("pt", al)))
-            else:
-                for al in pts:
-                    other = ec_neg(ec_add(al, total))
-                    if not other.infinity:
-                        out.append((("pt", al), ("pt", other)))
-        elif kind == "mu":
-            c, names = desc[1], desc[2]
-            for i, name in enumerate(names):
-                rest = tuple(n for n in names if n != name)
-                for p, _ in self.gs[name].divisor.terms:
-                    out.append((("mu", ec_add(c, p), rest), ("pt", p)))
-        elif kind == "nu":
-            j, b1, b2, names = desc[1], desc[2], desc[3], desc[4]
-            if len(names) >= 2:
-                gj = names[j - 1]
-                for i, name in enumerate(names):
-                    if name == gj:
-                        continue
-                    rest = tuple(n for n in names if n != name)
-                    jr = rest.index(gj) + 1
-                    for q, _ in self.gs[name].divisor.terms:
-                        out.append((("nu", jr, ec_add(b1, q), b2, rest), ("pt", q)))
-        # both orders: products commute up to sign, the solver decides
-        swapped = [(b, a) for a, b in out]
-        return out + swapped
-
-
-def _sorted_pts(pts):
-    return tuple(sorted(pts, key=lambda p: p.key()))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +213,7 @@ class MotiveChain:
 def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
     """Assemble the canonical cocycle with leading term eta^{fixed}(gs)."""
     ctx = FamilyContext(curve, gs, mode)
-    names = tuple(g.name for g in gs)
-    top = ("eta", _sorted_pts(tuple(fixed)), names)
+    top = ("eta", _sorted_pts(fixed), ctx.names)
     layers = [[(Fraction(1), (top,))]]
     chain = _materialize_word(ctx, (top,))
     if chain.is_zero():
@@ -335,7 +229,9 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
         seen = set()
         for coeff, descs in layers[-1]:
             for i, d in enumerate(descs):
-                for left, right in ctx.expansions(d):
+                # both orders: products commute up to sign, the solver decides
+                pairs = [(left, right) for *_, left, right in ctx.expansions(d)]
+                for left, right in pairs + [(b, a) for a, b in pairs]:
                     new = descs[:i] + (left, right) + descs[i + 1 :]
                     if new not in seen:
                         seen.add(new)
@@ -411,23 +307,19 @@ def _chain_mu_nu_families(layers):
 def kill_certificates(mc: "MotiveChain") -> list:
     """For every mu/nu family in the chain, certify the coboundary relation
     d(kill cycle) = swept family combination + explicit face tail, exactly.
-    The check is the boundaries suite's own (formulas.verify_mu_killer and
-    formulas.verify_nu_killer)."""
+    The check is the boundaries suite's own (`formulas.verify_killer`), run
+    in the chain's context."""
     ctx = mc.context
     out = []
     for d in _chain_mu_nu_families(mc.layers):
         if d[0] == "mu":
             _, c, names = d
-            gs = ctx.g_tuple(names)
             # choose the sweep through the first divisor point of g_1
-            shift = ec_add(c, ec_neg(gs[0].divisor.terms[0][0]))
+            shift = ec_add(c, ec_neg(ctx.gs[names[0]].divisor.terms[0][0]))
             killer = ("kmu", 1, shift, names)
-            check = verify_mu_killer(ctx.curve, gs, 1, shift)
         else:
-            _, j, b1, b2, names = d
-            killer = ("knu", j, b1, b2, names)
-            check = verify_nu_killer(ctx.curve, ctx.g_tuple(names), j, b1, b2)
-        out.append(KillCertificate(desc_key(d), desc_key(killer), check))
+            killer = ("knu",) + d[1:]
+        out.append(KillCertificate(desc_key(d), desc_key(killer), verify_killer(ctx, killer)))
     return out
 
 
@@ -463,11 +355,6 @@ def _unit_groups(chain: BarChain, groups: dict):
     leading = groups.get(_UNIT, BarChain())
     trailing = BarChain((r, c) for c, l, r in comultiply(chain) if l.length == 0)
     return leading, trailing
-
-
-def verify_counit(chain: BarChain) -> bool:
-    leading, trailing = _unit_groups(chain, comultiply_grouped(chain))
-    return leading == chain and trailing == chain
 
 
 def verify_coassociativity(chain: BarChain) -> bool:
@@ -522,26 +409,24 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
     groups = comultiply_grouped(chain)
     leading, trailing = _unit_groups(chain, groups)
     middle = []
-    names = mc.leading[2]
-    for name in names:
-        g = ctx.gs[name]
-        rest = tuple(n for n in names if n != name)
-        for p, _m in g.divisor.terms:
-            pt_word_chain = BarChain.from_cycle_sums([decorate("eta_point", p)])
-            left = BarChain()
-            for w in pt_word_chain:
-                if w in groups:
-                    left = left + groups[w]
-            if left.is_zero():
-                middle.append((p.key(), False, False))
-                continue
-            is_cocycle, _ = verify_cocycle(left)
-            lead = left.component(1)
-            target = _materialize_word(
-                ctx, (("eta", _sorted_pts(mc.leading[1] + (p,)), rest),)
-            )
-            ok = not target.is_zero() and _match_groups(lead, [("eta", p.key(), target)]).complete
-            middle.append((p.key(), is_cocycle, ok))
+    for _, _, _, left, right in ctx.expansions(mc.leading):
+        if left[0] != "eta":
+            continue  # only the divisor-point terms eta^{p}(rest) (x) [p]
+        p = right[1]
+        left_sum = BarChain()
+        for w in BarChain.from_cycle_sums([ctx.materialize(right)]):
+            if w in groups:
+                left_sum = left_sum + groups[w]
+        if left_sum.is_zero():
+            middle.append((p.key(), False, False))
+            continue
+        is_cocycle, _ = verify_cocycle(left_sum)
+        target = _materialize_word(ctx, (left,))
+        ok = (
+            not target.is_zero()
+            and _match_groups(left_sum.component(1), [("eta", p.key(), target)]).complete
+        )
+        middle.append((p.key(), is_cocycle, ok))
     return ComultiplyReport(
         verify_coassociativity(chain), leading == chain, trailing == chain, middle
     )
@@ -563,33 +448,15 @@ def final_layer_points(chain: BarChain):
     return pts
 
 
-def _descriptor_motive(desc) -> PureMotive:
-    kind = desc[0]
-    if kind == "pt":
-        return PureMotive(1, 0)
-    if kind == "eta":
-        return PureMotive(len(desc[2]), 1)
-    if kind == "mu":
-        return PureMotive(len(desc[2]) + 1, 0)
-    if kind == "nu":
-        return PureMotive(len(desc[4]) - 1, 1)
-    raise ChainConstructionError(f"no motive label for {desc!r}")
-
-
 def grading_coherent(mc: MotiveChain) -> bool:
     """Every layer word's motive labels tensor down to a sum containing the
     leading motive: the chain is graded by one pure motive."""
-    target = _descriptor_motive(mc.leading)
-    for _, descs in mc.layers:
-        support = {_descriptor_motive(descs[0])}
-        for d in descs[1:]:
-            nxt = set()
-            for V in support:
-                nxt.update(clebsch_gordan(V, _descriptor_motive(d)))
-            support = nxt
-        if target not in support:
-            return False
-    return True
+    ctx = mc.context
+    (target,) = ctx.materialize(mc.leading).motives
+    return all(
+        tensor_supports([m for d in descs for m in ctx.materialize(d).motives], target)
+        for _, descs in mc.layers
+    )
 
 
 @dataclass

@@ -78,6 +78,8 @@ def config_from_dict(data: dict) -> Config:
         name = fdata.get("name")
         if not name:
             raise ConfigError("every function needs a name")
+        if any(g.name == name for g in functions):
+            raise ConfigError(f"function name {name!r} is repeated")
         items = []
         for term in fdata.get("divisor", []):
             pt = parse_point(curve, term["point"])

@@ -773,15 +773,6 @@ def apply_projector_signed(s: CycleSum, element: GroupAlgebraElement) -> CycleSu
     return CycleSum.of(items, s.motives)
 
 
-def cube_swap(s: CycleSum, i: int, j: int) -> CycleSum:
-    """Transpose two cube slots (no sign; the class changes by the swap)."""
-    items = []
-    for cyc, coeff in s.items():
-        sigma = Permutation.transposition(cyc.c, i, j)
-        items.append((cyc.permute_qcoords(sigma), coeff))
-    return CycleSum.of(items, s.motives)
-
-
 # ---------------------------------------------------------------------------
 # admissibility
 

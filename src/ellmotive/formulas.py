@@ -1,4 +1,12 @@
-"""Machine verification of the displayed boundary formulas.
+"""The boundary-formula table and its machine verification.
+
+Families are named by descriptors, and `FamilyContext` materializes them.
+`FamilyContext.expansions` is the one table of the displayed boundary
+formulas: per eta, mu or nu descriptor, its term groups as products
+delta[left (x) right] with their multiplicities.  `FamilyContext.swept` lists
+the family members a kill cycle's face sweeps.  The checks below match that
+table against exact boundaries; `barcx.build_motive_chain` splices the same
+table into chains.
 
 `verify_boundary_formulas` expands the boundary of a decorated eta family
 symbolically and classifies every term into the three term groups
@@ -107,122 +115,204 @@ def _match_groups(lhs, instances, target="") -> GroupMatchReport:
     return GroupMatchReport(target, done, unmatched)
 
 
-def _point_sum(curve, points):
-    acc = CurvePoint.at_infinity(curve)
-    for p in points:
-        acc = ec_add(acc, p)
-    return acc
+# ---------------------------------------------------------------------------
+# descriptors: the named families the boundary formulas are written in
+#
+#   ("pt", p)                   eta_point(p)
+#   ("eta", points, names)      eta over X(len(names), points)
+#   ("mu", c, names)            mu over Y(len(names), c)
+#   ("nu", j, b1, b2, names)    nu over Z(len(names), j, b1, b2)
+#   ("kmu", i, shift, names)    the mu kill cycle
+#   ("knu", j, b1, b2, names)   the nu kill cycle
+#
+# names index the function tuple of a FamilyContext.
 
 
-def eta_group_instances(curve, n, gs, fixed, mode="fbar"):
-    """The right-hand-side instances of the eta boundary display."""
-    instances = []
-    if n >= 1:
-        for i, g in enumerate(gs):
-            rest = [h for h in gs if h is not g]
-            for p, m in g.divisor.terms:
-                Xp = build_family("X", curve, n - 1, rest, fixed=tuple(fixed) + (p,), mode=mode)
-                grp = external_product(
-                    decorate("eta", Xp, n=n - 1), decorate("eta_point", p)
-                ).scale(m)
-                instances.append(("divisor-point", f"g{i + 1}:{p.key()}", grp))
-    else:
-        total = _point_sum(curve, fixed)
-        for idx, al in enumerate(fixed):
-            other = ec_neg(ec_add(al, total))
-            grp = external_product(
-                decorate("eta_point", al), decorate("eta_point", other)
-            )
-            instances.append(("divisor-point", f"a{idx + 1}", grp))
-    if n >= 1:
-        total = _point_sum(curve, fixed)
-        for idx, al in enumerate(fixed):
-            Ym = build_family("Y", curve, n, gs, fixed=(ec_add(total, al),))
-            grp = external_product(
-                decorate("eta_point", al), decorate("mu", Ym, n=n)
-            )
-            instances.append(("mu", f"a{idx + 1}", grp))
-            for j in range(1, n + 1):
-                Zj = build_family("Z", curve, n, gs, j=j, b1=total, b2=al)
-                grp = external_product(
-                    decorate("nu", Zj, n=n), decorate("eta_point", al)
-                )
-                instances.append(("nu", f"a{idx + 1},j={j}", grp))
-    return instances
+def desc_key(desc) -> str:
+    """The sort key of chain candidates and the label of kill certificates;
+    descriptors themselves are the cache keys."""
+    kind = desc[0]
+    if kind == "pt":
+        return f"pt[{desc[1].key()}]"
+    if kind == "eta":
+        pts = ",".join(p.key() for p in desc[1])
+        return f"eta[{pts}][{','.join(desc[2])}]"
+    if kind == "mu":
+        return f"mu[{desc[1].key()}][{','.join(desc[2])}]"
+    if kind == "nu":
+        return f"nu[{desc[1]}][{desc[2].key()},{desc[3].key()}][{','.join(desc[4])}]"
+    if kind == "kmu":
+        return f"kmu[{desc[1]}][{desc[2].key()}][{','.join(desc[3])}]"
+    if kind == "knu":
+        return f"knu[{desc[1]}][{desc[2].key()},{desc[3].key()}][{','.join(desc[4])}]"
+    raise ValueError(f"unknown descriptor {desc!r}")
+
+
+def _sorted_pts(pts):
+    # spliced eta points go in key order, so that every splice path reaches
+    # one descriptor; the F-coordinate is symmetric in them, so the family
+    # does not change
+    return tuple(sorted(pts, key=lambda p: p.key()))
+
+
+def _without(names, name):
+    return tuple(n for n in names if n != name)
+
+
+class FamilyContext:
+    """Materializes descriptors over a fixed admissible function tuple and
+    holds the boundary-formula table: the checks below match it against
+    exact boundaries, and the bar complex splices it into chains."""
+
+    def __init__(self, curve, gs, mode="fbar"):
+        self.curve = curve
+        self.gs = {g.name: g for g in gs}
+        self.names = tuple(self.gs)
+        self.mode = mode
+        self._cache = {}
+
+    def g_tuple(self, names):
+        return [self.gs[n] for n in names]
+
+    def materialize(self, desc) -> CycleSum:
+        if desc in self._cache:
+            return self._cache[desc]
+        kind, curve = desc[0], self.curve
+        gsub = self.g_tuple(desc[-1]) if kind != "pt" else []
+        n = len(gsub)
+        if kind == "pt":
+            out = decorate("eta_point", desc[1])
+        elif kind == "eta":
+            X = build_family("X", curve, n, gsub, fixed=desc[1], mode=self.mode)
+            out = decorate("eta", X, n=n)
+        elif kind == "mu":
+            out = decorate("mu", build_family("Y", curve, n, gsub, fixed=(desc[1],)), n=n)
+        elif kind == "nu":
+            _, j, b1, b2, _ = desc
+            out = decorate("nu", build_family("Z", curve, n, gsub, j=j, b1=b1, b2=b2), n=n)
+        elif kind == "kmu":
+            out = CycleSum.single(build_mu_killer(curve, gsub, desc[1], desc[2]))
+        elif kind == "knu":
+            out = CycleSum.single(build_nu_killer(curve, gsub, *desc[1:4]))
+        else:
+            raise ValueError(f"unknown descriptor {desc!r}")
+        self._cache[desc] = out
+        return out
+
+    def expansions(self, desc):
+        """The displayed boundary of one eta/mu/nu descriptor, term group by
+        term group: (group, label, multiplicity, left, right) per product
+        delta[left (x) right]."""
+        kind = desc[0]
+        if kind == "eta":
+            _, pts, names = desc
+            total = CurvePoint.at_infinity(self.curve)
+            for p in pts:
+                total = ec_add(total, p)
+            if not names:
+                for idx, al in enumerate(pts):
+                    other = ec_neg(ec_add(al, total))
+                    if not other.infinity:
+                        yield "divisor-point", f"a{idx + 1}", 1, ("pt", al), ("pt", other)
+                return
+            for i, name in enumerate(names):
+                for p, m in self.gs[name].divisor.terms:
+                    left = ("eta", _sorted_pts(pts + (p,)), _without(names, name))
+                    yield "divisor-point", f"g{i + 1}:{p.key()}", m, left, ("pt", p)
+            for idx, al in enumerate(pts):
+                yield "mu", f"a{idx + 1}", 1, ("pt", al), ("mu", ec_add(total, al), names)
+                for j in range(1, len(names) + 1):
+                    yield "nu", f"a{idx + 1},j={j}", 1, ("nu", j, total, al, names), ("pt", al)
+        elif kind == "mu":
+            _, c, names = desc
+            for i, name in enumerate(names):
+                for p, m in self.gs[name].divisor.terms:
+                    left = ("mu", ec_add(c, p), _without(names, name))
+                    yield "mu-lower", f"g{i + 1}:{p.key()}", m, left, ("pt", p)
+        elif kind == "nu":
+            # the face at y_i = q shifts the balancing constant b1 by q
+            _, j, b1, b2, names = desc
+            for i, name in enumerate(names):
+                if i == j - 1:
+                    continue
+                rest = _without(names, name)
+                jr = rest.index(names[j - 1]) + 1
+                for q, m in self.gs[name].divisor.terms:
+                    left = ("nu", jr, ec_add(b1, q), b2, rest)
+                    yield "nu-discharge", f"g{i + 1}:{q.key()}", m, left, ("pt", q)
+
+    def swept(self, killer):
+        """The family members one face of a kill cycle sweeps:
+        (group, label, multiplicity, member)."""
+        if killer[0] == "kmu":
+            _, i, shift, names = killer
+            for p, m in self.gs[names[i - 1]].divisor.terms:
+                yield "mu", f"mu^{{{p.key()}+shift}}", m, ("mu", ec_add(p, shift), names)
+        elif killer[0] == "knu":
+            _, j, b1, b2, names = killer
+            for s, m in self.gs[names[j - 1]].divisor.terms:
+                member = ("nu", j, ec_add(b1, ec_add(s, ec_neg(b2))), b2, names)
+                yield "nu", f"Z^{{b1+{s.key()}-b2}}", m, member
+
+
+def _match_expansions(ctx, lhs, desc, target) -> GroupMatchReport:
+    """Match lhs against the table terms of desc, each product scaled by
+    its multiplicity."""
+    instances = [
+        (group, label, external_product(ctx.materialize(left), ctx.materialize(right)).scale(m))
+        for group, label, m, left, right in ctx.expansions(desc)
+    ]
+    return _match_groups(lhs, instances, target)
 
 
 def verify_eta_boundary(curve, n, gs, fixed=(), mode="fbar") -> GroupMatchReport:
-    X = build_family("X", curve, n, gs, fixed=tuple(fixed), mode=mode)
-    lhs = boundary(decorate("eta", X, n=n))
-    instances = eta_group_instances(curve, n, gs, fixed, mode)
-    return _match_groups(lhs, instances, f"eta(n={n}, r={len(fixed)})")
+    ctx = FamilyContext(curve, gs, mode)
+    top = ("eta", tuple(fixed), ctx.names)
+    lhs = boundary(ctx.materialize(top))
+    return _match_expansions(ctx, lhs, top, f"eta(n={n}, r={len(fixed)})")
 
 
 def verify_mu_boundary(curve, n, gs, a) -> GroupMatchReport:
-    Y = build_family("Y", curve, n, gs, fixed=(a,))
-    lhs = boundary(decorate("mu", Y, n=n))
-    instances = []
-    for i, g in enumerate(gs):
-        rest = [h for h in gs if h is not g]
-        for p, m in g.divisor.terms:
-            Yp = build_family("Y", curve, n - 1, rest, fixed=(ec_add(a, p),))
-            grp = external_product(
-                decorate("mu", Yp, n=n - 1), decorate("eta_point", p)
-            ).scale(m)
-            instances.append(("mu-lower", f"g{i + 1}:{p.key()}", grp))
-    return _match_groups(lhs, instances, f"mu(n={n})")
+    ctx = FamilyContext(curve, gs)
+    top = ("mu", a, ctx.names)
+    return _match_expansions(ctx, boundary(ctx.materialize(top)), top, f"mu(n={n})")
 
 
 def verify_nu_boundary(curve, n, gs, j, b1, b2) -> NuBoundaryReport:
-    Z = build_family("Z", curve, n, gs, j=j, b1=b1, b2=b2)
-    lhs = boundary(decorate("nu", Z, n=n))
+    ctx = FamilyContext(curve, gs)
+    top = ("nu", j, b1, b2, ctx.names)
+    lhs = boundary(ctx.materialize(top))
     if lhs.is_zero():
         return NuBoundaryReport(n, True, 0, None)
-    instances = []
-    for i, g in enumerate(gs):
-        if i == j - 1:
-            continue
-        rest = [h for h in gs if h is not g]
-        jr = j - 1 if i < j - 1 else j  # index of g_j within the reduced tuple
-        for q, m in g.divisor.terms:
-            # the face at y_i = q shifts the balancing constant by q
-            Zv = build_family("Z", curve, n - 1, rest, j=jr, b1=ec_add(b1, q), b2=b2)
-            grp = external_product(
-                decorate("nu", Zv, n=n - 1), decorate("eta_point", q)
-            ).scale(m)
-            instances.append(("nu-discharge", f"g{i + 1}:{q.key()}", grp))
-    discharge = _match_groups(lhs, instances, f"nu(n={n}, j={j}) discharge")
+    discharge = _match_expansions(ctx, lhs, top, f"nu(n={n}, j={j}) discharge")
     return NuBoundaryReport(n, False, len(lhs), discharge)
+
+
+def verify_killer(ctx, killer) -> KillCycleReport:
+    """The swept face of a kill cycle reproduces its family members; what
+    is left after them is the face tail, not a failure."""
+    lhs = boundary(ctx.materialize(killer))
+    swept = [
+        (group, label, ctx.materialize(member).scale(m))
+        for group, label, m, member in ctx.swept(killer)
+    ]
+    rep = _match_groups(lhs, swept)
+    reproduced = [(inst.label, inst.scalar) for inst in rep.instances]
+    family = "mu-killer" if killer[0] == "kmu" else "nu-killer"
+    return KillCycleReport(family, reproduced, rep.matched, len(rep.unmatched))
 
 
 def verify_mu_killer(curve, gs, i, shift) -> KillCycleReport:
     """The z-face of the mu kill-cycle sweeps sum_p m_p mu^{p+shift}(gs)."""
-    lhs = boundary(CycleSum.single(build_mu_killer(curve, gs, i, shift)))
-    swept = []
-    for p, m in gs[i - 1].divisor.terms:
-        Y = build_family("Y", curve, len(gs), gs, fixed=(ec_add(p, shift),))
-        swept.append(("mu", f"mu^{{{p.key()}+shift}}", decorate("mu", Y, n=len(gs)).scale(m)))
-    return _kill_report("mu-killer", lhs, swept)
+    ctx = FamilyContext(curve, gs)
+    return verify_killer(ctx, ("kmu", i, shift, ctx.names))
 
 
 def verify_nu_killer(curve, gs, j, b1, b2) -> KillCycleReport:
     """The y_j-face of the nu kill-cycle sweeps the nu family; the term at
     the divisor point b2 is the nu cycle itself."""
-    lhs = boundary(CycleSum.single(build_nu_killer(curve, gs, j, b1, b2)))
-    swept = []
-    for s, m in gs[j - 1].divisor.terms:
-        Zv = build_family(
-            "Z", curve, len(gs), gs, j=j, b1=ec_add(b1, ec_add(s, ec_neg(b2))), b2=b2
-        )
-        swept.append(("nu", f"Z^{{b1+{s.key()}-b2}}", decorate("nu", Zv, n=len(gs)).scale(m)))
-    return _kill_report("nu-killer", lhs, swept)
-
-
-def _kill_report(family, lhs, swept) -> KillCycleReport:
-    # what is left after the swept members is the face tail, not a failure
-    rep = _match_groups(lhs, swept)
-    reproduced = [(inst.label, inst.scalar) for inst in rep.instances]
-    return KillCycleReport(family, reproduced, rep.matched, len(rep.unmatched))
+    ctx = FamilyContext(curve, gs)
+    return verify_killer(ctx, ("knu", j, b1, b2, ctx.names))
 
 
 def verify_boundary_formulas(curve, n, gs, fixed=(), mode="fbar") -> BoundaryFormulaReport:

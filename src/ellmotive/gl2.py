@@ -176,51 +176,3 @@ def clebsch_gordan_by_characters(V: PureMotive, W: PureMotive) -> MotiveSum:
 def plethysm2_by_characters(kind: str, V: PureMotive) -> MotiveSum:
     c = character(V)
     return decompose_character(char_sym2(c) if kind == "sym" else char_wedge2(c))
-
-
-# ---------------------------------------------------------------------------
-# the cochain-complex pair enumeration and untwisting presentations
-
-
-def _sym_of_pair(V: PureMotive, W: PureMotive) -> MotiveSum:
-    """Sym(V (x) W): Sym^2 V if V = W, else the full tensor product."""
-    return plethysm2("sym", V) if V == W else clebsch_gordan(V, W)
-
-
-def _wedge_of_pair(V: PureMotive, W: PureMotive) -> MotiveSum:
-    return plethysm2("wedge", V) if V == W else clebsch_gordan(V, W)
-
-
-def enumerate_cochain_pairs(target: PureMotive, weight_bound: int) -> list:
-    """All unordered pairs (V, W) under the weight bound through which the
-    target appears, tagged "symside" or "wedgeside" per the two sums of the
-    degree-2 cochain term."""
-    if target.weight > weight_bound:
-        return []
-    candidates = []
-    for n in range(weight_bound + 1):
-        for m in range(0, (weight_bound - n) // 2 + 1):
-            if n + 2 * m <= weight_bound:
-                candidates.append(PureMotive(n, m))
-    out = []
-    for i, V in enumerate(candidates):
-        for W in candidates[i:]:
-            if V.weight + W.weight != target.weight:
-                continue
-            if _sym_of_pair(V, W).contains(target):
-                out.append((V, W, "symside"))
-            if _wedge_of_pair(V, W).contains(target):
-                out.append((V, W, "wedgeside"))
-    out.sort(key=lambda t: (t[0], t[1], t[2]))
-    return out
-
-
-def untwist_presentations(W: PureMotive, cmax: int) -> list:
-    """All ways (V effective of weight n+2c, twist shift c), 0 <= c <= cmax,
-    of writing W as a positive twist of an effective motive."""
-    if cmax < 0:
-        raise MotiveError("cmax must be >= 0")
-    out = []
-    for c in range(cmax + 1):
-        out.append((PureMotive(W.n, W.m + c), c))
-    return out

@@ -181,14 +181,6 @@ def right_act_element(vector, element: GroupAlgebraElement):
     return GroupAlgebraElement.of(vector.degree, acted)
 
 
-def signed_antipode(element: GroupAlgebraElement, convention: str = "parity") -> GroupAlgebraElement:
-    """sum c_g sign(g) g^{-1}; for a Young symmetrizer this is its transpose."""
-    return GroupAlgebraElement.of(
-        element.degree,
-        [(p.inverse(), c * action_sign(p, convention)) for p, c in element.items()],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Young shapes, symmetrizers, tabloid projectors
 

@@ -114,6 +114,16 @@ def test_cli_exit_codes(tmp_path):
     assert payload["summary"]["flagged"] >= 1  # flags do not fail the run
 
 
+def test_repeated_function_name_exit_2(tmp_path):
+    # descriptors name functions, so two functions may not share a name
+    bad = json.loads(json.dumps(GOOD_CONFIG))
+    bad["functions"].append(dict(bad["functions"][0]))
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(bad)
+    assert "repeated" in str(err.value)
+    assert main(["--config", write_config(tmp_path, bad), "verify", "boundaries"]) == 2
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     bad = json.loads(json.dumps(GOOD_CONFIG))
     bad["functions"][0]["divisor"][0]["point"] = ["5", "5"]

@@ -21,7 +21,6 @@ from ellmotive.cycles import (
     build_family,
     canonical_term,
     check_admissible,
-    cube_swap,
     decorate,
     external_product,
     term_faces,
@@ -122,7 +121,7 @@ def test_cube_swap_alternating(setup):
     curve, gs, afix = setup
     Z = build_family("Z", curve, 2, gs[:2], j=1, b1=afix[0], b2=afix[1])
     s = CycleSum.single(Z)
-    swapped = cube_swap(s, 1, 2)
+    swapped = CycleSum.of([(Z.permute_qcoords(Permutation.transposition(Z.c, 1, 2)), 1)])
     # Z minus its cube swap canonicalizes to 2 * (one term); the swap itself
     # folds to -Z, so the symmetrized combination dies
     diff = s - swapped

@@ -1,7 +1,9 @@
 """The displayed boundary identities, instance by instance."""
 
-import pytest
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from ellmotive.curves import ec_add, ec_scalar_mul
 from ellmotive.fixtures import fixed_points, generator, standard_functions
@@ -123,3 +125,16 @@ def test_matcher_reads_key_order_not_insertion_order():
     assert [inst.scalar for inst in rep.instances] == [2, None]
     assert rep.unmatched == [("2", 1), ("3", 1), ("5", 4)]
     assert not rep.matched and not rep.complete
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_eta_table_does_not_depend_on_point_order(setup, n):
+    # the chain builder passes the fixed points sorted, the suite in config order
+    curve, gs, afix = setup
+
+    def scalars(points):
+        rep = verify_eta_boundary(curve, n, gs[:n], fixed=tuple(points))
+        assert rep.complete
+        return {g: Counter(rep.scalars(g)) for g in ("divisor-point", "mu", "nu")}
+
+    assert scalars(afix) == scalars(afix[::-1])

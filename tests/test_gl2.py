@@ -11,10 +11,8 @@ from ellmotive.gl2 import (
     PureMotive,
     clebsch_gordan,
     clebsch_gordan_by_characters,
-    enumerate_cochain_pairs,
     plethysm2,
     plethysm2_by_characters,
-    untwist_presentations,
 )
 
 
@@ -94,33 +92,6 @@ def test_plethysm_dimension_split():
         V = PureMotive(n)
         total = plethysm2("sym", V).dimension + plethysm2("wedge", V).dimension
         assert total == (n + 1) ** 2
-
-
-def test_cochain_pair_enumeration():
-    pairs = enumerate_cochain_pairs(TATE, 4)
-    assert (H1, H1, "wedgeside") in pairs
-    pairs = enumerate_cochain_pairs(PureMotive(2, 1), 6)
-    assert (H1, PureMotive(1, 1), "symside") in pairs
-    # symmetric in the two slots: stored with V <= W
-    assert all(V <= W for V, W, _ in pairs)
-    assert enumerate_cochain_pairs(PureMotive(2, 4), 3) == []
-    # stability under a uniform twist of target and pairs
-    base = enumerate_cochain_pairs(PureMotive(2, 1), 8)
-    twisted = enumerate_cochain_pairs(PureMotive(2, 2), 10)
-    base_keys = {(V.n, W.n, side) for V, W, side in base}
-    twisted_keys = {(V.n, W.n, side) for V, W, side in twisted}
-    assert base_keys <= twisted_keys
-
-
-def test_untwist_presentations():
-    out = untwist_presentations(PureMotive(2, 1), 1)
-    assert out == [(PureMotive(2, 1), 0), (PureMotive(2, 2), 1)]
-    assert untwist_presentations(PureMotive(1, 0), 0) == [(PureMotive(1, 0), 0)]
-    # every presentation carries the same underlying pair (n, total twist)
-    for eff, c in untwist_presentations(PureMotive(3, 2), 3):
-        assert eff.n == 3 and eff.m - c == 2
-    with pytest.raises(MotiveError):
-        untwist_presentations(H1, -1)
 
 
 def test_motive_sum_arithmetic():

@@ -1,0 +1,57 @@
+"""Every module-level def and class in src/ellmotive is used by src itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ellmotive"
+
+# referenced only by the tests: the GL2 character oracle and the closed form
+# it checks, the decoration-point fixture, and the grading check on chains
+TEST_ONLY = {
+    "clebsch_gordan_by_characters",
+    "plethysm2",
+    "plethysm2_by_characters",
+    "fixed_points",
+    "grading_coherent",
+}
+
+
+def _referenced(node):
+    """Names a node refers to: bare names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def _unreferenced():
+    """Module-level defs and classes of src that nothing else in src names
+    (a def's own body does not count)."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    out = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            elsewhere = set()
+            for other in trees.values():
+                for top in other.body:
+                    if top is not node:
+                        elsewhere |= _referenced(top)
+            if node.name not in elsewhere:
+                out.add(node.name)
+    return out
+
+
+def test_no_dead_helpers():
+    assert _unreferenced() - TEST_ONLY == set()
+
+
+def test_test_only_list_is_current():
+    # a name that src starts to use again leaves the list
+    assert TEST_ONLY <= _unreferenced()

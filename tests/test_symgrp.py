@@ -22,7 +22,6 @@ from ellmotive.symgrp import (
     partitions,
     right_act,
     right_act_element,
-    signed_antipode,
     standard_tableaux,
     tabloid_row_projector,
     transpose_projector,
@@ -197,13 +196,6 @@ def test_hook_length_dimensions():
     assert hook_length_dimension((5,)) == 1
     assert hook_length_dimension((1, 1, 1, 1)) == 1
     assert sum(hook_length_dimension(r) ** 2 for r in partitions(5)) == factorial(5)
-
-
-def test_signed_antipode_is_tableau_transpose():
-    # the signed antipode of a Young symmetrizer is the flipped symmetrizer
-    for rows in ((2, 1), (3, 1), (2, 2)):
-        shape = YoungShape.standard(rows)
-        assert signed_antipode(young_symmetrizer(shape)) == young_symmetrizer(shape.transpose())
 
 
 def test_right_action_is_action():
