@@ -20,7 +20,11 @@ A term carried to itself by an odd symmetry is zero.  This single rule is
 what kills constant 2-torsion E-coordinates and the diagonal-type faces of
 the boundary.  `canonical_term` finds the least normal form one E-position
 at a time, never the whole orbit, and the term is zero iff that form is
-reached with both signs.
+reached with both signs.  A parameter whose sign no E-position has decided
+yet floats until the next one that names it, so undecided signs cost no
+branching.  A canonical form is marked and is never scanned again, and the
+signed action of a projector is multiplication by its coefficient sum, since
+every permuted copy canonicalizes back with the sign character.
 
 There is one serialization of expressions and cube coordinates under a
 naming of the parameters (see `_expr_ser`).  The scan compares its
@@ -265,6 +269,7 @@ class ParamCycle:
     qcoords: tuple  # tuple of FunCoord | ConstCoord
     _hash: int = field(init=False, repr=False, compare=False)  # filled on first use
     _key: tuple = field(init=False, repr=False, compare=False)  # filled on first use
+    _canonical: bool = field(init=False, repr=False, compare=False)  # set by _rebuild only
 
     def __post_init__(self):
         used = set()
@@ -331,6 +336,7 @@ class ParamCycle:
 
     def __reduce__(self):
         # copies and pickles recompute the hash (str hashes are per process)
+        # and drop the canonical mark
         return ParamCycle, (self.curve, self.params, self.ecoords, self.qcoords)
 
     def key(self) -> tuple:
@@ -382,7 +388,12 @@ def canonical_term(cycle: ParamCycle):
     is zero iff the minimum is reached with both signs: if g1 and g2 give one
     normal form with opposite signs, g2^-1 g1 is an odd symmetry fixing the
     term, so g_min g2^-1 g1 reaches the minimum with g_min's sign reversed.
+
+    A cycle this function returned is its own canonical form with sign +1;
+    `_rebuild` marks it, and it comes back as it is, without a lookup.
     """
+    if getattr(cycle, "_canonical", False):
+        return cycle, Fraction(1)
     cached = _canonical_cache.get(cycle)
     if cached is not None:
         return cached
@@ -411,8 +422,19 @@ def canonical_term(cycle: ParamCycle):
 def _least_prefixes(signed, params):
     """(sign, naming, ((index, flip), ..)) of the candidates' least E-parts,
     with every naming of the parameters only cube coordinates see; None if
-    the term dies already."""
+    the term dies already.
+
+    A one-parameter coordinate whose constant is its own negative (0 or
+    2-torsion) serializes alike under both flips while its parameter is
+    fresh.  It is placed once, with the positive coefficient, and its
+    parameter's sign floats (sign 0 in the naming; the state's sign is the
+    one for +1).  The next coordinate naming the parameter fixes that sign
+    by `_settle`; signs still floating after the last position take both.
+    """
     profiles = [_ecoord_profile(pair) for pair in signed]
+    self_negating = [
+        len(e.coeffs) == 1 and e.const.key() == neg.const.key() for e, neg in signed
+    ]
     states = [(0, 1, {}, ())]  # (used indices as a bitmask, sign, naming, choices)
     for profile in sorted(profiles):
         least, kept = None, {}
@@ -422,28 +444,60 @@ def _least_prefixes(signed, params):
                     continue
                 # i lands after every used index: one inversion per used index above i
                 s = -sign if (used >> i).bit_count() % 2 else sign
+                floats = self_negating[i] and signed[i][0].coeffs[0][0] not in naming
                 for flip in (0, 1):
                     e = signed[i][flip]
+                    if floats and e.coeffs[0][1] < 0:
+                        continue  # the other flip stands for both
                     ser = _expr_ser(e, naming)  # the same under every extension
                     if least is None or ser < least:
                         least, kept = ser, {}
                     if ser != least:
                         continue
                     for ext in _extend_naming(naming, e.coeffs):
+                        ext, s2, placed = _settle(ext, -s if flip else s, chosen, e.coeffs, signed)
+                        if floats:  # its one parameter was fresh: ext is a new dict
+                            name = e.coeffs[0][0]
+                            ext[name] = (ext[name][0], 0)
                         # same placed set and naming: same completions; opposite signs: zero
-                        state = (used | 1 << i, -s if flip else s, ext, chosen + ((i, flip),))
+                        state = (used | 1 << i, s2, ext, placed + ((i, flip),))
                         key = (state[0], frozenset(ext.items()))
                         if kept.setdefault(key, state)[1] != state[1]:
                             return None
         states = kept.values()
     # parameters only cube slots see: every order (all tie at |1|), both signs
     rest = [p for p in params if p not in next(iter(states))[2]]
-    return [
-        (s, full, chosen)
-        for _, s, naming, chosen in states
-        for signs in itertools.product((1, -1), repeat=len(rest))
-        for full in _extend_naming(naming, list(zip(rest, signs)))
-    ]
+    out = []
+    for _, sign, naming, chosen in states:
+        floating = [n for n, (_, s) in naming.items() if not s]
+        # a coefficient -1 settles a floating sign to +1, a coefficient +1 to -1
+        for coeffs in itertools.product((-1, 1), repeat=len(floating)):
+            settled, s, placed = _settle(naming, sign, chosen, zip(floating, coeffs), signed)
+            for signs in itertools.product((1, -1), repeat=len(rest)):
+                for full in _extend_naming(settled, list(zip(rest, signs))):
+                    out.append((s, full, placed))
+    return out
+
+
+def _settle(naming, sign, chosen, coeffs, signed):
+    """Fix each floating sign among the coefficients so that its coefficient
+    is negative: the least serialization, since the names in one expression
+    are distinct.  A sign -1 negates the coordinate that floated it, the
+    first placed one naming the parameter.  Returns (naming, sign, choices)."""
+    for n, c in coeffs:
+        name, s = naming[n]
+        if s:
+            continue
+        naming = dict(naming)
+        if c < 0:
+            naming[n] = (name, 1)
+            continue
+        naming[n] = (name, -1)
+        k = next(k for k, (j, _) in enumerate(chosen) if n in signed[j][0].params())
+        j, flip = chosen[k]
+        chosen = chosen[:k] + ((j, 1 - flip),) + chosen[k + 1 :]
+        sign = -sign
+    return naming, sign, chosen
 
 
 def _extend_naming(naming: dict, coeffs):
@@ -487,7 +541,8 @@ def _const_collapse(q):
 # The serialization: an expression under a naming {name: (new name, sign)},
 # or under its own names (naming None), is (sorted (new name, sign * coeff)
 # pairs, constant key); parameters the naming lacks take the next names by
-# |coeff| and coefficient |coeff|, as under every `_extend_naming` of it.  A
+# |coeff| and coefficient |coeff|, as under every `_extend_naming` of it, and
+# a floating sign (0) takes the negative coefficient, as it settles.  A
 # cube coordinate is ("K", spec key, point key) or ("F", spec key, argument
 # serializations), the arguments of each symmetric class sorted.  The scan
 # compares candidates by it, a cycle under its own names sorts sums by it,
@@ -503,7 +558,7 @@ def _expr_ser(e: PointExpr, naming: dict = None):
         if named is None:
             fresh.append(abs(c))
         else:
-            items.append((named[0], named[1] * c))
+            items.append((named[0], named[1] * c or -abs(c)))
     if fresh:
         fresh.sort()
         items.extend((f"t{len(naming) + j}", c) for j, c in enumerate(fresh))
@@ -549,7 +604,9 @@ def _rebuild(cycle, ecoords, qcoords, qorder, naming) -> ParamCycle:
         qcoords2.append(q)
     names = tuple(f"t{i}" for i in range(len(naming)))
     ecoords2 = tuple(_rename(e, naming) for e in ecoords)
-    return ParamCycle(cycle.curve, names, ecoords2, tuple(qcoords2))
+    canon = ParamCycle(cycle.curve, names, ecoords2, tuple(qcoords2))
+    object.__setattr__(canon, "_canonical", True)  # its own canonical form, sign +1
+    return canon
 
 
 # ---------------------------------------------------------------------------
@@ -761,16 +818,15 @@ def tensor_supports(motives, target: PureMotive) -> bool:
 def apply_projector_signed(s: CycleSum, element: GroupAlgebraElement) -> CycleSum:
     """Formal signed action on E-coordinates: sum of c_g * sign(g) * g(Z).
 
-    This realizes the right action Z . p = p^t(Z) of the untransposed
-    projector.
+    Permuting E-coordinates costs the sign character, so g(Z) canonicalizes
+    to sign(g) * Z and the action is multiplication by the coefficient sum
+    sum c_g; no permuted cycle is built.  This realizes the right action
+    Z . p = p^t(Z) of the untransposed projector.
     """
-    items = []
-    for cyc, coeff in s.items():
-        if element.degree != cyc.b:
-            raise CycleError("projector degree does not match the cycle")
-        for sigma, c in element.items():
-            items.append((cyc.permute_ecoords(sigma), coeff * c * sigma.sign()))
-    return CycleSum.of(items, s.motives)
+    if any(element.degree != cyc.b for cyc in s):
+        raise CycleError("projector degree does not match the cycle")
+    total = sum(element.values())
+    return CycleSum.of(((cyc, coeff * total) for cyc, coeff in s.items()), s.motives)
 
 
 # ---------------------------------------------------------------------------

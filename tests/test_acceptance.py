@@ -5,15 +5,18 @@ one pass/fail line is printed per criterion.  The two documented ambiguities
 must surface as flagged report records with both readings computed.
 """
 
+import hashlib
 import json
+import runpy
 import time
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from ellmotive import barcx, curves, cycles, divisors, formulas, gl2, symgrp
-from ellmotive.config import default_config
+from ellmotive.config import config_from_dict, default_config
 from ellmotive.fixtures import (
     fixed_points,
     generator,
@@ -248,3 +251,31 @@ def test_criterion_10_flagged_ambiguities():
         assert emit_report(rep2, "json") == emit_report(again2, "json")
 
     _timed("10 (flagged ambiguities with both readings; deterministic bytes)", 120, body)
+
+
+def test_criterion_11_motive_chain_n3():
+    # the F_10007 three-function config, built as the benchmark builds its configs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path), run_name="perfbench_workloads")
+    data = workloads["_config"]("prime:10007", workloads["_Field"](10007), 3, 3, 0)
+    cfg = config_from_dict(data)
+
+    def body():
+        mc = barcx.build_motive_chain(cfg.curve, cfg.functions)
+        ok, _ = barcx.verify_cocycle(mc.chain)
+        assert ok, "n=3 chain is not a cocycle"
+        assert barcx.bar_differential(barcx.bar_differential(mc.chain)).is_zero()
+        assert mc.chain.lengths() == [1, 2, 3, 4, 5]
+        assert len(mc.chain) == 3409
+        assert len(mc.kills) == 178 and all(k.exact for k in mc.kills)
+        assert barcx.grading_coherent(mc)
+        rep = barcx.comultiply_report(mc)
+        assert rep.counital and rep.coassociative
+        assert rep.leading_ok and rep.trailing_ok
+        span = barcx.comodule_span(mc)
+        assert span.closed, span.failures
+        assert barcx.nontriviality_witness(mc.chain).nontrivial
+        digest = hashlib.sha256(repr(mc.chain).encode()).hexdigest()
+        assert digest == "1f77e6d0424b61f8af6e2962317318fa47bc4d8b48ed9c9224b6632de910b7e6"
+
+    _timed("11 (the n=3 motive chain for (g1, g2, g3) over F_10007)", 60, body)

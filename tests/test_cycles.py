@@ -458,16 +458,139 @@ def test_scan_matches_reference_on_random_cycles(cycle):
     assert canonical_term(cycle) == _reference_canonical(cycle)
 
 
+def _floating_cases(setup):
+    """Cycles whose one-parameter coordinates at 0 or 2-torsion float signs."""
+    curve, gs, afix = setup
+    x, y1, y2, y3 = (PointExpr.param(curve, n) for n in ("x", "y1", "y2", "y3"))
+    cases = {}
+    # the X shape: k fresh coordinates at infinity, then the balance coordinate
+    for k, ys in ((3, [y1, y2]), (4, [y1, y2, y3])):
+        for const in (ec_neg(afix[0]), CurvePoint.at_infinity(curve)):
+            balance = PointExpr.make(
+                curve, [("x", -1)] + [(f"y{i}", -1) for i in range(1, k)], const
+            )
+            qcoords = tuple(FunCoord(g, (y,)) for g, y in zip(gs, ys))
+            params = ("x",) + tuple(f"y{i}" for i in range(1, k))
+            cases[f"X k={k} {const.key()}"] = ParamCycle(
+                curve, params, (x, *ys, balance), qcoords
+            )
+    # only the cube coordinates see the sum x + y, so they decide both signs
+    fbar = FunCoord(FbarSpec(curve, 2), (x + y1, y1))
+    cases["cube decides"] = ParamCycle(curve, ("x", "y1"), (x, y1), (fbar,))
+    # nothing sees x again: x -> -x and negating its coordinate fix the term
+    cases["undecided"] = ParamCycle(curve, ("x", "y1"), (x, y1), (FunCoord(gs[0], (y1,)),))
+    # one parameter in two self-negating coordinates, the second settling it
+    cases["shared 2y"] = ParamCycle(
+        curve, ("y1",), (y1, y1.scale(2)), (FunCoord(gs[0], (y1,)),)
+    )
+    # a 2-torsion constant, over F_101
+    curve, g, _, consts = _F101
+    P, T = consts[1], consts[4]
+    u, v = PointExpr.param(curve, "u"), PointExpr.param(curve, "v")
+    uT, vT = u + PointExpr.constant(T), v + PointExpr.constant(T)
+    balance = PointExpr.make(curve, [("u", -1), ("v", -1)], P)
+    cases["2-torsion"] = ParamCycle(curve, ("u", "v"), (uT, vT, balance), (FunCoord(g, (u,)),))
+    cases["shared 2-torsion"] = ParamCycle(curve, ("u",), (u, uT), (FunCoord(g, (u,)),))
+    return cases
+
+
+def test_floating_signs_match_reference(setup):
+    cases = _floating_cases(setup)
+    for label, cycle in cases.items():
+        assert canonical_term(cycle) == _reference_canonical(cycle), label
+    assert canonical_term(cases["undecided"]) == (None, 0)
+    for label in ("X k=3 inf", "X k=4 inf", "cube decides", "2-torsion", "shared 2y"):
+        assert canonical_term(cases[label])[0] is not None, label
+
+
+def _reference_projector(s, element):
+    """The signed action term by term: sum of c_g * sign(g) * g(Z), each g(Z)
+    canonicalized on its own."""
+    items = []
+    for cyc, coeff in s.items():
+        for sigma, c in element.items():
+            canon, sign = canonical_term(cyc.permute_ecoords(sigma))
+            if canon is not None:
+                items.append((canon, coeff * c * sigma.sign() * sign))
+    return CycleSum(items, s.motives)
+
+
+def test_projector_matches_its_term_by_term_definition(setup):
+    from ellmotive.cycles import CycleError, apply_projector_signed
+    from ellmotive.symgrp import YoungShape, transpose_projector
+
+    curve, gs, afix = setup
+
+    def element(k):
+        return transpose_projector(YoungShape.standard((k, 1), "tabloid"))
+
+    cases = []
+    for n in (1, 2, 3):
+        for r in (0, 1, 2):
+            X = build_family("X", curve, n, gs[:n], fixed=tuple(afix[:r]))
+            cases.append((CycleSum.single(X), element(n + 1)))
+    for n in (2, 3):
+        Z = build_family("Z", curve, n, gs[:n], j=n, b1=afix[0], b2=afix[1])
+        cases.append((CycleSum.single(Z), element(n)))
+    # the plain constructor keeps cycles as they are, not canonical
+    X = build_family("X", curve, 1, gs[:1], fixed=(afix[1],))
+    Z = build_family("Z", curve, 2, gs[:2], j=1, b1=afix[0], b2=afix[1])
+    raw = CycleSum([(X, Fraction(2)), (Z.negate_ecoord(2), Fraction(-3))], ())
+    assert canonical_term(X)[0] != X
+    cases.append((raw, element(2)))
+    for s, el in cases:
+        assert apply_projector_signed(s, el) == _reference_projector(s, el)
+    with pytest.raises(CycleError):
+        apply_projector_signed(CycleSum.single(X), element(3))
+
+
+def _unmarked(c):
+    return ParamCycle(c.curve, c.params, c.ecoords, c.qcoords)
+
+
 def test_canonical_form_is_a_fixed_point(setup):
-    # the rebuilt minimal candidate is its own canonical form, with sign +1
+    # the rebuilt minimal candidate is its own canonical form, with sign +1;
+    # an unmarked copy makes the scan run again instead of trusting the mark
     survivors = 0
     for base in _orbit_seeds(setup):
         canon, _ = canonical_term(base)
         if canon is None:
             continue
         survivors += 1
-        assert canonical_term(canon) == (canon, 1)
+        assert canonical_term(_unmarked(canon)) == (canon, 1)
     assert survivors > 0
+
+
+def test_canonical_mark_is_not_carried(setup):
+    import copy
+    import pickle
+
+    curve, gs, afix = setup
+    canon, _ = canonical_term(build_family("X", curve, 2, gs[:2], fixed=(afix[0],)))
+    assert getattr(canon, "_canonical", False)
+    assert not hasattr(_unmarked(canon), "_canonical")
+    moved = [
+        canon.rename_params({"t0": "u"}),
+        canon.permute_ecoords(Permutation((2, 1, 3, 4))),
+        copy.copy(canon),
+        pickle.loads(pickle.dumps(canon)),
+    ]
+    for other in moved:
+        assert not hasattr(other, "_canonical")
+    # the copies are equal to the canonical form and canonicalize back to it
+    assert moved[2] == moved[3] == canon
+    assert canonical_term(moved[3]) == (canon, 1)
+
+
+def test_marked_input_skips_the_cache(setup):
+    from ellmotive import cycles
+
+    curve, gs, afix = setup
+    canon, _ = canonical_term(build_family("Y", curve, 2, gs[:2], fixed=(afix[1],)))
+    before = len(cycles._canonical_cache)
+    assert canonical_term(canon) == (canon, 1)
+    assert canonical_term(canon)[0] is canon
+    assert len(cycles._canonical_cache) == before
 
 
 def test_constant_two_torsion_ecoord_dies():
