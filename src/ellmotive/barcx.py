@@ -76,7 +76,7 @@ class BarChain(LinComb):
         motives = tuple(tuple(s.motives) for s in sums)
         items = []
         for picks in itertools.product(*[s.items() for s in sums]):
-            c = Fraction(coeff)
+            c = coeff
             for _, pc in picks:
                 c *= pc
             items.append((BarWord(tuple(p for p, _ in picks), motives), c))
@@ -135,7 +135,7 @@ def _materialize_word(ctx: FamilyContext, descs, coeff=1) -> BarChain:
 
 
 class _Echelon:
-    """Incremental exact row echelon over sparse vectors (key -> Fraction).
+    """Incremental exact row echelon over sparse vectors (key -> int or Fraction).
 
     Keys are replaced by their rank in first-appearance order, and a row's
     pivot is its least rank.  Each row also records the combination of
@@ -169,12 +169,12 @@ class _Echelon:
         vec, combo = self.reduce(vec)
         if not vec:
             return False
-        combo[tag] = Fraction(1)
+        combo[tag] = 1
         pivot = min(vec)
         pv = vec[pivot]
         self.rows[pivot] = (
-            {k: v / pv for k, v in vec.items()},
-            {t: c / pv for t, c in combo.items()},
+            {k: Fraction(v, pv) for k, v in vec.items()},
+            {t: Fraction(c, pv) for t, c in combo.items()},
         )
         return True
 
@@ -184,7 +184,7 @@ class _Echelon:
 
 def _solve_exact(columns, rhs):
     """Solve sum_j x_j * columns[j] = rhs over sparse vectors (mappings
-    key -> Fraction, such as BarChains).
+    key -> int or Fraction, such as BarChains).
 
     Returns the coefficient list, or None when inconsistent.  x is nonzero
     only on the columns independent of the earlier ones (the free variables
@@ -196,7 +196,7 @@ def _solve_exact(columns, rhs):
     residual, combo = ech.reduce(rhs)
     if residual:
         return None
-    return [-combo.get(j, Fraction(0)) for j in range(len(columns))]
+    return [-combo.get(j, 0) for j in range(len(columns))]
 
 
 @dataclass
@@ -214,7 +214,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
     """Assemble the canonical cocycle with leading term eta^{fixed}(gs)."""
     ctx = FamilyContext(curve, gs, mode)
     top = ("eta", _sorted_pts(fixed), ctx.names)
-    layers = [[(Fraction(1), (top,))]]
+    layers = [[(1, (top,))]]
     chain = _materialize_word(ctx, (top,))
     if chain.is_zero():
         raise ChainConstructionError("leading family is zero")

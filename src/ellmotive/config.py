@@ -31,10 +31,17 @@ class Bounds:
     @staticmethod
     def from_dict(data: dict) -> "Bounds":
         return Bounds(
-            n_max=int(data.get("n_max", 2)),
-            r_max=int(data.get("r_max", 2)),
-            random_trials=int(data.get("random_trials", 20)),
+            n_max=_int(data, "n_max", 2),
+            r_max=_int(data, "r_max", 2),
+            random_trials=_int(data, "random_trials", 20),
         )
+
+
+def _int(data: dict, key: str, default: int) -> int:
+    try:
+        return int(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer, not {data[key]!r}") from exc
 
 
 @dataclass
@@ -58,7 +65,16 @@ def parse_point(curve: EllipticCurve, payload) -> CurvePoint:
         raise ConfigError(f"point {payload!r} rejected: {exc}") from exc
 
 
+def _expect(value, kind, what: str):
+    """value, checked to have the JSON type kind (dict or list)."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "list"
+        raise ConfigError(f"{what} must be a JSON {name}, not {type(value).__name__}")
+    return value
+
+
 def config_from_dict(data: dict) -> Config:
+    _expect(data, dict, "config")
     try:
         cdata = data["curve"]
         fld = field_from_tag(cdata.get("field", "rational"))
@@ -70,20 +86,25 @@ def config_from_dict(data: dict) -> Config:
             Fraction(str(cdata.get("a4", 0))),
             Fraction(str(cdata.get("a6", 0))),
         )
-    except (KeyError, FieldError, CurveError, ValueError) as exc:
+    except (KeyError, AttributeError, FieldError, CurveError, ValueError) as exc:
         raise ConfigError(f"bad curve spec: {exc}") from exc
 
     functions = []
-    for fdata in data.get("functions", []):
-        name = fdata.get("name")
-        if not name:
-            raise ConfigError("every function needs a name")
+    for fdata in _expect(data.get("functions", []), list, "functions"):
+        name = _expect(fdata, dict, "every function entry").get("name")
+        if not name or not isinstance(name, str):
+            raise ConfigError(f"every function needs a name string, not {name!r}")
         if any(g.name == name for g in functions):
             raise ConfigError(f"function name {name!r} is repeated")
         items = []
-        for term in fdata.get("divisor", []):
-            pt = parse_point(curve, term["point"])
-            items.append((pt, Fraction(str(term["coeff"]))))
+        for term in _expect(fdata.get("divisor", []), list, f"divisor of {name}"):
+            try:
+                payload, coeff = term["point"], Fraction(str(term["coeff"]))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(
+                    f"divisor term {term!r} of {name} needs a point and a rational coeff"
+                ) from exc
+            items.append((parse_point(curve, payload), coeff))
         div = FormalDivisor.of(curve, items)
         try:
             if not is_principal(div):
@@ -98,8 +119,8 @@ def config_from_dict(data: dict) -> Config:
     mode = data.get("mode", "fbar")
     if mode not in ("fbar", "fn"):
         raise ConfigError(f"mode must be fbar or fn, not {mode!r}")
-    bounds = Bounds.from_dict(data.get("bounds", {}))
-    seed = int(data.get("seed", 0))
+    bounds = Bounds.from_dict(_expect(data.get("bounds", {}), dict, "bounds"))
+    seed = _int(data, "seed", 0)
     return Config(curve, functions, mode, bounds, seed, raw=data)
 
 

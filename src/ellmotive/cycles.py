@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
@@ -393,7 +392,7 @@ def canonical_term(cycle: ParamCycle):
     `_rebuild` marks it, and it comes back as it is, without a lookup.
     """
     if getattr(cycle, "_canonical", False):
-        return cycle, Fraction(1)
+        return cycle, 1
     cached = _canonical_cache.get(cycle)
     if cached is not None:
         return cached
@@ -410,11 +409,11 @@ def canonical_term(cycle: ParamCycle):
             elif ser == best[0] and sign * qsign != best[1]:
                 both = True
     if prefixes is None or both:
-        result = (None, Fraction(0))
+        result = (None, 0)
     else:
         _, sign, naming, chosen, qorder = best
         ecoords = [signed[i][flip] for i, flip in chosen]
-        result = (_rebuild(cycle, ecoords, qcoords, qorder, naming), Fraction(sign))
+        result = (_rebuild(cycle, ecoords, qcoords, qorder, naming), sign)
     _canonical_cache[cycle] = result
     return result
 
@@ -751,7 +750,7 @@ def term_faces(cycle: ParamCycle):
             if face is None:
                 continue
             # zeros (coeff > 0) enter with +, poles with -; multiplicity |coeff|
-            out.append((Fraction(slot_sign) * coeff, face))
+            out.append((slot_sign * coeff, face))
     _face_cache[cycle] = out
     return out
 

@@ -22,7 +22,6 @@ point expressions, which evaluate exactly once an assignment is given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
 from .lincomb import LinComb
@@ -55,8 +54,8 @@ class FormalDivisor(LinComb):
         """The points, in key order."""
         return [p for p, _ in self.terms]
 
-    def degree(self) -> Fraction:
-        return sum(self.values(), Fraction(0))
+    def degree(self):
+        return sum(self.values())
 
     def negate_points(self) -> "FormalDivisor":
         """Pullback along x -> -x; detects even functions (self-invariance)."""
@@ -141,7 +140,7 @@ class ProductDivisorClass(LinComb):
     def of(cls, curve: EllipticCurve, n: int, items) -> "ProductDivisorClass":
         return cls(((_normalize_class(k, n), c) for k, c in items), curve, n)
 
-    def coeff(self, cls) -> Fraction:
+    def coeff(self, cls):
         return super().coeff(_normalize_class(cls, self.n))
 
     def diff(self, other: "ProductDivisorClass"):
@@ -296,8 +295,8 @@ class SymbolicDivisor(LinComb):
     def of(cls, curve, items) -> "SymbolicDivisor":
         return cls(items, curve)
 
-    def degree(self) -> Fraction:
-        return sum(self.values(), Fraction(0))
+    def degree(self):
+        return sum(self.values())
 
     def evaluate(self, assignment) -> FormalDivisor:
         return FormalDivisor.of(self.curve, [(p.evaluate(assignment), c) for p, c in self.items()])

@@ -61,12 +61,6 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
     def key(self, a) -> str:
         return str(a)
 
@@ -115,12 +109,6 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def key(self, a) -> str:
         return str(a % self.p)

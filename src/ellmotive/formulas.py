@@ -107,11 +107,12 @@ def _match_groups(lhs, instances, target="") -> GroupMatchReport:
     residual = lhs
     done = []
     for group, label, grp in instances:
-        scalar = next((residual[t] / c for t, c in grp.terms if t in residual), None)
+        scalar = next((Fraction(residual[t], c) for t, c in grp.terms if t in residual), None)
         if scalar is not None:
             residual = residual - grp.scale(scalar)
         done.append(MatchInstance(group, label, scalar, len(grp)))
-    unmatched = [(repr(t), c) for t, c in residual.terms]
+    # Fractions whatever their type, so reports write them as strings
+    unmatched = [(repr(t), Fraction(c)) for t, c in residual.terms]
     return GroupMatchReport(target, done, unmatched)
 
 

@@ -43,10 +43,6 @@ class PureMotive:
     def effective(self) -> bool:
         return self.m >= 0
 
-    def twist(self, k: int) -> "PureMotive":
-        """Tensor by Q(-k)."""
-        return PureMotive(self.n, self.m + k)
-
     def render(self) -> str:
         base = f"Sym^{self.n} h1(E)" if self.n else "Q"
         if self.n == 1:

@@ -3,14 +3,14 @@
 Every object the verifier checks is a finite exact linear combination:
 cycle classes, bar words, divisors, group-algebra elements, motive
 multiplicities.  `LinComb` is that combination, an immutable
-{basis: coefficient} mapping that never stores a zero.  Each type names its
-zero in the class attribute `zero`: `Fraction(0)` by default, so
-coefficients are exact rationals; the group algebras use the int 0, so their
-integer coefficients stay plain ints and nothing divides them.  Arithmetic
-accumulates into a dict and never sorts.  The sorted view `terms` is built
-on first read and is the only place where anything sorts, so only output
-that depends on term order (reprs, report details, first-term rules) pays
-for an order.
+{basis: coefficient} mapping that never stores a zero.  Coefficients follow
+Python's own number rule: they keep the exact type they arrive with (int or
+`Fraction`), and an absent basis reads as the int 0.  Nothing here divides,
+so integer sums stay ints; a caller that divides builds the exact quotient
+as a `Fraction` itself.  Arithmetic accumulates into a dict and never
+sorts.  The sorted view `terms` is built on first read and is the only
+place where anything sorts, so only output that depends on term order
+(reprs, report details, first-term rules) pays for an order.
 
 A subtype names its extra attributes (a curve, an ambient exponent, motive
 tags) in `labels`, which are also its `__slots__`.  Equal combinations have
@@ -24,19 +24,15 @@ they are.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
-
-_ZERO = Fraction(0)
 
 
-def accumulate(acc: dict, items, factor=1, zero=_ZERO) -> dict:
+def accumulate(acc: dict, items, factor=1) -> dict:
     """Add factor * c to acc[b] for every (b, c) in items, deleting the
-    entries that cancel, so acc never holds a zero.  A new entry starts at
-    `zero`, which fixes its type.  Returns acc."""
+    entries that cancel, so acc never holds a zero.  Returns acc."""
     get = acc.get
     scaled = factor != 1
     for basis, coeff in items:
-        coeff = get(basis, zero) + (factor * coeff if scaled else coeff)
+        coeff = get(basis, 0) + (factor * coeff if scaled else coeff)
         if coeff:
             acc[basis] = coeff
         else:
@@ -50,10 +46,9 @@ class LinComb(Mapping):
     __slots__ = ("_coeffs", "_terms")
     labels = ()
     error = ValueError  # raised when labels disagree
-    zero = _ZERO  # the coefficient of an absent basis; fixes the type
 
     def __init__(self, items=(), *labels):
-        self._init(accumulate({}, items, 1, self.zero), labels)
+        self._init(accumulate({}, items), labels)
 
     def _init(self, coeffs: dict, labels):
         set_ = object.__setattr__
@@ -109,7 +104,7 @@ class LinComb(Mapping):
         return self._coeffs.values()
 
     def coeff(self, basis):
-        return self._coeffs.get(basis, self.zero)
+        return self._coeffs.get(basis, 0)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -125,11 +120,11 @@ class LinComb(Mapping):
 
     def __add__(self, other):
         self._check(other)
-        return self._like(accumulate(dict(self._coeffs), other.items(), 1, self.zero))
+        return self._like(accumulate(dict(self._coeffs), other.items()))
 
     def __sub__(self, other):
         self._check(other)
-        return self._like(accumulate(dict(self._coeffs), other.items(), -1, self.zero))
+        return self._like(accumulate(dict(self._coeffs), other.items(), -1))
 
     def __neg__(self):
         return self.scale(-1)

@@ -89,7 +89,7 @@ def _suite_projectors(cfg: Config, report: Report):
         "c = 1..3",
     )
 
-    # the right action is an action under the parity convention
+    # signed by the sign character, the right action is an action
     act_ok = True
     rng = random.Random(cfg.seed)
     for _ in range(10):

@@ -2,18 +2,17 @@
 
 Permutations use one-line notation on {1..b}; composition is right-to-left,
 so (sigma * tau)(x) = sigma(tau(x)): tau acts first.  Group-algebra elements
-are formal sums of permutations with integer coefficients: their zero is the
-int 0, so sums and products of Young symmetrizers stay plain ints.  Young
-symmetrizers are stored unnormalized (the raw sums of group elements); the
-quasi-idempotency e * e = (b!/dim) e is checked by scaling with the integer
-eigenvalue, never by dividing.
+are formal sums of permutations with integer coefficients, so sums and
+products of Young symmetrizers stay plain ints.  Young symmetrizers are
+stored unnormalized (the raw sums of group elements); the quasi-idempotency
+e * e = (b!/dim) e is checked by scaling with the integer eigenvalue, never
+by dividing.
 
 The right action of a permutation on cycle-valued vectors carries a sign.
 The displayed formula admits two readings of that sign, (-1)^{|sigma|} (the
-sign character) and (-1)^{|sigma|+1}; both are implemented behind the
-`convention` switch and the mismatch is surfaced in reports rather than
-silently resolved.  Only the sign-character reading is multiplicative, so it
-is the default.
+sign character) and (-1)^{|sigma|+1}.  Only the sign-character reading is
+multiplicative, so `right_act` uses it; `sign_convention_table` lists both
+so that reports surface the mismatch rather than silently resolve it.
 """
 
 from __future__ import annotations
@@ -106,19 +105,6 @@ class Permutation:
         return "".join(str(i) for i in self.images) if self.degree <= 9 else str(self.images)
 
 
-def action_sign(sigma: Permutation, convention: str = "parity") -> int:
-    """The sign a permutation carries when acting on cycles.
-
-    "parity" reads the displayed exponent as |sigma|, i.e. the sign character;
-    "parity-plus-one" takes the literal (-1)^{|sigma|+1}.
-    """
-    if convention == "parity":
-        return sigma.sign()
-    if convention == "parity-plus-one":
-        return -sigma.sign()
-    raise GroupAlgebraError(f"unknown sign convention {convention!r}")
-
-
 def _images(perm: Permutation) -> tuple:
     return perm.images
 
@@ -129,7 +115,6 @@ class GroupAlgebraElement(LinComb):
     __slots__ = labels = ("degree",)
     sort_key = staticmethod(_images)
     error = GroupAlgebraError
-    zero = 0
 
     @classmethod
     def of(cls, degree: int, items) -> "GroupAlgebraElement":
@@ -162,19 +147,18 @@ def _of_degree(degree: int, items):
         yield perm, coeff
 
 
-def right_act(vector: GroupAlgebraElement, sigma: Permutation, convention: str = "parity"):
-    """Right action on formal vectors: v . sigma = sign * (sigma^{-1} v).
+def right_act(vector: GroupAlgebraElement, sigma: Permutation):
+    """Right action on formal vectors: v . sigma = sgn(sigma) * (sigma^{-1} v).
 
-    With the "parity" convention this is a genuine right action, so acting
+    Signed by the sign character, this is a genuine right action, so acting
     twice via an element p equals acting once via p*p.
     """
-    s = action_sign(sigma, convention)
-    left = GroupAlgebraElement.of(vector.degree, [(sigma.inverse(), s)])
+    left = GroupAlgebraElement.of(vector.degree, [(sigma.inverse(), sigma.sign())])
     return left * vector
 
 
 def right_act_element(vector, element: GroupAlgebraElement):
-    """sum_g c_g * (v . g) under the parity convention, one accumulation."""
+    """sum_g c_g * (v . g), one accumulation."""
     acted = (
         (p, c * d) for sigma, c in element.items() for p, d in right_act(vector, sigma).items()
     )
@@ -375,7 +359,6 @@ class SignedGroupAlgebraElement(LinComb):
     __slots__ = labels = ("degree",)
     sort_key = staticmethod(_signed_key)
     error = GroupAlgebraError
-    zero = 0
 
     @classmethod
     def of(cls, degree: int, items) -> "SignedGroupAlgebraElement":
@@ -399,7 +382,9 @@ def alt_signed_group(c: int) -> SignedGroupAlgebraElement:
 
 
 def sign_convention_table(b: int = 4):
-    """Both readings of the action sign on sample permutations, for reports."""
+    """Both readings of the action sign on sample permutations, for reports:
+    "parity" is the sign character (-1)^{|sigma|} that `right_act` uses,
+    "parity-plus-one" the literal (-1)^{|sigma|+1}."""
     samples = [
         ("identity", Permutation.identity(b)),
         ("transposition (1 2)", Permutation.transposition(b, 1, 2)),
@@ -412,8 +397,8 @@ def sign_convention_table(b: int = 4):
             {
                 "permutation": name,
                 "transposition_count": sigma.transposition_count(),
-                "parity": action_sign(sigma, "parity"),
-                "parity-plus-one": action_sign(sigma, "parity-plus-one"),
+                "parity": sigma.sign(),
+                "parity-plus-one": -sigma.sign(),
             }
         )
     return rows

@@ -124,11 +124,41 @@ def test_repeated_function_name_exit_2(tmp_path):
     assert main(["--config", write_config(tmp_path, bad), "verify", "boundaries"]) == 2
 
 
-def test_cli_bad_config_exit_2(tmp_path):
-    bad = json.loads(json.dumps(GOOD_CONFIG))
-    bad["functions"][0]["divisor"][0]["point"] = ["5", "5"]
+def _edited(edit):
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    edit(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(
+            _edited(lambda c: c["functions"][0]["divisor"][0].update(point=["5", "5"])),
+            id="off-curve-point",
+        ),
+        pytest.param(
+            _edited(lambda c: c["functions"][0]["divisor"][0].pop("coeff")),
+            id="term-without-coeff",
+        ),
+        pytest.param(_edited(lambda c: c["bounds"].update(n_max="two")), id="n_max-not-int"),
+        pytest.param(_edited(lambda c: c.update(seed="x")), id="seed-not-int"),
+        pytest.param(_edited(lambda c: c.update(functions=[5])), id="function-not-object"),
+        pytest.param(_edited(lambda c: c.update(functions=5)), id="functions-not-list"),
+        pytest.param(_edited(lambda c: c["functions"][0].update(name=["g"])), id="name-not-str"),
+        pytest.param(
+            _edited(lambda c: c["functions"][0].update(divisor=5)), id="divisor-not-list"
+        ),
+        pytest.param(_edited(lambda c: c.update(bounds=5)), id="bounds-not-object"),
+        pytest.param(_edited(lambda c: c.update(curve=5)), id="curve-not-object"),
+        pytest.param([GOOD_CONFIG], id="top-level-list"),
+    ],
+)
+def test_cli_bad_config_exit_2(tmp_path, capsys, bad):
     code = main(["--config", write_config(tmp_path, bad), "verify", "projectors"])
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_report_roundtrip_and_determinism(tmp_path):

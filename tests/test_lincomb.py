@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellmotive.barcx import _solve_exact, build_motive_chain
 from ellmotive.divisors import DivisorError, ProductDivisorClass
-from ellmotive.fixtures import rank_one_curve
+from ellmotive.fixtures import rank_one_curve, standard_functions
+from ellmotive.formulas import _match_groups
 from ellmotive.lincomb import LinComb
 from ellmotive.symgrp import GroupAlgebraElement, GroupAlgebraError
 
@@ -61,17 +63,23 @@ def test_arithmetic_laws(xs, ys, k):
     assert all(c != 0 for c in a.scale(k).values())
 
 
-def test_zero_fixes_the_coefficient_type():
-    # int inputs become Fractions in every type but the group algebras, so
-    # dividing two coefficients stays exact
+def test_coefficients_keep_their_exact_type():
+    # ints stay ints and Fractions stay Fractions; only a division makes a
+    # Fraction, and it builds the exact quotient
     a = LinComb([("x", 1), ("y", 2)])
-    for c in (a["x"], a.coeff("z"), (a + a)["y"], (a - a.scale(2))["x"]):
+    for c in (a["x"], a.coeff("z"), (a + a)["y"], (a - a.scale(3))["x"], a.scale(2)["y"]):
+        assert type(c) is int
+    f = LinComb([("x", Fraction(1, 2))])
+    for c in ((f + f)["x"], (f - f.scale(3))["x"], f.scale(2)["x"], (a + f)["x"]):
         assert type(c) is Fraction
-    assert a["x"] / a["y"] == Fraction(1, 2)
-    d = ProductDivisorClass.of(rank_one_curve(), 2, [(("Delta", 1, 2), 1)])
-    assert {type(c) for c in d.values()} == {Fraction}
-    g = GroupAlgebraElement.unit(2)
-    assert {type(c) for c in (g + g).values()} == {int} and type(g.coeff(None)) is int
+    rep = _match_groups(LinComb([("x", 1)]), [("g", "half", LinComb([("x", 2)]))])
+    (scalar,) = rep.scalars("g")
+    assert rep.complete and type(scalar) is Fraction and scalar == Fraction(1, 2)
+    (x,) = _solve_exact([{"e": 2}], {"e": 1})
+    assert type(x) is Fraction and x == Fraction(1, 2)
+    mc = build_motive_chain(*standard_functions(2))
+    coeffs = [*mc.chain.values(), *(c for c, _ in mc.layers)]
+    assert {type(c) for c in coeffs} <= {int, Fraction}
 
 
 def test_mapping_interface_and_labels():

@@ -16,12 +16,12 @@ from ellmotive.symgrp import (
     Permutation,
     SignedGroupElement,
     YoungShape,
-    action_sign,
     alt_signed_group,
     hook_length_dimension,
     partitions,
     right_act,
     right_act_element,
+    sign_convention_table,
     standard_tableaux,
     tabloid_row_projector,
     transpose_projector,
@@ -210,12 +210,20 @@ def test_right_action_is_action():
         assert right_act_element(right_act_element(v, p), p) == right_act_element(v, p * p)
 
 
-def test_right_action_conventions_differ():
-    v = unit(3)
+def test_sign_convention_table():
+    # right_act signs by the sign character; the table shows both readings
     tau = Permutation.transposition(3, 1, 2)
-    assert right_act(v, tau, "parity") == right_act(v, tau, "parity-plus-one").scale(-1)
-    assert action_sign(Permutation.identity(3), "parity") == 1
-    assert action_sign(Permutation.identity(3), "parity-plus-one") == -1
+    assert right_act(unit(3), tau) == GroupAlgebraElement.of(3, [(tau.inverse(), -1)])
+    rows = sign_convention_table()
+    samples = [
+        Permutation.identity(4),
+        Permutation.transposition(4, 1, 2),
+        Permutation.from_cycle(4, (1, 2, 3)),
+        Permutation.from_cycle(4, (1, 2, 3, 4)),
+    ]
+    assert (rows[0]["parity"], rows[0]["parity-plus-one"]) == (1, -1)
+    assert all(row["parity-plus-one"] == -row["parity"] for row in rows)
+    assert [row["parity"] for row in rows] == [sigma.sign() for sigma in samples]
 
 
 def test_alt_signed_group():
