@@ -2,15 +2,19 @@
 
 Words are tensor lists of canonical cycles, each slot tagged with its motive
 label.  The total differential is the reduced-bar differential: internal
-boundaries per slot and products of adjacent slots, with signs determined by
-the cube-dimension parities (the convention compatible with the face-sign
+boundaries per slot (`bar_faces`, same length) and products of adjacent
+slots (`bar_products`, one slot shorter), with signs determined by the
+cube-dimension parities (the convention compatible with the face-sign
 Leibniz rule); D squares to zero.
 
 `build_motive_chain` assembles the canonical cocycle with a given leading
 family: lower layers are generated mechanically by splicing in the terms of
 the boundary-formula table that `formulas` verifies (`FamilyContext.expansions`,
 in both tensor orders) and solving the contraction equations exactly, layer
-by layer; the chain terminates in pure tensor words of point classes.
+by layer, block by block; the chain terminates in pure tensor words of point
+classes.  The build differentiates each word about once and checks the
+finished chain once: the suites' and the CLI's `cocycle` records report
+that gate.
 The mu/nu families the expansions bring in are certified trivial by the two
 kill-cycle families (each swept family combination is exactly the boundary
 of its kill cycle; see `kill_certificates` for why the discharge lives at
@@ -98,23 +102,39 @@ def _prefix_parity(word: BarWord, i: int) -> int:
     return -1 if total % 2 else 1
 
 
-def bar_differential(chain: BarChain) -> BarChain:
-    """Internal boundaries plus adjacent products, reduced-bar signs."""
+def bar_faces(chain: BarChain) -> BarChain:
+    """The internal-boundary part of D: each slot replaced by its boundary.
+    Every face word keeps the length of its word."""
     items = []
     for word, coeff in chain.items():
         slots, motives = word.slots, word.motives
-        # the slots are canonical already: they enter as they are
-        sums = [CycleSum([(s, 1)], m) for s, m in zip(slots, motives)]
-        for i in range(len(slots)):
+        for i, (slot, motive) in enumerate(zip(slots, motives)):
             c = coeff * _prefix_parity(word, i)
-            for face, fc in boundary(sums[i]).items():
+            # the slots are canonical already: they enter as they are
+            for face, fc in boundary(CycleSum([(slot, 1)], motive)).items():
                 items.append((BarWord(slots[:i] + (face,) + slots[i + 1 :], motives), c * fc))
+    return BarChain(items)
+
+
+def bar_products(chain: BarChain) -> BarChain:
+    """The adjacent-product part of D: two neighbouring slots replaced by
+    their external product.  Every product word is one slot shorter."""
+    items = []
+    for word, coeff in chain.items():
+        slots, motives = word.slots, word.motives
         for i in range(len(slots) - 1):
             c = coeff * _prefix_parity(word, i + 1)
+            left = CycleSum([(slots[i], 1)], motives[i])
+            right = CycleSum([(slots[i + 1], 1)], motives[i + 1])
             merged = motives[:i] + (motives[i] + motives[i + 1],) + motives[i + 2 :]
-            for prod, pc in external_product(sums[i], sums[i + 1]).items():
+            for prod, pc in external_product(left, right).items():
                 items.append((BarWord(slots[:i] + (prod,) + slots[i + 2 :], merged), c * pc))
     return BarChain(items)
+
+
+def bar_differential(chain: BarChain) -> BarChain:
+    """Internal boundaries plus adjacent products, reduced-bar signs."""
+    return bar_faces(chain) + bar_products(chain)
 
 
 def verify_cocycle(chain: BarChain):
@@ -138,11 +158,13 @@ class _Echelon:
     """Incremental exact row echelon over sparse vectors (key -> int or Fraction).
 
     Keys are replaced by their rank in first-appearance order, and a row's
-    pivot is its least rank.  Each row also records the combination of
-    added vectors it equals, as {tag: coefficient}.  Neither membership nor
-    that combination depends on the key order: a vector becomes a row only
-    when it is independent of the vectors added before it, and a vector in
-    the span of independent vectors has exactly one combination over them.
+    pivot is its least rank.  Rows are scaled to pivot coefficient 1, and
+    an integral quotient stays an int.  Each row also records the
+    combination of added vectors it equals, as {tag: coefficient}.  Neither
+    membership nor that combination depends on the key order: a vector
+    becomes a row only when it is independent of the vectors added before
+    it, and a vector in the span of independent vectors has exactly one
+    combination over them.
     """
 
     def __init__(self):
@@ -173,13 +195,58 @@ class _Echelon:
         pivot = min(vec)
         pv = vec[pivot]
         self.rows[pivot] = (
-            {k: Fraction(v, pv) for k, v in vec.items()},
-            {t: Fraction(c, pv) for t, c in combo.items()},
+            {k: _quotient(v, pv) for k, v in vec.items()},
+            {t: _quotient(c, pv) for t, c in combo.items()},
         )
         return True
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)[0]
+
+
+def _quotient(a, b=1):
+    """The exact quotient a / b: an int when it is integral."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _blocks(columns):
+    """The connected components of the columns: two columns are linked when
+    they share a key.  Returns (block of each key, column indices of each
+    block in increasing order).  Blocks are numbered by their first column,
+    so nothing depends on hashes."""
+    ids = {}  # key -> id, in first-appearance order
+    parent = []  # id -> an id of the same block; a root is its own parent
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    heads = []  # one key id of each nonempty column
+    for col in columns:
+        head = None
+        for k in col:
+            i = ids.get(k)
+            if i is None:
+                i = ids[k] = len(parent)
+                parent.append(i)
+            if head is None:
+                head = i
+            else:
+                parent[find(i)] = find(head)
+        heads.append(head)
+    block_of_root = {}
+    members = []
+    for j, head in enumerate(heads):
+        if head is None:
+            continue  # an empty column is 0 in every solution
+        root = find(head)
+        if root not in block_of_root:
+            block_of_root[root] = len(members)
+            members.append([])
+        members[block_of_root[root]].append(j)
+    return {k: block_of_root[find(i)] for k, i in ids.items()}, members
 
 
 def _solve_exact(columns, rhs):
@@ -189,14 +256,33 @@ def _solve_exact(columns, rhs):
     Returns the coefficient list, or None when inconsistent.  x is nonzero
     only on the columns independent of the earlier ones (the free variables
     are 0), so it is unique: the key order of `_Echelon` cannot move it.
+
+    The system splits into blocks, the connected components of the columns
+    under shared keys.  Blocks share no keys, so a column is independent of
+    the earlier columns exactly when it is independent of the earlier
+    columns of its block: eliminating each block on its own `_Echelon`
+    (columns in global order) gives the same x as one echelon over all
+    columns, and the system is consistent iff every block is and no key of
+    the rhs lies outside every column.
     """
-    ech = _Echelon()
-    for j, col in enumerate(columns):
-        ech.add(col, j)
-    residual, combo = ech.reduce(rhs)
-    if residual:
-        return None
-    return [-combo.get(j, 0) for j in range(len(columns))]
+    block_of, members = _blocks(columns)
+    parts = [{} for _ in members]
+    for k, v in rhs.items():
+        if v:
+            if k not in block_of:
+                return None
+            parts[block_of[k]][k] = v
+    x = [0] * len(columns)
+    for cols, part in zip(members, parts):
+        ech = _Echelon()
+        for j in cols:
+            ech.add(columns[j], j)
+        residual, combo = ech.reduce(part)
+        if residual:
+            return None
+        for j, c in combo.items():
+            x[j] = _quotient(-c)
+    return x
 
 
 @dataclass
@@ -211,15 +297,25 @@ class MotiveChain:
 
 
 def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
-    """Assemble the canonical cocycle with leading term eta^{fixed}(gs)."""
+    """Assemble the canonical cocycle with leading term eta^{fixed}(gs).
+
+    Each step solves for the next layer against the shortest part of the
+    residual D(chain), at length ell.  A candidate word has length ell + 1,
+    so its column is its adjacent products alone; only the picked
+    candidates have their faces computed, and the residual is updated by
+    residual + sum_i x_i * (products_i + faces_i) instead of differentiating
+    the chain again.  The one independent check is the final
+    `verify_cocycle`; a chain that fails it raises ChainConstructionError.
+    """
     ctx = FamilyContext(curve, gs, mode)
     top = ("eta", _sorted_pts(fixed), ctx.names)
     layers = [[(1, (top,))]]
     chain = _materialize_word(ctx, (top,))
     if chain.is_zero():
         raise ChainConstructionError("leading family is zero")
+    # residual = D(chain), kept up to date so that each word is differentiated once
+    residual = bar_differential(chain)
     for step in range(len(gs) + len(fixed) + 4):
-        residual = bar_differential(chain)
         if residual.is_zero():
             break
         ell = residual.lengths()[0]
@@ -242,21 +338,30 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
                 f"no candidates for residual at length {ell}", target
             )
         mats = [_materialize_word(ctx, descs) for descs in cand_words]
-        columns = [bar_differential(mat).component(ell) for mat in mats]
+        # a candidate is one slot longer than the target, so the length-ell
+        # part of its differential is its products; its faces stay longer
+        columns = [bar_products(mat) for mat in mats]
+        if any(w.length != ell for col in columns for w in col):
+            raise ChainConstructionError(
+                f"candidate products miss the residual length {ell}", target
+            )
         x = _solve_exact(columns, -target)
         if x is None:
             raise ChainConstructionError(
                 f"contraction equations at length {ell} are inconsistent", target
             )
-        # the whole layer is one accumulation
-        layer = []
-        items = list(chain.items())
-        for xi, descs, mat in zip(x, cand_words, mats):
+        # the whole layer is one accumulation; only its words need faces
+        layer, picked, next_residual = [], [], list(residual.items())
+        for xi, descs, mat, col in zip(x, cand_words, mats, columns):
             if xi:
                 layer.append((xi, descs))
-                items.extend((w, xi * c) for w, c in mat.items())
+                picked.extend((w, xi * c) for w, c in mat.items())
+                next_residual.extend((w, xi * c) for w, c in col.items())
         layers.append(layer)
-        chain = BarChain(items)
+        picked = BarChain(picked)
+        chain = chain + picked
+        # D(chain + picked) = residual + products(picked) + faces(picked)
+        residual = BarChain(next_residual) + bar_faces(picked)
     else:
         raise ChainConstructionError("chain construction did not terminate")
 

@@ -17,9 +17,11 @@ import pytest
 
 from ellmotive import barcx, curves, cycles, divisors, formulas, gl2, symgrp
 from ellmotive.config import config_from_dict, default_config
+from ellmotive.fields import PrimeField
 from ellmotive.fixtures import (
     fixed_points,
     generator,
+    multiples,
     rank_one_curve,
     standard_functions,
     two_torsion_curve_f101,
@@ -169,6 +171,14 @@ def test_criterion_6_boundary_formulas():
     _timed("6 (boundary formula term groups, n <= 3, r <= 2)", 120, body)
 
 
+def _assert_dd_zero(mc):
+    # D of a cocycle is 0, so D(D(chain)) would apply D to nothing: square D
+    # on the length-2 layer, where faces and products both contribute
+    d = barcx.bar_differential(mc.chain.component(2))
+    assert not d.is_zero()
+    assert barcx.bar_differential(d).is_zero()
+
+
 @pytest.fixture(scope="module")
 def chain_fixture():
     curve, gs = standard_functions(2)
@@ -185,8 +195,7 @@ def test_criterion_7_motive_chains(chain_fixture):
         for mc, n in ((mc1, 1), (mc2, 2)):
             ok, diff = barcx.verify_cocycle(mc.chain)
             assert ok, f"n={n} chain is not a cocycle"
-            dd = barcx.bar_differential(barcx.bar_differential(mc.chain))
-            assert dd.is_zero()
+            _assert_dd_zero(mc)
             assert mc.chain.lengths()[-1] == n + 2
             assert barcx.grading_coherent(mc)
         assert build_time < 120
@@ -264,7 +273,7 @@ def test_criterion_11_motive_chain_n3():
         mc = barcx.build_motive_chain(cfg.curve, cfg.functions)
         ok, _ = barcx.verify_cocycle(mc.chain)
         assert ok, "n=3 chain is not a cocycle"
-        assert barcx.bar_differential(barcx.bar_differential(mc.chain)).is_zero()
+        _assert_dd_zero(mc)
         assert mc.chain.lengths() == [1, 2, 3, 4, 5]
         assert len(mc.chain) == 3409
         assert len(mc.kills) == 178 and all(k.exact for k in mc.kills)
@@ -279,3 +288,55 @@ def test_criterion_11_motive_chain_n3():
         assert digest == "1f77e6d0424b61f8af6e2962317318fa47bc4d8b48ed9c9224b6632de910b7e6"
 
     _timed("11 (the n=3 motive chain for (g1, g2, g3) over F_10007)", 60, body)
+
+
+def _fp_config(p, blocks):
+    """y^2 + y = x^3 - x over F_p with g_i = (k1 P) + (k2 P) - (k3 P) - (k4 P)
+    for the blocks (k1, k2, k3, k4), P = (0, 0): the benchmark's config
+    format, computed with the engine's own group law."""
+    curve = curves.EllipticCurve.from_coeffs(PrimeField(p), 0, 0, 1, -1, 0)
+    P = curves.CurvePoint.affine(curve, 0, 0)
+    key = curve.field.key
+    functions = [
+        {
+            "name": f"g{i + 1}",
+            "divisor": [
+                {"point": [key(Q.x), key(Q.y)], "coeff": c}
+                for Q, c in zip(multiples(curve, P, ks), ("1", "1", "-1", "-1"))
+            ],
+        }
+        for i, ks in enumerate(blocks)
+    ]
+    coeffs = {"a1": "0", "a2": "0", "a3": "1", "a4": "-1", "a6": "0"}
+    return {
+        "curve": dict(coeffs, field=f"prime:{p}"),
+        "functions": functions,
+        "mode": "fbar",
+        "bounds": {"n_max": len(blocks), "r_max": 2, "random_trials": 20},
+        "seed": 0,
+    }
+
+
+# the whole criterion took 54 to 117 s on a 2-vCPU VM whose speed drifts
+N4_BUDGET = 300
+N4_SHA256 = "8c520665368495afd6dd395e112f56ec7d4b1035eece44bfb0534c304c1a8aaf"
+
+
+@pytest.mark.slow
+def test_criterion_12_motive_chain_n4():
+    # criterion 11's functions plus a fourth block, far from the first three
+    blocks = ((2, 3, 1, 4), (5, 8, 6, 7), (9, 12, 10, 11), (13, 16, 14, 15))
+    cfg = config_from_dict(_fp_config(10007, blocks))
+
+    def body():
+        # the build raises unless its final cocycle gate passes
+        mc = barcx.build_motive_chain(cfg.curve, cfg.functions)
+        _assert_dd_zero(mc)
+        assert mc.chain.lengths() == [1, 2, 3, 4, 5, 6]
+        assert len(mc.chain) == 89553
+        assert len(mc.kills) == 974 and all(k.exact for k in mc.kills)
+        assert barcx.grading_coherent(mc)
+        digest = hashlib.sha256(repr(mc.chain).encode()).hexdigest()
+        assert digest == N4_SHA256
+
+    _timed("12 (the n=4 motive chain for (g1, ..., g4) over F_10007)", N4_BUDGET, body)

@@ -1,5 +1,8 @@
 """Bar words, chains, cocycles, comultiplication, the nontriviality witness."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,10 +12,13 @@ from hypothesis import strategies as st
 from ellmotive.barcx import (
     BarChain,
     BarWord,
+    ChainConstructionError,
     _Echelon,
     _solve_exact,
-    build_motive_chain,
     bar_differential,
+    bar_faces,
+    bar_products,
+    build_motive_chain,
     comodule_span,
     comultiply,
     comultiply_grouped,
@@ -64,6 +70,24 @@ def test_single_slot_differential_is_boundary(chains):
 
     expected = BarChain.from_cycle_sums([boundary(Y)])
     assert (d + expected).is_zero() or (d - expected).is_zero()
+
+
+def test_differential_is_faces_plus_products(chains):
+    _, _, mc1, mc2 = chains
+    for mc in (mc1, mc2):
+        layer = mc.chain.component(2)
+        faces, products = bar_faces(layer), bar_products(layer)
+        assert faces.lengths() == [2] and products.lengths() == [1]
+        assert faces + products == bar_differential(layer)
+
+
+def test_build_gate_rejects_a_non_cocycle(chains, monkeypatch):
+    # the final cocycle check is the build's one gate: a chain that fails it
+    # never leaves build_motive_chain
+    curve, gs, _, _ = chains
+    monkeypatch.setattr("ellmotive.barcx.verify_cocycle", lambda chain: (False, chain))
+    with pytest.raises(ChainConstructionError, match="not a cocycle"):
+        build_motive_chain(curve, gs[:1])
 
 
 def test_chain_n1_structure(chains):
@@ -277,3 +301,90 @@ def test_echelon_contains_agrees_with_solve(system, vec):
         ech.add(col, j)
     assert ech.contains(vec) == (_solve_exact(columns, vec) is not None)
     assert ech.contains(vec) == (_rank(columns + [vec]) == _rank(columns))
+
+
+# ---------------------------------------------------------------------------
+# the block-by-block solve against one echelon over every column
+
+
+def _one_echelon(columns, rhs):
+    """The unsplit solve: one `_Echelon` over all columns."""
+    ech = _Echelon()
+    for j, col in enumerate(columns):
+        ech.add(col, j)
+    residual, combo = ech.reduce(rhs)
+    if residual:
+        return None
+    return [-combo.get(j, 0) for j in range(len(columns))]
+
+
+_int_coeff = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _block_systems(draw):
+    """Sparse integer systems of up to four components on disjoint key
+    ranges, their columns interleaved.  Each block's rhs part is a
+    combination of its columns, perturbed in some blocks (which may make
+    them inconsistent); the rhs may also carry a key no column touches."""
+    columns, rhs = [], {}
+    for b in range(draw(st.integers(1, 4))):
+        keys = st.integers(10 * b, 10 * b + 4)
+        block = draw(st.lists(st.dictionaries(keys, _int_coeff, min_size=1, max_size=3), max_size=4))
+        for col, xj in zip(block, draw(st.lists(st.integers(-2, 2), min_size=len(block)))):
+            for k, v in col.items():
+                rhs[k] = rhs.get(k, 0) + xj * v
+        if draw(st.booleans()):
+            k = draw(keys)
+            rhs[k] = rhs.get(k, 0) + draw(_int_coeff)
+        columns.extend(block)
+    if draw(st.booleans()):
+        rhs[100] = draw(_int_coeff)  # no column has key 100
+    order = draw(st.permutations(range(len(columns))))
+    return [columns[j] for j in order], {k: v for k, v in rhs.items() if v}
+
+
+@given(_block_systems())
+@settings(max_examples=300, deadline=None)
+def test_block_solve_matches_one_echelon(system):
+    columns, rhs = system
+    x = _solve_exact(columns, rhs)
+    assert x == _one_echelon(columns, rhs)
+    if 100 in rhs:
+        assert x is None
+    if x is not None:
+        assert _apply(columns, x) == rhs
+        # an integral quotient is an int, never Fraction(n, 1)
+        assert all(type(v) is int or v.denominator != 1 for v in x)
+
+
+_HASH_SEED_SCRIPT = """
+import random
+from ellmotive.barcx import _blocks, _solve_exact
+rng = random.Random(7)
+for _ in range(200):
+    columns = [
+        {f"k{rng.randrange(12)}": rng.choice((-2, -1, 1, 3)) for _ in range(rng.randrange(1, 4))}
+        for _ in range(rng.randrange(1, 8))
+    ]
+    x0 = [rng.randrange(-2, 3) for _ in columns]
+    rhs = {}
+    for col, xj in zip(columns, x0):
+        for k, v in col.items():
+            rhs[k] = rhs.get(k, 0) + xj * v
+    print(_blocks(columns)[1], _solve_exact(columns, {k: v for k, v in rhs.items() if v}))
+"""
+
+
+def test_block_solve_independent_of_hash_seed():
+    # string keys hash differently under each seed; the blocks and x must not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT], env=env, capture_output=True, check=True
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b"\n") == 200 and outputs[0] == outputs[1]

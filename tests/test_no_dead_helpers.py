@@ -51,20 +51,16 @@ def _referenced(node):
 def _unreferenced():
     """Module-level defs and classes of src that nothing else in src names
     (a def's own body does not count)."""
-    trees = _trees()
-    out = set()
-    for tree in trees.values():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            elsewhere = set()
-            for other in trees.values():
-                for top in other.body:
-                    if top is not node:
-                        elsewhere |= _referenced(top)
-            if node.name not in elsewhere:
-                out.add(node.name)
-    return out
+    tops = [node for tree in _trees().values() for node in tree.body]
+    refs = [_referenced(node) for node in tops]
+    # how many top-level nodes name each name
+    naming = Counter(name for names in refs for name in names)
+    return {
+        node.name
+        for node, names in zip(tops, refs)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and naming[node.name] == (node.name in names)
+    }
 
 
 def test_no_dead_helpers():
