@@ -558,10 +558,8 @@ def grading_coherent(mc: MotiveChain) -> bool:
     leading motive: the chain is graded by one pure motive."""
     ctx = mc.context
     (target,) = ctx.materialize(mc.leading).motives
-    return all(
-        tensor_supports([m for d in descs for m in ctx.materialize(d).motives], target)
-        for _, descs in mc.layers
-    )
+    labels = {tuple(m for d in descs for m in ctx.materialize(d).motives) for _, descs in mc.layers}
+    return all(tensor_supports(ls, target) for ls in labels)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Symbolic parametric cubical cycles on E^b x (P^1 - {1})^c.
 
 A `ParamCycle` is the image of an affine parametrization: each E-coordinate
-is an expression sum(+-t_k) + const in named E-valued parameters, each cube
-coordinate is either a function evaluated at such expressions (identified
-with its divisor; nothing is ever evaluated in a function field) or a
-symbolic constant.
+is a `divisors.PointExpr` sum(+-t_k) + const in named E-valued parameters,
+each cube coordinate is either a function evaluated at such expressions
+(identified with its divisor; nothing is ever evaluated in a function field)
+or a symbolic constant.
 
 Equality of cycle sums is canonical-form equality under the symmetries the
 ambient algebra imposes:
@@ -27,18 +27,19 @@ signed action of a projector is multiplication by its coefficient sum, since
 every permuted copy canonicalizes back with the sign character.
 
 There is one serialization of expressions and cube coordinates under a
-naming of the parameters (see `_expr_ser`).  The scan compares its
-candidates by it, and reprs render it.  A canonical term's serialization
-under its own names (`ParamCycle.key`) orders the sorted `terms` view of
-cycle sums and bar words, which only the report edges read: reprs, the
-matcher's first-key rule and its unmatched list, and the nontriviality
-witness.
+naming of the parameters (see `_expr_ser`); under an expression's own names
+it is `PointExpr.key`.  The scan compares its candidates by it, and reprs
+render it.  A canonical term's serialization under its own names
+(`ParamCycle.key`) orders the sorted `terms` view of cycle sums and bar
+words, which only the report edges read: reprs, the matcher's first-key rule
+and its unmatched list, and the nontriviality witness.
 The scan names the parameters t0, t1, .. itself, so the canonical form does
 not depend on the parameter names a term was built with.
 
 The cubical boundary takes, for each cube slot, the zero and pole faces of
-the coordinate's divisor, solves the face equation for one parameter, and
-substitutes; signs follow the fixed convention sum_k (-1)^(k-1) (d0_k - dinf_k).
+the coordinate's divisor, solves the face equation (`divisors.class_equation`,
+the table fiber restriction solves too) for one parameter, and substitutes;
+signs follow the fixed convention sum_k (-1)^(k-1) (d0_k - dinf_k).
 """
 
 from __future__ import annotations
@@ -53,10 +54,13 @@ from .divisors import (
     DegeneracyError,
     DivisorError,
     FormalDivisor,
+    PointExpr,
     ProductDivisorClass,
+    class_equation,
     is_principal,
     make_fbar_divisor,
     make_fn_divisor,
+    render_expr,
 )
 from .gl2 import PureMotive
 from .lincomb import LinComb
@@ -73,80 +77,6 @@ class AdmissibilityError(ValueError):
     def __init__(self, report):
         super().__init__("; ".join(report.violations))
         self.report = report
-
-
-# ---------------------------------------------------------------------------
-# affine E-valued expressions
-
-
-@dataclass(frozen=True, slots=True)
-class PointExpr:
-    """sum(c_k * t_k) + const, with integer coefficients and a point constant."""
-
-    curve: EllipticCurve
-    coeffs: tuple = ()  # tuple of (name, int), sorted by name, nonzero
-    const: CurvePoint = None
-
-    @staticmethod
-    def make(curve, items, const=None) -> "PointExpr":
-        acc = {}
-        for name, c in items:
-            acc[name] = acc.get(name, 0) + c
-        coeffs = tuple(sorted((n, c) for n, c in acc.items() if c != 0))
-        return PointExpr(curve, coeffs, const if const is not None else CurvePoint.at_infinity(curve))
-
-    @staticmethod
-    def param(curve, name: str) -> "PointExpr":
-        return PointExpr.make(curve, [(name, 1)])
-
-    @staticmethod
-    def constant(p: CurvePoint) -> "PointExpr":
-        return PointExpr.make(p.curve, [], p)
-
-    def params(self):
-        return [n for n, _ in self.coeffs]
-
-    def is_const(self) -> bool:
-        return not self.coeffs
-
-    def __neg__(self) -> "PointExpr":
-        return PointExpr(self.curve, tuple((n, -c) for n, c in self.coeffs), ec_neg(self.const))
-
-    def __add__(self, other: "PointExpr") -> "PointExpr":
-        return PointExpr.make(
-            self.curve, list(self.coeffs) + list(other.coeffs), ec_add(self.const, other.const)
-        )
-
-    def __sub__(self, other: "PointExpr") -> "PointExpr":
-        return self + (-other)
-
-    def sub_point(self, q: CurvePoint) -> "PointExpr":
-        return PointExpr(self.curve, self.coeffs, ec_add(self.const, ec_neg(q)))
-
-    def scale(self, k: int) -> "PointExpr":
-        if k == 0:
-            return PointExpr.make(self.curve, [])
-        return PointExpr(
-            self.curve, tuple((n, k * c) for n, c in self.coeffs), ec_scalar_mul(k, self.const)
-        )
-
-    def substitute(self, name: str, repl: "PointExpr") -> "PointExpr":
-        c = dict(self.coeffs).get(name)
-        if c is None:
-            return self
-        rest = PointExpr(self.curve, tuple((n, v) for n, v in self.coeffs if n != name), self.const)
-        return rest + repl.scale(c)
-
-    def rename(self, mapping: dict) -> "PointExpr":
-        return PointExpr.make(
-            self.curve, [(mapping.get(n, n), c) for n, c in self.coeffs], self.const
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.const))
-
-    def __repr__(self) -> str:
-        return _render_expr(_expr_ser(self))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +283,7 @@ class ParamCycle:
 
     def __repr__(self) -> str:
         eser, qser = self.key()
-        es = ", ".join(_render_expr(e) for e in eser)
+        es = ", ".join(render_expr(e) for e in eser)
         qs = ", ".join(_render_qcoord(q) for q in qser)
         return f"Cycle[({es}) ; ({qs})]"
 
@@ -538,10 +468,11 @@ def _const_collapse(q):
 
 
 # The serialization: an expression under a naming {name: (new name, sign)},
-# or under its own names (naming None), is (sorted (new name, sign * coeff)
-# pairs, constant key); parameters the naming lacks take the next names by
-# |coeff| and coefficient |coeff|, as under every `_extend_naming` of it, and
-# a floating sign (0) takes the negative coefficient, as it settles.  A
+# or under its own names (naming None; `PointExpr.key`), is (sorted (new
+# name, sign * coeff) pairs, constant key); parameters the naming lacks take
+# the next names by |coeff| and coefficient |coeff|, as under every
+# `_extend_naming` of it, and a floating sign (0) takes the negative
+# coefficient, as it settles.  A
 # cube coordinate is ("K", spec key, point key) or ("F", spec key, argument
 # serializations), the arguments of each symmetric class sorted.  The scan
 # compares candidates by it, a cycle under its own names sorts sums by it,
@@ -549,8 +480,8 @@ def _const_collapse(q):
 
 
 def _expr_ser(e: PointExpr, naming: dict = None):
-    if naming is None:  # own names: the coefficients are already sorted pairs
-        return e.coeffs, e.const.key()
+    if naming is None:
+        return e.key()
     items, fresh = [], []
     for n, c in e.coeffs:
         named = naming.get(n)
@@ -578,15 +509,10 @@ def _qcoord_ser(q, naming: dict = None):
     return ("F", q.spec.spec_key(), tuple(sers[i] for i in order)), order
 
 
-def _render_expr(ser) -> str:
-    items, const = ser
-    return "+".join(f"{c}{n}" for n, c in items) + f"|{const}"
-
-
 def _render_qcoord(ser) -> str:
     if ser[0] == "K":
         return f"K({ser[1]}@{ser[2]})"
-    return f"F({ser[1]};{','.join(_render_expr(a) for a in ser[2])})"
+    return f"F({ser[1]};{','.join(render_expr(a) for a in ser[2])})"
 
 
 def _rename(e: PointExpr, naming: dict) -> PointExpr:
@@ -654,27 +580,6 @@ def _canonical_items(items):
 _face_cache: dict = {}
 
 
-def _component_equation(q: FunCoord, component) -> PointExpr:
-    kind = component[0]
-    args = q.args
-    if kind == "D":
-        _, i, pt = component
-        return args[i - 1].sub_point(pt)
-    if kind == "Delta":
-        _, i, j = component
-        return args[i - 1] - args[j - 1]
-    if kind == "Psi":
-        _, i, j = component
-        return args[i - 1] + args[j - 1]
-    if kind == "Dsum":
-        _, pt = component
-        total = PointExpr.constant(pt)
-        for a in args:
-            total = total + a
-        return total
-    raise CycleError(f"unknown divisor component {component!r}")
-
-
 def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr):
     """Impose eq = 0, eliminate one parameter, drop the cube slot.
 
@@ -688,17 +593,11 @@ def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr):
                 f"cube coordinate {slot} is identically degenerate on a face"
             )
         return None
-    pivot = None
-    for name in cycle.params:
-        c = dict(eq.coeffs).get(name)
-        if c in (1, -1):
-            pivot = (name, c)
-            break
-    if pivot is None:
+    coeffs = dict(eq.coeffs)
+    name = next((p for p in cycle.params if coeffs.get(p) in (1, -1)), None)
+    if name is None:
         raise DegeneracyError(f"face equation {eq!r} has no unit pivot")
-    name, c = pivot
-    rest = PointExpr(eq.curve, tuple((n, v) for n, v in eq.coeffs if n != name), eq.const)
-    repl = rest.scale(-c)  # c = +-1
+    repl = eq.solve(name)
     ecoords = tuple(e.substitute(name, repl) for e in cycle.ecoords)
     qcoords = []
     for j, q in enumerate(cycle.qcoords, start=1):
@@ -725,7 +624,7 @@ def _check_nondegenerate(cycle: ParamCycle):
                 )
             continue
         for component, _ in q.spec.components():
-            eq = _component_equation(q, component)
+            eq = class_equation(component, q.args)
             if eq.is_const() and eq.const.infinity:
                 raise DegeneracyError(
                     f"cube coordinate {j} became identically zero or infinite"
@@ -745,7 +644,7 @@ def term_faces(cycle: ParamCycle):
         for component, coeff in q.spec.components():
             if coeff.denominator != 1:
                 raise CycleError("face multiplicities must be integers")
-            eq = _component_equation(q, component)
+            eq = class_equation(component, q.args)
             face = _solve_face(cycle, slot, eq)
             if face is None:
                 continue
@@ -838,7 +737,7 @@ class AdmissibilityReport:
     violations: tuple = ()
 
 
-def check_admissible(gs, mode: str = "fbar", n: int = None, curve=None) -> AdmissibilityReport:
+def check_admissible(gs, mode: str = "fbar", n: int = None) -> AdmissibilityReport:
     """Divisor-level admissibility of a function tuple.
 
     Checks pairwise disjoint supports, supports avoiding the identity (and in
@@ -847,11 +746,7 @@ def check_admissible(gs, mode: str = "fbar", n: int = None, curve=None) -> Admis
     """
     violations = []
     n = len(gs) if n is None else n
-    supports = []
-    for g in gs:
-        if not is_principal(g.divisor):
-            raise DivisorError(f"divisor of {g.name} is not principal")
-        supports.append(set(g.divisor))
+    supports = [set(g.divisor) for g in gs]
     for i in range(len(gs)):
         for j in range(i + 1, len(gs)):
             overlap = supports[i] & supports[j]

@@ -1,6 +1,6 @@
-"""Formal divisors on E and named divisor classes on E^n.
+"""Formal divisors on E, named divisor classes on E^n, point expressions.
 
-Two layers:
+Three layers:
 
 * `FormalDivisor` — an exact-coefficient formal sum of points of E(k), with
   Abel's principality criterion (degree zero and group-law sum equal to the
@@ -11,17 +11,21 @@ Two layers:
   antidiagonal Psi_{i,j} = {x_i + x_j = 0}, and the class Dsum(q) cut out by
   p_{n+1} = -sum(p_i) taking the value q.  On E^2 the class Dsum(0) is the
   antidiagonal and is normalized to Psi_{1,2} on construction.  The recipes
-  for F-bar_n and F_n and the fiberwise restriction rules live here, as does
-  the (Z/2Z)^2 alternating projection used on E x E classes.
+  for F-bar_n and F_n live here, as does the (Z/2Z)^2 alternating
+  projection used on E x E classes.
 
-Generic fiber points are symbolic (named indeterminates with an evaluation
-map to concrete points); restriction therefore returns divisors over symbolic
-point expressions, which evaluate exactly once an assignment is given.
+* `PointExpr` — the one affine E-valued expression type, sum(c_k * t_k) +
+  const in named parameters, and `class_equation`, the one table of the
+  affine equations that cut out the named classes.  The cubical faces of
+  the cycle families impose these equations (`cycles.term_faces`), and
+  `restrict_to_fiber` solves them for a fresh parameter at the fiber
+  coordinate, so it returns divisors over point expressions, which evaluate
+  exactly once an assignment is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
 from .lincomb import LinComb
@@ -232,63 +236,128 @@ def make_fn_divisor(curve: EllipticCurve, n: int, u: CurvePoint, v: CurvePoint) 
 
 
 # ---------------------------------------------------------------------------
-# symbolic points and fiberwise restriction
+# affine E-valued expressions, the class equations, fiberwise restriction
 
 
-@dataclass(frozen=True)
-class SymPoint:
-    """An affine expression sum(c_k * s_k) + const with named generic points s_k."""
+@dataclass(frozen=True, slots=True)
+class PointExpr:
+    """sum(c_k * t_k) + const, with integer coefficients in named E-valued
+    parameters and a point constant."""
 
     curve: EllipticCurve
-    coeffs: tuple = ()  # tuple of (name, int), sorted, nonzero
+    coeffs: tuple = ()  # tuple of (name, int), sorted by name, nonzero
     const: CurvePoint = None
 
     @staticmethod
-    def generic(curve: EllipticCurve, name: str) -> "SymPoint":
-        return SymPoint(curve, ((name, 1),), CurvePoint.at_infinity(curve))
-
-    @staticmethod
-    def constant(p: CurvePoint) -> "SymPoint":
-        return SymPoint(p.curve, (), p)
-
-    @staticmethod
-    def combine(curve, parts, const=None) -> "SymPoint":
+    def make(curve, items, const=None) -> "PointExpr":
         acc = {}
-        for name, c in parts:
+        for name, c in items:
             acc[name] = acc.get(name, 0) + c
         coeffs = tuple(sorted((n, c) for n, c in acc.items() if c != 0))
-        return SymPoint(curve, coeffs, const if const is not None else CurvePoint.at_infinity(curve))
+        return PointExpr(curve, coeffs, const if const is not None else CurvePoint.at_infinity(curve))
 
-    def __neg__(self) -> "SymPoint":
-        return SymPoint(self.curve, tuple((n, -c) for n, c in self.coeffs), ec_neg(self.const))
+    @staticmethod
+    def param(curve, name: str) -> "PointExpr":
+        return PointExpr.make(curve, [(name, 1)])
 
-    def __add__(self, other: "SymPoint") -> "SymPoint":
-        return SymPoint.combine(
+    @staticmethod
+    def constant(p: CurvePoint) -> "PointExpr":
+        return PointExpr.make(p.curve, [], p)
+
+    def params(self):
+        return [n for n, _ in self.coeffs]
+
+    def is_const(self) -> bool:
+        return not self.coeffs
+
+    def __neg__(self) -> "PointExpr":
+        return PointExpr(self.curve, tuple((n, -c) for n, c in self.coeffs), ec_neg(self.const))
+
+    def __add__(self, other: "PointExpr") -> "PointExpr":
+        return PointExpr.make(
             self.curve, list(self.coeffs) + list(other.coeffs), ec_add(self.const, other.const)
         )
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
+    def __sub__(self, other: "PointExpr") -> "PointExpr":
+        return self + (-other)
+
+    def sub_point(self, q: CurvePoint) -> "PointExpr":
+        return PointExpr(self.curve, self.coeffs, ec_add(self.const, ec_neg(q)))
+
+    def scale(self, k: int) -> "PointExpr":
+        if k == 0:
+            return PointExpr.make(self.curve, [])
+        return PointExpr(
+            self.curve, tuple((n, k * c) for n, c in self.coeffs), ec_scalar_mul(k, self.const)
+        )
+
+    def solve(self, name: str) -> "PointExpr":
+        """The value of the parameter on {self = 0}; its coefficient is +-1."""
+        c = dict(self.coeffs)[name]
+        rest = PointExpr(self.curve, tuple((n, v) for n, v in self.coeffs if n != name), self.const)
+        return rest.scale(-c)
+
+    def substitute(self, name: str, repl: "PointExpr") -> "PointExpr":
+        c = dict(self.coeffs).get(name)
+        if c is None:
+            return self
+        rest = PointExpr(self.curve, tuple((n, v) for n, v in self.coeffs if n != name), self.const)
+        return rest + repl.scale(c)
+
+    def rename(self, mapping: dict) -> "PointExpr":
+        return PointExpr.make(
+            self.curve, [(mapping.get(n, n), c) for n, c in self.coeffs], self.const
+        )
 
     def evaluate(self, assignment) -> CurvePoint:
+        """The point at an assignment {name: point} of the parameters."""
         acc = self.const
         for name, c in self.coeffs:
             acc = ec_add(acc, ec_scalar_mul(c, assignment[name]))
         return acc
 
-    def key(self) -> str:
-        sym = "+".join(f"{c}*{n}" for n, c in self.coeffs)
-        return f"<{sym}|{self.const.key()}>"
+    def key(self) -> tuple:
+        """The serialization under the expression's own names."""
+        return self.coeffs, self.const.key()
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.const))
 
     def __repr__(self) -> str:
-        return self.key()
+        return render_expr(self.key())
+
+
+def render_expr(ser) -> str:
+    items, const = ser
+    return "+".join(f"{c}{n}" for n, c in items) + f"|{const}"
+
+
+def class_equation(named, args) -> PointExpr:
+    """The expression that vanishes where the point (args[0], .., args[n-1])
+    of E^n lies on the named class."""
+    kind = named[0]
+    if kind == "D":
+        _, i, q = named
+        return args[i - 1].sub_point(q)
+    if kind == "Delta":
+        _, i, j = named
+        return args[i - 1] - args[j - 1]
+    if kind == "Psi":
+        _, i, j = named
+        return args[i - 1] + args[j - 1]
+    if kind == "Dsum":
+        total = PointExpr.constant(named[1])
+        for a in args:
+            total = total + a
+        return total
+    raise DivisorError(f"unknown class {named!r}")
 
 
 class SymbolicDivisor(LinComb):
-    """Formal divisor whose points are symbolic expressions."""
+    """Formal divisor whose points are affine expressions."""
 
     __slots__ = labels = ("curve",)
-    sort_key = staticmethod(SymPoint.key)
+    sort_key = staticmethod(PointExpr.key)
     error = DivisorError
 
     @classmethod
@@ -307,10 +376,11 @@ class SymbolicDivisor(LinComb):
 def restrict_to_fiber(cls: ProductDivisorClass, i: int, fixed: dict) -> SymbolicDivisor:
     """Restrict a class on E^n to the fiber over coordinate i.
 
-    `fixed` maps every coordinate j != i to a SymPoint (generic symbols or
-    constants).  Rules: D_j(q) for j != i contributes nothing unless the fixed
-    value equals q (a degeneracy); D_i(q) -> (q); Delta_{i,j} -> (q_j);
-    Psi_{i,j} -> (-q_j); Dsum(q) -> (-q - sum_{j != i} q_j).
+    `fixed` maps every coordinate j != i to a PointExpr (generic parameters
+    or constants).  A fresh parameter stands at coordinate i, and each
+    class's equation is solved for it: the fiber meets the class in that
+    one point.  An equation without the parameter skips the class, unless
+    it vanishes identically: then the fixed values lie on the class.
     """
     n = cls.n
     if not 1 <= i <= n:
@@ -318,50 +388,24 @@ def restrict_to_fiber(cls: ProductDivisorClass, i: int, fixed: dict) -> Symbolic
     missing = [j for j in range(1, n + 1) if j != i and j not in fixed]
     if missing:
         raise DivisorError(f"missing fixed values for coordinates {missing}")
+    # longer than every name the fixed values use, so fresh
+    t = "x" + max((p for e in fixed.values() for p in e.params()), key=len, default="")
+    point = [PointExpr.param(cls.curve, t) if j == i else fixed[j] for j in range(1, n + 1)]
     out = []
     for named, c in cls.terms:
-        kind = named[0]
-        if kind == "D":
-            _, j, q = named
-            if j == i:
-                out.append((SymPoint.constant(q), c))
-            elif fixed[j].is_constant() and fixed[j].const == q:
-                raise DegeneracyError(f"fixed value for coordinate {j} lies on {_class_key(named)}")
-        elif kind in ("Delta", "Psi"):
-            _, a, b = named
-            if i not in (a, b):
-                _check_off_locus(named, fixed, a, b)
-                continue
-            j = b if a == i else a
-            val = fixed[j] if kind == "Delta" else -fixed[j]
-            out.append((val, c))
-        elif kind == "Dsum":
-            _, q = named
-            total = SymPoint.constant(ec_neg(q))
-            for j in range(1, n + 1):
-                if j != i:
-                    total = total + (-fixed[j])
-            out.append((total, c))
+        eq = class_equation(named, point)
+        if t in eq.params():
+            out.append((eq.solve(t), c))
+        elif eq.is_const() and eq.const.infinity:
+            raise DegeneracyError(f"fixed values lie on {_class_key(named)}")
     return SymbolicDivisor.of(cls.curve, out)
-
-
-def _check_off_locus(named, fixed, a, b):
-    kind = named[0]
-    fa, fb = fixed[a], fixed[b]
-    if fa.is_constant() and fb.is_constant():
-        if kind == "Delta" and fa.const == fb.const:
-            raise DegeneracyError(f"fixed values lie on {_class_key(named)}")
-        if kind == "Psi" and fa.const == ec_neg(fb.const):
-            raise DegeneracyError(f"fixed values lie on {_class_key(named)}")
-    elif fa == fb and kind == "Delta":
-        raise DegeneracyError(f"fixed values lie on {_class_key(named)}")
 
 
 # ---------------------------------------------------------------------------
 # the (Z/2Z)^2 alternating projection on E^2 classes
 
 
-def _negate_coordinate(named, k: int, n: int):
+def _negate_coordinate(named, k: int):
     kind = named[0]
     if kind == "D":
         _, i, q = named
@@ -386,9 +430,9 @@ def alt_project_square(cls: ProductDivisorClass) -> ProductDivisorClass:
             for named, c in cls.items():
                 img = named
                 if e1:
-                    img = _negate_coordinate(img, 1, 2)
+                    img = _negate_coordinate(img, 1)
                 if e2:
-                    img = _negate_coordinate(img, 2, 2)
+                    img = _negate_coordinate(img, 2)
                 items.append((img, c * sign))
     return ProductDivisorClass.of(cls.curve, 2, items)
 

@@ -25,7 +25,7 @@ def generator(curve=None) -> CurvePoint:
     return CurvePoint.affine(curve, 0, 0)
 
 
-def multiples(curve, P, ks):
+def multiples(P, ks):
     return [ec_scalar_mul(k, P) for k in ks]
 
 
@@ -34,7 +34,7 @@ def standard_function(curve, P, ks, name) -> UserFunction:
     k1, k2, k3, k4 = ks
     if k1 + k2 != k3 + k4:
         raise ValueError("multiples must balance for a principal divisor")
-    A, B, C, D = multiples(curve, P, ks)
+    A, B, C, D = multiples(P, ks)
     return UserFunction(name, FormalDivisor.of(curve, [(A, 1), (B, 1), (C, -1), (D, -1)]))
 
 
@@ -55,7 +55,7 @@ def fixed_points(count: int = 2):
     """Decoration points for the eta families, disjoint from the g supports."""
     curve = rank_one_curve()
     P = generator(curve)
-    return multiples(curve, P, [13, 14][:count])
+    return multiples(P, [13, 14][:count])
 
 
 def two_torsion_curve_f11() -> EllipticCurve:

@@ -320,7 +320,7 @@ def verify_boundary_formulas(curve, n, gs, fixed=(), mode="fbar") -> BoundaryFor
     """Full check of the displayed boundary identities at one (n, r)."""
     eta_rep = verify_eta_boundary(curve, n, gs, fixed, mode)
     if n >= 1:
-        a = fixed[0] if fixed else _default_mu_const(curve, gs)
+        a = fixed[0] if fixed else _default_mu_const(gs)
         mu_rep = verify_mu_boundary(curve, n, gs, a)
         b1 = fixed[0] if fixed else a
         b2 = fixed[1] if len(fixed) > 1 else a
@@ -336,7 +336,7 @@ def verify_boundary_formulas(curve, n, gs, fixed=(), mode="fbar") -> BoundaryFor
     return BoundaryFormulaReport(eta_rep, mu_rep, nu_rep, killers)
 
 
-def _default_mu_const(curve, gs):
+def _default_mu_const(gs):
     # a point away from supports and torsion whose shifts a + p stay away from
     # 2-torsion, so no mu target degenerates
     from .curves import ec_scalar_mul, is_two_torsion

@@ -103,7 +103,7 @@ def test_criterion_4_fiberwise_principality():
                 done = 0
                 while done < 20:
                     fixed = {
-                        j: divisors.SymPoint.generic(E, f"q{j}")
+                        j: divisors.PointExpr.param(E, f"q{j}")
                         for j in range(1, n + 1)
                         if j != i
                     }
@@ -302,7 +302,7 @@ def _fp_config(p, blocks):
             "name": f"g{i + 1}",
             "divisor": [
                 {"point": [key(Q.x), key(Q.y)], "coeff": c}
-                for Q, c in zip(multiples(curve, P, ks), ("1", "1", "-1", "-1"))
+                for Q, c in zip(multiples(P, ks), ("1", "1", "-1", "-1"))
             ],
         }
         for i, ks in enumerate(blocks)

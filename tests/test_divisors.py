@@ -4,14 +4,16 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellmotive.curves import CurvePoint, ec_add, ec_neg, enumerate_points, full_two_torsion
 from ellmotive.divisors import (
     DegeneracyError,
     DivisorError,
     FormalDivisor,
+    PointExpr,
     ProductDivisorClass,
-    SymPoint,
     alt_project_square,
     is_principal,
     make_fbar_divisor,
@@ -123,7 +125,7 @@ def test_fn_odd_case(torsion):
 
 def test_restrict_fbar2_generic(E):
     cls = make_fbar_divisor(E, 2)
-    q = SymPoint.generic(E, "q")
+    q = PointExpr.param(E, "q")
     sym = restrict_to_fiber(cls, 1, {2: q})
     # (q) + (-q) - 2(0): degree 0, sum 0
     assert sym.degree() == 0
@@ -137,7 +139,7 @@ def test_restrict_fbar2_generic(E):
 
 def test_restrict_fbar3_generic(E):
     cls = make_fbar_divisor(E, 3)
-    fixed = {2: SymPoint.generic(E, "q2"), 3: SymPoint.generic(E, "q3")}
+    fixed = {2: PointExpr.param(E, "q2"), 3: PointExpr.param(E, "q3")}
     sym = restrict_to_fiber(cls, 1, fixed)
     assert sym.degree() == 0
     P = generator(E)
@@ -153,7 +155,7 @@ def test_restrict_fbar3_generic(E):
 def test_restrict_disjoint_fiber(E):
     P = generator(E)
     cls = ProductDivisorClass.of(E, 2, [(("D", 2, P), 1)])
-    sym = restrict_to_fiber(cls, 1, {2: SymPoint.generic(E, "q")})
+    sym = restrict_to_fiber(cls, 1, {2: PointExpr.param(E, "q")})
     assert not sym.terms
 
 
@@ -161,7 +163,50 @@ def test_restrict_degeneracy_named(E):
     P = generator(E)
     cls = ProductDivisorClass.of(E, 2, [(("D", 2, P), 1)])
     with pytest.raises(DegeneracyError):
-        restrict_to_fiber(cls, 1, {2: SymPoint.constant(P)})
+        restrict_to_fiber(cls, 1, {2: PointExpr.constant(P)})
+
+
+@pytest.mark.parametrize("kind, sign", [("Psi", -1), ("Delta", 1)])
+def test_restrict_symbolic_degeneracy(E, kind, sign):
+    # x2 = q, x3 = -q lies on Psi_{2,3} (x3 = q on Delta_{2,3}) for every q
+    cls = ProductDivisorClass.of(E, 3, [((kind, 2, 3), 1), (("D", 1, zero(E)), 1)])
+    q = PointExpr.param(E, "q")
+    with pytest.raises(DegeneracyError):
+        restrict_to_fiber(cls, 1, {2: q, 3: q.scale(sign)})
+
+
+_F101 = two_torsion_curve_f101()
+_F101_POINTS = enumerate_points(_F101)
+
+
+@st.composite
+def _classes_and_points(draw):
+    """A random class on E^n over F_101, a fiber coordinate and a point for
+    every other coordinate."""
+    n = draw(st.integers(2, 4))
+    point = st.sampled_from(_F101_POINTS)
+    index = st.integers(1, n)
+    kinds = [
+        st.tuples(st.just("D"), index, point),
+        st.tuples(st.sampled_from(("Delta", "Psi")), index, index).filter(lambda k: k[1] != k[2]),
+        st.tuples(st.just("Dsum"), point),
+    ]
+    items = draw(st.lists(st.tuples(st.one_of(kinds), st.integers(-3, 3)), max_size=6))
+    i = draw(index)
+    values = {j: draw(point) for j in range(1, n + 1) if j != i}
+    return ProductDivisorClass.of(_F101, n, items), i, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classes_and_points())
+def test_generic_restriction_agrees_with_constant_points(case):
+    cls, i, values = case
+    try:
+        at_points = restrict_to_fiber(cls, i, {j: PointExpr.constant(p) for j, p in values.items()})
+    except DegeneracyError:
+        return  # the points lie on a class; the generic fiber does not
+    generic = restrict_to_fiber(cls, i, {j: PointExpr.param(_F101, f"q{j}") for j in values})
+    assert generic.evaluate({f"q{j}": p for j, p in values.items()}) == at_points.evaluate({})
 
 
 def test_fiberwise_principality_random_f101():
@@ -173,7 +218,7 @@ def test_fiberwise_principality_random_f101():
         for i in range(1, n + 1):
             done = 0
             while done < 5:
-                fixed = {j: SymPoint.generic(E, f"q{j}") for j in range(1, n + 1) if j != i}
+                fixed = {j: PointExpr.param(E, f"q{j}") for j in range(1, n + 1) if j != i}
                 values = {f"q{j}": rng.choice(pts) for j in range(1, n + 1) if j != i}
                 try:
                     conc = restrict_to_fiber(cls, i, fixed).evaluate(values)

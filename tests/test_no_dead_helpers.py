@@ -1,5 +1,5 @@
 """Every module-level def and class in src/ellmotive, and every method of
-its classes, is used by src itself."""
+its classes, is used by src itself, and every def reads its parameters."""
 
 import ast
 from collections import Counter
@@ -103,3 +103,34 @@ def test_no_dead_methods():
 
 def test_test_only_method_list_is_current():
     assert TEST_ONLY_METHODS <= _unreferenced_methods()
+
+
+def _unused_parameters():
+    """module:def:parameter for every parameter of a non-dunder def in src
+    that its body never reads (self and cls aside)."""
+    out = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            out.update(
+                f"{module}:{node.name}:{a.arg}"
+                for a in params
+                if a.arg not in ("self", "cls") and a.arg not in read
+            )
+    return out
+
+
+def test_no_unused_parameters():
+    assert _unused_parameters() == set()
