@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg
 from .cycles import CycleSum, boundary, external_product, tensor_supports
+from .divisors import FormalDivisor, is_principal
 from .formulas import (
     FamilyContext,
     KillCycleReport,
@@ -573,8 +574,6 @@ class NontrivialityCertificate:
 def nontriviality_witness(chain: BarChain) -> NontrivialityCertificate:
     """The final layer is not a coboundary when some point class (b)-(-b) is
     non-principal, i.e. 2b != 0."""
-    from .divisors import FormalDivisor, is_principal
-
     pts = final_layer_points(chain)
     if not pts:
         return NontrivialityCertificate(False, None, None, "no point words in the final layer")

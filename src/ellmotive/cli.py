@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import barcx
 from .config import ConfigError, default_config, load_config
+from .divisors import DegeneracyError
 from .report import Report, emit_report
 from .suites import run_suite
 
@@ -93,9 +95,6 @@ def main(argv=None) -> int:
 
 
 def _build_motive(cfg, n: int) -> Report:
-    from . import barcx
-    from .divisors import DegeneracyError
-
     report = Report(cfg.raw)
     if not 1 <= n <= len(cfg.functions):
         raise ConfigError(f"--n must be between 1 and {len(cfg.functions)}")

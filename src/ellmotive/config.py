@@ -16,6 +16,7 @@ from .curves import CurveError, CurvePoint, EllipticCurve
 from .cycles import UserFunction
 from .divisors import DivisorError, FormalDivisor, is_principal
 from .fields import FieldError, field_from_tag
+from .fixtures import standard_functions
 
 
 class ConfigError(ValueError):
@@ -137,8 +138,6 @@ def load_config(path: str) -> Config:
 
 def default_config() -> Config:
     """The rank-1 rational fixture with two admissible functions."""
-    from .fixtures import standard_functions
-
     curve, gs = standard_functions(2)
     raw = {
         "curve": {"a1": "0", "a2": "0", "a3": "1", "a4": "-1", "a6": "0", "field": "rational"},

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .fields import FieldError, PrimeField, RationalField
 
@@ -260,8 +261,6 @@ def full_two_torsion(curve: EllipticCurve) -> list:
 
 def _rational_cubic_roots(c3: Fraction, c2: Fraction, c1: Fraction, c0: Fraction):
     """Rational roots of c3 x^3 + c2 x^2 + c1 x + c0 by the rational root test."""
-    from math import gcd
-
     denom = 1
     for c in (c3, c2, c1, c0):
         denom = denom * c.denominator // gcd(denom, c.denominator)
@@ -291,8 +290,6 @@ def _rational_cubic_roots(c3: Fraction, c2: Fraction, c1: Fraction, c0: Fraction
 
 
 def _rational_quadratic_roots(a2: int, a1: int, a0: int):
-    from math import isqrt
-
     disc = a1 * a1 - 4 * a2 * a0
     if disc < 0:
         return []

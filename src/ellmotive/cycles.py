@@ -62,7 +62,7 @@ from .divisors import (
     make_fn_divisor,
     render_expr,
 )
-from .gl2 import PureMotive
+from .gl2 import PureMotive, clebsch_gordan
 from .lincomb import LinComb
 from .symgrp import GroupAlgebraElement, Permutation, YoungShape, transpose_projector
 
@@ -703,8 +703,6 @@ def external_product(s1: CycleSum, s2: CycleSum, target: PureMotive = None) -> C
 
 def tensor_supports(motives, target: PureMotive) -> bool:
     """Whether the target appears in the iterated Clebsch-Gordan expansion."""
-    from .gl2 import clebsch_gordan
-
     if not motives:
         return target == PureMotive(0, 0)
     support = {motives[0]}
@@ -814,6 +812,16 @@ def _fspec(curve, N, mode):
     raise CycleError(f"unknown mode {mode!r}")
 
 
+def _ynames(n):
+    return tuple(f"y{i}" for i in range(1, n + 1))
+
+
+def _balance(curve, names, const) -> PointExpr:
+    """-sum(names) - const: the coordinate that puts a family on the kernel
+    of the group law."""
+    return PointExpr.make(curve, [(p, -1) for p in names], ec_neg(const))
+
+
 def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=None):
     """Construct the X, Y, or Z family as a single ParamCycle.
 
@@ -832,32 +840,22 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
         if n + r < 1:
             raise CycleError("X needs n + r >= 1")
         _check_fixed_points(fixed, gs)
-        N = n + 1 + r
-        params = ("x",) + tuple(f"y{i}" for i in range(1, n + 1))
-        x = PointExpr.param(curve, "x")
-        ys = [PointExpr.param(curve, f"y{i}") for i in range(1, n + 1)]
         asum = CurvePoint.at_infinity(curve)
         for a in fixed:
             asum = ec_add(asum, a)
-        balance = PointExpr.make(
-            curve,
-            [("x", -1)] + [(f"y{i}", -1) for i in range(1, n + 1)],
-            ec_neg(asum),
-        )
+        params = ("x",) + _ynames(n)
+        x, *ys = (PointExpr.param(curve, p) for p in params)
         fargs = tuple([x] + ys + [PointExpr.constant(a) for a in fixed])
-        qcoords = [FunCoord(_fspec(curve, N, mode), fargs)]
-        qcoords += [FunCoord(g, (ys[i],)) for i, g in enumerate(gs)]
-        return ParamCycle(curve, params, tuple([x, balance] + ys), tuple(qcoords))
+        qcoords = [FunCoord(_fspec(curve, n + 1 + r, mode), fargs)]
+        qcoords += [FunCoord(g, (y,)) for g, y in zip(gs, ys)]
+        return ParamCycle(curve, params, (x, _balance(curve, params, asum), *ys), tuple(qcoords))
 
     if kind == "Y":
         a = fixed[0] if fixed else CurvePoint.at_infinity(curve)
-        if n == 0:
-            return ParamCycle(curve, (), (PointExpr.constant(ec_neg(a)),), ())
-        params = tuple(f"y{i}" for i in range(1, n + 1))
-        ys = [PointExpr.param(curve, f"y{i}") for i in range(1, n + 1)]
-        lead = PointExpr.make(curve, [(f"y{i}", -1) for i in range(1, n + 1)], ec_neg(a))
-        qcoords = tuple(FunCoord(g, (ys[i],)) for i, g in enumerate(gs))
-        return ParamCycle(curve, params, tuple([lead] + ys), qcoords)
+        params = _ynames(n)
+        ys = [PointExpr.param(curve, p) for p in params]
+        qcoords = tuple(FunCoord(g, (y,)) for g, y in zip(gs, ys))
+        return ParamCycle(curve, params, (_balance(curve, params, a), *ys), qcoords)
 
     if kind == "Z":
         if j is None or b1 is None or b2 is None:
@@ -868,23 +866,14 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
             raise AdmissibilityError(
                 AdmissibilityReport(False, (f"b2 = {b2.key()} lies in the divisor of {gs[j-1].name}",))
             )
-        other = [i for i in range(1, n + 1) if i != j]
-        params = ("x",) + tuple(f"y{i}" for i in other)
-        x = PointExpr.param(curve, "x")
-        ys = {i: PointExpr.param(curve, f"y{i}") for i in other}
-        balance = PointExpr.make(
-            curve,
-            [("x", -1)] + [(f"y{i}", -1) for i in other],
-            ec_neg(ec_add(b1, b2)),
+        params = ("x",) + tuple(f"y{i}" for i in range(1, n + 1) if i != j)
+        x, *ys = (PointExpr.param(curve, p) for p in params)
+        qcoords = tuple(
+            ConstCoord(g, b2) if i == j else FunCoord(g, (PointExpr.param(curve, f"y{i}"),))
+            for i, g in enumerate(gs, 1)
         )
-        qcoords = []
-        for i in range(1, n + 1):
-            if i == j:
-                qcoords.append(ConstCoord(gs[j - 1], b2))
-            else:
-                qcoords.append(FunCoord(gs[i - 1], (ys[i],)))
-        ecoords = tuple([x, balance] + [ys[i] for i in other])
-        return ParamCycle(curve, params, ecoords, tuple(qcoords))
+        ecoords = (x, _balance(curve, params, ec_add(b1, b2)), *ys)
+        return ParamCycle(curve, params, ecoords, qcoords)
 
     raise CycleError(f"unknown family kind {kind!r}")
 
@@ -923,7 +912,7 @@ def decorate(kind, cycle_or_point, n=None) -> CycleSum:
             raise CycleError("nu expects a Z-family cycle with b = n + 1")
         if n < 1:
             raise CycleError("nu needs n >= 1")
-        shape = YoungShape.standard((n, 1), "tabloid") if n >= 1 else None
+        shape = YoungShape.standard((n, 1), "tabloid")
         element = transpose_projector(shape)
         out = apply_projector_signed(CycleSum.single(cycle), element)
         return out.relabel((PureMotive(n - 1, 1),))
@@ -940,18 +929,11 @@ def build_mu_killer(curve, gs, i: int, shift: CurvePoint, extra_name="z"):
     Its z-face sweeps sum_p m_p * mu^{p + shift}(gs): the boundary reproduces
     the mu contributions.
     """
-    n = len(gs)
-    params = tuple(f"y{k}" for k in range(1, n + 1)) + (extra_name,)
-    ys = [PointExpr.param(curve, f"y{k}") for k in range(1, n + 1)]
-    z = PointExpr.param(curve, extra_name)
-    lead = PointExpr.make(
-        curve,
-        [(f"y{k}", -1) for k in range(1, n + 1)] + [(extra_name, -1)],
-        ec_neg(shift),
-    )
-    qcoords = [FunCoord(g, (ys[k],)) for k, g in enumerate(gs)]
+    params = _ynames(len(gs)) + (extra_name,)
+    *ys, z = (PointExpr.param(curve, p) for p in params)
+    qcoords = [FunCoord(g, (y,)) for g, y in zip(gs, ys)]
     qcoords.append(FunCoord(gs[i - 1], (z,)))
-    return ParamCycle(curve, params, tuple([lead] + ys), tuple(qcoords))
+    return ParamCycle(curve, params, (_balance(curve, params, shift), *ys), tuple(qcoords))
 
 
 def build_nu_killer(curve, gs, j: int, b1: CurvePoint, b2: CurvePoint):
@@ -960,20 +942,13 @@ def build_nu_killer(curve, gs, j: int, b1: CurvePoint, b2: CurvePoint):
     Its y_j-face sweeps the nu-family cycles: the boundary reproduces the nu
     contributions (the s = b2 term is the nu cycle itself).
     """
-    n = len(gs)
     if b2 in gs[j - 1].divisor:
         raise AdmissibilityError(
             AdmissibilityReport(False, (f"b2 = {b2.key()} lies in the divisor of {gs[j-1].name}",))
         )
-    params = ("x",) + tuple(f"y{k}" for k in range(1, n + 1))
-    x = PointExpr.param(curve, "x")
-    ys = {k: PointExpr.param(curve, f"y{k}") for k in range(1, n + 1)}
-    balance = PointExpr.make(
-        curve,
-        [("x", -1)] + [(f"y{k}", -1) for k in range(1, n + 1)],
-        ec_neg(b1),
-    )
-    ecoords = tuple([x, balance] + [ys[k] for k in range(1, n + 1) if k != j])
-    qcoords = [FunCoord(g, (ys[k],)) for k, g in enumerate(gs, start=1)]
+    params = ("x",) + _ynames(len(gs))
+    x, *ys = (PointExpr.param(curve, p) for p in params)
+    ecoords = (x, _balance(curve, params, b1), *ys[: j - 1], *ys[j:])
+    qcoords = [FunCoord(g, (y,)) for g, y in zip(gs, ys)]
     qcoords.append(ConstCoord(gs[j - 1], b2))
     return ParamCycle(curve, params, ecoords, tuple(qcoords))

@@ -1,25 +1,28 @@
 """The boundary-formula table and its machine verification.
 
-Families are named by descriptors, and `FamilyContext` materializes them.
-`FamilyContext.expansions` is the one table of the displayed boundary
-formulas: per eta, mu or nu descriptor, its term groups as products
-delta[left (x) right] with their multiplicities.  `FamilyContext.swept` lists
-the family members a kill cycle's face sweeps.  The checks below match that
-table against exact boundaries; `barcx.build_motive_chain` splices the same
-table into chains.
+Families are named by descriptors, and `FamilyContext` is the one path from
+a descriptor to its decorated cycle sum: one context, with one cache, per
+function tuple.  `FamilyContext.expansions` is the one table of the
+displayed boundary formulas: per eta, mu or nu descriptor, its term groups as
+products delta[left (x) right] with their multiplicities.
+`FamilyContext.swept` lists the family members a kill cycle's face sweeps.
+The boundaries suite, the checks below and `barcx.build_motive_chain` all
+materialize through a context, and the chain builder splices the same table.
 
-`verify_boundary_formulas` expands the boundary of a decorated eta family
-symbolically and classifies every term into the three term groups
-(divisor-point, mu, nu), instance by instance; the identities pin no signs or
-multiplicities, so each instance's coefficient is solved for and reported
-rather than asserted.  The check passes when every boundary term is consumed
-and every group instance received a coefficient.
+`verify_boundary_formulas(ctx, fixed)` checks the displayed identities over
+the context's whole tuple (n = len(ctx.names)) at r = len(fixed).
+`verify_expansion` expands the boundary of one decorated eta, mu or nu
+family symbolically and classifies every term into its table's term groups
+(for eta: divisor-point, mu, nu), instance by instance; the identities pin no
+signs or multiplicities, so each instance's coefficient is solved for and
+reported rather than asserted.  A match is complete when every boundary term
+is consumed and every group instance received a coefficient.
 
 The nu boundary is exactly zero for n = 1.  For n >= 2 its strict face
 boundary consists of product terms delta[smaller-nu (x) point]; the
-kill-cycle discharge certificate matches those exactly, and the two
-kill-cycle families are verified to reproduce the mu and nu contributions
-inside their own boundaries.
+kill-cycle discharge certificate matches those exactly, and `verify_killer`
+checks that the two kill-cycle families reproduce the mu and nu
+contributions inside their own boundaries.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import CurvePoint, ec_add, ec_neg
+from .curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
 from .cycles import (
     CycleSum,
     boundary,
@@ -256,37 +259,15 @@ class FamilyContext:
                 yield "nu", f"Z^{{b1+{s.key()}-b2}}", m, member
 
 
-def _match_expansions(ctx, lhs, desc, target) -> GroupMatchReport:
-    """Match lhs against the table terms of desc, each product scaled by
-    its multiplicity."""
+def verify_expansion(ctx, desc, target) -> GroupMatchReport:
+    """Match the exact boundary of an eta/mu/nu descriptor against its table
+    terms, each product scaled by its multiplicity."""
+    lhs = boundary(ctx.materialize(desc))
     instances = [
         (group, label, external_product(ctx.materialize(left), ctx.materialize(right)).scale(m))
         for group, label, m, left, right in ctx.expansions(desc)
     ]
     return _match_groups(lhs, instances, target)
-
-
-def verify_eta_boundary(curve, n, gs, fixed=(), mode="fbar") -> GroupMatchReport:
-    ctx = FamilyContext(curve, gs, mode)
-    top = ("eta", tuple(fixed), ctx.names)
-    lhs = boundary(ctx.materialize(top))
-    return _match_expansions(ctx, lhs, top, f"eta(n={n}, r={len(fixed)})")
-
-
-def verify_mu_boundary(curve, n, gs, a) -> GroupMatchReport:
-    ctx = FamilyContext(curve, gs)
-    top = ("mu", a, ctx.names)
-    return _match_expansions(ctx, boundary(ctx.materialize(top)), top, f"mu(n={n})")
-
-
-def verify_nu_boundary(curve, n, gs, j, b1, b2) -> NuBoundaryReport:
-    ctx = FamilyContext(curve, gs)
-    top = ("nu", j, b1, b2, ctx.names)
-    lhs = boundary(ctx.materialize(top))
-    if lhs.is_zero():
-        return NuBoundaryReport(n, True, 0, None)
-    discharge = _match_expansions(ctx, lhs, top, f"nu(n={n}, j={j}) discharge")
-    return NuBoundaryReport(n, False, len(lhs), discharge)
 
 
 def verify_killer(ctx, killer) -> KillCycleReport:
@@ -303,44 +284,36 @@ def verify_killer(ctx, killer) -> KillCycleReport:
     return KillCycleReport(family, reproduced, rep.matched, len(rep.unmatched))
 
 
-def verify_mu_killer(curve, gs, i, shift) -> KillCycleReport:
-    """The z-face of the mu kill-cycle sweeps sum_p m_p mu^{p+shift}(gs)."""
-    ctx = FamilyContext(curve, gs)
-    return verify_killer(ctx, ("kmu", i, shift, ctx.names))
-
-
-def verify_nu_killer(curve, gs, j, b1, b2) -> KillCycleReport:
-    """The y_j-face of the nu kill-cycle sweeps the nu family; the term at
-    the divisor point b2 is the nu cycle itself."""
-    ctx = FamilyContext(curve, gs)
-    return verify_killer(ctx, ("knu", j, b1, b2, ctx.names))
-
-
-def verify_boundary_formulas(curve, n, gs, fixed=(), mode="fbar") -> BoundaryFormulaReport:
-    """Full check of the displayed boundary identities at one (n, r)."""
-    eta_rep = verify_eta_boundary(curve, n, gs, fixed, mode)
-    if n >= 1:
-        a = fixed[0] if fixed else _default_mu_const(gs)
-        mu_rep = verify_mu_boundary(curve, n, gs, a)
-        b1 = fixed[0] if fixed else a
-        b2 = fixed[1] if len(fixed) > 1 else a
-        nu_rep = verify_nu_boundary(curve, n, gs, 1, b1, b2)
-        killers = [
-            verify_mu_killer(curve, gs, 1, a),
-            verify_nu_killer(curve, gs, 1, b1, b2),
-        ]
-    else:
-        mu_rep = GroupMatchReport(f"mu(n={n})", [], [])
+def verify_boundary_formulas(ctx, fixed=()) -> BoundaryFormulaReport:
+    """Full check of the displayed boundary identities over the context's
+    whole function tuple (n = len(ctx.names)), at r = len(fixed)."""
+    names = ctx.names
+    n = len(names)
+    eta_rep = verify_expansion(ctx, ("eta", tuple(fixed), names), f"eta(n={n}, r={len(fixed)})")
+    if n == 0:
+        return BoundaryFormulaReport(
+            eta_rep, GroupMatchReport("mu(n=0)", [], []), NuBoundaryReport(0, True, 0, None), []
+        )
+    a = fixed[0] if fixed else _default_mu_const(ctx.gs.values())
+    b2 = fixed[1] if len(fixed) > 1 else a
+    mu_rep = verify_expansion(ctx, ("mu", a, names), f"mu(n={n})")
+    nu = ("nu", 1, a, b2, names)
+    strict = boundary(ctx.materialize(nu))
+    if strict.is_zero():
         nu_rep = NuBoundaryReport(n, True, 0, None)
-        killers = []
+    else:
+        discharge = verify_expansion(ctx, nu, f"nu(n={n}, j=1) discharge")
+        nu_rep = NuBoundaryReport(n, False, len(strict), discharge)
+    killers = [
+        verify_killer(ctx, ("kmu", 1, a, names)),
+        verify_killer(ctx, ("knu", 1, a, b2, names)),
+    ]
     return BoundaryFormulaReport(eta_rep, mu_rep, nu_rep, killers)
 
 
 def _default_mu_const(gs):
     # a point away from supports and torsion whose shifts a + p stay away from
     # 2-torsion, so no mu target degenerates
-    from .curves import ec_scalar_mul, is_two_torsion
-
     supports = set()
     for g in gs:
         supports.update(g.divisor)

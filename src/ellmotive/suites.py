@@ -10,6 +10,7 @@ from math import factorial
 
 from . import barcx, curves, cycles, divisors, formulas, symgrp
 from .config import Config
+from .fixtures import two_torsion_curve_f11, two_torsion_curve_f101
 from .report import Report
 
 
@@ -192,8 +193,6 @@ def _suite_divisors(cfg: Config, report: Report):
     )
 
     # h_n recipes over a full-2-torsion prime-field fixture
-    from .fixtures import two_torsion_curve_f11
-
     tt_curve = two_torsion_curve_f11()
     tors = curves.full_two_torsion(tt_curve)
     u, v = tors[0], tors[1]
@@ -237,8 +236,6 @@ def _suite_divisors(cfg: Config, report: Report):
     )
 
     # fiberwise restriction of (F-bar_n): degree 0 and principal, sampled
-    from .fixtures import two_torsion_curve_f101
-
     f101 = two_torsion_curve_f101()
     pts101 = [p for p in curves.enumerate_points(f101) if not p.infinity]
     rng = random.Random(cfg.seed)
@@ -270,23 +267,28 @@ def _suite_divisors(cfg: Config, report: Report):
             "degree 0 and group-law sum equal to the identity",
             divisors.is_principal(g.divisor),
         )
-    P = _nontorsion_point(cfg)
-    if P is not None:
-        div = divisors.FormalDivisor.of(curve, [(P, 1), (curves.ec_neg(P), -1)])
-        report.add(
-            "divisors:P-minus-negP",
-            "(P)-(-P) is not the divisor of a function",
-            not divisors.is_principal(div),
-            f"P = {P.key()}, 2P = {curves.ec_scalar_mul(2, P).key()}",
-        )
+    _add_p_minus_neg_p(
+        cfg,
+        report,
+        "divisors:P-minus-negP",
+        "(P)-(-P) is not the divisor of a function",
+        with_double=True,
+    )
 
 
-def _nontorsion_point(cfg: Config):
-    for g in cfg.functions:
-        for p in g.divisor.support():
-            if not curves.ec_scalar_mul(2, p).infinity:
-                return p
-    return None
+def _add_p_minus_neg_p(cfg: Config, report: Report, rid, anchor, with_double=False):
+    """One record: (P)-(-P) is not principal, P the first support point of
+    the functions with 2P != 0.  Only 2-torsion is excluded, so P may still
+    have finite order.  No record when every support point is 2-torsion."""
+    points = (p for g in cfg.functions for p in g.divisor.support())
+    P = next((p for p in points if not curves.ec_scalar_mul(2, p).infinity), None)
+    if P is None:
+        return
+    div = divisors.FormalDivisor.of(cfg.curve, [(P, 1), (curves.ec_neg(P), -1)])
+    details = f"P = {P.key()}"
+    if with_double:
+        details += f", 2P = {curves.ec_scalar_mul(2, P).key()}"
+    report.add(rid, anchor, not divisors.is_principal(div), details)
 
 
 # ---------------------------------------------------------------------------
@@ -305,46 +307,29 @@ def _suite_boundaries(cfg: Config, report: Report):
     if not adm.passed:
         return
     fixed = _decoration_points(cfg)
-    n_max = min(cfg.bounds.n_max, len(gs))
     r_max = cfg.bounds.r_max
+    # one context per function tuple g1..gn: the dd and formula checks
+    # materialize every family through it
+    contexts = [
+        formulas.FamilyContext(curve, gs[:n], cfg.mode)
+        for n in range(1, min(cfg.bounds.n_max, len(gs)) + 1)
+    ]
 
-    # dd = 0 for the families and their decorations
-    for n in range(1, n_max + 1):
-        gsub = gs[:n]
-        for r in range(0, r_max + 1):
-            fx = tuple(fixed[:r])
+    # dd = 0 for the families and their decorations, each family apart, so a
+    # degenerate one does not take the others along
+    for ctx in contexts:
+        for rid, anchor, desc in _dd_families(ctx.names, fixed, r_max):
             try:
-                X = cycles.build_family("X", curve, n, gsub, fixed=fx, mode=cfg.mode)
-                eta = cycles.decorate("eta", X, n=n)
-                dd = cycles.boundary(cycles.boundary(eta))
-                report.add(
-                    f"boundaries:ddX:n={n},r={r}",
-                    "the cubical boundary squares to zero on the decorated X family",
-                    dd.is_zero(),
-                )
-            except divisors.DegeneracyError as exc:
-                report.add(f"boundaries:ddX:n={n},r={r}", "dd = 0", False, repr(exc))
-        # Y and Z apart, so a degenerate one does not take the other along
-        yz = (
-            ("Y", "mu", {"fixed": (fixed[0],)}),
-            ("Z", "nu", {"j": 1, "b1": fixed[0], "b2": fixed[1 % len(fixed)]}),
-        )
-        for kind, decoration, kwargs in yz:
-            rid = f"boundaries:dd{kind}:n={n}"
-            try:
-                family = cycles.build_family(kind, curve, n, gsub, **kwargs)
-                dd = cycles.boundary(cycles.boundary(cycles.decorate(decoration, family, n=n)))
-                report.add(rid, f"dd = 0 on the decorated {kind} family", dd.is_zero())
+                dd = cycles.boundary(cycles.boundary(ctx.materialize(desc)))
+                report.add(rid, anchor, dd.is_zero())
             except divisors.DegeneracyError as exc:
                 report.add(rid, "dd = 0", False, repr(exc))
 
     # the displayed boundary formulas
-    for n in range(1, n_max + 1):
-        gsub = gs[:n]
+    for n, ctx in enumerate(contexts, 1):
         for r in range(0, r_max + 1):
-            fx = tuple(fixed[:r])
             try:
-                rep = formulas.verify_boundary_formulas(curve, n, gsub, fixed=fx, mode=cfg.mode)
+                rep = formulas.verify_boundary_formulas(ctx, fixed=tuple(fixed[:r]))
             except divisors.DegeneracyError as exc:
                 report.add(f"boundaries:formulas:n={n},r={r}", "formulas", False, repr(exc))
                 continue
@@ -387,6 +372,21 @@ def _suite_boundaries(cfg: Config, report: Report):
                     {"reproduced": [(lbl, str(s)) for lbl, s in k.reproduced],
                      "tail_terms": k.tail_term_count},
                 )
+
+
+def _dd_families(names, fixed, r_max):
+    """(record id, anchor, descriptor) of the decorated X family at each r,
+    then the decorated Y and Z families, over the tuple names."""
+    n = len(names)
+    for r in range(0, r_max + 1):
+        yield (
+            f"boundaries:ddX:n={n},r={r}",
+            "the cubical boundary squares to zero on the decorated X family",
+            ("eta", tuple(fixed[:r]), names),
+        )
+    yield f"boundaries:ddY:n={n}", "dd = 0 on the decorated Y family", ("mu", fixed[0], names)
+    nu = ("nu", 1, fixed[0], fixed[1 % len(fixed)], names)
+    yield f"boundaries:ddZ:n={n}", "dd = 0 on the decorated Z family", nu
 
 
 def _match_failure(rep) -> dict:
@@ -523,12 +523,9 @@ def _suite_bar(cfg: Config, report: Report):
                 ok, details = False, repr(exc)
             report.add(f"bar:{check}:n={n}", anchor, ok, details)
     # Ext witness at the h^1(E) layer
-    P = _nontorsion_point(cfg)
-    if P is not None:
-        div = divisors.FormalDivisor.of(curve, [(P, 1), (curves.ec_neg(P), -1)])
-        report.add(
-            "bar:ext-witness",
-            "Ext^1(h^1(E), Q) = E(k) (x) Q: the class of (P)-(-P) is a nonzero element",
-            not divisors.is_principal(div),
-            f"P = {P.key()}",
-        )
+    _add_p_minus_neg_p(
+        cfg,
+        report,
+        "bar:ext-witness",
+        "Ext^1(h^1(E), Q) = E(k) (x) Q: the class of (P)-(-P) is a nonzero element",
+    )

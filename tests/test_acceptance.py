@@ -153,7 +153,7 @@ def test_criterion_6_boundary_formulas():
             gsub = gs[:n]
             for r in (0, 1, 2):
                 rep = formulas.verify_boundary_formulas(
-                    curve, n, gsub, fixed=tuple(afix[:r])
+                    formulas.FamilyContext(curve, gsub), fixed=tuple(afix[:r])
                 )
                 assert rep.eta.complete, (n, r, rep.eta.unmatched)
                 assert not rep.eta.unmatched

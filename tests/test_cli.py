@@ -183,31 +183,71 @@ def test_divisors_suite_has_flagged_records(tmp_path):
 
 
 def test_boundaries_suite_isolates_degenerate_checks(tmp_path, monkeypatch):
-    # one degenerate (n, r) or family fails its own record, not the rest
-    from ellmotive import cycles, formulas
+    # one degenerate family fails its own dd record and the formula records
+    # that materialize it, not the rest
+    from ellmotive import formulas, suites
 
     cfg = load_config(write_config(tmp_path, GOOD_CONFIG))
-    real_verify, real_build = formulas.verify_boundary_formulas, cycles.build_family
+    degenerate = ("eta", tuple(suites._decoration_points(cfg)[:1]), ("g1",))
+    real = formulas.FamilyContext.materialize
 
-    def verify(curve, n, gs, fixed=(), mode="fbar"):
-        if len(fixed) == 0:
+    def materialize(self, desc):
+        if desc == degenerate:
             raise DegeneracyError("forced")
-        return real_verify(curve, n, gs, fixed=fixed, mode=mode)
+        return real(self, desc)
 
-    def build(kind, *args, **kwargs):
-        if kind == "Y":
-            raise DegeneracyError("forced")
-        return real_build(kind, *args, **kwargs)
-
-    monkeypatch.setattr(formulas, "verify_boundary_formulas", verify)
-    monkeypatch.setattr(cycles, "build_family", build)
+    monkeypatch.setattr(formulas.FamilyContext, "materialize", materialize)
     status = {r.id: r.status for r in run_suite(cfg, "boundaries").records}
-    assert status["boundaries:formulas:n=1,r=0"] == "fail"
-    assert status["boundaries:ddY:n=1"] == "fail"
-    assert status["boundaries:eta-formula:n=1,r=1"] == "pass"
+    # the decorated X family at r = 1 is forced degenerate: its dd check and
+    # the r = 1 formulas, which expand it, fail
+    assert status["boundaries:ddX:n=1,r=1"] == "fail"
+    assert status["boundaries:formulas:n=1,r=1"] == "fail"
+    assert status["boundaries:ddX:n=1,r=0"] == "pass"
+    assert status["boundaries:ddY:n=1"] == "pass"
     assert status["boundaries:ddZ:n=1"] == "pass"
-    assert status["boundaries:ddX:n=1,r=1"] == "pass"
+    assert status["boundaries:eta-formula:n=1,r=0"] == "pass"
+    failed = {i for i, st in status.items() if st == "fail"}
+    assert failed == {"boundaries:ddX:n=1,r=1", "boundaries:formulas:n=1,r=1"}
     assert not any(i.endswith(":aborted") for i in status)
+
+
+def test_boundaries_suite_builds_one_context_per_tuple(monkeypatch):
+    # each function tuple g1..gn gets one context, shared by its dd and
+    # formula checks at every r
+    from ellmotive import formulas
+
+    cfg = config_from_dict(_workloads().make("boundaries-q-n3", 0).config)
+    built = []
+    real_init = formulas.FamilyContext.__init__
+
+    def init(self, curve, gs, mode="fbar"):
+        built.append(tuple(g.name for g in gs))
+        real_init(self, curve, gs, mode)
+
+    monkeypatch.setattr(formulas.FamilyContext, "__init__", init)
+    rep = run_suite(cfg, "boundaries")
+    assert not rep.failed
+    n_max = min(cfg.bounds.n_max, len(cfg.functions))
+    assert built == [("g1",), ("g1", "g2"), ("g1", "g2", "g3")][:n_max]
+
+
+def test_boundary_formulas_fill_the_given_context():
+    from ellmotive.fixtures import fixed_points, standard_functions
+    from ellmotive.formulas import FamilyContext, verify_boundary_formulas
+
+    curve, gs = standard_functions(2)
+    a, b = fixed_points(2)
+    ctx = FamilyContext(curve, gs)
+    assert verify_boundary_formulas(ctx, (a, b)).passed
+    names = ctx.names
+    for desc in (
+        ("eta", (a, b), names),
+        ("mu", a, names),
+        ("nu", 1, a, b, names),
+        ("kmu", 1, a, names),
+        ("knu", 1, a, b, names),
+    ):
+        assert desc in ctx._cache, desc
 
 
 def _workloads():

@@ -62,6 +62,14 @@ def test_family_shapes(setup):
     assert Z.qcoords[0].point == afix[1]
 
 
+def test_Y_without_functions_is_the_constant_point(setup):
+    # Y(0, a): the balance coordinate -a, with no parameter and no cube slot
+    curve, _, afix = setup
+    Y = build_family("Y", curve, 0, [], fixed=(afix[0],))
+    assert Y == ParamCycle(curve, (), (PointExpr.constant(ec_neg(afix[0])),), ())
+    assert (Y.b, Y.c, Y.dim) == (1, 0, 0)
+
+
 def test_admissibility(setup):
     curve, gs, _ = setup
     assert check_admissible(gs).passed

@@ -9,13 +9,10 @@ from ellmotive.curves import ec_add, ec_scalar_mul
 from ellmotive.fixtures import fixed_points, generator, standard_functions
 from ellmotive.lincomb import LinComb
 from ellmotive.formulas import (
+    FamilyContext,
     _match_groups,
     verify_boundary_formulas,
-    verify_eta_boundary,
-    verify_mu_boundary,
-    verify_mu_killer,
-    verify_nu_boundary,
-    verify_nu_killer,
+    verify_expansion,
 )
 
 
@@ -27,7 +24,7 @@ def setup():
 
 def test_eta_divisor_group_n1(setup):
     curve, gs, _ = setup
-    rep = verify_eta_boundary(curve, 1, gs[:1])
+    rep = verify_boundary_formulas(FamilyContext(curve, gs[:1])).eta
     assert rep.complete
     # only the divisor-point group is populated at r = 0
     groups = {inst.group for inst in rep.instances if inst.scalar is not None}
@@ -38,7 +35,7 @@ def test_eta_divisor_group_n1(setup):
 
 def test_eta_all_groups_n1_r2(setup):
     curve, gs, afix = setup
-    rep = verify_eta_boundary(curve, 1, gs[:1], fixed=tuple(afix))
+    rep = verify_boundary_formulas(FamilyContext(curve, gs[:1]), tuple(afix)).eta
     assert rep.complete
     groups = {inst.group for inst in rep.instances}
     assert groups == {"divisor-point", "mu", "nu"}
@@ -48,27 +45,27 @@ def test_eta_all_groups_n1_r2(setup):
 def test_eta_n0_display(setup):
     # the Q(-1) display: d(eta) = sum_r delta[eta(a_i) (x) eta(-a_i - sum a_j)]
     curve, gs, afix = setup
-    rep = verify_eta_boundary(curve, 0, [], fixed=tuple(afix))
+    rep = verify_boundary_formulas(FamilyContext(curve, []), tuple(afix)).eta
     assert rep.complete
     assert all(inst.group == "divisor-point" for inst in rep.instances)
 
 
 def test_mu_boundary(setup):
     curve, gs, afix = setup
-    rep = verify_mu_boundary(curve, 2, gs, afix[0])
+    rep = verify_boundary_formulas(FamilyContext(curve, gs), tuple(afix[:1])).mu
     assert rep.complete
     assert len(rep.instances) == sum(len(g.divisor.terms) for g in gs)
 
 
 def test_nu_boundary_strict_zero_n1(setup):
     curve, gs, afix = setup
-    rep = verify_nu_boundary(curve, 1, gs[:1], 1, afix[0], afix[1])
+    rep = verify_boundary_formulas(FamilyContext(curve, gs[:1]), tuple(afix[:2])).nu
     assert rep.strict_zero
 
 
 def test_nu_boundary_discharged_n2(setup):
     curve, gs, afix = setup
-    rep = verify_nu_boundary(curve, 2, gs, 1, afix[0], afix[1])
+    rep = verify_boundary_formulas(FamilyContext(curve, gs), tuple(afix[:2])).nu
     assert not rep.strict_zero
     assert rep.discharge.complete
     # the strict boundary has one family per point of the other function
@@ -77,10 +74,10 @@ def test_nu_boundary_discharged_n2(setup):
 
 def test_killers(setup):
     curve, gs, afix = setup
-    k1 = verify_mu_killer(curve, gs, 1, afix[0])
+    k1, k2 = verify_boundary_formulas(FamilyContext(curve, gs), tuple(afix[:2])).killers
+    assert k1.family == "mu-killer" and k2.family == "nu-killer"
     assert k1.all_reproduced
     assert k1.tail_term_count > 0  # the face tail is the homotopy remainder
-    k2 = verify_nu_killer(curve, gs, 1, afix[0], afix[1])
     assert k2.all_reproduced
 
 
@@ -88,7 +85,7 @@ def test_full_report_passes(setup):
     curve, gs, afix = setup
     for n in (1, 2):
         for r in (0, 1, 2):
-            rep = verify_boundary_formulas(curve, n, gs[:n], fixed=tuple(afix[:r]))
+            rep = verify_boundary_formulas(FamilyContext(curve, gs[:n]), tuple(afix[:r]))
             assert rep.passed, (n, r)
 
 
@@ -112,7 +109,8 @@ def test_fn_mode_formula_n1():
             ],
         ),
     )
-    rep = verify_eta_boundary(curve, 1, [g], mode="fn")
+    ctx = FamilyContext(curve, [g], "fn")
+    rep = verify_expansion(ctx, ("eta", (), ctx.names), "eta(n=1, r=0)")
     assert rep.complete
 
 
@@ -133,7 +131,7 @@ def test_eta_table_does_not_depend_on_point_order(setup, n):
     curve, gs, afix = setup
 
     def scalars(points):
-        rep = verify_eta_boundary(curve, n, gs[:n], fixed=tuple(points))
+        rep = verify_boundary_formulas(FamilyContext(curve, gs[:n]), tuple(points)).eta
         assert rep.complete
         return {g: Counter(rep.scalars(g)) for g in ("divisor-point", "mu", "nu")}
 

@@ -1,5 +1,6 @@
 """Every module-level def and class in src/ellmotive, and every method of
-its classes, is used by src itself, and every def reads its parameters."""
+its classes, is used by src itself, every def reads its parameters, and no
+def imports: src has no import cycle to break, so imports sit at the top."""
 
 import ast
 from collections import Counter
@@ -134,3 +135,18 @@ def _unused_parameters():
 
 def test_no_unused_parameters():
     assert _unused_parameters() == set()
+
+
+def _local_imports():
+    """module:def for every def in src whose body holds an import statement."""
+    return {
+        f"{module}:{node.name}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(sub, (ast.Import, ast.ImportFrom)) for sub in ast.walk(node))
+    }
+
+
+def test_no_function_local_imports():
+    assert _local_imports() == set()
