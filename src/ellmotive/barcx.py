@@ -1,11 +1,12 @@
 """Bar-complex words and chains over the cycle engine.
 
-Words are tensor lists of canonical cycles, each slot tagged with its motive
-label.  The total differential is the reduced-bar differential: internal
-boundaries per slot (`bar_faces`, same length) and products of adjacent
-slots (`bar_products`, one slot shorter), with signs determined by the
-cube-dimension parities (the convention compatible with the face-sign
-Leibniz rule); D squares to zero.
+A word is the tuple of its canonical cycles, one per tensor slot; the motive
+labels of a chain's families live on their descriptors
+(`formulas.desc_motive`).  The total differential is the reduced-bar
+differential: internal boundaries per slot (`bar_faces`, same length) and
+products of adjacent slots (`bar_products`, one slot shorter), with signs
+determined by the cube-dimension parities (the convention compatible with
+the face-sign Leibniz rule); D squares to zero.
 
 `build_motive_chain` assembles the canonical cocycle with a given leading
 family: lower layers are generated mechanically by splicing in the terms of
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg
-from .cycles import CycleSum, boundary, external_product, tensor_supports
+from .cycles import CycleSum, boundary, external_product
 from .divisors import FormalDivisor, is_principal
 from .formulas import (
     FamilyContext,
@@ -36,8 +37,10 @@ from .formulas import (
     _match_groups,
     _sorted_pts,
     desc_key,
+    desc_motive,
     verify_killer,
 )
+from .gl2 import tensor_supports
 from .lincomb import LinComb, accumulate
 
 
@@ -48,25 +51,15 @@ class ChainConstructionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# words and chains: slots are (canonical cycle, motive tuple)
+# words and chains: a word is a tuple of canonical cycles
 
 
-@dataclass(frozen=True)
-class BarWord:
-    slots: tuple  # tuple of ParamCycle (canonical)
-    # motive labels are bookkeeping: words are compared by their slots only
-    motives: tuple = field(compare=False, default=())
-
-    @property
-    def length(self) -> int:
-        return len(self.slots)
-
-    def __repr__(self) -> str:
-        return " | ".join(repr(s) for s in self.slots)
+def _word_key(w: tuple):
+    return tuple(s.key() for s in w)
 
 
-def _word_key(w: BarWord):
-    return tuple(s.key() for s in w.slots)
+def _word_repr(w: tuple) -> str:
+    return " | ".join(repr(s) for s in w)
 
 
 class BarChain(LinComb):
@@ -78,28 +71,27 @@ class BarChain(LinComb):
     @staticmethod
     def from_cycle_sums(sums, coeff=1) -> "BarChain":
         """Multilinear expansion of a tensor list of CycleSums into pure words."""
-        motives = tuple(tuple(s.motives) for s in sums)
         items = []
         for picks in itertools.product(*[s.items() for s in sums]):
             c = coeff
             for _, pc in picks:
                 c *= pc
-            items.append((BarWord(tuple(p for p, _ in picks), motives), c))
+            items.append((tuple(p for p, _ in picks), c))
         return BarChain(items)
 
     def component(self, length: int) -> "BarChain":
-        return self._like({w: c for w, c in self.items() if w.length == length})
+        return self._like({w: c for w, c in self.items() if len(w) == length})
 
     def lengths(self):
-        return sorted({w.length for w in self})
+        return sorted({len(w) for w in self})
 
     def __repr__(self) -> str:
-        return "\n".join(f"{c} * [{w!r}]" for w, c in self.terms) or "0"
+        return "\n".join(f"{c} * [{_word_repr(w)}]" for w, c in self.terms) or "0"
 
 
-def _prefix_parity(word: BarWord, i: int) -> int:
+def _prefix_parity(word: tuple, i: int) -> int:
     """(-1)^(sum_{k<i} (c_k + 1)); i is 0-based."""
-    total = sum(word.slots[k].c + 1 for k in range(i))
+    total = sum(word[k].c + 1 for k in range(i))
     return -1 if total % 2 else 1
 
 
@@ -108,12 +100,11 @@ def bar_faces(chain: BarChain) -> BarChain:
     Every face word keeps the length of its word."""
     items = []
     for word, coeff in chain.items():
-        slots, motives = word.slots, word.motives
-        for i, (slot, motive) in enumerate(zip(slots, motives)):
+        for i, slot in enumerate(word):
             c = coeff * _prefix_parity(word, i)
             # the slots are canonical already: they enter as they are
-            for face, fc in boundary(CycleSum([(slot, 1)], motive)).items():
-                items.append((BarWord(slots[:i] + (face,) + slots[i + 1 :], motives), c * fc))
+            for face, fc in boundary(CycleSum([(slot, 1)])).items():
+                items.append((word[:i] + (face,) + word[i + 1 :], c * fc))
     return BarChain(items)
 
 
@@ -122,14 +113,12 @@ def bar_products(chain: BarChain) -> BarChain:
     their external product.  Every product word is one slot shorter."""
     items = []
     for word, coeff in chain.items():
-        slots, motives = word.slots, word.motives
-        for i in range(len(slots) - 1):
+        for i in range(len(word) - 1):
             c = coeff * _prefix_parity(word, i + 1)
-            left = CycleSum([(slots[i], 1)], motives[i])
-            right = CycleSum([(slots[i + 1], 1)], motives[i + 1])
-            merged = motives[:i] + (motives[i] + motives[i + 1],) + motives[i + 2 :]
+            left = CycleSum([(word[i], 1)])
+            right = CycleSum([(word[i + 1], 1)])
             for prod, pc in external_product(left, right).items():
-                items.append((BarWord(slots[:i] + (prod,) + slots[i + 2 :], merged), c * pc))
+                items.append((word[:i] + (prod,) + word[i + 2 :], c * pc))
     return BarChain(items)
 
 
@@ -342,7 +331,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
         # a candidate is one slot longer than the target, so the length-ell
         # part of its differential is its products; its faces stay longer
         columns = [bar_products(mat) for mat in mats]
-        if any(w.length != ell for col in columns for w in col):
+        if any(len(w) != ell for col in columns for w in col):
             raise ChainConstructionError(
                 f"candidate products miss the residual length {ell}", target
             )
@@ -434,14 +423,10 @@ def kill_certificates(mc: "MotiveChain") -> list:
 
 
 def comultiply(chain: BarChain):
-    """Deconcatenation: list of (coeff, left BarWord, right BarWord)."""
-    out = []
-    for word, coeff in chain.items():
-        for k in range(word.length + 1):
-            left = BarWord(word.slots[:k], word.motives[:k])
-            right = BarWord(word.slots[k:], word.motives[k:])
-            out.append((coeff, left, right))
-    return out
+    """Deconcatenation: list of (coeff, left word, right word)."""
+    return [
+        (coeff, word[:k], word[k:]) for word, coeff in chain.items() for k in range(len(word) + 1)
+    ]
 
 
 def comultiply_grouped(chain: BarChain):
@@ -452,35 +437,35 @@ def comultiply_grouped(chain: BarChain):
     return {right: BarChain(parts) for right, parts in groups.items()}
 
 
-_UNIT = BarWord((), ())
+_UNIT = ()
 
 
 def _unit_groups(chain: BarChain, groups: dict):
     """The E (x) 1 and 1 (x) E groups of the coproduct, given its grouping
     by the right factor."""
     leading = groups.get(_UNIT, BarChain())
-    trailing = BarChain((r, c) for c, l, r in comultiply(chain) if l.length == 0)
+    trailing = BarChain((r, c) for c, l, r in comultiply(chain) if not l)
     return leading, trailing
 
 
 def verify_coassociativity(chain: BarChain) -> bool:
     """Deconcatenation is coassociative: compare both double splits."""
     first = LinComb(
-        ((word.slots[:k], word.slots[k:m], word.slots[m:]), coeff)
+        ((word[:k], word[k:m], word[m:]), coeff)
         for word, coeff in chain.items()
-        for k in range(word.length + 1)
-        for m in range(k, word.length + 1)
+        for k in range(len(word) + 1)
+        for m in range(k, len(word) + 1)
     )
     # (psi x id) psi and (id x psi) psi both enumerate exactly these splits
     second = LinComb(
-        ((left.slots[:k], left.slots[k:], right.slots), coeff)
+        ((left[:k], left[k:], right), coeff)
         for coeff, left, right in comultiply(chain)
-        for k in range(left.length + 1)
+        for k in range(len(left) + 1)
     )
     third = LinComb(
-        ((left.slots, right.slots[:k], right.slots[k:]), coeff)
+        ((left, right[:k], right[k:]), coeff)
         for coeff, left, right in comultiply(chain)
-        for k in range(right.length + 1)
+        for k in range(len(right) + 1)
     )
     return first == second == third
 
@@ -538,28 +523,27 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
     )
 
 
-def is_point_word(word: BarWord) -> bool:
-    return all(s.dim == 0 and s.b == 1 and s.c == 0 for s in word.slots)
+def is_point_word(word: tuple) -> bool:
+    return all(s.dim == 0 and s.b == 1 and s.c == 0 for s in word)
 
 
 def final_layer_points(chain: BarChain):
     """The point entries of the longest-layer words (the chain's last term)."""
     if chain.is_zero():
         return []
-    top = max(w.length for w in chain)
+    top = max(len(w) for w in chain)
     pts = []
     for word, coeff in chain.terms:
-        if word.length == top and is_point_word(word):
-            pts.append((coeff, [s.ecoords[0].const for s in word.slots]))
+        if len(word) == top and is_point_word(word):
+            pts.append((coeff, [s.ecoords[0].const for s in word]))
     return pts
 
 
 def grading_coherent(mc: MotiveChain) -> bool:
     """Every layer word's motive labels tensor down to a sum containing the
     leading motive: the chain is graded by one pure motive."""
-    ctx = mc.context
-    (target,) = ctx.materialize(mc.leading).motives
-    labels = {tuple(m for d in descs for m in ctx.materialize(d).motives) for _, descs in mc.layers}
+    target = desc_motive(mc.leading)
+    labels = {tuple(desc_motive(d) for d in descs) for _, descs in mc.layers}
     return all(tensor_supports(ls, target) for ls in labels)
 
 
@@ -613,11 +597,11 @@ def comodule_span(mc: MotiveChain) -> ComoduleSpanReport:
     """
     members = [("1", BarChain([(_UNIT, 1)]))]
     for right, left_sum in sorted(
-        comultiply_grouped(mc.chain).items(), key=lambda t: (t[0].length, _word_key(t[0]))
+        comultiply_grouped(mc.chain).items(), key=lambda t: (len(t[0]), _word_key(t[0]))
     ):
         if left_sum.is_zero():
             continue
-        lbl = "E" if right.length == 0 else f"layer<-[{right!r}]"
+        lbl = "E" if not right else f"layer<-[{_word_repr(right)}]"
         members.append((lbl, left_sum))
     ech = _Echelon()
     for i, (_, ch) in enumerate(members):
@@ -628,5 +612,5 @@ def comodule_span(mc: MotiveChain) -> ComoduleSpanReport:
             if left_sum.is_zero():
                 continue
             if not ech.contains(left_sum):
-                failures.append((lbl, repr(right)))
+                failures.append((lbl, _word_repr(right)))
     return ComoduleSpanReport(members, not failures, failures)

@@ -62,7 +62,6 @@ from .divisors import (
     make_fn_divisor,
     render_expr,
 )
-from .gl2 import PureMotive, clebsch_gordan
 from .lincomb import LinComb
 from .symgrp import GroupAlgebraElement, Permutation, YoungShape, transpose_projector
 
@@ -73,10 +72,6 @@ class CycleError(ValueError):
 
 class AdmissibilityError(ValueError):
     """Raised when a construction is attempted with inadmissible data."""
-
-    def __init__(self, report):
-        super().__init__("; ".join(report.violations))
-        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -539,30 +534,23 @@ def _rebuild(cycle, ecoords, qcoords, qorder, naming) -> ParamCycle:
 
 
 class CycleSum(LinComb):
-    """Exact linear combination of canonical cycles with a motive label.
+    """Exact linear combination of canonical cycles.
 
     `of` canonicalizes on entry; the plain constructor takes canonical
-    cycles as they are.
+    cycles as they are.  A sum carries no motive label: a family's label
+    lives on its descriptor (`formulas.desc_motive`).
     """
 
-    __slots__ = labels = ("motives",)  # ordered tensor factors (PureMotive), bookkeeping only
+    __slots__ = ()
     sort_key = staticmethod(ParamCycle.key)
 
     @classmethod
-    def of(cls, items, motives=()) -> "CycleSum":
-        return cls(_canonical_items(items), tuple(motives))
+    def of(cls, items) -> "CycleSum":
+        return cls(_canonical_items(items))
 
     @classmethod
-    def single(cls, cycle: ParamCycle, coeff=1, motives=()) -> "CycleSum":
-        return cls.of([(cycle, coeff)], motives)
-
-    def _check(self, other):
-        # motive tags are bookkeeping: sums with other tags still add
-        if type(other) is not CycleSum:
-            raise TypeError(f"cannot add {type(other).__name__} to a CycleSum")
-
-    def relabel(self, motives) -> "CycleSum":
-        return self._like(self._coeffs, (tuple(motives),))
+    def single(cls, cycle: ParamCycle, coeff=1) -> "CycleSum":
+        return cls.of([(cycle, coeff)])
 
 
 def _canonical_items(items):
@@ -656,59 +644,33 @@ def term_faces(cycle: ParamCycle):
 
 def boundary(s: CycleSum) -> CycleSum:
     faces = ((face, c * fc) for cyc, c in s.items() for fc, face in term_faces(cyc))
-    return CycleSum.of(faces, s.motives)
+    return CycleSum.of(faces)
 
 
 # ---------------------------------------------------------------------------
 # products and projector actions
 
 
-_fresh_counter = itertools.count()
-
-
-def _freshen(cycle: ParamCycle, taken: set) -> ParamCycle:
-    mapping = {}
-    for p in cycle.params:
-        if p in taken:
-            mapping[p] = f"w{next(_fresh_counter)}"
-    return cycle.rename_params(mapping) if mapping else cycle
-
-
-def external_product(s1: CycleSum, s2: CycleSum, target: PureMotive = None) -> CycleSum:
+def external_product(s1: CycleSum, s2: CycleSum) -> CycleSum:
     """Concatenate E-factors and cube factors; bilinear.
 
-    When a target motive is supplied, the decoration is projected onto it:
-    the target must be a Clebsch-Gordan component of the factors' labels.
+    A left term with k parameters is canonical, so they are t0..t<k-1>; the
+    right term's parameters become t<k>, t<k+1>, .. in order.  One product
+    of two terms always builds the same cycle.
     """
     items = []
     for z1, c1 in s1.items():
+        k = len(z1.params)
         for z2, c2 in s2.items():
-            z2f = _freshen(z2, set(z1.params))
+            z2 = z2.rename_params({p: f"t{k + i}" for i, p in enumerate(z2.params)})
             prod = ParamCycle(
                 z1.curve,
-                z1.params + z2f.params,
-                z1.ecoords + z2f.ecoords,
-                z1.qcoords + z2f.qcoords,
+                z1.params + z2.params,
+                z1.ecoords + z2.ecoords,
+                z1.qcoords + z2.qcoords,
             )
             items.append((prod, c1 * c2))
-    motives = tuple(s1.motives) + tuple(s2.motives)
-    if target is not None:
-        if not tensor_supports(motives, target):
-            raise CycleError(
-                f"{target!r} is not a component of the product decoration"
-            )
-        motives = (target,)
-    return CycleSum.of(items, motives)
-
-
-def tensor_supports(motives, target: PureMotive) -> bool:
-    """Whether the target appears in the iterated Clebsch-Gordan expansion."""
-    if not motives:
-        return target == PureMotive(0, 0)
-    support = {motives[0]}
-    for mot in motives[1:]:
-        support = {W for V in support for W in clebsch_gordan(V, mot)}
-    return target in support
+    return CycleSum.of(items)
 
 
 def apply_projector_signed(s: CycleSum, element: GroupAlgebraElement) -> CycleSum:
@@ -722,7 +684,7 @@ def apply_projector_signed(s: CycleSum, element: GroupAlgebraElement) -> CycleSu
     if any(element.degree != cyc.b for cyc in s):
         raise CycleError("projector degree does not match the cycle")
     total = sum(element.values())
-    return CycleSum.of(((cyc, coeff * total) for cyc, coeff in s.items()), s.motives)
+    return CycleSum.of((cyc, coeff * total) for cyc, coeff in s.items())
 
 
 # ---------------------------------------------------------------------------
@@ -777,23 +739,21 @@ def _check_fixed_points(fixed, gs):
     seen = set()
     for a in fixed:
         if a.infinity:
-            raise AdmissibilityError(
-                AdmissibilityReport(False, ("fixed decoration points must be nonzero",))
-            )
+            raise AdmissibilityError("fixed decoration points must be nonzero")
         if is_two_torsion(a) or ec_scalar_mul(3, a).infinity:
-            raise AdmissibilityError(
-                AdmissibilityReport(False, (f"fixed point {a.key()} is 2- or 3-torsion",))
-            )
+            raise AdmissibilityError(f"fixed point {a.key()} is 2- or 3-torsion")
         if a in seen:
-            raise AdmissibilityError(
-                AdmissibilityReport(False, (f"fixed point {a.key()} repeated",))
-            )
+            raise AdmissibilityError(f"fixed point {a.key()} repeated")
         seen.add(a)
         for g in gs:
             if a in g.divisor or ec_neg(a) in g.divisor:
-                raise AdmissibilityError(
-                    AdmissibilityReport(False, (f"fixed point {a.key()} meets the support of {g.name}",))
-                )
+                raise AdmissibilityError(f"fixed point {a.key()} meets the support of {g.name}")
+
+
+def _check_b2(gs, j, b2):
+    # b2 inside the divisor of g_j makes the constant coordinate g_j(b2) degenerate
+    if b2 in gs[j - 1].divisor:
+        raise AdmissibilityError(f"b2 = {b2.key()} lies in the divisor of {gs[j-1].name}")
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +782,9 @@ def _balance(curve, names, const) -> PointExpr:
     return PointExpr.make(curve, [(p, -1) for p in names], ec_neg(const))
 
 
-def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=None):
-    """Construct the X, Y, or Z family as a single ParamCycle.
+def build_family(kind, curve, gs, fixed=(), mode="fbar", j=None, b1=None, b2=None):
+    """Construct the X, Y, or Z family over gs (n = len(gs)) as a single
+    ParamCycle.  The tuple itself is checked once, by its `FamilyContext`.
 
     X(n, r): E-coordinates (x, -x - sum(y) - sum(a), y_1..y_n), cube
     coordinates (F_{n+1+r}(x, y, a), g_1(y_1), .., g_n(y_n)).
@@ -831,10 +792,7 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
     Z(n, j, b1, b2): x, (-x - sum_{i != j} y_i - b1 - b2), y's without y_j;
     the j-th cube coordinate is the constant g_j(b2).
     """
-    report = check_admissible(gs, mode)
-    if not report.passed:
-        raise AdmissibilityError(report)
-
+    n = len(gs)
     if kind == "X":
         r = len(fixed)
         if n + r < 1:
@@ -862,10 +820,7 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
             raise CycleError("Z needs j, b1, b2")
         if not 1 <= j <= n:
             raise CycleError("Z index j out of range")
-        if b2 in gs[j - 1].divisor:
-            raise AdmissibilityError(
-                AdmissibilityReport(False, (f"b2 = {b2.key()} lies in the divisor of {gs[j-1].name}",))
-            )
+        _check_b2(gs, j, b2)
         params = ("x",) + tuple(f"y{i}" for i in range(1, n + 1) if i != j)
         x, *ys = (PointExpr.param(curve, p) for p in params)
         qcoords = tuple(
@@ -878,13 +833,13 @@ def build_family(kind, curve, n, gs, fixed=(), mode="fbar", j=None, b1=None, b2=
     raise CycleError(f"unknown family kind {kind!r}")
 
 
-def decorate(kind, cycle_or_point, n=None) -> CycleSum:
-    """Projector decoration and motive tag for the cycle families.
+def decorate(kind, cycle_or_point) -> CycleSum:
+    """Projector decoration of the cycle families.
 
-    eta: signed transposed-tabloid action of rho^t_{n,1} on X, tagged
-    Sym^n h^1(E)(-1); mu: Y as is, tagged Sym^{n+1} h^1(E); nu: signed
-    rho^t_{n-1,1} action on Z, tagged Sym^{n-1} h^1(E)(-1); eta_point: the
-    divisor (p) - (-p) tagged h^1(E).
+    eta and nu: the signed transposed-tabloid action of rho^t_{b-1,1} on a
+    cycle with b E-coordinates (X over n functions has b = n + 2, Z has
+    b = n + 1); mu: Y as is; eta_point: the divisor (p) - (-p).  The motive
+    labels are `formulas.desc_motive`'s.
     """
     if kind == "eta_point":
         p = cycle_or_point
@@ -893,29 +848,14 @@ def decorate(kind, cycle_or_point, n=None) -> CycleSum:
         curve = p.curve
         plus = ParamCycle(curve, (), (PointExpr.constant(p),), ())
         minus = ParamCycle(curve, (), (PointExpr.constant(ec_neg(p)),), ())
-        return CycleSum.of([(plus, 1), (minus, -1)], (PureMotive(1, 0),))
+        return CycleSum.of([(plus, 1), (minus, -1)])
 
     cycle = cycle_or_point
-    if kind == "eta":
-        if cycle.b != n + 2:
-            raise CycleError("eta expects an X-family cycle with b = n + 2")
-        shape = YoungShape.standard((n + 1, 1), "tabloid")
-        element = transpose_projector(shape)
-        out = apply_projector_signed(CycleSum.single(cycle), element)
-        return out.relabel((PureMotive(n, 1),))
     if kind == "mu":
-        if cycle.b != n + 1:
-            raise CycleError("mu expects a Y-family cycle with b = n + 1")
-        return CycleSum.single(cycle, motives=(PureMotive(n + 1, 0),))
-    if kind == "nu":
-        if cycle.b != n + 1:
-            raise CycleError("nu expects a Z-family cycle with b = n + 1")
-        if n < 1:
-            raise CycleError("nu needs n >= 1")
-        shape = YoungShape.standard((n, 1), "tabloid")
-        element = transpose_projector(shape)
-        out = apply_projector_signed(CycleSum.single(cycle), element)
-        return out.relabel((PureMotive(n - 1, 1),))
+        return CycleSum.single(cycle)
+    if kind in ("eta", "nu"):
+        element = transpose_projector(YoungShape.standard((cycle.b - 1, 1), "tabloid"))
+        return apply_projector_signed(CycleSum.single(cycle), element)
     raise CycleError(f"unknown decoration kind {kind!r}")
 
 
@@ -942,10 +882,7 @@ def build_nu_killer(curve, gs, j: int, b1: CurvePoint, b2: CurvePoint):
     Its y_j-face sweeps the nu-family cycles: the boundary reproduces the nu
     contributions (the s = b2 term is the nu cycle itself).
     """
-    if b2 in gs[j - 1].divisor:
-        raise AdmissibilityError(
-            AdmissibilityReport(False, (f"b2 = {b2.key()} lies in the divisor of {gs[j-1].name}",))
-        )
+    _check_b2(gs, j, b2)
     params = ("x",) + _ynames(len(gs))
     x, *ys = (PointExpr.param(curve, p) for p in params)
     ecoords = (x, _balance(curve, params, b1), *ys[: j - 1], *ys[j:])

@@ -6,6 +6,8 @@ function tuple.  `FamilyContext.expansions` is the one table of the
 displayed boundary formulas: per eta, mu or nu descriptor, its term groups as
 products delta[left (x) right] with their multiplicities.
 `FamilyContext.swept` lists the family members a kill cycle's face sweeps.
+`desc_motive` is the one table of the families' pure-motive labels; a
+cycle sum carries none.  A context checks its tuple's admissibility once.
 The boundaries suite, the checks below and `barcx.build_motive_chain` all
 materialize through a context, and the chain builder splices the same table.
 
@@ -32,14 +34,17 @@ from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
 from .cycles import (
+    AdmissibilityError,
     CycleSum,
     boundary,
     build_family,
     build_mu_killer,
     build_nu_killer,
+    check_admissible,
     decorate,
     external_product,
 )
+from .gl2 import H1, PureMotive
 
 
 @dataclass
@@ -152,6 +157,23 @@ def desc_key(desc) -> str:
     raise ValueError(f"unknown descriptor {desc!r}")
 
 
+def desc_motive(desc) -> PureMotive:
+    """The pure-motive label of a point, eta, mu or nu family, with
+    n = len(names): h^1(E), Sym^n h^1(E)(-1), Sym^{n+1} h^1(E) and
+    Sym^{n-1} h^1(E)(-1)."""
+    kind = desc[0]
+    if kind == "pt":
+        return H1
+    n = len(desc[-1])
+    if kind == "eta":
+        return PureMotive(n, 1)
+    if kind == "mu":
+        return PureMotive(n + 1, 0)
+    if kind == "nu":
+        return PureMotive(n - 1, 1)
+    raise ValueError(f"no motive label for descriptor {desc!r}")
+
+
 def _sorted_pts(pts):
     # spliced eta points go in key order, so that every splice path reaches
     # one descriptor; the F-coordinate is symmetric in them, so the family
@@ -166,9 +188,13 @@ def _without(names, name):
 class FamilyContext:
     """Materializes descriptors over a fixed admissible function tuple and
     holds the boundary-formula table: the checks below match it against
-    exact boundaries, and the bar complex splices it into chains."""
+    exact boundaries, and the bar complex splices it into chains.  The
+    tuple is checked for admissibility once, here, in the context's mode."""
 
     def __init__(self, curve, gs, mode="fbar"):
+        report = check_admissible(gs, mode)
+        if not report.passed:
+            raise AdmissibilityError("; ".join(report.violations))
         self.curve = curve
         self.gs = {g.name: g for g in gs}
         self.names = tuple(self.gs)
@@ -183,17 +209,15 @@ class FamilyContext:
             return self._cache[desc]
         kind, curve = desc[0], self.curve
         gsub = self.g_tuple(desc[-1]) if kind != "pt" else []
-        n = len(gsub)
         if kind == "pt":
             out = decorate("eta_point", desc[1])
         elif kind == "eta":
-            X = build_family("X", curve, n, gsub, fixed=desc[1], mode=self.mode)
-            out = decorate("eta", X, n=n)
+            out = decorate("eta", build_family("X", curve, gsub, fixed=desc[1], mode=self.mode))
         elif kind == "mu":
-            out = decorate("mu", build_family("Y", curve, n, gsub, fixed=(desc[1],)), n=n)
+            out = decorate("mu", build_family("Y", curve, gsub, fixed=(desc[1],)))
         elif kind == "nu":
             _, j, b1, b2, _ = desc
-            out = decorate("nu", build_family("Z", curve, n, gsub, j=j, b1=b1, b2=b2), n=n)
+            out = decorate("nu", build_family("Z", curve, gsub, j=j, b1=b1, b2=b2))
         elif kind == "kmu":
             out = CycleSum.single(build_mu_killer(curve, gsub, desc[1], desc[2]))
         elif kind == "knu":

@@ -59,7 +59,7 @@ H1 = PureMotive(1, 0)
 
 
 class MotiveSum(LinComb):
-    """Multiset of pure motives with multiplicities, in motive order."""
+    """Multiset of pure motive labels with multiplicities, in label order."""
 
     __slots__ = ()
 
@@ -89,6 +89,17 @@ def clebsch_gordan(V: PureMotive, W: PureMotive) -> MotiveSum:
     return MotiveSum.of(
         [(PureMotive(a + b - 2 * k, V.m + W.m + k), 1) for k in range(min(a, b) + 1)]
     )
+
+
+def tensor_supports(labels, target: PureMotive) -> bool:
+    """Whether the target appears in the iterated Clebsch-Gordan expansion
+    of the tensor product of the labels (Q for none)."""
+    if not labels:
+        return target == QQ
+    support = {labels[0]}
+    for mot in labels[1:]:
+        support = {W for V in support for W in clebsch_gordan(V, mot)}
+    return target in support
 
 
 def plethysm2(kind: str, V: PureMotive) -> MotiveSum:

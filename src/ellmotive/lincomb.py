@@ -12,8 +12,8 @@ sorts.  The sorted view `terms` is built on first read and is the only
 place where anything sorts, so only output that depends on term order
 (reprs, report details, first-term rules) pays for an order.
 
-A subtype names its extra attributes (a curve, an ambient exponent, motive
-tags) in `labels`, which are also its `__slots__`.  Equal combinations have
+A subtype names its extra attributes (a curve, an ambient exponent, a group
+degree) in `labels`, which are also its `__slots__`.  Equal combinations have
 equal labels too.  Arithmetic keeps the left operand's labels and requires
 the right operand's to agree.  A subtype
 that normalizes or checks its bases on entry does so in its `of`

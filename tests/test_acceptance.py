@@ -126,20 +126,20 @@ def test_criterion_5_boundary_squares_to_zero():
         for n in (1, 2, 3):
             gsub = gs[:n]
             for r in (0, 1, 2):
-                X = cycles.build_family("X", curve, n, gsub, fixed=tuple(afix[:r]))
+                X = cycles.build_family("X", curve, gsub, fixed=tuple(afix[:r]))
                 assert cycles.boundary(
                     cycles.boundary(cycles.CycleSum.single(X))
                 ).is_zero()
-                eta = cycles.decorate("eta", X, n=n)
+                eta = cycles.decorate("eta", X)
                 assert cycles.boundary(cycles.boundary(eta)).is_zero()
-            Y = cycles.build_family("Y", curve, n, gsub, fixed=(afix[0],))
+            Y = cycles.build_family("Y", curve, gsub, fixed=(afix[0],))
             assert cycles.boundary(cycles.boundary(cycles.CycleSum.single(Y))).is_zero()
-            assert cycles.boundary(cycles.boundary(cycles.decorate("mu", Y, n=n))).is_zero()
+            assert cycles.boundary(cycles.boundary(cycles.decorate("mu", Y))).is_zero()
             for j in range(1, n + 1):
-                Z = cycles.build_family("Z", curve, n, gsub, j=j, b1=afix[0], b2=afix[1])
+                Z = cycles.build_family("Z", curve, gsub, j=j, b1=afix[0], b2=afix[1])
                 assert cycles.boundary(cycles.boundary(cycles.CycleSum.single(Z))).is_zero()
                 assert cycles.boundary(
-                    cycles.boundary(cycles.decorate("nu", Z, n=n))
+                    cycles.boundary(cycles.decorate("nu", Z))
                 ).is_zero()
 
     _timed("5 (dd = 0 for X, Y, Z and decorations, n <= 3, r <= 2)", 60, body)

@@ -1,5 +1,6 @@
 """Bar words, chains, cocycles, comultiplication, the nontriviality witness."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from ellmotive.barcx import (
     BarChain,
-    BarWord,
     ChainConstructionError,
     _Echelon,
     _solve_exact,
@@ -30,6 +30,7 @@ from ellmotive.barcx import (
     verify_coassociativity,
     verify_cocycle,
 )
+from ellmotive.curves import ec_scalar_mul
 from ellmotive.cycles import build_family, decorate
 from ellmotive.fixtures import fixed_points, generator, standard_functions
 
@@ -51,8 +52,8 @@ def test_single_point_word_closed(chains):
 def test_dd_zero_on_words(chains):
     curve, gs, _, _ = chains
     afix = fixed_points(2)
-    eta = decorate("eta", build_family("X", curve, 1, gs[:1]), n=1)
-    mu = decorate("mu", build_family("Y", curve, 1, gs[1:2], fixed=(afix[0],)), n=1)
+    eta = decorate("eta", build_family("X", curve, gs[:1]))
+    mu = decorate("mu", build_family("Y", curve, gs[1:2], fixed=(afix[0],)))
     pt = decorate("eta_point", generator(curve))
     for sums in ([eta], [eta, pt], [pt, eta], [mu, pt, eta], [pt, pt, pt]):
         w = BarChain.from_cycle_sums(sums)
@@ -63,7 +64,7 @@ def test_single_slot_differential_is_boundary(chains):
     # D of [Y] equals the internal boundary as a length-1 chain: the mu display
     curve, gs, _, _ = chains
     afix = fixed_points(2)
-    Y = decorate("mu", build_family("Y", curve, 1, gs[:1], fixed=(afix[0],)), n=1)
+    Y = decorate("mu", build_family("Y", curve, gs[:1], fixed=(afix[0],)))
     d = bar_differential(BarChain.from_cycle_sums([Y]))
     assert d.lengths() == [1]
     from ellmotive.cycles import boundary
@@ -102,9 +103,9 @@ def test_chain_n2_structure(chains):
     _, _, _, mc2 = chains
     assert verify_cocycle(mc2.chain)[0]
     assert mc2.chain.lengths() == [1, 2, 3, 4]
-    top = max(w.length for w, _ in mc2.chain.terms)
+    top = max(len(w) for w, _ in mc2.chain.terms)
     assert all(
-        is_point_word(w) for w, _ in mc2.chain.terms if w.length == top
+        is_point_word(w) for w, _ in mc2.chain.terms if len(w) == top
     )
 
 
@@ -115,14 +116,14 @@ def test_chain_n0_pairing_structure(chains):
     mc = build_motive_chain(curve, [], fixed=tuple(fixed_points(2)))
     assert verify_cocycle(mc.chain)[0]
     assert mc.chain.lengths() == [1, 2]
-    pair_words = [w for w, _ in mc.chain.terms if w.length == 2]
+    pair_words = [w for w, _ in mc.chain.terms if len(w) == 2]
     assert pair_words and all(is_point_word(w) for w in pair_words)
 
 
 def test_leading_term_alone_is_not_cocycle(chains):
     _, _, mc1, mc2 = chains
     for mc in (mc1, mc2):
-        top = BarChain.of([(w, c) for w, c in mc.chain.terms if w.length == 1])
+        top = BarChain.of([(w, c) for w, c in mc.chain.terms if len(w) == 1])
         ok, diff = verify_cocycle(top)
         assert not ok and not diff.is_zero()
 
@@ -161,7 +162,7 @@ def test_comodule_span(chains):
     # layers n+2 = 3 deep plus the unit
     assert rep1.members[0][0] == "1"
     depths = {
-        max(w.length for w, _ in ch.terms) for lbl, ch in rep1.members if lbl != "1"
+        max(len(w) for w, _ in ch.terms) for lbl, ch in rep1.members if lbl != "1"
     }
     assert max(depths) == 3
     rep2 = comodule_span(mc2)
@@ -174,16 +175,25 @@ def test_point_class_span():
     P = generator(curve)
     chain = BarChain.from_cycle_sums([decorate("eta_point", P)])
     groups = comultiply_grouped(chain)
-    unit = BarWord((), ())
+    unit = ()
     assert groups[unit] == chain
-    lefts = {l for _, l, r in comultiply(chain) if r.length == 0}
-    assert all(w.length <= 1 for w in lefts)
+    lefts = {l for _, l, r in comultiply(chain) if len(r) == 0}
+    assert all(len(w) <= 1 for w in lefts)
 
 
 def test_grading_coherence(chains):
     _, _, mc1, mc2 = chains
     assert grading_coherent(mc1)
     assert grading_coherent(mc2)
+
+
+def test_grading_incoherent_layer_detected(chains):
+    # h1 (x) h1 = Sym^2 h1 + Q(-1) does not contain the n = 1 leading label
+    # Sym^1 h1(E)(-1), so a layer word of two point families breaks the grading
+    curve, _, mc1, _ = chains
+    P = generator(curve)
+    extra = (1, (("pt", P), ("pt", ec_scalar_mul(5, P))))
+    assert not grading_coherent(dataclasses.replace(mc1, layers=mc1.layers + [extra]))
 
 
 def test_nontriviality_witness(chains):

@@ -231,6 +231,33 @@ def test_boundaries_suite_builds_one_context_per_tuple(monkeypatch):
     assert built == [("g1",), ("g1", "g2"), ("g1", "g2", "g3")][:n_max]
 
 
+def test_boundaries_suite_checks_each_tuple_once(monkeypatch):
+    # the suite checks the whole tuple for its admissibility record, and each
+    # context checks its own tuple once; no family build checks again
+    from ellmotive import cycles, formulas
+
+    cfg = config_from_dict(_workloads().make("boundaries-q-n3", 0).config)
+    calls, contexts = [], []
+    real_check, real_init = cycles.check_admissible, formulas.FamilyContext.__init__
+
+    def check(gs, mode="fbar", n=None):
+        calls.append((tuple(g.name for g in gs), mode))
+        return real_check(gs, mode, n)
+
+    def init(self, curve, gs, mode="fbar"):
+        contexts.append(tuple(g.name for g in gs))
+        real_init(self, curve, gs, mode)
+
+    monkeypatch.setattr(cycles, "check_admissible", check)
+    monkeypatch.setattr(formulas, "check_admissible", check, raising=False)
+    monkeypatch.setattr(formulas.FamilyContext, "__init__", init)
+    rep = run_suite(cfg, "boundaries")
+    assert not rep.failed
+    assert len(calls) == 1 + len(contexts)
+    assert [names for names, _ in calls[1:]] == contexts
+    assert {mode for _, mode in calls} == {cfg.mode}
+
+
 def test_boundary_formulas_fill_the_given_context():
     from ellmotive.fixtures import fixed_points, standard_functions
     from ellmotive.formulas import FamilyContext, verify_boundary_formulas
@@ -462,10 +489,10 @@ def test_build_motive_chain_failure_exits_one(tmp_path, monkeypatch, error):
 
 def test_build_motive_inadmissible_input_exits_two(tmp_path, monkeypatch):
     # inadmissible functions are invalid input: exit 2 and no report
-    from ellmotive.cycles import AdmissibilityError, AdmissibilityReport
+    from ellmotive.cycles import AdmissibilityError
 
     def broken(*args, **kwargs):
-        raise AdmissibilityError(AdmissibilityReport(False, ("g1 is even",)))
+        raise AdmissibilityError("g1 is even")
 
     monkeypatch.setattr(barcx, "build_motive_chain", broken)
     out = tmp_path / "motive.json"

@@ -1,6 +1,9 @@
 """The symbolic cycle engine: families, canonical forms, boundary, products."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from fractions import Fraction
@@ -35,7 +38,6 @@ from ellmotive.cycles import (
 )
 from ellmotive.divisors import DegeneracyError, FormalDivisor
 from ellmotive.fixtures import fixed_points, generator, rank_one_curve, standard_functions
-from ellmotive.gl2 import PureMotive
 from ellmotive.symgrp import Permutation
 
 
@@ -47,13 +49,13 @@ def setup():
 
 def test_family_shapes(setup):
     curve, gs, afix = setup
-    X = build_family("X", curve, 1, gs[:1])
+    X = build_family("X", curve, gs[:1])
     assert (X.b, X.c, X.codim) == (3, 2, 3)
-    X2 = build_family("X", curve, 2, gs[:2], fixed=(afix[0],))
+    X2 = build_family("X", curve, gs[:2], fixed=(afix[0],))
     assert (X2.b, X2.c, X2.codim) == (4, 3, 4)
-    Y = build_family("Y", curve, 1, gs[:1], fixed=(afix[0],))
+    Y = build_family("Y", curve, gs[:1], fixed=(afix[0],))
     assert (Y.b, Y.c, Y.codim) == (2, 1, 2)
-    Z = build_family("Z", curve, 1, gs[:1], j=1, b1=afix[0], b2=afix[1])
+    Z = build_family("Z", curve, gs[:1], j=1, b1=afix[0], b2=afix[1])
     assert (Z.b, Z.c, Z.codim) == (2, 1, 2)
     # Z's j-th cube coordinate is the constant g_j(b2)
     from ellmotive.cycles import ConstCoord
@@ -65,7 +67,7 @@ def test_family_shapes(setup):
 def test_Y_without_functions_is_the_constant_point(setup):
     # Y(0, a): the balance coordinate -a, with no parameter and no cube slot
     curve, _, afix = setup
-    Y = build_family("Y", curve, 0, [], fixed=(afix[0],))
+    Y = build_family("Y", curve, [], fixed=(afix[0],))
     assert Y == ParamCycle(curve, (), (PointExpr.constant(ec_neg(afix[0])),), ())
     assert (Y.b, Y.c, Y.dim) == (1, 0, 0)
 
@@ -97,15 +99,15 @@ def test_admissibility(setup):
 def test_inadmissible_input_raises(setup):
     curve, gs, afix = setup
     with pytest.raises(AdmissibilityError):
-        build_family("X", curve, 1, gs[:1], fixed=(CurvePoint.at_infinity(curve),))
+        build_family("X", curve, gs[:1], fixed=(CurvePoint.at_infinity(curve),))
     with pytest.raises(AdmissibilityError):
         # b2 inside the divisor of g_j makes the constant coordinate degenerate
-        build_family("Z", curve, 1, gs[:1], j=1, b1=afix[0], b2=gs[0].divisor.support()[0])
+        build_family("Z", curve, gs[:1], j=1, b1=afix[0], b2=gs[0].divisor.support()[0])
 
 
 def test_canonicalize_merges_relabeled_copies(setup):
     curve, gs, _ = setup
-    X = build_family("X", curve, 1, gs[:1])
+    X = build_family("X", curve, gs[:1])
     # the reversed mapping also reverses the alphabetical order of the names
     for mapping in ({"x": "a", "y1": "b"}, {"x": "b", "y1": "a"}):
         relabeled = X.rename_params(mapping)
@@ -116,7 +118,7 @@ def test_canonicalize_merges_relabeled_copies(setup):
 
 def test_canonicalize_negation_and_swap(setup):
     curve, gs, _ = setup
-    X = build_family("X", curve, 1, gs[:1])
+    X = build_family("X", curve, gs[:1])
     # negating one E-coordinate costs a sign
     negd = X.negate_ecoord(1)
     s = CycleSum.of([(X, 1), (negd, 1)])
@@ -127,7 +129,7 @@ def test_canonicalize_negation_and_swap(setup):
 
 def test_cube_swap_alternating(setup):
     curve, gs, afix = setup
-    Z = build_family("Z", curve, 2, gs[:2], j=1, b1=afix[0], b2=afix[1])
+    Z = build_family("Z", curve, gs[:2], j=1, b1=afix[0], b2=afix[1])
     s = CycleSum.single(Z)
     swapped = CycleSum.of([(Z.permute_qcoords(Permutation.transposition(Z.c, 1, 2)), 1)])
     # Z minus its cube swap canonicalizes to 2 * (one term); the swap itself
@@ -142,7 +144,6 @@ def test_eta_point_and_boundary(setup):
     curve, _, _ = setup
     P = generator(curve)
     eta = decorate("eta_point", P)
-    assert eta.motives == (PureMotive(1, 0),)
     assert len(eta.terms) == 1 and abs(eta.terms[0][1]) == 2  # (p) - (-p) folds
     assert boundary(eta).is_zero()
     # at 2-torsion the class degenerates to zero
@@ -159,7 +160,7 @@ def test_eta_point_and_boundary(setup):
 def test_boundary_of_Y_matches_display(setup):
     curve, gs, afix = setup
     a = afix[0]
-    Y = build_family("Y", curve, 1, gs[:1], fixed=(a,))
+    Y = build_family("Y", curve, gs[:1], fixed=(a,))
     B = boundary(CycleSum.single(Y))
     # one point-pair family per divisor point: (-q - a, q)
     assert len(B.terms) == len(gs[0].divisor.terms)
@@ -173,20 +174,20 @@ def test_boundary_of_Y_matches_display(setup):
 def test_boundary_squares_to_zero(setup):
     curve, gs, afix = setup
     for n, r in ((1, 0), (1, 2), (2, 1)):
-        X = build_family("X", curve, n, gs[:n], fixed=tuple(afix[:r]))
-        eta = decorate("eta", X, n=n)
+        X = build_family("X", curve, gs[:n], fixed=tuple(afix[:r]))
+        eta = decorate("eta", X)
         assert boundary(boundary(eta)).is_zero()
-    Y = build_family("Y", curve, 2, gs[:2], fixed=(afix[0],))
-    assert boundary(boundary(decorate("mu", Y, n=2))).is_zero()
-    Z = build_family("Z", curve, 2, gs[:2], j=2, b1=afix[0], b2=afix[1])
-    assert boundary(boundary(decorate("nu", Z, n=2))).is_zero()
+    Y = build_family("Y", curve, gs[:2], fixed=(afix[0],))
+    assert boundary(boundary(decorate("mu", Y))).is_zero()
+    Z = build_family("Z", curve, gs[:2], j=2, b1=afix[0], b2=afix[1])
+    assert boundary(boundary(decorate("nu", Z))).is_zero()
 
 
 def test_face_counts(setup):
     # each unary cube coordinate with divisor of positive degree d contributes
     # d zero faces and d pole faces, before cancellation
     curve, gs, afix = setup
-    Y = build_family("Y", curve, 2, gs[:2], fixed=(afix[0],))
+    Y = build_family("Y", curve, gs[:2], fixed=(afix[0],))
     faces = term_faces(Y)
     # two functions, each with 2 zeros and 2 poles
     assert len(faces) == 8
@@ -199,7 +200,7 @@ def test_projector_quasi_idempotent_on_cycles(setup):
     from ellmotive.cycles import apply_projector_signed
     from ellmotive.symgrp import YoungShape, transpose_projector
 
-    X = build_family("X", curve, 1, gs[:1])
+    X = build_family("X", curve, gs[:1])
     element = transpose_projector(YoungShape.standard((2, 1), "tabloid"))
     once = apply_projector_signed(CycleSum.single(X), element)
     twice = apply_projector_signed(once, element)
@@ -212,7 +213,7 @@ def test_boundary_commutes_with_projector(setup):
     from ellmotive.cycles import apply_projector_signed
     from ellmotive.symgrp import YoungShape, transpose_projector
 
-    X = build_family("X", curve, 2, gs[:2])
+    X = build_family("X", curve, gs[:2])
     element = transpose_projector(YoungShape.standard((3, 1), "tabloid"))
     s = CycleSum.single(X)
     left = boundary(apply_projector_signed(s, element))
@@ -229,7 +230,6 @@ def test_external_product(setup):
     prod = external_product(a, b)
     for cyc, _ in prod.terms:
         assert cyc.b == 2 and cyc.c == 0
-    assert prod.motives == (PureMotive(1, 0), PureMotive(1, 0))
     # associativity after canonical forms
     c = decorate("eta_point", ec_scalar_mul(7, P))
     left = external_product(external_product(a, b), c)
@@ -237,21 +237,42 @@ def test_external_product(setup):
     assert (left - right).is_zero()
     # the product is a graded map: (b, c) degrees add
     curve2, gs = standard_functions(2)
-    Y = CycleSum.single(build_family("Y", curve2, 1, gs[:1], fixed=(ec_scalar_mul(13, P),)))
+    Y = CycleSum.single(build_family("Y", curve2, gs[:1], fixed=(ec_scalar_mul(13, P),)))
     py = external_product(Y, a)
     for cyc, _ in py.terms:
         assert cyc.b == 3 and cyc.c == 1
-    # decoration projection onto a Clebsch-Gordan component
-    projected = external_product(a, b, target=PureMotive(0, 1))
-    assert projected.motives == (PureMotive(0, 1),)
-    with pytest.raises(Exception):
-        external_product(a, b, target=PureMotive(5, 0))
+
+
+def test_external_product_names_are_deterministic(setup):
+    # the right factor's parameters follow the left factor's t0..t<k-1>, so
+    # computing one product again builds the same cycle and the canonical
+    # cache gains nothing
+    from ellmotive import cycles
+
+    curve, gs, afix = setup
+    Y1 = CycleSum.single(build_family("Y", curve, gs[:1], fixed=(afix[0],)))
+    Y2 = CycleSum.single(build_family("Y", curve, gs[1:2], fixed=(afix[1],)))
+    first = external_product(Y1, Y2)
+    before = len(cycles._canonical_cache)
+    assert external_product(Y1, Y2) == first
+    assert len(cycles._canonical_cache) == before
+
+
+def test_cycles_does_not_import_gl2():
+    # cycle sums carry no motive labels: the engine needs no label algebra
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ellmotive.cycles; print('ellmotive.gl2' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_leibniz_rule(setup):
     curve, gs, afix = setup
-    Y1 = CycleSum.single(build_family("Y", curve, 1, gs[:1], fixed=(afix[0],)))
-    Y2 = CycleSum.single(build_family("Y", curve, 1, gs[1:2], fixed=(afix[1],)))
+    Y1 = CycleSum.single(build_family("Y", curve, gs[:1], fixed=(afix[0],)))
+    Y2 = CycleSum.single(build_family("Y", curve, gs[1:2], fixed=(afix[1],)))
     lhs = boundary(external_product(Y1, Y2))
     c1 = Y1.terms[0][0].c
     sign = Fraction(-1) if c1 % 2 else Fraction(1)
@@ -282,9 +303,9 @@ def _orbit_seeds(setup):
     """The three n=2 families and six faces of X."""
     curve, gs, afix = setup
     seeds = [
-        build_family("X", curve, 2, gs[:2], fixed=(afix[0],)),
-        build_family("Y", curve, 2, gs[:2], fixed=(afix[1],)),
-        build_family("Z", curve, 2, gs[:2], j=2, b1=afix[0], b2=afix[1]),
+        build_family("X", curve, gs[:2], fixed=(afix[0],)),
+        build_family("Y", curve, gs[:2], fixed=(afix[1],)),
+        build_family("Z", curve, gs[:2], j=2, b1=afix[0], b2=afix[1]),
     ]
     return seeds + [f for _, f in term_faces(seeds[0])[:6]]
 
@@ -520,7 +541,7 @@ def _reference_projector(s, element):
             canon, sign = canonical_term(cyc.permute_ecoords(sigma))
             if canon is not None:
                 items.append((canon, coeff * c * sigma.sign() * sign))
-    return CycleSum(items, s.motives)
+    return CycleSum(items)
 
 
 def test_projector_matches_its_term_by_term_definition(setup):
@@ -535,15 +556,15 @@ def test_projector_matches_its_term_by_term_definition(setup):
     cases = []
     for n in (1, 2, 3):
         for r in (0, 1, 2):
-            X = build_family("X", curve, n, gs[:n], fixed=tuple(afix[:r]))
+            X = build_family("X", curve, gs[:n], fixed=tuple(afix[:r]))
             cases.append((CycleSum.single(X), element(n + 1)))
     for n in (2, 3):
-        Z = build_family("Z", curve, n, gs[:n], j=n, b1=afix[0], b2=afix[1])
+        Z = build_family("Z", curve, gs[:n], j=n, b1=afix[0], b2=afix[1])
         cases.append((CycleSum.single(Z), element(n)))
     # the plain constructor keeps cycles as they are, not canonical
-    X = build_family("X", curve, 1, gs[:1], fixed=(afix[1],))
-    Z = build_family("Z", curve, 2, gs[:2], j=1, b1=afix[0], b2=afix[1])
-    raw = CycleSum([(X, Fraction(2)), (Z.negate_ecoord(2), Fraction(-3))], ())
+    X = build_family("X", curve, gs[:1], fixed=(afix[1],))
+    Z = build_family("Z", curve, gs[:2], j=1, b1=afix[0], b2=afix[1])
+    raw = CycleSum([(X, Fraction(2)), (Z.negate_ecoord(2), Fraction(-3))])
     assert canonical_term(X)[0] != X
     cases.append((raw, element(2)))
     for s, el in cases:
@@ -574,7 +595,7 @@ def test_canonical_mark_is_not_carried(setup):
     import pickle
 
     curve, gs, afix = setup
-    canon, _ = canonical_term(build_family("X", curve, 2, gs[:2], fixed=(afix[0],)))
+    canon, _ = canonical_term(build_family("X", curve, gs[:2], fixed=(afix[0],)))
     assert getattr(canon, "_canonical", False)
     assert not hasattr(_unmarked(canon), "_canonical")
     moved = [
@@ -594,7 +615,7 @@ def test_marked_input_skips_the_cache(setup):
     from ellmotive import cycles
 
     curve, gs, afix = setup
-    canon, _ = canonical_term(build_family("Y", curve, 2, gs[:2], fixed=(afix[1],)))
+    canon, _ = canonical_term(build_family("Y", curve, gs[:2], fixed=(afix[1],)))
     before = len(cycles._canonical_cache)
     assert canonical_term(canon) == (canon, 1)
     assert canonical_term(canon)[0] is canon
@@ -632,8 +653,8 @@ def test_fn_mode_families():
             ],
         ),
     )
-    X = build_family("X", curve, 1, [g], mode="fn")
-    eta = decorate("eta", X, n=1)
+    X = build_family("X", curve, [g], mode="fn")
+    eta = decorate("eta", X)
     assert boundary(boundary(eta)).is_zero()
 
 
@@ -643,4 +664,4 @@ def test_fn_mode_needs_full_two_torsion(setup):
 
     curve, gs, _ = setup
     with pytest.raises(CycleError, match="2-torsion"):
-        build_family("X", curve, 1, gs[:1], mode="fn")
+        build_family("X", curve, gs[:1], mode="fn")

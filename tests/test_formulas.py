@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 
 from ellmotive.curves import ec_add, ec_scalar_mul
+from ellmotive.cycles import AdmissibilityError
 from ellmotive.fixtures import fixed_points, generator, standard_functions
+from ellmotive.gl2 import H1, MotiveError, PureMotive, tensor_supports
 from ellmotive.lincomb import LinComb
 from ellmotive.formulas import (
     FamilyContext,
     _match_groups,
+    desc_motive,
     verify_boundary_formulas,
     verify_expansion,
 )
@@ -136,3 +139,45 @@ def test_eta_table_does_not_depend_on_point_order(setup, n):
         return {g: Counter(rep.scalars(g)) for g in ("divisor-point", "mu", "nu")}
 
     assert scalars(afix) == scalars(afix[::-1])
+
+
+def test_desc_motive_labels():
+    # pt -> h1(E), eta -> Sym^n h1(E)(-1), mu -> Sym^{n+1} h1(E),
+    # nu -> Sym^{n-1} h1(E)(-1), with n the number of names
+    curve, gs = standard_functions(3)
+    a, b = fixed_points(2)
+    assert desc_motive(("pt", a)) == H1
+    for n in range(4):
+        names = tuple(g.name for g in gs[:n])
+        assert desc_motive(("eta", (a,), names)) == PureMotive(n, 1)
+        assert desc_motive(("mu", a, names)) == PureMotive(n + 1, 0)
+        if n:
+            assert desc_motive(("nu", 1, a, b, names)) == PureMotive(n - 1, 1)
+        else:
+            with pytest.raises(MotiveError):
+                desc_motive(("nu", 1, a, b, names))
+    with pytest.raises(ValueError):
+        desc_motive(("kmu", 1, a, ("g1",)))
+
+
+def test_table_products_carry_the_family_label():
+    # every displayed product delta[left (x) right] tensors down to a sum
+    # containing the label of the family whose boundary it expands
+    curve, gs = standard_functions(3)
+    a, b = fixed_points(2)
+    for n in range(4):
+        ctx = FamilyContext(curve, gs[:n])
+        descs = [("eta", (a,), ctx.names)]
+        if n:
+            descs += [("mu", a, ctx.names), ("nu", 1, a, b, ctx.names)]
+        for desc in descs:
+            for *_, left, right in ctx.expansions(desc):
+                labels = (desc_motive(left), desc_motive(right))
+                assert tensor_supports(labels, desc_motive(desc)), (desc, left, right)
+
+
+def test_context_rejects_an_inadmissible_tuple(setup):
+    # the tuple is checked once, when its context is built
+    curve, gs, _ = setup
+    with pytest.raises(AdmissibilityError, match="overlap"):
+        FamilyContext(curve, [gs[0], gs[0]])
