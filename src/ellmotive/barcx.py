@@ -33,7 +33,6 @@ from .cycles import CycleSum, boundary, external_product
 from .divisors import FormalDivisor, is_principal
 from .formulas import (
     FamilyContext,
-    KillCycleReport,
     _match_groups,
     _sorted_pts,
     desc_key,
@@ -69,11 +68,11 @@ class BarChain(LinComb):
     sort_key = staticmethod(_word_key)
 
     @staticmethod
-    def from_cycle_sums(sums, coeff=1) -> "BarChain":
+    def from_cycle_sums(sums) -> "BarChain":
         """Multilinear expansion of a tensor list of CycleSums into pure words."""
         items = []
         for picks in itertools.product(*[s.items() for s in sums]):
-            c = coeff
+            c = 1
             for _, pc in picks:
                 c *= pc
             items.append((tuple(p for p, _ in picks), c))
@@ -137,11 +136,11 @@ def verify_cocycle(chain: BarChain):
 # chain construction
 
 
-def _materialize_word(ctx: FamilyContext, descs, coeff=1) -> BarChain:
+def _materialize_word(ctx: FamilyContext, descs) -> BarChain:
     sums = [ctx.materialize(d) for d in descs]
     if any(s.is_zero() for s in sums):
         return BarChain()
-    return BarChain.from_cycle_sums(sums, coeff)
+    return BarChain.from_cycle_sums(sums)
 
 
 class _Echelon:
@@ -283,7 +282,7 @@ class MotiveChain:
     layers: list  # list of (coeff, descriptor tuple) actually used
     context: FamilyContext
     leading: tuple  # the top descriptor
-    kills: list = field(default_factory=list)  # KillCertificate records
+    kills: list = field(default_factory=list)  # KillCycleReport per mu/nu family
 
 
 def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
@@ -375,19 +374,6 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
 # a swept combination equal to the boundary of its kill cycle.
 
 
-@dataclass
-class KillCertificate:
-    family: str  # descriptor key of the mu/nu family
-    killer: str  # descriptor key of the kill cycle used
-    check: KillCycleReport  # the swept combination inside d(killer)
-
-    @property
-    def exact(self) -> bool:
-        """Every swept member is reproduced inside d(killer); the rest is
-        the face tail."""
-        return self.check.all_reproduced
-
-
 def _chain_mu_nu_families(layers):
     fams = set()
     for _, descs in layers:
@@ -401,9 +387,9 @@ def _chain_mu_nu_families(layers):
 
 def kill_certificates(mc: "MotiveChain") -> list:
     """For every mu/nu family in the chain, certify the coboundary relation
-    d(kill cycle) = swept family combination + explicit face tail, exactly.
-    The check is the boundaries suite's own (`formulas.verify_killer`), run
-    in the chain's context."""
+    d(kill cycle) = swept family combination + explicit face tail, exactly:
+    the boundaries suite's own `formulas.verify_killer` report, run in the
+    chain's context (`all_reproduced` is the certificate)."""
     ctx = mc.context
     out = []
     for d in _chain_mu_nu_families(mc.layers):
@@ -414,7 +400,7 @@ def kill_certificates(mc: "MotiveChain") -> list:
             killer = ("kmu", 1, shift, names)
         else:
             killer = ("knu",) + d[1:]
-        out.append(KillCertificate(desc_key(d), desc_key(killer), verify_killer(ctx, killer)))
+        out.append(verify_killer(ctx, killer))
     return out
 
 

@@ -13,13 +13,18 @@ arguments up in the curve's `_sums` and `_negs` dicts and run the formulas
 only on a miss, so a repeated sum returns the identical point (whose key and
 hash are then already cached).  The memo lives exactly as long as its curve;
 equal curves do not share one, and copies and pickles start empty.
+
+Coordinates are plain numbers (Fractions over Q, ints in [0, p) over F_p)
+and the formulas use Python's operators; the curve's field reduces each
+result once, divides and keys.  Int literals stand on the right of a product
+(`x * x * 3`), so a Fraction product takes Fraction's forward operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import lcm
 
 from .fields import FieldError, PrimeField, RationalField
 
@@ -55,41 +60,28 @@ class EllipticCurve:
     def from_coeffs(field, a1, a2, a3, a4, a6) -> "EllipticCurve":
         cf = field.coerce
         curve = EllipticCurve(field, cf(a1), cf(a2), cf(a3), cf(a4), cf(a6))
-        if field.is_zero(curve.discriminant()):
+        if curve.discriminant() == 0:
             raise CurveError("curve is singular (zero discriminant)")
         return curve
 
     def b_invariants(self):
         F, a1, a2, a3, a4, a6 = self.field, self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = F.add(F.mul(a1, a1), F.mul(F.coerce(4), a2))
-        b4 = F.add(F.mul(F.coerce(2), a4), F.mul(a1, a3))
-        b6 = F.add(F.mul(a3, a3), F.mul(F.coerce(4), a6))
-        b8 = F.sub(
-            F.add(
-                F.add(F.mul(F.mul(a1, a1), a6), F.mul(F.coerce(4), F.mul(a2, a6))),
-                F.add(F.mul(a2, F.mul(a3, a3)), F.neg(F.mul(a1, F.mul(a3, a4)))),
-            ),
-            F.mul(a4, a4),
-        )
+        b2 = F.reduce(a1 * a1 + a2 * 4)
+        b4 = F.reduce(a4 * 2 + a1 * a3)
+        b6 = F.reduce(a3 * a3 + a6 * 4)
+        b8 = F.reduce(a1 * a1 * a6 + a2 * a6 * 4 + a2 * a3 * a3 - a1 * a3 * a4 - a4 * a4)
         return b2, b4, b6, b8
 
     def discriminant(self):
-        F = self.field
         b2, b4, b6, b8 = self.b_invariants()
-        t1 = F.neg(F.mul(F.mul(b2, b2), b8))
-        t2 = F.neg(F.mul(F.coerce(8), F.mul(F.mul(b4, b4), b4)))
-        t3 = F.neg(F.mul(F.coerce(27), F.mul(b6, b6)))
-        t4 = F.mul(F.coerce(9), F.mul(b2, F.mul(b4, b6)))
-        return F.add(F.add(t1, t2), F.add(t3, t4))
+        disc = -b2 * b2 * b8 - b4 * b4 * b4 * 8 - b6 * b6 * 27 + b2 * b4 * b6 * 9
+        return self.field.reduce(disc)
 
     def contains(self, x, y) -> bool:
-        F = self.field
-        lhs = F.add(F.mul(y, y), F.add(F.mul(self.a1, F.mul(x, y)), F.mul(self.a3, y)))
-        rhs = F.add(
-            F.mul(x, F.mul(x, x)),
-            F.add(F.mul(self.a2, F.mul(x, x)), F.add(F.mul(self.a4, x), self.a6)),
-        )
-        return F.is_zero(F.sub(lhs, rhs))
+        # y^2 + a1 x y + a3 y - (x^3 + a2 x^2 + a4 x + a6), in Horner form
+        lhs = (y + self.a1 * x + self.a3) * y
+        rhs = ((x + self.a2) * x + self.a4) * x + self.a6
+        return self.field.reduce(lhs - rhs) == 0
 
     def key(self) -> str:
         return self._key
@@ -169,8 +161,7 @@ def ec_neg(P: CurvePoint) -> CurvePoint:
     E = P.curve
     neg = E._negs.get(P)
     if neg is None:
-        F = E.field
-        neg = E._negs[P] = CurvePoint(E, P.x, F.sub(F.neg(P.y), F.add(F.mul(E.a1, P.x), E.a3)))
+        neg = E._negs[P] = CurvePoint(E, P.x, E.field.reduce(-P.y - E.a1 * P.x - E.a3))
     return neg
 
 
@@ -196,17 +187,14 @@ def _chord_tangent(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         if Q == ec_neg(P):
             return CurvePoint.at_infinity(E)
         # doubling: lambda = (3x^2 + 2*a2*x + a4 - a1*y) / (2y + a1*x + a3)
-        num = F.add(
-            F.mul(F.coerce(3), F.mul(P.x, P.x)),
-            F.add(F.mul(F.coerce(2), F.mul(E.a2, P.x)), F.sub(E.a4, F.mul(E.a1, P.y))),
-        )
-        den = F.add(F.mul(F.coerce(2), P.y), F.add(F.mul(E.a1, P.x), E.a3))
+        num = P.x * P.x * 3 + E.a2 * P.x * 2 + E.a4 - E.a1 * P.y
+        den = P.y * 2 + E.a1 * P.x + E.a3
     else:
-        num = F.sub(Q.y, P.y)
-        den = F.sub(Q.x, P.x)
+        num = Q.y - P.y
+        den = Q.x - P.x
     lam = F.div(num, den)
-    x3 = F.sub(F.add(F.mul(lam, lam), F.mul(E.a1, lam)), F.add(E.a2, F.add(P.x, Q.x)))
-    y3 = F.sub(F.mul(lam, F.sub(P.x, x3)), F.add(P.y, F.add(F.mul(E.a1, x3), E.a3)))
+    x3 = F.reduce(lam * lam + E.a1 * lam - E.a2 - P.x - Q.x)
+    y3 = F.reduce(lam * (P.x - x3) - P.y - E.a1 * x3 - E.a3)
     return CurvePoint(E, x3, y3)
 
 
@@ -234,40 +222,36 @@ def _two_torsion_cubic(curve: EllipticCurve):
     # 2T = 0 for affine T iff 4x^3 + b2 x^2 + 2 b4 x + b6 = 0 and y = -(a1 x + a3)/2.
     b2, b4, b6, _ = curve.b_invariants()
     F = curve.field
-    return [F.coerce(4), b2, F.mul(F.coerce(2), b4), b6]
+    return [F.coerce(4), b2, F.reduce(b4 * 2), b6]
 
 
 def full_two_torsion(curve: EllipticCurve) -> list:
     """All rational points T != 0 with 2T = 0 (0, 1, or 3 of them)."""
     F = curve.field
     c3, c2, c1, c0 = _two_torsion_cubic(curve)
-    roots = []
     if isinstance(F, PrimeField):
-        for x in F.elements():
-            val = F.add(F.mul(F.add(F.mul(F.add(F.mul(c3, x), c2), x), c1), x), c0)
-            if F.is_zero(val):
-                roots.append(x)
+        roots = [x for x in F.elements() if F.reduce(((c3 * x + c2) * x + c1) * x + c0) == 0]
     elif isinstance(F, RationalField):
         roots = _rational_cubic_roots(c3, c2, c1, c0)
     else:
         raise FieldError("unsupported field for two-torsion search")
     out = []
     for x in roots:
-        y = F.div(F.neg(F.add(F.mul(curve.a1, x), curve.a3)), F.coerce(2))
+        y = F.div(-curve.a1 * x - curve.a3, 2)
         out.append(CurvePoint.affine(curve, x, y))
     out.sort(key=lambda P: P.key())
     return out
 
 
 def _rational_cubic_roots(c3: Fraction, c2: Fraction, c1: Fraction, c0: Fraction):
-    """Rational roots of c3 x^3 + c2 x^2 + c1 x + c0 by the rational root test."""
-    denom = 1
-    for c in (c3, c2, c1, c0):
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    a3, a2, a1, a0 = (int(c * denom) for c in (c3, c2, c1, c0))
-    if a0 == 0:
-        rest = _rational_quadratic_roots(a3, a2, a1)
-        return sorted(set([Fraction(0)] + rest))
+    """Rational roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0): x = 0 while
+    the constant term is 0, then the rational root test on what is left."""
+    denom = lcm(c3.denominator, c2.denominator, c1.denominator, c0.denominator)
+    coeffs = [int(c * denom) for c in (c3, c2, c1, c0)]
+    roots = set()
+    while coeffs[-1] == 0:
+        roots.add(Fraction(0))
+        coeffs.pop()
 
     def divisors(n):
         n = abs(n)
@@ -280,23 +264,15 @@ def _rational_cubic_roots(c3: Fraction, c2: Fraction, c1: Fraction, c0: Fraction
             d += 1
         return out
 
-    roots = set()
-    for p in divisors(a0):
-        for q in divisors(a3):
+    for p in divisors(coeffs[-1]):
+        for q in divisors(coeffs[0]):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if a3 * cand**3 + a2 * cand**2 + a1 * cand + a0 == 0:
+                val = 0
+                for a in coeffs:
+                    val = val * cand + a
+                if val == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _rational_quadratic_roots(a2: int, a1: int, a0: int):
-    disc = a1 * a1 - 4 * a2 * a0
-    if disc < 0:
-        return []
-    r = isqrt(disc)
-    if r * r != disc:
-        return []
-    return sorted({Fraction(-a1 + r, 2 * a2), Fraction(-a1 - r, 2 * a2)})
 
 
 def enumerate_points(curve: EllipticCurve) -> list:

@@ -549,8 +549,8 @@ class CycleSum(LinComb):
         return cls(_canonical_items(items))
 
     @classmethod
-    def single(cls, cycle: ParamCycle, coeff=1) -> "CycleSum":
-        return cls.of([(cycle, coeff)])
+    def single(cls, cycle: ParamCycle) -> "CycleSum":
+        return cls.of([(cycle, 1)])
 
 
 def _canonical_items(items):
@@ -697,7 +697,7 @@ class AdmissibilityReport:
     violations: tuple = ()
 
 
-def check_admissible(gs, mode: str = "fbar", n: int = None) -> AdmissibilityReport:
+def check_admissible(gs, mode: str = "fbar") -> AdmissibilityReport:
     """Divisor-level admissibility of a function tuple.
 
     Checks pairwise disjoint supports, supports avoiding the identity (and in
@@ -705,7 +705,7 @@ def check_admissible(gs, mode: str = "fbar", n: int = None) -> AdmissibilityRepo
     count.
     """
     violations = []
-    n = len(gs) if n is None else n
+    n = len(gs)
     supports = [set(g.divisor) for g in gs]
     for i in range(len(gs)):
         for j in range(i + 1, len(gs)):
@@ -863,13 +863,13 @@ def decorate(kind, cycle_or_point) -> CycleSum:
 # kill-cycle families (the two homotopy families of the triviality argument)
 
 
-def build_mu_killer(curve, gs, i: int, shift: CurvePoint, extra_name="z"):
+def build_mu_killer(curve, gs, i: int, shift: CurvePoint):
     """((-sum(y) - z - shift), y_1..y_n ; g_1(y_1)..g_n(y_n), g_i(z)).
 
     Its z-face sweeps sum_p m_p * mu^{p + shift}(gs): the boundary reproduces
     the mu contributions.
     """
-    params = _ynames(len(gs)) + (extra_name,)
+    params = _ynames(len(gs)) + ("z",)
     *ys, z = (PointExpr.param(curve, p) for p in params)
     qcoords = [FunCoord(g, (y,)) for g, y in zip(gs, ys)]
     qcoords.append(FunCoord(gs[i - 1], (z,)))

@@ -3,8 +3,10 @@
 Every scalar in the engine lives in one of these two fields; there is no
 floating point anywhere.  Rational values are `fractions.Fraction` (always in
 lowest terms with positive denominator), prime-field values are ints in
-[0, p).  A field object owns the arithmetic; elements are plain values tagged
-by the field they belong to.
+[0, p).  Elements are plain numbers and Python's operators do the arithmetic;
+a field object only coerces input into the field, reduces a result (the
+identity on Q, `% p` on F_p), divides (raising FieldError on 0) and keys an
+element for serialization.
 """
 
 from __future__ import annotations
@@ -41,25 +43,14 @@ class RationalField:
             return Fraction(value)
         raise FieldError(f"cannot coerce {value!r} into Q")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce(self, a):
+        return a
 
     def div(self, a, b):
+        b = self.coerce(b)  # a Fraction divisor: never int / int
         if b == 0:
             raise FieldError("division by zero in Q")
         return a / b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def key(self, a) -> str:
         return str(a)
@@ -90,25 +81,13 @@ class PrimeField:
             return self.coerce(Fraction(value))
         raise FieldError(f"cannot coerce {value!r} into F_{self.p}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def reduce(self, a):
+        return a % self.p
 
     def div(self, a, b):
         if b % self.p == 0:
             raise FieldError(f"division by zero in F_{self.p}")
         return (a * pow(b, -1, self.p)) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def key(self, a) -> str:
         return str(a % self.p)

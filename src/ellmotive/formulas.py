@@ -81,6 +81,11 @@ class NuBoundaryReport:
     strict_term_count: int
     discharge: GroupMatchReport | None  # None when strictly zero
 
+    @property
+    def passed(self) -> bool:
+        """d(nu) is strictly zero, or the kill-cycle discharge matches it all."""
+        return self.strict_zero or (self.discharge is not None and self.discharge.complete)
+
 
 @dataclass
 class KillCycleReport:
@@ -100,10 +105,7 @@ class BoundaryFormulaReport:
     @property
     def passed(self) -> bool:
         killers_ok = all(k.all_reproduced for k in self.killers)
-        nu_ok = self.nu.strict_zero or (
-            self.nu.discharge is not None and self.nu.discharge.complete
-        )
-        return self.eta.complete and self.mu.complete and nu_ok and killers_ok
+        return self.eta.complete and self.mu.complete and self.nu.passed and killers_ok
 
 
 def _match_groups(lhs, instances, target="") -> GroupMatchReport:

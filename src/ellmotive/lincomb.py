@@ -58,11 +58,10 @@ class LinComb(Mapping):
             set_(self, name, value)
         return self
 
-    def _like(self, coeffs: dict, labels=None):
-        """A combination of self's type over coeffs (which it takes over),
-        with self's labels unless others are given."""
-        if labels is None:
-            labels = [getattr(self, name) for name in self.labels]
+    def _like(self, coeffs: dict):
+        """A combination of self's type and labels over coeffs (which it
+        takes over)."""
+        labels = [getattr(self, name) for name in self.labels]
         return object.__new__(type(self))._init(coeffs, labels)
 
     @classmethod

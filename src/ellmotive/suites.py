@@ -357,11 +357,10 @@ def _suite_boundaries(cfg: Config, report: Report):
                 else f"{rep.nu.strict_term_count} strict terms, all discharged by the "
                 "kill-cycle family"
             )
-            nu_ok = rep.nu.strict_zero or (rep.nu.discharge and rep.nu.discharge.complete)
             report.add(
                 f"boundaries:nu-formula:n={n},r={r}",
                 "d(nu) = 0 (exactly for n = 1; via the kill-cycle discharge for n >= 2)",
-                nu_ok,
+                rep.nu.passed,
                 nu_detail,
             )
             for k in rep.killers:
@@ -444,7 +443,7 @@ def _bar_dd(mc):
 
 
 def _bar_kills(mc):
-    return all(k.exact for k in mc.kills), f"{len(mc.kills)} families certified"
+    return all(k.all_reproduced for k in mc.kills), f"{len(mc.kills)} families certified"
 
 
 def _bar_comultiply(mc):

@@ -381,15 +381,15 @@ def alt_signed_group(c: int) -> SignedGroupAlgebraElement:
     return SignedGroupAlgebraElement.of(c, items)
 
 
-def sign_convention_table(b: int = 4):
+def sign_convention_table():
     """Both readings of the action sign on sample permutations, for reports:
     "parity" is the sign character (-1)^{|sigma|} that `right_act` uses,
-    "parity-plus-one" the literal (-1)^{|sigma|+1}."""
+    "parity-plus-one" the literal (-1)^{|sigma|+1}; the samples live in S_4."""
     samples = [
-        ("identity", Permutation.identity(b)),
-        ("transposition (1 2)", Permutation.transposition(b, 1, 2)),
-        ("3-cycle (1 2 3)", Permutation.from_cycle(b, (1, 2, 3))),
-        ("4-cycle (1 2 3 4)", Permutation.from_cycle(b, (1, 2, 3, 4))),
+        ("identity", Permutation.identity(4)),
+        ("transposition (1 2)", Permutation.transposition(4, 1, 2)),
+        ("3-cycle (1 2 3)", Permutation.from_cycle(4, (1, 2, 3))),
+        ("4-cycle (1 2 3 4)", Permutation.from_cycle(4, (1, 2, 3, 4))),
     ]
     rows = []
     for name, sigma in samples:

@@ -136,7 +136,7 @@ def test_empty_chain_is_cocycle():
 def test_kill_certificates(chains):
     _, _, mc1, mc2 = chains
     assert mc1.kills == []  # no mu/nu words at n = 1
-    assert mc2.kills and all(k.exact for k in mc2.kills)
+    assert mc2.kills and all(k.all_reproduced for k in mc2.kills)
 
 
 def test_comultiply_grouped_structure(chains):

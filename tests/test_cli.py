@@ -240,9 +240,9 @@ def test_boundaries_suite_checks_each_tuple_once(monkeypatch):
     calls, contexts = [], []
     real_check, real_init = cycles.check_admissible, formulas.FamilyContext.__init__
 
-    def check(gs, mode="fbar", n=None):
+    def check(gs, mode="fbar"):
         calls.append((tuple(g.name for g in gs), mode))
-        return real_check(gs, mode, n)
+        return real_check(gs, mode)
 
     def init(self, curve, gs, mode="fbar"):
         contexts.append(tuple(g.name for g in gs))

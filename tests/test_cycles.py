@@ -87,8 +87,8 @@ def test_admissibility(setup):
     assert not rep.passed
     assert any("excluded points" in v for v in rep.violations)
     assert any("even" in v for v in rep.violations)
-    # point-count shortfall: n = 3 with only one function's four points
-    rep = check_admissible(gs[:1], n=3)
+    # point-count shortfall: an empty divisor is principal but has no points
+    rep = check_admissible([UserFunction("e", FormalDivisor.of(curve, []))])
     assert not rep.passed
     assert any("distinct support points" in v for v in rep.violations)
     # overlapping supports

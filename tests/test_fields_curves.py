@@ -7,11 +7,12 @@ import random
 
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellmotive.curves import (
     CurveError,
+    _rational_cubic_roots,
     CurvePoint,
     EllipticCurve,
     ec_add,
@@ -29,8 +30,8 @@ from ellmotive.symgrp import Permutation
 
 def test_prime_field_ops():
     F = PrimeField(11)
-    assert F.add(7, 8) == 4
-    assert F.mul(7, 8) == 1
+    assert F.reduce(7 + 8) == 4
+    assert F.reduce(7 * 8) == 1
     assert F.div(1, 7) == 8
     assert F.coerce(Fraction(1, 7)) == 8
     with pytest.raises(FieldError):
@@ -108,6 +109,53 @@ def test_two_torsion_f11():
 def test_two_torsion_rational_empty():
     # the cubic 4x^3 - 4x + 1 has no rational root
     assert full_two_torsion(rank_one_curve()) == []
+
+
+def test_reduction_mod_p_respects_the_group_law():
+    # kP + lP over Q, reduced into F_10007, is the same sum on the reduced model
+    E = rank_one_curve()
+    Fp = PrimeField(10007)
+    Ep = EllipticCurve.from_coeffs(Fp, E.a1, E.a2, E.a3, E.a4, E.a6)
+    assert Ep.discriminant() == Fp.coerce(E.discriminant())
+    P = generator(E)
+    Pp = CurvePoint.affine(Ep, P.x, P.y)
+
+    def reduced(S):
+        if S.infinity:
+            return CurvePoint.at_infinity(Ep)
+        x, y = Fp.coerce(S.x), Fp.coerce(S.y)
+        assert E.contains(S.x, S.y) and Ep.contains(x, y)
+        return CurvePoint(Ep, x, y)
+
+    for k in range(-14, 15):
+        for l in range(-14, 15):
+            S = ec_add(ec_scalar_mul(k, P), ec_scalar_mul(l, P))
+            assert reduced(S) == ec_add(ec_scalar_mul(k, Pp), ec_scalar_mul(l, Pp))
+
+
+_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+def _times_linear(poly, r):
+    """poly * (x - r), coefficients from the leading one down."""
+    return [a - r * b for a, b in zip(poly + [0], [0] + poly)]
+
+
+@given(
+    lead=_fractions.filter(bool),
+    roots=st.lists(_fractions, min_size=1, max_size=3).filter(lambda rs: len(rs) != 2),
+    c=st.integers(1, 9),
+)
+@example(lead=Fraction(4), roots=[Fraction(0), Fraction(0), Fraction(3, 2)], c=1)
+@example(lead=Fraction(-2, 3), roots=[Fraction(0), Fraction(0), Fraction(0)], c=1)
+@example(lead=Fraction(1), roots=[Fraction(0)], c=2)
+@settings(max_examples=200, deadline=None)
+def test_rational_cubic_roots_recovers_chosen_roots(lead, roots, c):
+    # three chosen roots, or one times x^2 + c (which has no real root)
+    poly = [lead] if len(roots) == 3 else [lead, 0, lead * c]
+    for r in roots:
+        poly = _times_linear(poly, r)
+    assert _rational_cubic_roots(*poly) == sorted(set(roots))
 
 
 def test_group_law_properties_random():

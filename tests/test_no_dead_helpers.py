@@ -1,6 +1,7 @@
 """Every module-level def and class in src/ellmotive, and every method of
-its classes, is used by src itself, every def reads its parameters, and no
-def imports: src has no import cycle to break, so imports sit at the top."""
+its classes, is used by src itself, every def reads its parameters, every
+defaulted parameter is set by some src call, and no def imports: src has
+no import cycle to break, so imports sit at the top."""
 
 import ast
 from collections import Counter
@@ -150,3 +151,116 @@ def _local_imports():
 
 def test_no_function_local_imports():
     assert _local_imports() == set()
+
+
+# defaulted parameters that keep their default at every src call site on
+# purpose: the console-script entry point reads sys.argv through argv=None,
+# and the n = 0 pairing test is the one caller that sets the fixed points
+ONE_VALUE_EXEMPT = {
+    "cli.py:main:argv",
+    "barcx.py:build_motive_chain:fixed",
+}
+
+
+def _defs(tree):
+    """(qualified name, def) for every module-level def and method."""
+    scopes = [("", tree.body)]
+    scopes += [(f"{c.name}.", c.body) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    for prefix, body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + node.name, node
+
+
+def _defaulted_parameters(trees):
+    """(module:def:parameter, called name, positional index or None) for
+    every defaulted parameter of a non-dunder def or __init__ in src; an
+    __init__ is called through its class name."""
+    out = []
+    for module, tree in trees.items():
+        for qual, node in _defs(tree):
+            owner, _, name = qual.rpartition(".")
+            if name == "__init__":
+                called = owner
+            elif name.startswith("__") and name.endswith("__"):
+                continue
+            else:
+                called = name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            if owner and not static:
+                positional = positional[1:]  # self or cls
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            kwonly = zip(args.kwonlyargs, args.kw_defaults)
+            params += [(a.arg, None) for a, d in kwonly if d is not None]
+            out += [(f"{module}:{qual}:{param}", called, param, i) for param, i in params]
+    return out
+
+
+def _calls(trees) -> dict:
+    """called name -> [(call, module:def holding it, or None at module level)]
+    for every call in src through a bare name or an attribute."""
+    owners = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                owners[node] = None
+        for qual, node in _defs(tree):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    owners[sub] = f"{module}:{qual}"
+    calls = {}
+    for call, owner in owners.items():
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        calls.setdefault(name, []).append((call, owner))
+    return calls
+
+
+def _passed(call, param, index):
+    """What a call passes for param: a keyword (or **kwargs), the argument
+    at its positional index (or a *args before it), or None."""
+    for kw in call.keywords:
+        if kw.arg in (param, None):
+            return kw.value
+    if index is not None:
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred) or i == index:
+                return arg
+    return None
+
+
+def _one_value_parameters():
+    """module:def:parameter for every defaulted parameter of a def that src
+    calls, where no src call sets it (a def only the tests call is on the
+    TEST_ONLY list).  Forwarding a one-value parameter of the calling def
+    sets nothing, so the set grows to a fixed point."""
+    trees = _trees()
+    calls = _calls(trees)
+    params = [p for p in _defaulted_parameters(trees) if p[1] in calls]
+
+    def sets(call, owner, param, index, flagged):
+        value = _passed(call, param, index)
+        if value is None:
+            return False
+        return not (isinstance(value, ast.Name) and f"{owner}:{value.id}" in flagged)
+
+    flagged = set()
+    while True:
+        found = {
+            pid
+            for pid, called, param, index in params
+            if not any(sets(call, owner, param, index, flagged) for call, owner in calls[called])
+        }
+        if found == flagged:
+            return found
+        flagged = found
+
+
+def test_no_one_value_parameters():
+    assert _one_value_parameters() - ONE_VALUE_EXEMPT == set()
+
+
+def test_one_value_exemptions_are_current():
+    assert ONE_VALUE_EXEMPT <= _one_value_parameters()
