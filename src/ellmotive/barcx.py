@@ -304,7 +304,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
         raise ChainConstructionError("leading family is zero")
     # residual = D(chain), kept up to date so that each word is differentiated once
     residual = bar_differential(chain)
-    for step in range(len(gs) + len(fixed) + 4):
+    for _ in range(len(gs) + len(fixed) + 4):
         if residual.is_zero():
             break
         ell = residual.lengths()[0]
@@ -312,7 +312,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
         # candidates: splice every expandable slot of every layer-ell word
         cand_words = []
         seen = set()
-        for coeff, descs in layers[-1]:
+        for _, descs in layers[-1]:
             for i, d in enumerate(descs):
                 # both orders: products commute up to sign, the solver decides
                 pairs = [(left, right) for *_, left, right in ctx.expansions(d)]

@@ -87,7 +87,7 @@ def config_from_dict(data: dict) -> Config:
             Fraction(str(cdata.get("a4", 0))),
             Fraction(str(cdata.get("a6", 0))),
         )
-    except (KeyError, AttributeError, FieldError, CurveError, ValueError) as exc:
+    except (KeyError, AttributeError, FieldError, CurveError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad curve spec: {exc}") from exc
 
     functions = []

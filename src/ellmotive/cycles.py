@@ -22,9 +22,13 @@ the boundary.  `canonical_term` finds the least normal form one E-position
 at a time, never the whole orbit, and the term is zero iff that form is
 reached with both signs.  A parameter whose sign no E-position has decided
 yet floats until the next one that names it, so undecided signs cost no
-branching.  A canonical form is marked and is never scanned again, and the
-signed action of a projector is multiplication by its coefficient sum, since
-every permuted copy canonicalizes back with the sign character.
+branching.  A canonical form is marked and is never scanned again.
+
+Every permuted copy of a term canonicalizes back with the sign character,
+so the signed action of a projector is multiplication by its coefficient
+sum: the eta and nu decorations are twice X and twice Z (see `decorate`).
+The engine builds no group-algebra element and imports neither `symgrp`
+nor `gl2`.
 
 There is one serialization of expressions and cube coordinates under a
 naming of the parameters (see `_expr_ser`); under an expression's own names
@@ -63,7 +67,6 @@ from .divisors import (
     render_expr,
 )
 from .lincomb import LinComb
-from .symgrp import GroupAlgebraElement, Permutation, YoungShape, transpose_projector
 
 
 class CycleError(ValueError):
@@ -235,7 +238,7 @@ class ParamCycle:
         )
         return ParamCycle(self.curve, tuple(mapping.get(p, p) for p in self.params), ecoords, qcoords)
 
-    def permute_ecoords(self, sigma: Permutation) -> "ParamCycle":
+    def permute_ecoords(self, sigma) -> "ParamCycle":
         inv = sigma.inverse()
         ecoords = tuple(self.ecoords[inv(i) - 1] for i in range(1, self.b + 1))
         return ParamCycle(self.curve, self.params, ecoords, self.qcoords)
@@ -245,7 +248,7 @@ class ParamCycle:
         ecoords[i - 1] = -ecoords[i - 1]
         return ParamCycle(self.curve, self.params, tuple(ecoords), self.qcoords)
 
-    def permute_qcoords(self, sigma: Permutation) -> "ParamCycle":
+    def permute_qcoords(self, sigma) -> "ParamCycle":
         inv = sigma.inverse()
         qcoords = tuple(self.qcoords[inv(i) - 1] for i in range(1, self.c + 1))
         return ParamCycle(self.curve, self.params, self.ecoords, qcoords)
@@ -673,20 +676,6 @@ def external_product(s1: CycleSum, s2: CycleSum) -> CycleSum:
     return CycleSum.of(items)
 
 
-def apply_projector_signed(s: CycleSum, element: GroupAlgebraElement) -> CycleSum:
-    """Formal signed action on E-coordinates: sum of c_g * sign(g) * g(Z).
-
-    Permuting E-coordinates costs the sign character, so g(Z) canonicalizes
-    to sign(g) * Z and the action is multiplication by the coefficient sum
-    sum c_g; no permuted cycle is built.  This realizes the right action
-    Z . p = p^t(Z) of the untransposed projector.
-    """
-    if any(element.degree != cyc.b for cyc in s):
-        raise CycleError("projector degree does not match the cycle")
-    total = sum(element.values())
-    return CycleSum.of((cyc, coeff * total) for cyc, coeff in s.items())
-
-
 # ---------------------------------------------------------------------------
 # admissibility
 
@@ -836,10 +825,12 @@ def build_family(kind, curve, gs, fixed=(), mode="fbar", j=None, b1=None, b2=Non
 def decorate(kind, cycle_or_point) -> CycleSum:
     """Projector decoration of the cycle families.
 
-    eta and nu: the signed transposed-tabloid action of rho^t_{b-1,1} on a
-    cycle with b E-coordinates (X over n functions has b = n + 2, Z has
-    b = n + 1); mu: Y as is; eta_point: the divisor (p) - (-p).  The motive
-    labels are `formulas.desc_motive`'s.
+    eta and nu: the signed action of the transposed tabloid projector
+    rho^t_{b-1,1} on a cycle with b E-coordinates (X over n functions has
+    b = n + 2, Z has b = n + 1).  Its row group is {1, (1 b)}, and a permuted
+    copy canonicalizes back with its sign, so the action is twice the cycle.
+    mu: Y as is; eta_point: the divisor (p) - (-p).  The motive labels are
+    `formulas.desc_motive`'s.
     """
     if kind == "eta_point":
         p = cycle_or_point
@@ -854,8 +845,7 @@ def decorate(kind, cycle_or_point) -> CycleSum:
     if kind == "mu":
         return CycleSum.single(cycle)
     if kind in ("eta", "nu"):
-        element = transpose_projector(YoungShape.standard((cycle.b - 1, 1), "tabloid"))
-        return apply_projector_signed(CycleSum.single(cycle), element)
+        return CycleSum.single(cycle).scale(2)
     raise CycleError(f"unknown decoration kind {kind!r}")
 
 

@@ -57,7 +57,6 @@ class MatchInstance:
 
 @dataclass
 class GroupMatchReport:
-    target: str
     instances: list
     unmatched: list  # (repr, coefficient) pairs left over
 
@@ -108,7 +107,7 @@ class BoundaryFormulaReport:
         return self.eta.complete and self.mu.complete and self.nu.passed and killers_ok
 
 
-def _match_groups(lhs, instances, target="") -> GroupMatchReport:
+def _match_groups(lhs, instances) -> GroupMatchReport:
     """Greedy exact matching of a sum (a CycleSum or a BarChain): each
     instance is a sum of the same kind whose coefficient is solved from its
     first term, in key order, present in the residual, then subtracted.  An
@@ -123,7 +122,7 @@ def _match_groups(lhs, instances, target="") -> GroupMatchReport:
         done.append(MatchInstance(group, label, scalar, len(grp)))
     # Fractions whatever their type, so reports write them as strings
     unmatched = [(repr(t), Fraction(c)) for t, c in residual.terms]
-    return GroupMatchReport(target, done, unmatched)
+    return GroupMatchReport(done, unmatched)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def _match_groups(lhs, instances, target="") -> GroupMatchReport:
 
 
 def desc_key(desc) -> str:
-    """The sort key of chain candidates and the label of kill certificates;
+    """The sort key of chain candidates and of the chain's mu/nu families;
     descriptors themselves are the cache keys."""
     kind = desc[0]
     if kind == "pt":
@@ -285,7 +284,7 @@ class FamilyContext:
                 yield "nu", f"Z^{{b1+{s.key()}-b2}}", m, member
 
 
-def verify_expansion(ctx, desc, target) -> GroupMatchReport:
+def verify_expansion(ctx, desc) -> GroupMatchReport:
     """Match the exact boundary of an eta/mu/nu descriptor against its table
     terms, each product scaled by its multiplicity."""
     lhs = boundary(ctx.materialize(desc))
@@ -293,7 +292,7 @@ def verify_expansion(ctx, desc, target) -> GroupMatchReport:
         (group, label, external_product(ctx.materialize(left), ctx.materialize(right)).scale(m))
         for group, label, m, left, right in ctx.expansions(desc)
     ]
-    return _match_groups(lhs, instances, target)
+    return _match_groups(lhs, instances)
 
 
 def verify_killer(ctx, killer) -> KillCycleReport:
@@ -315,20 +314,20 @@ def verify_boundary_formulas(ctx, fixed=()) -> BoundaryFormulaReport:
     whole function tuple (n = len(ctx.names)), at r = len(fixed)."""
     names = ctx.names
     n = len(names)
-    eta_rep = verify_expansion(ctx, ("eta", tuple(fixed), names), f"eta(n={n}, r={len(fixed)})")
+    eta_rep = verify_expansion(ctx, ("eta", tuple(fixed), names))
     if n == 0:
         return BoundaryFormulaReport(
-            eta_rep, GroupMatchReport("mu(n=0)", [], []), NuBoundaryReport(0, True, 0, None), []
+            eta_rep, GroupMatchReport([], []), NuBoundaryReport(0, True, 0, None), []
         )
     a = fixed[0] if fixed else _default_mu_const(ctx.gs.values())
     b2 = fixed[1] if len(fixed) > 1 else a
-    mu_rep = verify_expansion(ctx, ("mu", a, names), f"mu(n={n})")
+    mu_rep = verify_expansion(ctx, ("mu", a, names))
     nu = ("nu", 1, a, b2, names)
     strict = boundary(ctx.materialize(nu))
     if strict.is_zero():
         nu_rep = NuBoundaryReport(n, True, 0, None)
     else:
-        discharge = verify_expansion(ctx, nu, f"nu(n={n}, j=1) discharge")
+        discharge = verify_expansion(ctx, nu)
         nu_rep = NuBoundaryReport(n, False, len(strict), discharge)
     killers = [
         verify_killer(ctx, ("kmu", 1, a, names)),

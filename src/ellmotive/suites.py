@@ -66,7 +66,6 @@ def _suite_projectors(cfg: Config, report: Report):
                     if mode == "tableau"
                     else symgrp.tabloid_row_projector(shape)
                 )
-                pt = symgrp.transpose_projector(shape)
                 ptt = symgrp.transpose_projector(shape.transpose())
                 if ptt != p:
                     inv_ok = False

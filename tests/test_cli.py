@@ -151,6 +151,7 @@ def _edited(edit):
         ),
         pytest.param(_edited(lambda c: c.update(bounds=5)), id="bounds-not-object"),
         pytest.param(_edited(lambda c: c.update(curve=5)), id="curve-not-object"),
+        pytest.param(_edited(lambda c: c["curve"].update(a4="1/0")), id="curve-coeff-div-zero"),
         pytest.param([GOOD_CONFIG], id="top-level-list"),
     ],
 )

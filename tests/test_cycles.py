@@ -38,7 +38,7 @@ from ellmotive.cycles import (
 )
 from ellmotive.divisors import DegeneracyError, FormalDivisor
 from ellmotive.fixtures import fixed_points, generator, rank_one_curve, standard_functions
-from ellmotive.symgrp import Permutation
+from ellmotive.symgrp import Permutation, YoungShape, transpose_projector
 
 
 @pytest.fixture(scope="module")
@@ -197,27 +197,19 @@ def test_face_counts(setup):
 
 def test_projector_quasi_idempotent_on_cycles(setup):
     curve, gs, _ = setup
-    from ellmotive.cycles import apply_projector_signed
-    from ellmotive.symgrp import YoungShape, transpose_projector
-
     X = build_family("X", curve, gs[:1])
-    element = transpose_projector(YoungShape.standard((2, 1), "tabloid"))
-    once = apply_projector_signed(CycleSum.single(X), element)
-    twice = apply_projector_signed(once, element)
+    element = _decoration_projector(X.b)
+    once = _reference_projector(CycleSum.single(X), element)
+    twice = _reference_projector(once, element)
     # the 2-term signed projector squares to twice itself
     assert twice.terms == once.scale(2).terms
 
 
 def test_boundary_commutes_with_projector(setup):
     curve, gs, _ = setup
-    from ellmotive.cycles import apply_projector_signed
-    from ellmotive.symgrp import YoungShape, transpose_projector
-
     X = build_family("X", curve, gs[:2])
-    element = transpose_projector(YoungShape.standard((3, 1), "tabloid"))
-    s = CycleSum.single(X)
-    left = boundary(apply_projector_signed(s, element))
-    right = apply_projector_signed(boundary(s), element)
+    left = boundary(decorate("eta", X))
+    right = _reference_projector(boundary(CycleSum.single(X)), _decoration_projector(X.b))
     assert (left - right).is_zero()
 
 
@@ -259,14 +251,18 @@ def test_external_product_names_are_deterministic(setup):
 
 
 def test_cycles_does_not_import_gl2():
-    # cycle sums carry no motive labels: the engine needs no label algebra
+    # cycle sums carry no motive labels, and a decoration is the scalar its
+    # projector acts by: the engine needs neither the label nor the group algebra
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, ellmotive.cycles; print('ellmotive.gl2' in sys.modules)"
+    code = (
+        "import sys, ellmotive.cycles; "
+        "print(sorted(m for m in ('ellmotive.gl2', 'ellmotive.symgrp') if m in sys.modules))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_leibniz_rule(setup):
@@ -532,6 +528,15 @@ def test_floating_signs_match_reference(setup):
         assert canonical_term(cases[label])[0] is not None, label
 
 
+def _decoration_projector(b):
+    """rho^t_{b-1,1}: the transposed tabloid projector eta and nu act by."""
+    return transpose_projector(YoungShape.standard((b - 1, 1), "tabloid"))
+
+
+def _reference_decoration(cycle):
+    return _reference_projector(CycleSum.single(cycle), _decoration_projector(cycle.b))
+
+
 def _reference_projector(s, element):
     """The signed action term by term: sum of c_g * sign(g) * g(Z), each g(Z)
     canonicalized on its own."""
@@ -545,32 +550,15 @@ def _reference_projector(s, element):
 
 
 def test_projector_matches_its_term_by_term_definition(setup):
-    from ellmotive.cycles import CycleError, apply_projector_signed
-    from ellmotive.symgrp import YoungShape, transpose_projector
-
+    # eta and nu are the signed projector action, built copy by copy here
     curve, gs, afix = setup
-
-    def element(k):
-        return transpose_projector(YoungShape.standard((k, 1), "tabloid"))
-
     cases = []
     for n in (1, 2, 3):
         for r in (0, 1, 2):
-            X = build_family("X", curve, gs[:n], fixed=tuple(afix[:r]))
-            cases.append((CycleSum.single(X), element(n + 1)))
-    for n in (2, 3):
-        Z = build_family("Z", curve, gs[:n], j=n, b1=afix[0], b2=afix[1])
-        cases.append((CycleSum.single(Z), element(n)))
-    # the plain constructor keeps cycles as they are, not canonical
-    X = build_family("X", curve, gs[:1], fixed=(afix[1],))
-    Z = build_family("Z", curve, gs[:2], j=1, b1=afix[0], b2=afix[1])
-    raw = CycleSum([(X, Fraction(2)), (Z.negate_ecoord(2), Fraction(-3))])
-    assert canonical_term(X)[0] != X
-    cases.append((raw, element(2)))
-    for s, el in cases:
-        assert apply_projector_signed(s, el) == _reference_projector(s, el)
-    with pytest.raises(CycleError):
-        apply_projector_signed(CycleSum.single(X), element(3))
+            cases.append(("eta", build_family("X", curve, gs[:n], fixed=tuple(afix[:r]))))
+        cases.append(("nu", build_family("Z", curve, gs[:n], j=n, b1=afix[0], b2=afix[1])))
+    for kind, cycle in cases:
+        assert decorate(kind, cycle) == _reference_decoration(cycle)
 
 
 def _unmarked(c):
@@ -656,6 +644,7 @@ def test_fn_mode_families():
     X = build_family("X", curve, [g], mode="fn")
     eta = decorate("eta", X)
     assert boundary(boundary(eta)).is_zero()
+    assert eta == _reference_decoration(X)
 
 
 def test_fn_mode_needs_full_two_torsion(setup):

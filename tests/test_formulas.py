@@ -113,7 +113,7 @@ def test_fn_mode_formula_n1():
         ),
     )
     ctx = FamilyContext(curve, [g], "fn")
-    rep = verify_expansion(ctx, ("eta", (), ctx.names), "eta(n=1, r=0)")
+    rep = verify_expansion(ctx, ("eta", (), ctx.names))
     assert rep.complete
 
 

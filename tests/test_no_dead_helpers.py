@@ -1,13 +1,15 @@
 """Every module-level def and class in src/ellmotive, and every method of
-its classes, is used by src itself, every def reads its parameters, every
-defaulted parameter is set by some src call, and no def imports: src has
-no import cycle to break, so imports sit at the top."""
+its classes, is used by src itself, every def reads its parameters and the
+locals it stores, every class field is read somewhere, every defaulted
+parameter is set by some src call, and no def imports: src has no import
+cycle to break, so imports sit at the top."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ellmotive"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ellmotive"
 
 # referenced only by the tests: the GL2 character oracle and the closed form
 # it checks, the decoration-point fixture, and the grading check on chains
@@ -264,3 +266,60 @@ def test_no_one_value_parameters():
 
 def test_one_value_exemptions_are_current():
     assert ONE_VALUE_EXEMPT <= _one_value_parameters()
+
+
+def _unread_locals():
+    """module:def:name for every name a def in src stores (an assignment,
+    loop, with or except target) that nothing in the def reads; names
+    starting with _ are deliberately unread."""
+    out = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, read = set(), set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    (read if isinstance(sub.ctx, ast.Load) else stored).add(sub.id)
+                elif isinstance(sub, ast.ExceptHandler) and sub.name:
+                    stored.add(sub.name)
+            out.update(
+                f"{module}:{node.name}:{name}"
+                for name in stored - read
+                if not name.startswith("_")
+            )
+    return out
+
+
+def test_no_unread_locals():
+    assert _unread_locals() == set()
+
+
+def _write_only_fields():
+    """Class.field for every annotated field of a class in src that no file
+    of src or the tests reads as an attribute or names in a string (as a
+    getattr does).  This file is left out: its own AST walk reads node
+    attributes that share names with fields."""
+    fields = {
+        f"{cls.name}.{stmt.target.id}"
+        for tree in _trees().values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    used = set()
+    for path in paths:
+        if path == Path(__file__).resolve():
+            continue
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                used.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used.add(sub.value)
+    return {f for f in fields if f.partition(".")[2] not in used}
+
+
+def test_no_write_only_fields():
+    assert _write_only_fields() == set()
