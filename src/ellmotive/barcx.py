@@ -13,19 +13,19 @@ family: lower layers are generated mechanically by splicing in the terms of
 the boundary-formula table that `formulas` verifies (`FamilyContext.expansions`,
 in both tensor orders) and solving the contraction equations exactly, layer
 by layer, block by block; the chain terminates in pure tensor words of point
-classes.  The build differentiates each word about once and checks the
-finished chain once: the suites' and the CLI's `cocycle` records report
-that gate.
+classes.  Each step differentiates the chain from scratch, and the build
+stops when that differential is zero: the loop's exit is the cocycle gate
+that the suites' and the CLI's `cocycle` records report.
 The mu/nu families the expansions bring in are certified trivial by the two
 kill-cycle families (each swept family combination is exactly the boundary
 of its kill cycle; see `kill_certificates` for why the discharge lives at
-the family level).
+the family level); the bar suite's `kill-certificates` check computes them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg
@@ -282,19 +282,17 @@ class MotiveChain:
     layers: list  # list of (coeff, descriptor tuple) actually used
     context: FamilyContext
     leading: tuple  # the top descriptor
-    kills: list = field(default_factory=list)  # KillCycleReport per mu/nu family
 
 
 def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
     """Assemble the canonical cocycle with leading term eta^{fixed}(gs).
 
-    Each step solves for the next layer against the shortest part of the
-    residual D(chain), at length ell.  A candidate word has length ell + 1,
-    so its column is its adjacent products alone; only the picked
-    candidates have their faces computed, and the residual is updated by
-    residual + sum_i x_i * (products_i + faces_i) instead of differentiating
-    the chain again.  The one independent check is the final
-    `verify_cocycle`; a chain that fails it raises ChainConstructionError.
+    Each step differentiates the whole chain with `verify_cocycle`; when
+    D(chain) is zero the chain is returned, so that test is the build's
+    gate.  Otherwise the step solves for the next layer against the shortest
+    part of D(chain), at length ell: a candidate word has length ell + 1, so
+    its column is its adjacent products alone.  A chain still open after the
+    last step raises ChainConstructionError.
     """
     ctx = FamilyContext(curve, gs, mode)
     top = ("eta", _sorted_pts(fixed), ctx.names)
@@ -302,10 +300,9 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
     chain = _materialize_word(ctx, (top,))
     if chain.is_zero():
         raise ChainConstructionError("leading family is zero")
-    # residual = D(chain), kept up to date so that each word is differentiated once
-    residual = bar_differential(chain)
     for _ in range(len(gs) + len(fixed) + 4):
-        if residual.is_zero():
+        closed, residual = verify_cocycle(chain)
+        if closed:
             break
         ell = residual.lengths()[0]
         target = residual.component(ell)
@@ -339,27 +336,16 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
             raise ChainConstructionError(
                 f"contraction equations at length {ell} are inconsistent", target
             )
-        # the whole layer is one accumulation; only its words need faces
-        layer, picked, next_residual = [], [], list(residual.items())
-        for xi, descs, mat, col in zip(x, cand_words, mats, columns):
+        layer, picked = [], []
+        for xi, descs, mat in zip(x, cand_words, mats):
             if xi:
                 layer.append((xi, descs))
-                picked.extend((w, xi * c) for w, c in mat.items())
-                next_residual.extend((w, xi * c) for w, c in col.items())
+                picked.extend((w, _quotient(xi * c)) for w, c in mat.items())
         layers.append(layer)
-        picked = BarChain(picked)
-        chain = chain + picked
-        # D(chain + picked) = residual + products(picked) + faces(picked)
-        residual = BarChain(next_residual) + bar_faces(picked)
+        chain = chain + BarChain(picked)
     else:
         raise ChainConstructionError("chain construction did not terminate")
-
-    ok, diff = verify_cocycle(chain)
-    if not ok:
-        raise ChainConstructionError("constructed chain is not a cocycle", diff)
-    out = MotiveChain(chain, [w for layer in layers for w in layer], ctx, top)
-    out.kills = kill_certificates(out)
-    return out
+    return MotiveChain(chain, [w for layer in layers for w in layer], ctx, top)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .curves import CurveError, CurvePoint, EllipticCurve
+from .curves import CurveError, CurvePoint, EllipticCurve, full_two_torsion
 from .cycles import UserFunction
 from .divisors import DivisorError, FormalDivisor, is_principal
 from .fields import FieldError, field_from_tag
@@ -32,17 +32,25 @@ class Bounds:
     @staticmethod
     def from_dict(data: dict) -> "Bounds":
         return Bounds(
-            n_max=_int(data, "n_max", 2),
-            r_max=_int(data, "r_max", 2),
-            random_trials=_int(data, "random_trials", 20),
+            n_max=_int(data, "n_max", 2, least=1),
+            r_max=_int(data, "r_max", 2, least=0),
+            random_trials=_int(data, "random_trials", 20, least=1),
         )
 
 
-def _int(data: dict, key: str, default: int) -> int:
+def _int(data: dict, key: str, default: int, least=None) -> int:
+    """data[key] (default when absent) as an int of at least `least`; a bool
+    or a number with a fractional part is rejected, not rounded."""
+    value = data.get(key, default)
     try:
-        return int(data.get(key, default))
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        number = int(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer, not {data[key]!r}") from exc
+        raise ConfigError(f"{key} must be an integer, not {value!r}") from exc
+    if least is not None and number < least:
+        raise ConfigError(f"{key} must be at least {least}, not {value!r}")
+    return number
 
 
 @dataclass
@@ -120,6 +128,8 @@ def config_from_dict(data: dict) -> Config:
     mode = data.get("mode", "fbar")
     if mode not in ("fbar", "fn"):
         raise ConfigError(f"mode must be fbar or fn, not {mode!r}")
+    if mode == "fn" and len(full_two_torsion(curve)) != 3:
+        raise ConfigError("fn mode needs a curve with full rational 2-torsion")
     bounds = Bounds.from_dict(_expect(data.get("bounds", {}), dict, "bounds"))
     seed = _int(data, "seed", 0)
     return Config(curve, functions, mode, bounds, seed, raw=data)

@@ -425,7 +425,7 @@ def _decoration_points(cfg: Config):
 
 # ---------------------------------------------------------------------------
 
-_CHAIN_ERRORS = (barcx.ChainConstructionError, divisors.DegeneracyError)
+_CHAIN_ERRORS = (barcx.ChainConstructionError, divisors.DegeneracyError, cycles.AdmissibilityError)
 
 
 def _bar_cocycle(mc):
@@ -442,7 +442,8 @@ def _bar_dd(mc):
 
 
 def _bar_kills(mc):
-    return all(k.all_reproduced for k in mc.kills), f"{len(mc.kills)} families certified"
+    kills = barcx.kill_certificates(mc)
+    return all(k.all_reproduced for k in kills), f"{len(kills)} families certified"
 
 
 def _bar_comultiply(mc):

@@ -26,6 +26,7 @@ from ellmotive.barcx import (
     final_layer_points,
     grading_coherent,
     is_point_word,
+    kill_certificates,
     nontriviality_witness,
     verify_coassociativity,
     verify_cocycle,
@@ -83,12 +84,25 @@ def test_differential_is_faces_plus_products(chains):
 
 
 def test_build_gate_rejects_a_non_cocycle(chains, monkeypatch):
-    # the final cocycle check is the build's one gate: a chain that fails it
-    # never leaves build_motive_chain
+    # D(chain) at the top of each step is the build's one gate: a layer that
+    # leaves the residual open makes the next step raise, and the chain never
+    # leaves build_motive_chain
     curve, gs, _, _ = chains
-    monkeypatch.setattr("ellmotive.barcx.verify_cocycle", lambda chain: (False, chain))
-    with pytest.raises(ChainConstructionError, match="not a cocycle"):
+
+    def doubled(columns, rhs):
+        return [2 * xi for xi in _solve_exact(columns, rhs)]
+
+    monkeypatch.setattr("ellmotive.barcx._solve_exact", doubled)
+    with pytest.raises(ChainConstructionError, match="miss the residual length 1"):
         build_motive_chain(curve, gs[:1])
+
+
+def test_chain_coefficients_are_ints(chains):
+    # the solved coefficients are +-1/2^k and the columns are integral, and
+    # every product is integral: an integral coefficient is stored as an int
+    _, _, mc1, mc2 = chains
+    for mc in (mc1, mc2):
+        assert all(type(c) is int for _, c in mc.chain.items())
 
 
 def test_chain_n1_structure(chains):
@@ -135,8 +149,9 @@ def test_empty_chain_is_cocycle():
 
 def test_kill_certificates(chains):
     _, _, mc1, mc2 = chains
-    assert mc1.kills == []  # no mu/nu words at n = 1
-    assert mc2.kills and all(k.all_reproduced for k in mc2.kills)
+    assert kill_certificates(mc1) == []  # no mu/nu words at n = 1
+    kills = kill_certificates(mc2)
+    assert kills and all(k.all_reproduced for k in kills)
 
 
 def test_comultiply_grouped_structure(chains):

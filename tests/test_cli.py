@@ -152,6 +152,18 @@ def _edited(edit):
         pytest.param(_edited(lambda c: c.update(bounds=5)), id="bounds-not-object"),
         pytest.param(_edited(lambda c: c.update(curve=5)), id="curve-not-object"),
         pytest.param(_edited(lambda c: c["curve"].update(a4="1/0")), id="curve-coeff-div-zero"),
+        # the default curve has one rational 2-torsion point, fn mode needs three
+        pytest.param(_edited(lambda c: c.update(mode="fn")), id="fn-without-full-2-torsion"),
+        pytest.param(
+            _edited(lambda c: c["bounds"].update(random_trials=-3)), id="trials-negative"
+        ),
+        pytest.param(_edited(lambda c: c["bounds"].update(random_trials=0)), id="trials-zero"),
+        pytest.param(_edited(lambda c: c["bounds"].update(n_max=-1)), id="n_max-negative"),
+        pytest.param(_edited(lambda c: c["bounds"].update(n_max=0)), id="n_max-zero"),
+        pytest.param(_edited(lambda c: c["bounds"].update(n_max=1.7)), id="n_max-fractional"),
+        pytest.param(_edited(lambda c: c["bounds"].update(n_max=True)), id="n_max-bool"),
+        pytest.param(_edited(lambda c: c["bounds"].update(r_max=-1)), id="r_max-negative"),
+        pytest.param(_edited(lambda c: c.update(seed=True)), id="seed-bool"),
         pytest.param([GOOD_CONFIG], id="top-level-list"),
     ],
 )
@@ -160,6 +172,26 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda c: c["bounds"].update(n_max=1.7), "n_max"),
+        (lambda c: c["bounds"].update(r_max=False), "r_max"),
+        (lambda c: c["bounds"].update(random_trials=-3), "random_trials"),
+        (lambda c: c.update(seed=True), "seed"),
+    ],
+    ids=("n_max", "r_max", "random_trials", "seed"),
+)
+def test_bad_integer_names_its_key(edit, key):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(_edited(edit))
+
+
+def test_integral_bounds_are_accepted():
+    cfg = config_from_dict(_edited(lambda c: c["bounds"].update(n_max=2.0, r_max="0")))
+    assert (cfg.bounds.n_max, cfg.bounds.r_max) == (2, 0)
 
 
 def test_report_roundtrip_and_determinism(tmp_path):
@@ -315,6 +347,7 @@ def test_bar_suite_honours_n_max_and_isolates_failures(monkeypatch):
 @pytest.mark.parametrize(
     "check, rid",
     [
+        ("kill_certificates", "kill-certificates"),
         ("comultiply_report", "comultiply"),
         ("comodule_span", "comodule-span"),
         ("nontriviality_witness", "nontriviality"),
@@ -341,6 +374,34 @@ def test_bar_check_errors_become_their_own_fail_record(monkeypatch, check, rid):
     assert records[f"bar:{rid}:n=2"].status == "pass"
     assert {f"bar:leading-alone:n={n}" for n in (1, 2)} <= set(records)
     assert not any(i.endswith(":aborted") for i in records)
+
+
+def test_inadmissible_tuple_fails_its_own_chain_record(tmp_path):
+    # g2 repeats g1's divisor: the pair (g1, g2) is inadmissible, g1 alone is not
+    data = _edited(lambda c: c["bounds"].update(n_max=2))
+    data["functions"].append(dict(data["functions"][0], name="g2"))
+    records = {r.id: r for r in run_suite(config_from_dict(data), "bar").records}
+    assert {i for i, r in records.items() if r.status == "fail"} == {"bar:chain:n=2"}
+    assert "AdmissibilityError" in records["bar:chain:n=2"].details
+    assert records["bar:cocycle:n=1"].status == "pass" and "bar:ext-witness" in records
+    assert not any(i.endswith(":aborted") for i in records)
+    # the same input is invalid for build-motive
+    path = write_config(tmp_path, data)
+    out = str(tmp_path / "m.json")
+    assert main(["--config", path, "--out", out, "build-motive", "--n", "2"]) == 2
+
+
+def test_build_motive_computes_no_kill_certificates(tmp_path, monkeypatch):
+    # the certificates belong to the bar suite's check, never to the build
+    def broken(mc):
+        raise RuntimeError("kill certificates computed")
+
+    monkeypatch.setattr(barcx, "kill_certificates", broken)
+    cfg = config_from_dict(FN_CONFIG)
+    assert barcx.build_motive_chain(cfg.curve, cfg.functions, mode=cfg.mode).chain
+    path = write_config(tmp_path, FN_CONFIG)
+    out = str(tmp_path / "m.json")
+    assert main(["--config", path, "--out", out, "build-motive", "--n", "2"]) == 0
 
 
 def test_failed_mu_record_names_its_unmatched_instances():
@@ -375,6 +436,12 @@ FP_REPORTS = [
         "bdfc038106e938656d93e00c0e47b2cd2e9ff6895c0a257b675a2c515e0de2db",
         id="verify-boundaries",
     ),
+    pytest.param(
+        ("verify", "bar"),
+        0,
+        "e6c64d930d2a6c992a24121393e231db5c00af9bceb6c989f31e850dc9b36dcd",
+        id="verify-bar",
+    ),
 ]
 
 
@@ -385,6 +452,22 @@ def test_fp_reports_are_byte_stable(tmp_path, command, code, sha256):
     out = tmp_path / "report.json"
     assert main(["--config", str(config), "--out", str(out), *command]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_boundaries_q_n3_report_is_byte_stable(tmp_path):
+    config = tmp_path / "q3.json"
+    config.write_text(json.dumps(_workloads().make("boundaries-q-n3", 0).config))
+    out = tmp_path / "report.json"
+    assert main(["--config", str(config), "--out", str(out), "verify", "boundaries"]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "613d31083dbf369e4b9b96e7e35e5d4dd89d689326b38e837809d0a35addfca9"
+
+
+def test_default_text_report_is_byte_stable(tmp_path):
+    out = tmp_path / "report.txt"
+    assert main(["--format", "text", "--out", str(out), "report"]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "67fef3b0e1a0037c1b6855584aaf428dc9ff74f01228a3d6e469fafe38dfe91b"
 
 
 def test_exit_one_on_failure():
