@@ -10,9 +10,14 @@ and hash on construction, a point its key and hash on first use.
 
 Each curve memoizes its group law: `ec_add` and `ec_neg` look their
 arguments up in the curve's `_sums` and `_negs` dicts and run the formulas
-only on a miss, so a repeated sum returns the identical point (whose key and
-hash are then already cached).  The memo lives exactly as long as its curve;
-equal curves do not share one, and copies and pickles start empty.
+only on a miss.  A new result is interned in the curve's `_points` and
+stored under both orders (a negation both ways), so the group law hands out
+one object per value: memo lookups then match by identity, and keys and
+hashes are computed once per value.  A curve also holds its one identity
+point, which `CurvePoint.at_infinity` returns, and its rational 2-torsion
+once `full_two_torsion` has found it.  These memos live exactly as long as
+their curve; equal curves do not share them, and copies and pickles start
+empty.
 
 Coordinates are plain numbers (Fractions over Q, ints in [0, p) over F_p)
 and the formulas use Python's operators; the curve's field reduces each
@@ -46,6 +51,9 @@ class EllipticCurve:
     # the group-law memo: (P, Q) -> P + Q and P -> -P
     _sums: dict = _field(init=False, repr=False, compare=False)
     _negs: dict = _field(init=False, repr=False, compare=False)
+    _points: dict = _field(init=False, repr=False, compare=False)  # value -> the one object
+    _zero: object = _field(init=False, repr=False, compare=False)  # the identity point
+    _two_torsion: tuple = _field(init=False, repr=False, compare=False)  # filled on first use
 
     def __post_init__(self):
         F = self.field
@@ -55,6 +63,8 @@ class EllipticCurve:
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "_sums", {})
         object.__setattr__(self, "_negs", {})
+        object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_zero", CurvePoint(self, infinity=True))
 
     @staticmethod
     def from_coeffs(field, a1, a2, a3, a4, a6) -> "EllipticCurve":
@@ -112,7 +122,7 @@ class CurvePoint:
 
     @staticmethod
     def at_infinity(curve: EllipticCurve) -> "CurvePoint":
-        return CurvePoint(curve, infinity=True)
+        return curve._zero
 
     @staticmethod
     def affine(curve: EllipticCurve, x, y) -> "CurvePoint":
@@ -150,7 +160,7 @@ class CurvePoint:
 
 
 def _require_same_curve(P: CurvePoint, Q: CurvePoint):
-    if P.curve != Q.curve:
+    if P.curve is not Q.curve and P.curve != Q.curve:
         raise CurveError("points on different curves")
 
 
@@ -159,9 +169,11 @@ def ec_neg(P: CurvePoint) -> CurvePoint:
     if P.infinity:
         return P
     E = P.curve
-    neg = E._negs.get(P)
+    negs = E._negs
+    neg = negs.get(P)
     if neg is None:
-        neg = E._negs[P] = CurvePoint(E, P.x, E.field.reduce(-P.y - E.a1 * P.x - E.a3))
+        neg = negs[P] = _intern(CurvePoint(E, P.x, E.field.reduce(-P.y - E.a1 * P.x - E.a3)))
+        negs.setdefault(neg, P)
     return neg
 
 
@@ -173,11 +185,15 @@ def ec_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     if Q.infinity:
         return P
     sums = P.curve._sums
-    key = P, Q
-    total = sums.get(key)
+    total = sums.get((P, Q))
     if total is None:
-        total = sums[key] = _chord_tangent(P, Q)
+        total = sums[P, Q] = sums[Q, P] = _intern(_chord_tangent(P, Q))
     return total
+
+
+def _intern(P: CurvePoint) -> CurvePoint:
+    """The curve's one object for P's value."""
+    return P.curve._points.setdefault(P, P)
 
 
 def _chord_tangent(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
@@ -226,7 +242,12 @@ def _two_torsion_cubic(curve: EllipticCurve):
 
 
 def full_two_torsion(curve: EllipticCurve) -> list:
-    """All rational points T != 0 with 2T = 0 (0, 1, or 3 of them)."""
+    """All rational points T != 0 with 2T = 0 (0, 1, or 3 of them), in key
+    order; the roots are found once per curve."""
+    try:
+        return list(curve._two_torsion)
+    except AttributeError:
+        pass
     F = curve.field
     c3, c2, c1, c0 = _two_torsion_cubic(curve)
     if isinstance(F, PrimeField):
@@ -240,6 +261,7 @@ def full_two_torsion(curve: EllipticCurve) -> list:
         y = F.div(-curve.a1 * x - curve.a3, 2)
         out.append(CurvePoint.affine(curve, x, y))
     out.sort(key=lambda P: P.key())
+    object.__setattr__(curve, "_two_torsion", tuple(out))
     return out
 
 

@@ -18,11 +18,18 @@ ambient algebra imposes:
 
 A term carried to itself by an odd symmetry is zero.  This single rule is
 what kills constant 2-torsion E-coordinates and the diagonal-type faces of
-the boundary.  `canonical_term` finds the least normal form one E-position
-at a time, never the whole orbit, and the term is zero iff that form is
-reached with both signs.  A parameter whose sign no E-position has decided
-yet floats until the next one that names it, so undecided signs cost no
-branching.  A canonical form is marked and is never scanned again.
+the boundary; a term with two equal or opposite E-coordinates, or a
+constant one equal to its own negative, dies at sight.  `canonical_term`
+finds the least normal form one E-position at a time, never the whole
+orbit, and the term is zero iff that form is reached with both signs.  It
+reads one table per term, built once: each E-coordinate's coefficients and
+constant key under both signs, its profile and whether it is its own
+negative up to its parameter's sign, and each cube coordinate's spec key,
+argument rows and symmetric classes.  Constant E-coordinates are placed
+without branching, and no expression is built until the winner is renamed.
+A parameter whose sign no E-position has decided yet floats until the next
+one that names it, so undecided signs cost no branching.  A canonical form
+is marked and is never scanned again.
 
 Every permuted copy of a term canonicalizes back with the sign character,
 so the signed action of a projector is multiplication by its coefficient
@@ -31,8 +38,8 @@ The engine builds no group-algebra element and imports neither `symgrp`
 nor `gl2`.
 
 There is one serialization of expressions and cube coordinates under a
-naming of the parameters (see `_expr_ser`); under an expression's own names
-it is `PointExpr.key`.  The scan compares its candidates by it, and reprs
+naming of the parameters (see `_ser`); under an expression's own names it
+is `PointExpr.key`.  The scan compares its candidates by it, and reprs
 render it.  A canonical term's serialization under its own names
 (`ParamCycle.key`) orders the sorted `terms` view of cycle sums and bar
 words, which only the report edges read: reprs, the matcher's first-key rule
@@ -43,7 +50,11 @@ not depend on the parameter names a term was built with.
 The cubical boundary takes, for each cube slot, the zero and pole faces of
 the coordinate's divisor, solves the face equation (`divisors.class_equation`,
 the table fiber restriction solves too) for one parameter, and substitutes;
-signs follow the fixed convention sum_k (-1)^(k-1) (d0_k - dinf_k).
+signs follow the fixed convention sum_k (-1)^(k-1) (d0_k - dinf_k), and the
+integral multiplicities enter as ints.  Each slot's class equations are
+derived once per cycle: a face checks that none of its cube coordinates is
+identically 0 or infinity by substituting its pivot into the other slots'
+equations, not by deriving them again.
 """
 
 from __future__ import annotations
@@ -91,6 +102,18 @@ class UserFunction:
     def __post_init__(self):
         if not is_principal(self.divisor):
             raise DivisorError(f"divisor of {self.name} fails Abel's criterion")
+
+    @cached_property
+    def _hash(self) -> int:
+        # the divisor hashes a frozenset of its terms: take it once per spec
+        return hash((self.name, self.divisor))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles recompute the hash (str hashes are per process)
+        return UserFunction, (self.name, self.divisor)
 
     @property
     def arity(self) -> int:
@@ -199,14 +222,13 @@ class ParamCycle:
     _canonical: bool = field(init=False, repr=False, compare=False)  # set by _rebuild only
 
     def __post_init__(self):
-        used = set()
-        for e in self.ecoords:
-            used.update(e.params())
+        used = {n for e in self.ecoords for n, _ in e.coeffs}
         for q in self.qcoords:
             if isinstance(q, FunCoord):
-                for a in q.args:
-                    used.update(a.params())
+                used.update(n for a in q.args for n, _ in a.coeffs)
         declared = set(self.params)
+        if used == declared:
+            return
         if used - declared:
             raise CycleError(f"undeclared parameters {sorted(used - declared)}")
         if declared - used:
@@ -273,8 +295,8 @@ class ParamCycle:
             return self._key
         except AttributeError:
             k = (
-                tuple(_expr_ser(e) for e in self.ecoords),
-                tuple(_qcoord_ser(q)[0] for q in self.qcoords),
+                tuple(e.key() for e in self.ecoords),
+                tuple(_cube_ser(_cube_row(q))[0] for q in self.qcoords),
             )
             object.__setattr__(self, "_key", k)
             return k
@@ -290,13 +312,35 @@ class ParamCycle:
 # canonical forms
 
 
-def _ecoord_profile(pair) -> tuple:
-    """What no symmetry changes in an E-coordinate, given as (e, -e)."""
-    e, neg = pair
-    orbit = min(e.const.key(), neg.const.key())
-    if e.is_const():
-        return ("c", orbit)
-    return ("x", tuple(sorted(abs(c) for _, c in e.coeffs)), orbit)
+def _table_row(e: PointExpr) -> tuple:
+    """An E-coordinate's row of the scan's table: its signed sides, the
+    (coefficients, constant key) of e and of -e indexed by flip (0 keeps, 1
+    negates); its profile, what no symmetry changes; and whether it is
+    self-negating: one parameter and a constant that is its own negative
+    (0 or 2-torsion)."""
+    key, neg_key = e.const.key(), ec_neg(e.const).key()
+    sides = (e.coeffs, key), (tuple((n, -c) for n, c in e.coeffs), neg_key)
+    orbit = min(key, neg_key)
+    if not e.coeffs:
+        return sides, ("c", orbit), False
+    profile = ("x", tuple(sorted(abs(c) for _, c in e.coeffs)), orbit)
+    return sides, profile, len(e.coeffs) == 1 and key == neg_key
+
+
+def _term_table(ecoords):
+    """The rows of the E-coordinates (see `_table_row`), or None if the term
+    dies at sight: a coordinate equal to another one or to its negative, or
+    a constant one equal to its own negative, is fixed by an odd
+    transposition or negation."""
+    table, seen = [], set()
+    for e in ecoords:
+        row = _table_row(e)
+        sides = row[0]
+        if sides[0] in seen or sides[0] == sides[1]:
+            return None
+        seen.update(sides)
+        table.append(row)
+    return table
 
 
 _canonical_cache: dict = {}
@@ -316,97 +360,133 @@ def canonical_term(cycle: ParamCycle):
     normal form with opposite signs, g2^-1 g1 is an odd symmetry fixing the
     term, so g_min g2^-1 g1 reaches the minimum with g_min's sign reversed.
 
-    A cycle this function returned is its own canonical form with sign +1;
-    `_rebuild` marks it, and it comes back as it is, without a lookup.
+    The scan reads one table per term (`_term_table`, `_cube_row`) and
+    builds no expression until `_rebuild` renames the winner.  A cycle this
+    function returned is its own canonical form with sign +1; `_rebuild`
+    marks it, and it comes back as it is, without a lookup.
     """
     if getattr(cycle, "_canonical", False):
         return cycle, 1
     cached = _canonical_cache.get(cycle)
     if cached is not None:
         return cached
-    signed = [(e, -e) for e in cycle.ecoords]  # indexed by flip: 0 keeps, 1 negates
+    table = _term_table(cycle.ecoords)
+    prefixes = None if table is None else _least_prefixes(table, cycle.params)
+    if prefixes is None:
+        _canonical_cache[cycle] = result = (None, 0)
+        return result
     qcoords = [_const_collapse(q) for q in cycle.qcoords]
-    best, both = None, False  # (serialization, sign, naming, choices, cube order)
-    prefixes = _least_prefixes(signed, cycle.params)
-    for sign, naming, chosen in prefixes or ():
-        qsers = [_qcoord_ser(q, naming)[0] for q in qcoords]
+    cube = [_cube_row(q) for q in qcoords]
+    best, both = None, False  # (serialization, sign, naming, choices, cube order, argument orders)
+    for sign, naming, chosen in prefixes:
+        qsers, orders = zip(*[_cube_ser(row, naming) for row in cube]) if cube else ((), ())
         for qorder, qsign in _sorted_arrangements(qsers):
             ser = tuple(qsers[j] for j in qorder)
             if best is None or ser < best[0]:
-                best, both = (ser, sign * qsign, naming, chosen, qorder), False
+                best, both = (ser, sign * qsign, naming, chosen, qorder, orders), False
             elif ser == best[0] and sign * qsign != best[1]:
                 both = True
-    if prefixes is None or both:
+    if both:
         result = (None, 0)
     else:
-        _, sign, naming, chosen, qorder = best
-        ecoords = [signed[i][flip] for i, flip in chosen]
-        result = (_rebuild(cycle, ecoords, qcoords, qorder, naming), sign)
+        _, sign, naming, chosen, qorder, orders = best
+        result = (_rebuild(cycle, chosen, qcoords, qorder, orders, naming), sign)
     _canonical_cache[cycle] = result
     return result
 
 
-def _least_prefixes(signed, params):
+def _least_prefixes(table, params):
     """(sign, naming, ((index, flip), ..)) of the candidates' least E-parts,
     with every naming of the parameters only cube coordinates see; None if
-    the term dies already.
+    the term dies already.  The table's rows are `_table_row`'s.
 
-    A one-parameter coordinate whose constant is its own negative (0 or
-    2-torsion) serializes alike under both flips while its parameter is
+    A self-negating coordinate (one parameter, a constant that is its own
+    negative) serializes alike under both flips while its parameter is
     fresh.  It is placed once, with the positive coefficient, and its
     parameter's sign floats (sign 0 in the naming; the state's sign is the
     one for +1).  The next coordinate naming the parameter fixes that sign
     by `_settle`; signs still floating after the last position take both.
     """
-    profiles = [_ecoord_profile(pair) for pair in signed]
-    self_negating = [
-        len(e.coeffs) == 1 and e.const.key() == neg.const.key() for e, neg in signed
-    ]
-    states = [(0, 1, {}, ())]  # (used indices as a bitmask, sign, naming, choices)
-    for profile in sorted(profiles):
-        least, kept = None, {}
+    # constant coordinates sort first and have distinct orbits (the table has
+    # no two equal or opposite coordinates): each stands at its orbit's key
+    used, sign, chosen = 0, 1, ()
+    positions, by_profile = [], {}  # each other position's coordinates of its profile
+    for i, row in sorted(enumerate(table), key=lambda t: t[1][1]):
+        profile = row[1]
+        if profile[0] == "x":
+            positions.append(by_profile.setdefault(profile, []))
+            positions[-1].append(i)
+            continue
+        # i lands after every used index: one inversion per used index above
+        # i; a flip is one more sign
+        flip = int(row[0][0][1] != profile[1])
+        if ((used >> i).bit_count() + flip) % 2:
+            sign = -sign
+        used |= 1 << i
+        chosen += ((i, flip),)
+    states = [(used, sign, {}, chosen)]  # (used indices as a bitmask, sign, naming, choices)
+    for indices in positions:
+        # the least serialization of an unused coordinate of the position's
+        # profile under each state's naming, the same under every extension
+        # of it, and the candidates reaching it: (used, sign, naming, choices,
+        # floats)
+        least, candidates = None, []
         for used, sign, naming, chosen in states:
-            for i, p in enumerate(profiles):
-                if used >> i & 1 or p != profile:
+            for i in indices:
+                if used >> i & 1:
                     continue
-                # i lands after every used index: one inversion per used index above i
+                sides, _, self_negating = table[i]
                 s = -sign if (used >> i).bit_count() % 2 else sign
-                floats = self_negating[i] and signed[i][0].coeffs[0][0] not in naming
-                for flip in (0, 1):
-                    e = signed[i][flip]
-                    if floats and e.coeffs[0][1] < 0:
-                        continue  # the other flip stands for both
-                    ser = _expr_ser(e, naming)  # the same under every extension
+                floats = self_negating and sides[0][0][0][0] not in naming
+                if floats:  # the positive side stands for both; its parameter is fresh
+                    ((_, c),) = sides[0][0]
+                    flip = int(c < 0)
+                    sers = [(flip, (((f"t{len(naming)}", abs(c)),), sides[flip][1]))]
+                else:
+                    sers = enumerate([_ser(coeffs, key, naming) for coeffs, key in sides])
+                for flip, ser in sers:
                     if least is None or ser < least:
-                        least, kept = ser, {}
-                    if ser != least:
-                        continue
-                    for ext in _extend_naming(naming, e.coeffs):
-                        ext, s2, placed = _settle(ext, -s if flip else s, chosen, e.coeffs, signed)
-                        if floats:  # its one parameter was fresh: ext is a new dict
-                            name = e.coeffs[0][0]
-                            ext[name] = (ext[name][0], 0)
-                        # same placed set and naming: same completions; opposite signs: zero
-                        state = (used | 1 << i, s2, ext, placed + ((i, flip),))
-                        key = (state[0], frozenset(ext.items()))
-                        if kept.setdefault(key, state)[1] != state[1]:
-                            return None
+                        least, candidates = ser, []
+                    if ser == least:
+                        state = (used | 1 << i, -s if flip else s, naming, chosen + ((i, flip),))
+                        candidates.append((*state, floats))
+        kept = {}
+        for used, s, naming, placed, floats in candidates:
+            i, flip = placed[-1]
+            coeffs = table[i][0][flip][0]
+            if floats:  # its parameter takes the next name, with a floating sign
+                ext = dict(naming)
+                ext[coeffs[0][0]] = (f"t{len(naming)}", 0)
+                exts = [(ext, s, placed)]
+            else:
+                exts = [
+                    _settle(ext, s, placed, coeffs, table) for ext in _extend_naming(naming, coeffs)
+                ]
+            alone = len(candidates) == len(exts) == 1
+            for ext, s2, placed2 in exts:
+                # same placed set and naming: same completions; opposite signs: zero
+                key = None if alone else (used, tuple(ext.items()))
+                if kept.setdefault(key, (used, s2, ext, placed2))[1] != s2:
+                    return None
         states = kept.values()
     # parameters only cube slots see: every order (all tie at |1|), both signs
     rest = [p for p in params if p not in next(iter(states))[2]]
     out = []
     for _, sign, naming, chosen in states:
         floating = [n for n, (_, s) in naming.items() if not s]
+        if not (floating or rest):
+            out.append((sign, naming, chosen))
+            continue
         # a coefficient -1 settles a floating sign to +1, a coefficient +1 to -1
         for coeffs in itertools.product((-1, 1), repeat=len(floating)):
-            settled, s, placed = _settle(naming, sign, chosen, zip(floating, coeffs), signed)
+            settled, s, placed = _settle(naming, sign, chosen, tuple(zip(floating, coeffs)), table)
             for signs in itertools.product((1, -1), repeat=len(rest)):
-                for full in _extend_naming(settled, list(zip(rest, signs))):
+                for full in _extend_naming(settled, tuple(zip(rest, signs))):
                     out.append((s, full, placed))
     return out
 
 
-def _settle(naming, sign, chosen, coeffs, signed):
+def _settle(naming, sign, chosen, coeffs, table):
     """Fix each floating sign among the coefficients so that its coefficient
     is negative: the least serialization, since the names in one expression
     are distinct.  A sign -1 negates the coordinate that floated it, the
@@ -420,7 +500,8 @@ def _settle(naming, sign, chosen, coeffs, signed):
             naming[n] = (name, 1)
             continue
         naming[n] = (name, -1)
-        k = next(k for k, (j, _) in enumerate(chosen) if n in signed[j][0].params())
+        # table[j][0][0][0]: the coefficients of coordinate j's unflipped side
+        k = next(k for k, (j, _) in enumerate(chosen) if n in dict(table[j][0][0][0]))
         j, flip = chosen[k]
         chosen = chosen[:k] + ((j, 1 - flip),) + chosen[k + 1 :]
         sign = -sign
@@ -431,16 +512,25 @@ def _extend_naming(naming: dict, coeffs):
     """Every extension of the naming {name: (new name, sign)} to the new
     parameters among the coefficients: they take the next names in order of
     |coeff|, ties in every order, each signed to a positive coefficient."""
-    fresh = sorted((t for t in coeffs if t[0] not in naming), key=lambda t: abs(t[1]))
+    fresh = [t for t in coeffs if t[0] not in naming]
     if not fresh:
-        yield naming
-        return
-    groups = [list(g) for _, g in itertools.groupby(fresh, key=lambda t: abs(t[1]))]
-    for choice in itertools.product(*map(itertools.permutations, groups)):
+        return (naming,)
+    fresh.sort(key=lambda t: abs(t[1]))
+    if all(abs(a[1]) != abs(b[1]) for a, b in zip(fresh, fresh[1:])):
+        orders = (fresh,)  # distinct |coeff|: one order
+    else:
+        groups = [list(g) for _, g in itertools.groupby(fresh, key=lambda t: abs(t[1]))]
+        orders = (
+            itertools.chain.from_iterable(choice)
+            for choice in itertools.product(*map(itertools.permutations, groups))
+        )
+    out = []
+    for order in orders:
         ext = dict(naming)
-        for n, c in itertools.chain.from_iterable(choice):
+        for n, c in order:
             ext[n] = (f"t{len(ext)}", 1 if c > 0 else -1)
-        yield ext
+        out.append(ext)
+    return out
 
 
 def _sorted_arrangements(keys):
@@ -477,11 +567,12 @@ def _const_collapse(q):
 # and reprs render it.
 
 
-def _expr_ser(e: PointExpr, naming: dict = None):
-    if naming is None:
-        return e.key()
+def _ser(coeffs, const_key, naming: dict = None):
+    """The serialization of (coefficients, constant key) under a naming."""
+    if naming is None or not coeffs:
+        return coeffs, const_key
     items, fresh = [], []
-    for n, c in e.coeffs:
+    for n, c in coeffs:
         named = naming.get(n)
         if named is None:
             fresh.append(abs(c))
@@ -489,22 +580,32 @@ def _expr_ser(e: PointExpr, naming: dict = None):
             items.append((named[0], named[1] * c or -abs(c)))
     if fresh:
         fresh.sort()
-        items.extend((f"t{len(naming) + j}", c) for j, c in enumerate(fresh))
+        items.extend((f"t{j}", c) for j, c in enumerate(fresh, len(naming)))
     items.sort()
-    return tuple(items), e.const.key()
+    return tuple(items), const_key
 
 
-def _qcoord_ser(q, naming: dict = None):
-    """(serialization, argument order) of a cube coordinate under a naming."""
+def _cube_row(q) -> tuple:
+    """A cube coordinate's row of the scan's table: (serialization, None) if
+    it is constant, else (spec key, (coefficients, constant key) of each
+    argument, its symmetric classes as 0-based positions)."""
     if isinstance(q, ConstCoord):
         return ("K", q.spec.spec_key(), q.point.key()), None
-    sers = [_expr_ser(a, naming) for a in q.args]
+    classes = tuple(tuple(i - 1 for i in cls) for cls in q.spec.sym_classes() if len(cls) > 1)
+    return q.spec.spec_key(), tuple((a.coeffs, a.const.key()) for a in q.args), classes
+
+
+def _cube_ser(row, naming: dict = None):
+    """(serialization, argument order) of a cube row under a naming."""
+    if row[1] is None:
+        return row
+    spec_key, args, classes = row
+    sers = [_ser(coeffs, key, naming) for coeffs, key in args]
     order = list(range(len(sers)))
-    for cls in q.spec.sym_classes():
-        if len(cls) > 1:
-            for pos, i in zip(cls, sorted((i - 1 for i in cls), key=sers.__getitem__)):
-                order[pos - 1] = i
-    return ("F", q.spec.spec_key(), tuple(sers[i] for i in order)), order
+    for cls in classes:
+        for pos, i in zip(cls, sorted(cls, key=sers.__getitem__)):
+            order[pos] = i
+    return ("F", spec_key, tuple(sers[i] for i in order)), order
 
 
 def _render_qcoord(ser) -> str:
@@ -513,21 +614,32 @@ def _render_qcoord(ser) -> str:
     return f"F({ser[1]};{','.join(render_expr(a) for a in ser[2])})"
 
 
-def _rename(e: PointExpr, naming: dict) -> PointExpr:
-    return PointExpr.make(e.curve, [(naming[n][0], naming[n][1] * c) for n, c in e.coeffs], e.const)
+def _rename(e: PointExpr, naming: dict, flip: int = 0) -> PointExpr:
+    """e, negated if flipped, under a complete naming: e itself where that
+    changes nothing.  The naming is a bijection onto t0, t1, .., so no two
+    terms merge and none cancels."""
+    if not (flip or e.coeffs):
+        return e
+    sign = -1 if flip else 1
+    coeffs = tuple(sorted((naming[n][0], sign * naming[n][1] * c) for n, c in e.coeffs))
+    if flip:
+        return PointExpr(e.curve, coeffs, ec_neg(e.const))
+    return e if coeffs == e.coeffs else PointExpr(e.curve, coeffs, e.const)
 
 
-def _rebuild(cycle, ecoords, qcoords, qorder, naming) -> ParamCycle:
+def _rebuild(cycle, chosen, qcoords, qorder, orders, naming) -> ParamCycle:
+    """The winning candidate: E-coordinate i negated where its flip is 1, in
+    the chosen order, the cube slots in qorder with their arguments in the
+    given orders, all renamed by the naming."""
     qcoords2 = []
     for j in qorder:
         q = qcoords[j]
         if isinstance(q, FunCoord):
-            order = _qcoord_ser(q, naming)[1]
-            q = FunCoord(q.spec, tuple(_rename(q.args[i], naming) for i in order))
+            q = FunCoord(q.spec, tuple(_rename(q.args[i], naming) for i in orders[j]))
         qcoords2.append(q)
     names = tuple(f"t{i}" for i in range(len(naming)))
-    ecoords2 = tuple(_rename(e, naming) for e in ecoords)
-    canon = ParamCycle(cycle.curve, names, ecoords2, tuple(qcoords2))
+    ecoords = tuple(_rename(cycle.ecoords[i], naming, flip) for i, flip in chosen)
+    canon = ParamCycle(cycle.curve, names, ecoords, tuple(qcoords2))
     object.__setattr__(canon, "_canonical", True)  # its own canonical form, sign +1
     return canon
 
@@ -571,12 +683,16 @@ def _canonical_items(items):
 _face_cache: dict = {}
 
 
-def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr):
+def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr, equations):
     """Impose eq = 0, eliminate one parameter, drop the cube slot.
 
     Returns the face cycle, or None when the equation has no solution on the
-    family; raises DegeneracyError when it holds identically or cannot be
-    solved with a unit pivot.
+    family; raises DegeneracyError when it holds identically, cannot be
+    solved with a unit pivot, or leaves a cube coordinate of the face
+    identically 0 or infinity.  `equations` holds each slot's class
+    equations (None for a constant slot); substituting the pivot into them
+    gives the face's own, so none is derived again, and the check sums a
+    constant only where the coefficients cancel (`PointExpr.vanishes_with`).
     """
     if eq.is_const():
         if eq.const.infinity:
@@ -590,57 +706,58 @@ def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr):
         raise DegeneracyError(f"face equation {eq!r} has no unit pivot")
     repl = eq.solve(name)
     ecoords = tuple(e.substitute(name, repl) for e in cycle.ecoords)
-    qcoords = []
-    for j, q in enumerate(cycle.qcoords, start=1):
+    qcoords, kept = [], []
+    for j, (q, eqs) in enumerate(zip(cycle.qcoords, equations), start=1):
         if j == slot:
             continue
-        if isinstance(q, ConstCoord):
-            qcoords.append(q)
-        else:
-            qcoords.append(
-                _const_collapse(FunCoord(q.spec, tuple(a.substitute(name, repl) for a in q.args)))
-            )
+        if eqs is not None:
+            q = _const_collapse(FunCoord(q.spec, tuple(a.substitute(name, repl) for a in q.args)))
+        qcoords.append(q)
+        kept.append(eqs)
     params = tuple(p for p in cycle.params if p != name)
     face = ParamCycle(cycle.curve, params, ecoords, tuple(qcoords))
-    _check_nondegenerate(face)
-    return face
-
-
-def _check_nondegenerate(cycle: ParamCycle):
-    for j, q in enumerate(cycle.qcoords, start=1):
+    for j, (q, eqs) in enumerate(zip(qcoords, kept), start=1):
         if isinstance(q, ConstCoord):
             if q.spec.arity == 1 and q.point in q.spec.divisor:
                 raise DegeneracyError(
                     f"cube coordinate {j} is the constant 0 or infinity"
                 )
             continue
-        for component, _ in q.spec.components():
-            eq = class_equation(component, q.args)
-            if eq.is_const() and eq.const.infinity:
+        for component_eq in eqs:
+            if component_eq.vanishes_with(name, repl):
                 raise DegeneracyError(
                     f"cube coordinate {j} became identically zero or infinite"
                 )
+    return face
 
 
 def term_faces(cycle: ParamCycle):
-    """All boundary faces of one cycle: list of (coefficient, face cycle)."""
+    """All boundary faces of one cycle: list of (coefficient, face cycle).
+
+    Each function slot's class equations are derived once; its own faces
+    solve them, and every face substitutes its pivot into the others'."""
     cached = _face_cache.get(cycle)
     if cached is not None:
         return cached
+    equations = [
+        None
+        if isinstance(q, ConstCoord)
+        else [class_equation(component, q.args) for component, _ in q.spec.components()]
+        for q in cycle.qcoords
+    ]
     out = []
-    for slot, q in enumerate(cycle.qcoords, start=1):
-        if isinstance(q, ConstCoord):
+    for slot, (q, eqs) in enumerate(zip(cycle.qcoords, equations), start=1):
+        if eqs is None:
             continue
         slot_sign = -1 if (slot - 1) % 2 else 1
-        for component, coeff in q.spec.components():
+        for (_, coeff), eq in zip(q.spec.components(), eqs):
             if coeff.denominator != 1:
                 raise CycleError("face multiplicities must be integers")
-            eq = class_equation(component, q.args)
-            face = _solve_face(cycle, slot, eq)
+            face = _solve_face(cycle, slot, eq, equations)
             if face is None:
                 continue
             # zeros (coeff > 0) enter with +, poles with -; multiplicity |coeff|
-            out.append((slot_sign * coeff, face))
+            out.append((slot_sign * int(coeff), face))
     _face_cache[cycle] = out
     return out
 

@@ -287,6 +287,8 @@ class PointExpr:
     def scale(self, k: int) -> "PointExpr":
         if k == 0:
             return PointExpr.make(self.curve, [])
+        if k == -1:
+            return -self
         return PointExpr(
             self.curve, tuple((n, k * c) for n, c in self.coeffs), ec_scalar_mul(k, self.const)
         )
@@ -298,11 +300,28 @@ class PointExpr:
         return rest.scale(-c)
 
     def substitute(self, name: str, repl: "PointExpr") -> "PointExpr":
-        c = dict(self.coeffs).get(name)
-        if c is None:
+        for n, c in self.coeffs:
+            if n == name:
+                break
+        else:
             return self
-        rest = PointExpr(self.curve, tuple((n, v) for n, v in self.coeffs if n != name), self.const)
-        return rest + repl.scale(c)
+        scaled = repl if c == 1 else repl.scale(c)
+        items = [(n, v) for n, v in self.coeffs if n != name] + list(scaled.coeffs)
+        return PointExpr.make(self.curve, items, ec_add(self.const, scaled.const))
+
+    def vanishes_with(self, name: str, repl: "PointExpr") -> bool:
+        """Whether `substitute(name, repl)` is identically the identity.  The
+        coefficients are compared first; the constant is summed only when
+        they cancel."""
+        for n, c in self.coeffs:
+            if n == name:
+                break
+        else:
+            return not self.coeffs and self.const.infinity
+        rest = [(n, v) for n, v in self.coeffs if n != name]
+        if rest != [(n, -c * v) for n, v in repl.coeffs]:
+            return False
+        return ec_add(self.const, ec_scalar_mul(c, repl.const)).infinity
 
     def rename(self, mapping: dict) -> "PointExpr":
         return PointExpr.make(

@@ -8,10 +8,12 @@ import subprocess
 import sys
 
 import pytest
+from fractions import Fraction
 
-from ellmotive import barcx
+from ellmotive import barcx, curves
 from ellmotive.cli import main
 from ellmotive.config import ConfigError, config_from_dict, default_config, load_config
+from ellmotive.cycles import CycleSum, boundary, build_family
 from ellmotive.divisors import DegeneracyError
 from ellmotive.report import Report, emit_report
 from ellmotive.suites import run_suite
@@ -528,6 +530,39 @@ def test_fn_mode_commands_pass(tmp_path, command):
     assert payload["summary"]["fail"] == 0
     assert payload["summary"]["pass"] > 0
     assert not any("aborted" in r["id"] for r in payload["records"])
+
+
+# sha256 of `verify all` on FN_CONFIG: the one pinned report whose faces
+# come from fn-mode (F_n) divisors
+FN_REPORT_SHA256 = "3a0a5f0c2d5d74fa85ad669f1254c4214e706cf5c5c3ffb0d61fb78d2109f6d0"
+
+
+def test_fn_mode_report_is_byte_stable(tmp_path, monkeypatch):
+    # every fn-mode family builds h_n on the full 2-torsion, which a curve
+    # finds once, the config check included
+    solved = []
+    real = curves._two_torsion_cubic
+
+    def counted(curve):
+        solved.append(curve)  # kept alive, so ids stay distinct
+        return real(curve)
+
+    monkeypatch.setattr(curves, "_two_torsion_cubic", counted)
+    out = tmp_path / "report.json"
+    code = main(["--config", write_config(tmp_path, FN_CONFIG), "--out", str(out), "verify", "all"])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FN_REPORT_SHA256
+    assert solved and len({id(c) for c in solved}) == len(solved)
+
+
+def test_face_multiplicities_are_ints():
+    # the config parses divisor coefficients as Fractions; a face enters
+    # with an int, as every integral coefficient does
+    cfg = config_from_dict(GOOD_CONFIG)
+    assert {type(c) for g in cfg.functions for c in g.divisor.values()} == {Fraction}
+    X = build_family("X", cfg.curve, cfg.functions[:1])
+    coeffs = list(boundary(CycleSum.single(X)).values())
+    assert coeffs and {type(c) for c in coeffs} == {int}
 
 
 # sha256 of `ellmotive report` on the default config; refactors keep the

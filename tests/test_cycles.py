@@ -14,6 +14,7 @@ from ellmotive.curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul
 from ellmotive.cycles import (
     AdmissibilityError,
     ConstCoord,
+    CycleError,
     CycleSum,
     FbarSpec,
     FunCoord,
@@ -30,13 +31,14 @@ from ellmotive.cycles import (
 )
 from ellmotive.cycles import (
     _const_collapse,
-    _ecoord_profile,
-    _expr_ser,
-    _qcoord_ser,
+    _cube_row,
+    _cube_ser,
     _rebuild,
+    _ser,
     _sorted_arrangements,
+    _table_row,
 )
-from ellmotive.divisors import DegeneracyError, FormalDivisor
+from ellmotive.divisors import DegeneracyError, FormalDivisor, class_equation
 from ellmotive.fixtures import fixed_points, generator, rank_one_curve, standard_functions
 from ellmotive.symgrp import Permutation, YoungShape, transpose_projector
 
@@ -401,7 +403,7 @@ def _reference_canonical(cycle):
     """The full product of arrangements, negations, namings and cube orders:
     the least serialization, or zero when any serialization is reached with
     both signs."""
-    profiles = [_ecoord_profile((e, -e)) for e in cycle.ecoords]
+    profiles = [_table_row(e)[1] for e in cycle.ecoords]
     qcoords = [_const_collapse(q) for q in cycle.qcoords]
     seen, best = {}, None
     for arrangement, perm_sign in _sorted_arrangements(profiles):
@@ -410,21 +412,28 @@ def _reference_canonical(cycle):
                        for i, f in zip(arrangement, flips)]
             sign = -perm_sign if sum(flips) % 2 else perm_sign
             for naming in _reference_namings(ecoords, cycle.params):
-                eser = tuple(_expr_ser(e, naming) for e in ecoords)
-                qsers = [_qcoord_ser(q, naming)[0] for q in qcoords]
+                eser = tuple(_ser(e.coeffs, e.const.key(), naming) for e in ecoords)
+                cube = [_cube_ser(_cube_row(q), naming) for q in qcoords]
+                qsers, orders = list(zip(*cube)) or [(), ()]
                 for qorder, qsign in _sorted_arrangements(qsers):
                     ser = (eser, tuple(qsers[j] for j in qorder))
                     if seen.setdefault(ser, sign * qsign) != sign * qsign:
                         return None, 0
                     if best is None or ser < best[0]:
-                        best = (ser, sign * qsign, (ecoords, qcoords, qorder, naming))
+                        chosen = tuple(zip(arrangement, flips))
+                        best = (ser, sign * qsign, (chosen, qcoords, qorder, orders, naming))
     return _rebuild(cycle, *best[2]), best[1]
 
 
 def test_scan_matches_reference_on_families_and_faces(setup):
-    for seed in _orbit_seeds(setup):
-        for cycle in [seed] + [f for _, f in term_faces(seed)]:
-            assert canonical_term(cycle) == _reference_canonical(cycle), cycle
+    seeds = _orbit_seeds(setup)
+    faces = [f for seed in seeds for _, f in term_faces(seed)]
+    # faces of the faces' canonical forms: dd, where most scans happen
+    canons = [c for c, _ in map(canonical_term, faces) if c is not None]
+    second = [f for c in canons for _, f in term_faces(c)]
+    assert len(second) > len(faces)
+    for cycle in seeds + faces + second:
+        assert canonical_term(cycle) == _reference_canonical(cycle), cycle
 
 
 def _f101_pieces():
@@ -481,6 +490,138 @@ def _f101_cycles(draw):
 @settings(max_examples=150, deadline=None)
 def test_scan_matches_reference_on_random_cycles(cycle):
     assert canonical_term(cycle) == _reference_canonical(cycle)
+
+
+# ---------------------------------------------------------------------------
+# faces against the derivation they replace
+
+
+def _reference_faces(cycle):
+    """`term_faces` with every face checked by `class_equation` on its own
+    arguments, instead of substituting its pivot into the cycle's."""
+    out = []
+    for slot, q in enumerate(cycle.qcoords, start=1):
+        if isinstance(q, ConstCoord):
+            continue
+        for component, coeff in q.spec.components():
+            eq = class_equation(component, q.args)
+            if eq.is_const():
+                if eq.const.infinity:
+                    raise DegeneracyError(
+                        f"cube coordinate {slot} is identically degenerate on a face"
+                    )
+                continue
+            name = next((p for p in cycle.params if dict(eq.coeffs).get(p) in (1, -1)), None)
+            if name is None:
+                raise DegeneracyError(f"face equation {eq!r} has no unit pivot")
+            repl = eq.solve(name)
+            qcoords = [
+                q2
+                if isinstance(q2, ConstCoord)
+                else _const_collapse(
+                    FunCoord(q2.spec, tuple(a.substitute(name, repl) for a in q2.args))
+                )
+                for j, q2 in enumerate(cycle.qcoords, start=1)
+                if j != slot
+            ]
+            ecoords = tuple(e.substitute(name, repl) for e in cycle.ecoords)
+            params = tuple(p for p in cycle.params if p != name)
+            face = ParamCycle(cycle.curve, params, ecoords, tuple(qcoords))
+            for j, q2 in enumerate(face.qcoords, start=1):
+                if isinstance(q2, ConstCoord):
+                    if q2.spec.arity == 1 and q2.point in q2.spec.divisor:
+                        raise DegeneracyError(
+                            f"cube coordinate {j} is the constant 0 or infinity"
+                        )
+                    continue
+                for component2, _ in q2.spec.components():
+                    eq2 = class_equation(component2, q2.args)
+                    if eq2.is_const() and eq2.const.infinity:
+                        raise DegeneracyError(
+                            f"cube coordinate {j} became identically zero or infinite"
+                        )
+            out.append(((-1) ** (slot - 1) * coeff, face))
+    return out
+
+
+def _faces_or_error(faces, cycle):
+    # a record carries repr(exc), so the first error's text is what counts
+    try:
+        return faces(cycle)
+    except (CycleError, DegeneracyError) as exc:
+        return repr(exc)
+
+
+@given(_f101_cycles())
+@settings(max_examples=150, deadline=None)
+def test_faces_match_their_derivation_afresh(cycle):
+    assert _faces_or_error(term_faces, cycle) == _faces_or_error(_reference_faces, cycle)
+
+
+def _substitution_cases(cycle):
+    """(class, pivot, replacement, arguments) for each face of the cycle and
+    each class of each function slot the face keeps."""
+    slots = [(j, q) for j, q in enumerate(cycle.qcoords) if isinstance(q, FunCoord)]
+    for j, q in slots:
+        for component, _ in q.spec.components():
+            eq = class_equation(component, q.args)
+            name = next((p for p in cycle.params if dict(eq.coeffs).get(p) in (1, -1)), None)
+            if name is None:
+                continue
+            repl = eq.solve(name)
+            for k, other in slots:
+                if k != j:
+                    for component2, _ in other.spec.components():
+                        yield component2, name, repl, other.args
+
+
+def _check_substituted_equations(cycle):
+    # a face's class equations are the cycle's with the pivot substituted,
+    # and the face's check reads off whether they vanish identically
+    for component, name, repl, args in _substitution_cases(cycle):
+        face_args = tuple(a.substitute(name, repl) for a in args)
+        eq = class_equation(component, args)
+        substituted = eq.substitute(name, repl)
+        assert substituted == class_equation(component, face_args), (component, name)
+        vanishes = substituted.is_const() and substituted.const.infinity
+        assert eq.vanishes_with(name, repl) == vanishes, (component, name)
+
+
+@given(_f101_cycles())
+@settings(max_examples=150, deadline=None)
+def test_substituted_face_equations_are_the_faces_own(cycle):
+    _check_substituted_equations(cycle)
+
+
+def test_substituted_face_equations_on_families(setup):
+    # the families' F-bar coordinates have the Dsum class, which F_101's
+    # two-argument F-bar normalizes away
+    for seed in _orbit_seeds(setup):
+        _check_substituted_equations(seed)
+
+
+def test_degeneracy_texts_and_order():
+    curve, g, fbar, consts = _F101
+    P = consts[1]  # a pole of g
+    u, v = PointExpr.param(curve, "u"), PointExpr.param(curve, "v")
+    gu, fvv = FunCoord(g, (u,)), FunCoord(fbar, (v, v))
+    constant = "cube coordinate 1 is the constant 0 or infinity"
+    vanishing = "cube coordinate 1 became identically zero or infinite"
+    cases = [
+        ((u,), (FunCoord(g, (PointExpr.constant(P),)), gu),
+         "cube coordinate 1 is identically degenerate on a face"),
+        ((u,), (FunCoord(g, (u.scale(2),)),), "face equation 2u|(1,99) has no unit pivot"),
+        ((u,), (ConstCoord(g, P), gu), constant),
+        ((u, v), (gu, fvv), vanishing),
+        # the face of slot 1 meets both degeneracies: its first slot is reported
+        ((u, v), (gu, ConstCoord(g, P), fvv), constant),
+        ((u, v), (gu, fvv, ConstCoord(g, P)), vanishing),
+    ]
+    for ecoords, qcoords, text in cases:
+        params = tuple(sorted({n for e in ecoords for n in e.params()} | {"u"}))
+        cycle = ParamCycle(curve, params, ecoords, qcoords)
+        assert _faces_or_error(term_faces, cycle) == repr(DegeneracyError(text))
+        assert _faces_or_error(_reference_faces, cycle) == repr(DegeneracyError(text))
 
 
 def _floating_cases(setup):

@@ -106,6 +106,52 @@ def test_two_torsion_f11():
         assert ec_add(t, t).infinity
 
 
+def _copies(E):
+    """An equal curve built separately, a copy and a pickled copy of E."""
+    E2 = EllipticCurve.from_coeffs(E.field, E.a1, E.a2, E.a3, E.a4, E.a6)
+    return [E2, copy.copy(E), pickle.loads(pickle.dumps(E))]
+
+
+def test_two_torsion_is_found_once_per_curve(monkeypatch):
+    from ellmotive import curves
+
+    solved = []
+    real = curves._two_torsion_cubic
+    monkeypatch.setattr(curves, "_two_torsion_cubic", lambda E: solved.append(E) or real(E))
+    E = two_torsion_curve_f11()
+    tors = full_two_torsion(E)
+    tors.append(None)  # the caller's list is its own
+    assert full_two_torsion(E) == tors[:3] and solved == [E]
+    # equal curves and copies keep their own memo, and start with it empty
+    for other in _copies(E):
+        assert full_two_torsion(other) == tors[:3]
+        assert solved[-1] is other
+    assert len(solved) == 4
+
+
+def test_identity_is_one_point_per_curve():
+    E = rank_one_curve()
+    O, P = CurvePoint.at_infinity(E), generator(E)
+    assert CurvePoint.at_infinity(E) is O
+    assert ec_add(P, ec_neg(P)) is O and ec_scalar_mul(0, P) is O
+    for other in _copies(E):
+        O2 = CurvePoint.at_infinity(other)
+        assert O2 is not O and O2 == O and hash(O2) == hash(O)
+        # a point on an equal curve adds like one on E: identity, then equality
+        Q = CurvePoint.affine(other, P.x, P.y)
+        assert ec_add(P, Q) == ec_add(P, P) and ec_add(Q, O) is Q
+
+
+def test_group_law_hands_out_one_point_per_value():
+    E = rank_one_curve()
+    P = generator(E)
+    P2 = ec_add(P, P)
+    assert ec_add(P, P2) is ec_add(P2, P)
+    assert ec_neg(ec_neg(P2)) is P2
+    # 4P by doubling and by three chord steps is one object
+    assert ec_add(ec_add(P2, P), P) is ec_add(P2, P2) is ec_scalar_mul(4, P)
+
+
 def test_two_torsion_rational_empty():
     # the cubic 4x^3 - 4x + 1 has no rational root
     assert full_two_torsion(rank_one_curve()) == []
