@@ -28,8 +28,7 @@ negative up to its parameter's sign, and each cube coordinate's spec key,
 argument rows and symmetric classes.  Constant E-coordinates are placed
 without branching, and no expression is built until the winner is renamed.
 A parameter whose sign no E-position has decided yet floats until the next
-one that names it, so undecided signs cost no branching.  A canonical form
-is marked and is never scanned again.
+one that names it, so undecided signs cost no branching.
 
 Every permuted copy of a term canonicalizes back with the sign character,
 so the signed action of a projector is multiplication by its coefficient
@@ -219,7 +218,6 @@ class ParamCycle:
     qcoords: tuple  # tuple of FunCoord | ConstCoord
     _hash: int = field(init=False, repr=False, compare=False)  # filled on first use
     _key: tuple = field(init=False, repr=False, compare=False)  # filled on first use
-    _canonical: bool = field(init=False, repr=False, compare=False)  # set by _rebuild only
 
     def __post_init__(self):
         used = {n for e in self.ecoords for n, _ in e.coeffs}
@@ -285,7 +283,6 @@ class ParamCycle:
 
     def __reduce__(self):
         # copies and pickles recompute the hash (str hashes are per process)
-        # and drop the canonical mark
         return ParamCycle, (self.curve, self.params, self.ecoords, self.qcoords)
 
     def key(self) -> tuple:
@@ -361,12 +358,8 @@ def canonical_term(cycle: ParamCycle):
     term, so g_min g2^-1 g1 reaches the minimum with g_min's sign reversed.
 
     The scan reads one table per term (`_term_table`, `_cube_row`) and
-    builds no expression until `_rebuild` renames the winner.  A cycle this
-    function returned is its own canonical form with sign +1; `_rebuild`
-    marks it, and it comes back as it is, without a lookup.
+    builds no expression until `_rebuild` renames the winner.
     """
-    if getattr(cycle, "_canonical", False):
-        return cycle, 1
     cached = _canonical_cache.get(cycle)
     if cached is not None:
         return cached
@@ -639,9 +632,7 @@ def _rebuild(cycle, chosen, qcoords, qorder, orders, naming) -> ParamCycle:
         qcoords2.append(q)
     names = tuple(f"t{i}" for i in range(len(naming)))
     ecoords = tuple(_rename(cycle.ecoords[i], naming, flip) for i, flip in chosen)
-    canon = ParamCycle(cycle.curve, names, ecoords, tuple(qcoords2))
-    object.__setattr__(canon, "_canonical", True)  # its own canonical form, sign +1
-    return canon
+    return ParamCycle(cycle.curve, names, ecoords, tuple(qcoords2))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ The displayed formula admits two readings of that sign, (-1)^{|sigma|} (the
 sign character) and (-1)^{|sigma|+1}.  Only the sign-character reading is
 multiplicative, so `right_act` uses it; `sign_convention_table` lists both
 so that reports surface the mismatch rather than silently resolve it.
+
+The signed group G_c = (Z/2Z)^c x| Sigma_c permutes the signed basis
++-e_1..+-e_c, so its alternating element is a `GroupAlgebraElement` of
+degree 2c and multiplies like every projector.
 """
 
 from __future__ import annotations
@@ -317,68 +321,30 @@ def partitions(b: int):
 
 
 # ---------------------------------------------------------------------------
-# the signed group G_c = (Z/2Z)^c x| Sigma_c
+# the signed group G_c = (Z/2Z)^c x| Sigma_c inside Sigma_2c
 
 
-@dataclass(frozen=True)
-class SignedGroupElement:
-    """(signs, permutation) with the semidirect product law."""
-
-    signs: tuple  # entries in {1, -1}
-    perm: Permutation
-
-    def __post_init__(self):
-        if len(self.signs) != self.perm.degree:
-            raise GroupAlgebraError("sign vector length mismatch")
-
-    def __mul__(self, other: "SignedGroupElement") -> "SignedGroupElement":
-        # (s, sigma)(t, tau) = (s * sigma(t), sigma tau), sigma(t)_i = t_{sigma^{-1}(i)}
-        inv = self.perm.inverse()
-        moved = tuple(other.signs[inv(i) - 1] for i in range(1, self.perm.degree + 1))
-        signs = tuple(a * b for a, b in zip(self.signs, moved))
-        return SignedGroupElement(signs, self.perm * other.perm)
-
-    def character_sign(self) -> int:
-        """Parity of the permutation times the product of the sign entries."""
-        prod = 1
-        for s in self.signs:
-            prod *= s
-        return self.perm.sign() * prod
-
-    def __repr__(self) -> str:
-        return f"({''.join('+' if s == 1 else '-' for s in self.signs)};{self.perm!r})"
+def signed_permutation(signs, perm: Permutation) -> Permutation:
+    """(signs, perm) in G_c as a permutation of the signed points, i for +e_i
+    and i + c for -e_i.  (s, sigma) sends +e_i to s_sigma(i) e_sigma(i),
+    which is the semidirect law (s, sigma)(t, tau) = (s sigma(t), sigma tau)
+    with sigma(t)_i = t_sigma^-1(i), carried injectively into Sigma_2c."""
+    c = perm.degree
+    negated = [signs[j - 1] == -1 for j in perm.images]
+    plus = tuple(j + c if neg else j for j, neg in zip(perm.images, negated))
+    minus = tuple(j if neg else j + c for j, neg in zip(perm.images, negated))
+    return Permutation(plus + minus)
 
 
-def _signed_key(g: SignedGroupElement) -> tuple:
-    return g.signs, g.perm.images
-
-
-class SignedGroupAlgebraElement(LinComb):
-    """Formal sum of elements of G_degree; int coefficients stay ints."""
-
-    __slots__ = labels = ("degree",)
-    sort_key = staticmethod(_signed_key)
-    error = GroupAlgebraError
-
-    @classmethod
-    def of(cls, degree: int, items) -> "SignedGroupAlgebraElement":
-        return cls(items, degree)
-
-    def __mul__(self, other):
-        self._check(other)
-        products = ((g1 * g2, c1 * c2) for g1, c1 in self.items() for g2, c2 in other.items())
-        return SignedGroupAlgebraElement(products, self.degree)
-
-
-def alt_signed_group(c: int) -> SignedGroupAlgebraElement:
-    """Alt over G_c: sum of character_sign(g) * g, 2^c c! terms."""
+def alt_signed_group(c: int) -> GroupAlgebraElement:
+    """Alt over G_c in the group algebra of Sigma_2c: the sum of
+    sgn(sigma) * prod(s) * (s, sigma) over its 2^c c! elements."""
     items = []
-    for perm_images in itertools.permutations(range(1, c + 1)):
-        perm = Permutation(tuple(perm_images))
+    for images in itertools.permutations(range(1, c + 1)):
+        perm = Permutation(images)
         for signs in itertools.product((1, -1), repeat=c):
-            g = SignedGroupElement(tuple(signs), perm)
-            items.append((g, g.character_sign()))
-    return SignedGroupAlgebraElement.of(c, items)
+            items.append((signed_permutation(signs, perm), perm.sign() * (-1) ** signs.count(-1)))
+    return GroupAlgebraElement.of(2 * c, items)
 
 
 def sign_convention_table():

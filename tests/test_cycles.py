@@ -702,53 +702,16 @@ def test_projector_matches_its_term_by_term_definition(setup):
         assert decorate(kind, cycle) == _reference_decoration(cycle)
 
 
-def _unmarked(c):
-    return ParamCycle(c.curve, c.params, c.ecoords, c.qcoords)
-
-
 def test_canonical_form_is_a_fixed_point(setup):
-    # the rebuilt minimal candidate is its own canonical form, with sign +1;
-    # an unmarked copy makes the scan run again instead of trusting the mark
+    # the rebuilt minimal candidate is its own canonical form, with sign +1
     survivors = 0
     for base in _orbit_seeds(setup):
         canon, _ = canonical_term(base)
         if canon is None:
             continue
         survivors += 1
-        assert canonical_term(_unmarked(canon)) == (canon, 1)
+        assert canonical_term(canon) == (canon, 1)
     assert survivors > 0
-
-
-def test_canonical_mark_is_not_carried(setup):
-    import copy
-    import pickle
-
-    curve, gs, afix = setup
-    canon, _ = canonical_term(build_family("X", curve, gs[:2], fixed=(afix[0],)))
-    assert getattr(canon, "_canonical", False)
-    assert not hasattr(_unmarked(canon), "_canonical")
-    moved = [
-        canon.rename_params({"t0": "u"}),
-        canon.permute_ecoords(Permutation((2, 1, 3, 4))),
-        copy.copy(canon),
-        pickle.loads(pickle.dumps(canon)),
-    ]
-    for other in moved:
-        assert not hasattr(other, "_canonical")
-    # the copies are equal to the canonical form and canonicalize back to it
-    assert moved[2] == moved[3] == canon
-    assert canonical_term(moved[3]) == (canon, 1)
-
-
-def test_marked_input_skips_the_cache(setup):
-    from ellmotive import cycles
-
-    curve, gs, afix = setup
-    canon, _ = canonical_term(build_family("Y", curve, gs[:2], fixed=(afix[1],)))
-    before = len(cycles._canonical_cache)
-    assert canonical_term(canon) == (canon, 1)
-    assert canonical_term(canon)[0] is canon
-    assert len(cycles._canonical_cache) == before
 
 
 def test_constant_two_torsion_ecoord_dies():

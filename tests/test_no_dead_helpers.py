@@ -295,19 +295,35 @@ def test_no_unread_locals():
     assert _unread_locals() == set()
 
 
+def _self_stores(cls):
+    """Names a class's methods store as self.<name>."""
+    return {
+        sub.attr
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Store)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "self"
+    }
+
+
 def _write_only_fields():
-    """Class.field for every annotated field of a class in src that no file
-    of src or the tests reads as an attribute or names in a string (as a
-    getattr does).  This file is left out: its own AST walk reads node
-    attributes that share names with fields."""
+    """Class.field for every annotated field of a class in src, and every
+    self.<name> its methods store, that no file of src or the tests reads as
+    an attribute or names in a string (as a getattr does).  This file is
+    left out: its own AST walk reads node attributes that share names with
+    fields."""
+    classes = [cls for tree in _trees().values() for cls in ast.walk(tree)]
+    classes = [cls for cls in classes if isinstance(cls, ast.ClassDef)]
     fields = {
         f"{cls.name}.{stmt.target.id}"
-        for tree in _trees().values()
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef)
+        for cls in classes
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     }
+    fields |= {f"{cls.name}.{name}" for cls in classes for name in _self_stores(cls)}
     paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     used = set()
     for path in paths:

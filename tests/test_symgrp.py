@@ -1,6 +1,7 @@
 """Group algebra, Young symmetrizers, tabloids, and the signed group."""
 
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -14,7 +15,6 @@ from ellmotive.symgrp import (
     GroupAlgebraElement,
     GroupAlgebraError,
     Permutation,
-    SignedGroupElement,
     YoungShape,
     alt_signed_group,
     hook_length_dimension,
@@ -22,6 +22,7 @@ from ellmotive.symgrp import (
     right_act,
     right_act_element,
     sign_convention_table,
+    signed_permutation,
     standard_tableaux,
     tabloid_row_projector,
     transpose_projector,
@@ -228,21 +229,49 @@ def test_sign_convention_table():
 
 def test_alt_signed_group():
     assert len(alt_signed_group(1)) == 2
-    assert len(alt_signed_group(2)) == 8
+    assert len(alt_signed_group(2)) == 8 and alt_signed_group(2).degree == 4
     for c in (1, 2, 3):
         alt = alt_signed_group(c)
         lam = (2**c) * factorial(c)
         assert alt * alt == alt.scale(lam)
 
 
-def test_signed_group_law():
-    s = SignedGroupElement((1, -1), Permutation.identity(2))
-    t = SignedGroupElement((-1, 1), Permutation.transposition(2, 1, 2))
-    st_ = s * t
-    assert st_.perm == Permutation.transposition(2, 1, 2)
-    # sigma(t) permutes the sign vector before multiplying
-    assert st_.signs == (1, 1) or st_.signs == (-1, -1)
-    assert (s * s).signs == (1, 1)
+def _semidirect_mul(g, h):
+    """The reference law of G_c on (signs, permutation) pairs:
+    (s, sigma)(t, tau) = (s * sigma(t), sigma tau), sigma(t)_i = t_{sigma^-1(i)}."""
+    (s, sigma), (t, tau) = g, h
+    inv = sigma.inverse()
+    moved = tuple(t[inv(i) - 1] for i in range(1, sigma.degree + 1))
+    return tuple(a * b for a, b in zip(s, moved)), sigma * tau
+
+
+def _signed_group(c):
+    return [
+        (signs, Permutation(images))
+        for images in itertools.permutations(range(1, c + 1))
+        for signs in itertools.product((1, -1), repeat=c)
+    ]
+
+
+def test_signed_permutation_embeds_the_semidirect_law():
+    # all pairs of G_2 and a sample of pairs of G_3
+    g2 = _signed_group(2)
+    g3 = _signed_group(3)
+    rng = random.Random(21)
+    pairs = [(g, h) for g in g2 for h in g2]
+    pairs += [(rng.choice(g3), rng.choice(g3)) for _ in range(200)]
+    for g, h in pairs:
+        product = signed_permutation(*_semidirect_mul(g, h))
+        assert product == signed_permutation(*g) * signed_permutation(*h), (g, h)
+    # injective, and every image commutes with negation i <-> i + c
+    for c, group in ((2, g2), (3, g3)):
+        images = {signed_permutation(*g) for g in group}
+        assert len(images) == len(group)
+        neg = Permutation(tuple(range(c + 1, 2 * c + 1)) + tuple(range(1, c + 1)))
+        assert all(p * neg == neg * p for p in images)
+    # (-, +; id) flips e_1 only; ((1 2)) swaps the two pairs
+    assert signed_permutation((-1, 1), Permutation.identity(2)).images == (3, 2, 1, 4)
+    assert signed_permutation((1, 1), Permutation((2, 1))).images == (2, 1, 4, 3)
 
 
 def test_bad_shapes():

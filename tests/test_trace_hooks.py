@@ -47,8 +47,13 @@ tracer.install(ellmotive)
 from ellmotive.fixtures import generator, rank_one_curve
 E = rank_one_curve()
 P = generator(E)
-hash(P), hash(P), E.key(), E.field.key(P.x)
-print(json.dumps(tracer.metrics()))
+# a read of a counted hook may step it: a bare second read measures that
+reads = [tracer.metrics(), tracer.metrics()]
+hash(P), hash(P)
+reads.append(tracer.metrics())
+E.key(), E.field.key(P.x)
+reads.append(tracer.metrics())
+print(json.dumps(reads))
 from ellmotive import cycles
 t = cycles.PointExpr.param(E, "t")
 cycle = cycles.ParamCycle(E, ("t",), (t, t + cycles.PointExpr.constant(P)), ())
@@ -69,8 +74,12 @@ def test_hot_hooks_count_calls():
         check=True,
     )
     lines = out.stdout.splitlines()
-    metrics = json.loads(lines[0])
-    assert metrics["curves.point_hash.calls"] == 2
+    # the two hash(P) calls add exactly 2 beyond what a bare read adds, so
+    # hashing elsewhere (say, while points are built) leaves this count alone
+    reads = json.loads(lines[0])
+    hashes = [m["curves.point_hash.calls"] for m in reads]
+    assert (hashes[2] - hashes[1]) - (hashes[1] - hashes[0]) == 2
+    metrics = reads[-1]
     assert metrics["curves.curve_key.calls"] >= 1
     assert metrics["fields.key.calls"] >= 1
     # one miss and one hit of canonical_term
