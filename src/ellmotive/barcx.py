@@ -6,7 +6,9 @@ labels of a chain's families live on their descriptors
 differential: internal boundaries per slot (`bar_faces`, same length) and
 products of adjacent slots (`bar_products`, one slot shorter), with signs
 determined by the cube-dimension parities (the convention compatible with
-the face-sign Leibniz rule); D squares to zero.
+the face-sign Leibniz rule); D squares to zero.  D is computed slot by slot:
+each distinct slot's boundary and each distinct adjacent pair's product
+once, in the `cycles.SlotMemo` of the chain's context.
 
 `build_motive_chain` assembles the canonical cocycle with a given leading
 family: lower layers are generated mechanically by splicing in the terms of
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg
-from .cycles import CycleSum, boundary, external_product
+from .cycles import SlotMemo
 from .divisors import FormalDivisor, is_principal
 from .formulas import (
     FamilyContext,
@@ -86,47 +88,52 @@ class BarChain(LinComb):
         return "\n".join(f"{c} * [{_word_repr(w)}]" for w, c in self.terms) or "0"
 
 
-def _prefix_parity(word: tuple, i: int) -> int:
-    """(-1)^(sum_{k<i} (c_k + 1)); i is 0-based."""
-    total = sum(word[k].c + 1 for k in range(i))
-    return -1 if total % 2 else 1
+# D is linear in each slot, so the word level only concatenates tuples and
+# multiplies coefficients; the slot-level pieces come from `slots`: the
+# chain's context's memo (`ctx.slots`), or a memo of the call's own.  The
+# sign of slot i is (-1)^(sum_{k<i} (c_k + 1)): it flips past each slot of
+# even cube dimension.
 
 
-def bar_faces(chain: BarChain) -> BarChain:
+def bar_faces(chain: BarChain, slots: SlotMemo) -> BarChain:
     """The internal-boundary part of D: each slot replaced by its boundary.
     Every face word keeps the length of its word."""
     items = []
     for word, coeff in chain.items():
+        c = coeff
         for i, slot in enumerate(word):
-            c = coeff * _prefix_parity(word, i)
-            # the slots are canonical already: they enter as they are
-            for face, fc in boundary(CycleSum([(slot, 1)])).items():
-                items.append((word[:i] + (face,) + word[i + 1 :], c * fc))
+            head, tail = word[:i], word[i + 1 :]
+            faces = slots.boundary(slot).items()
+            items.extend((head + (face,) + tail, c * fc) for face, fc in faces)
+            if not slot.c % 2:
+                c = -c
     return BarChain(items)
 
 
-def bar_products(chain: BarChain) -> BarChain:
+def bar_products(chain: BarChain, slots: SlotMemo) -> BarChain:
     """The adjacent-product part of D: two neighbouring slots replaced by
     their external product.  Every product word is one slot shorter."""
     items = []
     for word, coeff in chain.items():
+        c = coeff
         for i in range(len(word) - 1):
-            c = coeff * _prefix_parity(word, i + 1)
-            left = CycleSum([(word[i], 1)])
-            right = CycleSum([(word[i + 1], 1)])
-            for prod, pc in external_product(left, right).items():
-                items.append((word[:i] + (prod,) + word[i + 2 :], c * pc))
+            if not word[i].c % 2:
+                c = -c
+            head, tail = word[:i], word[i + 2 :]
+            pairs = slots.product(word[i], word[i + 1]).items()
+            items.extend((head + (prod,) + tail, c * pc) for prod, pc in pairs)
     return BarChain(items)
 
 
-def bar_differential(chain: BarChain) -> BarChain:
+def bar_differential(chain: BarChain, slots: SlotMemo = None) -> BarChain:
     """Internal boundaries plus adjacent products, reduced-bar signs."""
-    return bar_faces(chain) + bar_products(chain)
+    slots = SlotMemo() if slots is None else slots
+    return bar_faces(chain, slots) + bar_products(chain, slots)
 
 
-def verify_cocycle(chain: BarChain):
+def verify_cocycle(chain: BarChain, slots: SlotMemo = None):
     """True iff the bar differential of the chain canonicalizes to zero."""
-    diff = bar_differential(chain)
+    diff = bar_differential(chain, slots)
     return diff.is_zero(), diff
 
 
@@ -304,7 +311,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
     if chain.is_zero():
         raise ChainConstructionError("leading family is zero")
     for _ in range(len(gs) + len(fixed) + 4):
-        closed, residual = verify_cocycle(chain)
+        closed, residual = verify_cocycle(chain, ctx.slots)
         if closed:
             break
         ell = residual.lengths()[0]
@@ -327,7 +334,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
         mats = [_materialize_word(ctx, descs) for descs in cand_words]
         # a candidate is one slot longer than the target, so the length-ell
         # part of its differential is its products; its faces stay longer
-        columns = [bar_products(mat) for mat in mats]
+        columns = [bar_products(mat, ctx.slots) for mat in mats]
         if any(len(w) != ell for col in columns for w in col):
             raise ChainConstructionError(f"candidate products miss the residual length {ell}")
         x = _solve_exact(columns, -target)
@@ -480,7 +487,7 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
         if left_sum.is_zero():
             middle.append((p.key(), False, False))
             continue
-        is_cocycle, _ = verify_cocycle(left_sum)
+        is_cocycle, _ = verify_cocycle(left_sum, ctx.slots)
         target = _materialize_word(ctx, (left,))
         ok = (
             not target.is_zero()

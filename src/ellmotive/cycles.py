@@ -54,6 +54,17 @@ integral multiplicities enter as ints.  Each slot's class equations are
 derived once per cycle: a face checks that none of its cube coordinates is
 identically 0 or infinity by substituting its pivot into the other slots'
 equations, not by deriving them again.
+
+Where the memos live.  `canonical_term` keeps its results in the module's
+`_canonical_cache` for the life of the process; only family construction
+(`CycleSum.of`, from `build_family`/`decorate` through a context) goes
+through it.  `term_faces`, `boundary` and `external_product` keep nothing:
+each raw face or product is scanned once (`_scan`) and dropped, so no raw
+cycle outlives the call that made it.  What is worth keeping is keyed by
+canonical objects on a `formulas.FamilyContext`, and lives as long as it: a
+boundary per descriptor, and in its `SlotMemo` the boundary of each
+distinct slot and the product of each distinct ordered slot pair, which the
+bar differential reads.
 """
 
 from __future__ import annotations
@@ -358,16 +369,22 @@ def canonical_term(cycle: ParamCycle):
     term, so g_min g2^-1 g1 reaches the minimum with g_min's sign reversed.
 
     The scan reads one table per term (`_term_table`, `_cube_row`) and
-    builds no expression until `_rebuild` renames the winner.
+    builds no expression until `_rebuild` renames the winner.  Results are
+    kept in `_canonical_cache`; faces and products go through `_scan`, which
+    keeps nothing.
     """
     cached = _canonical_cache.get(cycle)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _canonical_cache[cycle] = _scan(cycle)
+    return cached
+
+
+def _scan(cycle: ParamCycle):
+    """`canonical_term` without the cache: the orbit scan itself."""
     table = _term_table(cycle.ecoords)
     prefixes = None if table is None else _least_prefixes(table, cycle.params)
     if prefixes is None:
-        _canonical_cache[cycle] = result = (None, 0)
-        return result
+        return None, 0
     qcoords = [_const_collapse(q) for q in cycle.qcoords]
     cube = [_cube_row(q) for q in qcoords]
     best, both = None, False  # (serialization, sign, naming, choices, cube order, argument orders)
@@ -380,12 +397,9 @@ def canonical_term(cycle: ParamCycle):
             elif ser == best[0] and sign * qsign != best[1]:
                 both = True
     if both:
-        result = (None, 0)
-    else:
-        _, sign, naming, chosen, qorder, orders = best
-        result = (_rebuild(cycle, chosen, qcoords, qorder, orders, naming), sign)
-    _canonical_cache[cycle] = result
-    return result
+        return None, 0
+    _, sign, naming, chosen, qorder, orders = best
+    return _rebuild(cycle, chosen, qcoords, qorder, orders, naming), sign
 
 
 def _least_prefixes(table, params):
@@ -642,9 +656,9 @@ def _rebuild(cycle, chosen, qcoords, qorder, orders, naming) -> ParamCycle:
 class CycleSum(LinComb):
     """Exact linear combination of canonical cycles.
 
-    `of` canonicalizes on entry; the plain constructor takes canonical
-    cycles as they are.  A sum carries no motive label: a family's label
-    lives on its descriptor (`formulas.desc_motive`).
+    `of` canonicalizes on entry through `canonical_term`'s cache; the plain
+    constructor takes canonical cycles as they are.  A sum carries no motive
+    label: a family's label lives on its descriptor (`formulas.desc_motive`).
     """
 
     __slots__ = ()
@@ -652,26 +666,25 @@ class CycleSum(LinComb):
 
     @classmethod
     def of(cls, items) -> "CycleSum":
-        return cls(_canonical_items(items))
+        return cls(_canonical_items(items, canonical_term))
 
     @classmethod
     def single(cls, cycle: ParamCycle) -> "CycleSum":
         return cls.of([(cycle, 1)])
 
 
-def _canonical_items(items):
+def _canonical_items(items, canonical):
+    """The nonzero (canonical cycle, coefficient) pairs of raw items, each
+    canonicalized by `canonical` (`canonical_term` or `_scan`)."""
     for cyc, coeff in items:
         if coeff:
-            canon, sign = canonical_term(cyc)
+            canon, sign = canonical(cyc)
             if canon is not None:
                 yield canon, coeff * sign
 
 
 # ---------------------------------------------------------------------------
 # boundary
-
-
-_face_cache: dict = {}
 
 
 def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr, equations):
@@ -727,9 +740,6 @@ def term_faces(cycle: ParamCycle):
 
     Each function slot's class equations are derived once; its own faces
     solve them, and every face substitutes its pivot into the others'."""
-    cached = _face_cache.get(cycle)
-    if cached is not None:
-        return cached
     equations = [
         None
         if isinstance(q, ConstCoord)
@@ -749,13 +759,13 @@ def term_faces(cycle: ParamCycle):
                 continue
             # zeros (coeff > 0) enter with +, poles with -; multiplicity |coeff|
             out.append((slot_sign * int(coeff), face))
-    _face_cache[cycle] = out
     return out
 
 
 def boundary(s: CycleSum) -> CycleSum:
+    """The cubical boundary; each raw face is scanned once and dropped."""
     faces = ((face, c * fc) for cyc, c in s.items() for fc, face in term_faces(cyc))
-    return CycleSum.of(faces)
+    return CycleSum(_canonical_items(faces, _scan))
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +777,8 @@ def external_product(s1: CycleSum, s2: CycleSum) -> CycleSum:
 
     A left term with k parameters is canonical, so they are t0..t<k-1>; the
     right term's parameters become t<k>, t<k+1>, .. in order.  One product
-    of two terms always builds the same cycle.
+    of two terms always builds the same cycle; it is scanned once and
+    dropped.
     """
     items = []
     for z1, c1 in s1.items():
@@ -781,7 +792,31 @@ def external_product(s1: CycleSum, s2: CycleSum) -> CycleSum:
                 z1.qcoords + z2.qcoords,
             )
             items.append((prod, c1 * c2))
-    return CycleSum.of(items)
+    return CycleSum(_canonical_items(items, _scan))
+
+
+class SlotMemo:
+    """The boundary of each distinct canonical cycle and the external
+    product of each distinct ordered pair of them, each computed once: the
+    slot-level pieces of the bar differential.  The memo lives as long as
+    its owner, a `formulas.FamilyContext` or one bar-differential call."""
+
+    def __init__(self):
+        self._boundaries = {}  # canonical cycle -> its boundary
+        self._products = {}  # (left, right) canonical cycles -> their product
+
+    def boundary(self, cycle: ParamCycle) -> CycleSum:
+        out = self._boundaries.get(cycle)
+        if out is None:
+            out = self._boundaries[cycle] = boundary(CycleSum([(cycle, 1)]))
+        return out
+
+    def product(self, left: ParamCycle, right: ParamCycle) -> CycleSum:
+        out = self._products.get((left, right))
+        if out is None:
+            out = external_product(CycleSum([(left, 1)]), CycleSum([(right, 1)]))
+            self._products[left, right] = out
+        return out
 
 
 # ---------------------------------------------------------------------------

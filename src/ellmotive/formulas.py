@@ -1,9 +1,11 @@
 """The boundary-formula table and its machine verification.
 
 Families are named by descriptors, and `FamilyContext` is the one path from
-a descriptor to its decorated cycle sum: one context, with one cache, per
-function tuple.  `FamilyContext.expansions` is the one table of the
-displayed boundary formulas: per eta, mu or nu descriptor, its term groups as
+a descriptor to its decorated cycle sum: one context per function tuple,
+holding every memo of the cycle engine (a sum and a boundary per
+descriptor, and the bar differential's `SlotMemo`) for as long as it
+lives.  `FamilyContext.expansions` is the one table of the displayed
+boundary formulas: per eta, mu or nu descriptor, its term groups as
 products delta[left (x) right] with their multiplicities.
 `FamilyContext.swept` lists the family members a kill cycle's face sweeps.
 `desc_motive` is the one table of the families' pure-motive labels; a
@@ -36,6 +38,7 @@ from .curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
 from .cycles import (
     AdmissibilityError,
     CycleSum,
+    SlotMemo,
     boundary,
     build_family,
     build_mu_killer,
@@ -190,7 +193,8 @@ class FamilyContext:
     """Materializes descriptors over a fixed admissible function tuple and
     holds the boundary-formula table: the checks below match it against
     exact boundaries, and the bar complex splices it into chains.  The
-    tuple is checked for admissibility once, here, in the context's mode."""
+    tuple is checked for admissibility once, here, in the context's mode.
+    The memos are filled on first use and go with the context."""
 
     def __init__(self, curve, gs, mode="fbar"):
         report = check_admissible(gs, mode)
@@ -200,7 +204,9 @@ class FamilyContext:
         self.gs = {g.name: g for g in gs}
         self.names = tuple(self.gs)
         self.mode = mode
-        self._cache = {}
+        self._cache = {}  # descriptor -> decorated cycle sum
+        self._boundaries = {}  # descriptor -> boundary of its sum
+        self.slots = SlotMemo()  # the bar differential's slot-level pieces
 
     def g_tuple(self, names):
         return [self.gs[n] for n in names]
@@ -226,6 +232,13 @@ class FamilyContext:
         else:
             raise ValueError(f"unknown descriptor {desc!r}")
         self._cache[desc] = out
+        return out
+
+    def boundary(self, desc) -> CycleSum:
+        """The boundary of a descriptor's decorated sum, computed once."""
+        out = self._boundaries.get(desc)
+        if out is None:
+            out = self._boundaries[desc] = boundary(self.materialize(desc))
         return out
 
     def expansions(self, desc):
@@ -287,7 +300,7 @@ class FamilyContext:
 def verify_expansion(ctx, desc) -> GroupMatchReport:
     """Match the exact boundary of an eta/mu/nu descriptor against its table
     terms, each product scaled by its multiplicity."""
-    lhs = boundary(ctx.materialize(desc))
+    lhs = ctx.boundary(desc)
     instances = [
         (group, label, external_product(ctx.materialize(left), ctx.materialize(right)).scale(m))
         for group, label, m, left, right in ctx.expansions(desc)
@@ -298,7 +311,7 @@ def verify_expansion(ctx, desc) -> GroupMatchReport:
 def verify_killer(ctx, killer) -> KillCycleReport:
     """The swept face of a kill cycle reproduces its family members; what
     is left after them is the face tail, not a failure."""
-    lhs = boundary(ctx.materialize(killer))
+    lhs = ctx.boundary(killer)
     swept = [
         (group, label, ctx.materialize(member).scale(m))
         for group, label, m, member in ctx.swept(killer)
@@ -323,7 +336,7 @@ def verify_boundary_formulas(ctx, fixed=()) -> BoundaryFormulaReport:
     b2 = fixed[1] if len(fixed) > 1 else a
     mu_rep = verify_expansion(ctx, ("mu", a, names))
     nu = ("nu", 1, a, b2, names)
-    strict = boundary(ctx.materialize(nu))
+    strict = ctx.boundary(nu)
     if strict.is_zero():
         nu_rep = NuBoundaryReport(n, True, 0, None)
     else:

@@ -319,7 +319,7 @@ def _suite_boundaries(cfg: Config, report: Report):
     for ctx in contexts:
         for rid, anchor, desc in _dd_families(ctx.names, fixed, r_max):
             try:
-                dd = cycles.boundary(cycles.boundary(ctx.materialize(desc)))
+                dd = cycles.boundary(ctx.boundary(desc))
                 report.add(rid, anchor, dd.is_zero())
             except divisors.DegeneracyError as exc:
                 report.add(rid, "dd = 0", False, repr(exc))
@@ -437,8 +437,9 @@ def _bar_cocycle(mc):
 def _bar_dd(mc):
     # D of the cocycle is 0, so D(D(chain)) would test D on nothing: square D
     # on the length-2 layer, whose faces and products do not cancel
-    d = barcx.bar_differential(mc.chain.component(2))
-    return not d.is_zero() and barcx.bar_differential(d).is_zero(), None
+    slots = mc.context.slots
+    d = barcx.bar_differential(mc.chain.component(2), slots)
+    return not d.is_zero() and barcx.bar_differential(d, slots).is_zero(), None
 
 
 def _bar_kills(mc):
@@ -467,7 +468,7 @@ def _bar_nontriviality(mc):
 
 def _bar_leading_alone(mc):
     # the boundary of the leading term is nonempty for n >= 1
-    leading_alone, _ = barcx.verify_cocycle(mc.chain.component(1))
+    leading_alone, _ = barcx.verify_cocycle(mc.chain.component(1), mc.context.slots)
     return not leading_alone, None
 
 

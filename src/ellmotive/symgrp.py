@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 
 from .lincomb import LinComb
 
@@ -130,12 +131,18 @@ class GroupAlgebraElement(LinComb):
 
     def __mul__(self, other):
         self._check(other)
+        # (p1 * p2)(x) = p1(p2(x)): one getter per p2 picks p1's images at
+        # p2's; below degree 2 the only permutation is the identity (and a
+        # one-index getter would return a scalar)
+        if self.degree < 2:
+            rights = [(lambda images: images, c2) for _, c2 in other.items()]
+        else:
+            rights = [(itemgetter(*[x - 1 for x in p2.images]), c2) for p2, c2 in other.items()]
         acc = {}
         for p1, c1 in self.items():
             images = p1.images
-            for p2, c2 in other.items():
-                # (p1 * p2)(x) = p1(p2(x))
-                key = tuple([images[x - 1] for x in p2.images])
+            for pick, c2 in rights:
+                key = pick(images)
                 acc[key] = acc.get(key, 0) + c1 * c2
         trusted = Permutation._trusted
         return self._like({trusted(k): c for k, c in acc.items() if c})

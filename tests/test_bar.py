@@ -32,7 +32,7 @@ from ellmotive.barcx import (
     verify_cocycle,
 )
 from ellmotive.curves import ec_scalar_mul
-from ellmotive.cycles import build_family, decorate
+from ellmotive.cycles import CycleSum, boundary, build_family, decorate, external_product
 from ellmotive.fixtures import fixed_points, generator, standard_functions
 
 
@@ -68,8 +68,6 @@ def test_single_slot_differential_is_boundary(chains):
     Y = decorate("mu", build_family("Y", curve, gs[:1], fixed=(afix[0],)))
     d = bar_differential(BarChain.from_cycle_sums([Y]))
     assert d.lengths() == [1]
-    from ellmotive.cycles import boundary
-
     expected = BarChain.from_cycle_sums([boundary(Y)])
     assert (d + expected).is_zero() or (d - expected).is_zero()
 
@@ -78,9 +76,54 @@ def test_differential_is_faces_plus_products(chains):
     _, _, mc1, mc2 = chains
     for mc in (mc1, mc2):
         layer = mc.chain.component(2)
-        faces, products = bar_faces(layer), bar_products(layer)
+        slots = mc.context.slots
+        faces, products = bar_faces(layer, slots), bar_products(layer, slots)
         assert faces.lengths() == [2] and products.lengths() == [1]
         assert faces + products == bar_differential(layer)
+
+
+def _reference_differential(chain):
+    """D word by word with `boundary` and `external_product` and no memo:
+    slot i signed by (-1)^(sum_{k<i} (c_k + 1))."""
+    items = []
+    for word, coeff in chain.items():
+        for i, slot in enumerate(word):
+            sign = (-1) ** sum(word[k].c + 1 for k in range(i))
+            for face, fc in boundary(CycleSum([(slot, 1)])).items():
+                items.append((word[:i] + (face,) + word[i + 1 :], coeff * sign * fc))
+        for i in range(len(word) - 1):
+            sign = (-1) ** sum(word[k].c + 1 for k in range(i + 1))
+            pair = CycleSum([(word[i], 1)]), CycleSum([(word[i + 1], 1)])
+            for prod, pc in external_product(*pair).items():
+                items.append((word[:i] + (prod,) + word[i + 2 :], coeff * sign * pc))
+    return BarChain(items)
+
+
+def test_slot_memo_differential_matches_the_reference(chains):
+    _, _, _, mc2 = chains
+    for length in mc2.chain.lengths():
+        layer = mc2.chain.component(length)
+        expected = _reference_differential(layer)
+        assert not expected.is_zero()
+        assert bar_differential(layer, mc2.context.slots) == expected
+        assert bar_differential(layer) == expected
+    assert _reference_differential(mc2.chain).is_zero()
+
+
+@st.composite
+def _sub_chains(draw, words):
+    picked = draw(st.lists(st.sampled_from(words), min_size=1, max_size=8, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(picked), max_size=len(picked)))
+    return BarChain(zip(picked, coeffs))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_slot_memo_differential_on_sub_chains(chains, data):
+    # one memo serves every example, as one context serves a whole build
+    _, _, _, mc2 = chains
+    sub = data.draw(_sub_chains(sorted(mc2.chain, key=lambda w: [s.key() for s in w])))
+    assert bar_differential(sub, mc2.context.slots) == _reference_differential(sub)
 
 
 def test_build_gate_rejects_a_non_cocycle(chains, monkeypatch):

@@ -339,3 +339,47 @@ def _write_only_fields():
 
 def test_no_write_only_fields():
     assert _write_only_fields() == set()
+
+
+# the one module-level mutable container: `perfbench/trace.py` reads it by
+# name; every other memo lives on an object whose owner bounds its life
+MODULE_CONTAINERS = {"cycles.py:_canonical_cache"}
+
+_MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTABLE_CALLS = {
+    "dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"
+}
+_MEMO_DECORATORS = {"cache", "lru_cache"}
+
+
+def _module_containers():
+    """module:name for every mutable container a module or class body of src
+    binds (a literal, a comprehension or a container call), and every def
+    under a memoizing decorator: state that lives as long as the process."""
+    out = set()
+    for module, tree in _trees().items():
+        bodies = [tree.body] + [c.body for c in tree.body if isinstance(c, ast.ClassDef)]
+        for stmt in (stmt for body in bodies for stmt in body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in stmt.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(target, "id", None) or getattr(target, "attr", None)
+                    if name in _MEMO_DECORATORS:
+                        out.add(f"{module}:{stmt.name}")
+                continue
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            call = value.func if isinstance(value, ast.Call) else None
+            called = getattr(call, "id", None) or getattr(call, "attr", None)
+            if isinstance(value, _MUTABLE_NODES) or called in _MUTABLE_CALLS:
+                names = (t.id for tgt in targets for t in ast.walk(tgt) if isinstance(t, ast.Name))
+                out.update(f"{module}:{name}" for name in names)
+    return out
+
+
+def test_no_module_level_memos():
+    assert _module_containers() == MODULE_CONTAINERS

@@ -86,6 +86,15 @@ def test_associativity_random(b, rng):
     assert x * y == GroupAlgebraElement.of(b, products)
 
 
+def test_low_degree_products():
+    # below degree 2 the one permutation is the identity, and its images are
+    # a tuple (not the scalar a one-index itemgetter would give)
+    for b in (0, 1):
+        x = GroupAlgebraElement.of(b, [(Permutation.identity(b), 3)])
+        assert x * x == x.scale(3)
+        assert [p.images for p in (x * x)] == [tuple(range(1, b + 1))]
+
+
 def test_associativity_exhaustive_b3():
     import itertools
 
