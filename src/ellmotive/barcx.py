@@ -89,10 +89,10 @@ class BarChain(LinComb):
 
 
 # D is linear in each slot, so the word level only concatenates tuples and
-# multiplies coefficients; the slot-level pieces come from `slots`: the
-# chain's context's memo (`ctx.slots`), or a memo of the call's own.  The
-# sign of slot i is (-1)^(sum_{k<i} (c_k + 1)): it flips past each slot of
-# even cube dimension.
+# multiplies coefficients; the slot-level pieces come from `slots`, the
+# memo of the chain's context (`ctx.slots`).  The sign of slot i is
+# (-1)^(sum_{k<i} (c_k + 1)): it flips past each slot of even cube
+# dimension.
 
 
 def bar_faces(chain: BarChain, slots: SlotMemo) -> BarChain:
@@ -125,13 +125,12 @@ def bar_products(chain: BarChain, slots: SlotMemo) -> BarChain:
     return BarChain(items)
 
 
-def bar_differential(chain: BarChain, slots: SlotMemo = None) -> BarChain:
+def bar_differential(chain: BarChain, slots: SlotMemo) -> BarChain:
     """Internal boundaries plus adjacent products, reduced-bar signs."""
-    slots = SlotMemo() if slots is None else slots
     return bar_faces(chain, slots) + bar_products(chain, slots)
 
 
-def verify_cocycle(chain: BarChain, slots: SlotMemo = None):
+def verify_cocycle(chain: BarChain, slots: SlotMemo):
     """True iff the bar differential of the chain canonicalizes to zero."""
     diff = bar_differential(chain, slots)
     return diff.is_zero(), diff

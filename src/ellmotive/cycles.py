@@ -799,7 +799,7 @@ class SlotMemo:
     """The boundary of each distinct canonical cycle and the external
     product of each distinct ordered pair of them, each computed once: the
     slot-level pieces of the bar differential.  The memo lives as long as
-    its owner, a `formulas.FamilyContext` or one bar-differential call."""
+    its owner, a `formulas.FamilyContext`."""
 
     def __init__(self):
         self._boundaries = {}  # canonical cycle -> its boundary
