@@ -21,14 +21,16 @@ what kills constant 2-torsion E-coordinates and the diagonal-type faces of
 the boundary; a term with two equal or opposite E-coordinates, or a
 constant one equal to its own negative, dies at sight.  `canonical_term`
 finds the least normal form one E-position at a time, never the whole
-orbit, and the term is zero iff that form is reached with both signs.  It
-reads one table per term, built once: each E-coordinate's coefficients and
-constant key under both signs, its profile and whether it is its own
-negative up to its parameter's sign, and each cube coordinate's spec key,
-argument rows and symmetric classes.  Constant E-coordinates are placed
-without branching, and no expression is built until the winner is renamed.
-A parameter whose sign no E-position has decided yet floats until the next
-one that names it, so undecided signs cost no branching.
+orbit, and the term is zero iff that form is reached with both signs.  The
+scan reads one table per term, built once, and works on it in `orbits`:
+constant E-coordinates are placed without branching, a parameter whose
+sign no E-position has decided yet floats until the next one that names it,
+and so does the order of twin coordinates (fresh one-parameter coordinates
+that serialize alike, such as x and y_j on the face y_i = p of X): they are
+placed as one open cell, a later E-coordinate that reads them unevenly
+opens it, and the cube rows order what is left group by group, a group that
+reads one twin putting it first.  No expression is built until `_rebuild`
+renames the winner.
 
 Every permuted copy of a term canonicalizes back with the sign character,
 so the signed action of a projector is multiplication by its coefficient
@@ -37,9 +39,9 @@ The engine builds no group-algebra element and imports neither `symgrp`
 nor `gl2`.
 
 There is one serialization of expressions and cube coordinates under a
-naming of the parameters (see `_ser`); under an expression's own names it
-is `PointExpr.key`.  The scan compares its candidates by it, and reprs
-render it.  A canonical term's serialization under its own names
+naming of the parameters (see `orbits._ser`); under an expression's own
+names it is `PointExpr.key`.  The scan compares its candidates by it, and
+reprs render it.  A canonical term's serialization under its own names
 (`ParamCycle.key`) orders the sorted `terms` view of cycle sums and bar
 words, which only the report edges read: reprs, the matcher's first-key rule
 and its unmatched list, and the nontriviality witness.
@@ -55,16 +57,24 @@ derived once per cycle: a face checks that none of its cube coordinates is
 identically 0 or infinity by substituting its pivot into the other slots'
 equations, not by deriving them again.
 
+A product pair with a point class among its factors (no parameters, no
+cube coordinates) needs no scan: the other factor is canonical, and the
+point's constants merge into its sorted constant block (`_point_product`).
+Every product the suites and the bar differential make has such a factor.
+
 Where the memos live.  `canonical_term` keeps its results in the module's
 `_canonical_cache` for the life of the process; only family construction
 (`CycleSum.of`, from `build_family`/`decorate` through a context) goes
 through it.  `term_faces`, `boundary` and `external_product` keep nothing:
-each raw face or product is scanned once (`_scan`) and dropped, so no raw
-cycle outlives the call that made it.  What is worth keeping is keyed by
-canonical objects on a `formulas.FamilyContext`, and lives as long as it: a
-boundary per descriptor, and in its `SlotMemo` the boundary of each
-distinct slot and the product of each distinct ordered slot pair, which the
-bar differential reads.
+each raw face or product is scanned once (`_scan`), or merged, and dropped,
+so no raw cycle outlives the call that made it.  The scans of one boundary
+share a memo of E-coordinate table rows, and its faces add up by the keys
+of their least forms (`_least_form`), so only the terms that survive are
+rebuilt; both go with the call.  What is
+worth keeping is keyed by canonical objects on a `formulas.FamilyContext`,
+and lives as long as it: a boundary per descriptor, and in its `SlotMemo`
+the boundary of each distinct slot and the product of each distinct
+ordered slot pair, which the bar differential reads.
 """
 
 from __future__ import annotations
@@ -88,6 +98,15 @@ from .divisors import (
     render_expr,
 )
 from .lincomb import LinComb
+from .orbits import (
+    _cube_ser,
+    _least_prefixes,
+    _place_constants,
+    _ser,
+    _resolve_cells,
+    _sorted_arrangements,
+    _term_table,
+)
 
 
 class CycleError(ValueError):
@@ -320,37 +339,6 @@ class ParamCycle:
 # canonical forms
 
 
-def _table_row(e: PointExpr) -> tuple:
-    """An E-coordinate's row of the scan's table: its signed sides, the
-    (coefficients, constant key) of e and of -e indexed by flip (0 keeps, 1
-    negates); its profile, what no symmetry changes; and whether it is
-    self-negating: one parameter and a constant that is its own negative
-    (0 or 2-torsion)."""
-    key, neg_key = e.const.key(), ec_neg(e.const).key()
-    sides = (e.coeffs, key), (tuple((n, -c) for n, c in e.coeffs), neg_key)
-    orbit = min(key, neg_key)
-    if not e.coeffs:
-        return sides, ("c", orbit), False
-    profile = ("x", tuple(sorted(abs(c) for _, c in e.coeffs)), orbit)
-    return sides, profile, len(e.coeffs) == 1 and key == neg_key
-
-
-def _term_table(ecoords):
-    """The rows of the E-coordinates (see `_table_row`), or None if the term
-    dies at sight: a coordinate equal to another one or to its negative, or
-    a constant one equal to its own negative, is fixed by an odd
-    transposition or negation."""
-    table, seen = [], set()
-    for e in ecoords:
-        row = _table_row(e)
-        sides = row[0]
-        if sides[0] in seen or sides[0] == sides[1]:
-            return None
-        seen.update(sides)
-        table.append(row)
-    return table
-
-
 _canonical_cache: dict = {}
 
 
@@ -368,191 +356,53 @@ def canonical_term(cycle: ParamCycle):
     normal form with opposite signs, g2^-1 g1 is an odd symmetry fixing the
     term, so g_min g2^-1 g1 reaches the minimum with g_min's sign reversed.
 
-    The scan reads one table per term (`_term_table`, `_cube_row`) and
-    builds no expression until `_rebuild` renames the winner.  Results are
-    kept in `_canonical_cache`; faces and products go through `_scan`, which
-    keeps nothing.
+    The scan reads one table per term (`orbits._term_table`, `_cube_row`)
+    and builds no expression until `_rebuild` renames the winner.  Results
+    are kept in `_canonical_cache`; faces and products go through `_scan`,
+    which keeps nothing.
     """
     cached = _canonical_cache.get(cycle)
     if cached is None:
-        cached = _canonical_cache[cycle] = _scan(cycle)
+        cached = _canonical_cache[cycle] = _scan(cycle, {})
     return cached
 
 
-def _scan(cycle: ParamCycle):
-    """`canonical_term` without the cache: the orbit scan itself."""
-    table = _term_table(cycle.ecoords)
+def _scan(cycle: ParamCycle, rows: dict):
+    """`canonical_term` without the cache: the orbit scan itself.  `rows`
+    memoizes E-coordinates' table rows across the scans of one call."""
+    found = _least_form(cycle, rows)
+    if found is None:
+        return None, 0
+    _, sign, winner = found
+    return _rebuild(*winner), sign
+
+
+def _least_form(cycle: ParamCycle, rows: dict):
+    """(key, sign, `_rebuild` arguments) of the least candidate, or None if
+    the term dies.  The key is the winner's serialization with its curve
+    and specs, so equal keys rebuild equal canonical forms."""
+    table = _term_table(cycle.ecoords, rows)
     prefixes = None if table is None else _least_prefixes(table, cycle.params)
     if prefixes is None:
-        return None, 0
+        return None
     qcoords = [_const_collapse(q) for q in cycle.qcoords]
     cube = [_cube_row(q) for q in qcoords]
     best, both = None, False  # (serialization, sign, naming, choices, cube order, argument orders)
-    for sign, naming, chosen in prefixes:
-        qsers, orders = zip(*[_cube_ser(row, naming) for row in cube]) if cube else ((), ())
-        for qorder, qsign in _sorted_arrangements(qsers):
-            ser = tuple(qsers[j] for j in qorder)
-            if best is None or ser < best[0]:
-                best, both = (ser, sign * qsign, naming, chosen, qorder, orders), False
-            elif ser == best[0] and sign * qsign != best[1]:
-                both = True
+    for prefix in prefixes:
+        for sign, naming, chosen, _ in _resolve_cells(prefix, cube) if prefix[3] else (prefix,):
+            qsers, orders = zip(*[_cube_ser(row, naming) for row in cube]) if cube else ((), ())
+            for qorder, qsign in _sorted_arrangements(qsers):
+                ser = tuple(qsers[j] for j in qorder)
+                if best is None or ser < best[0]:
+                    best, both = (ser, sign * qsign, naming, chosen, qorder, orders), False
+                elif ser == best[0] and sign * qsign != best[1]:
+                    both = True
     if both:
-        return None, 0
-    _, sign, naming, chosen, qorder, orders = best
-    return _rebuild(cycle, chosen, qcoords, qorder, orders, naming), sign
-
-
-def _least_prefixes(table, params):
-    """(sign, naming, ((index, flip), ..)) of the candidates' least E-parts,
-    with every naming of the parameters only cube coordinates see; None if
-    the term dies already.  The table's rows are `_table_row`'s.
-
-    A self-negating coordinate (one parameter, a constant that is its own
-    negative) serializes alike under both flips while its parameter is
-    fresh.  It is placed once, with the positive coefficient, and its
-    parameter's sign floats (sign 0 in the naming; the state's sign is the
-    one for +1).  The next coordinate naming the parameter fixes that sign
-    by `_settle`; signs still floating after the last position take both.
-    """
-    # constant coordinates sort first and have distinct orbits (the table has
-    # no two equal or opposite coordinates): each stands at its orbit's key
-    used, sign, chosen = 0, 1, ()
-    positions, by_profile = [], {}  # each other position's coordinates of its profile
-    for i, row in sorted(enumerate(table), key=lambda t: t[1][1]):
-        profile = row[1]
-        if profile[0] == "x":
-            positions.append(by_profile.setdefault(profile, []))
-            positions[-1].append(i)
-            continue
-        # i lands after every used index: one inversion per used index above
-        # i; a flip is one more sign
-        flip = int(row[0][0][1] != profile[1])
-        if ((used >> i).bit_count() + flip) % 2:
-            sign = -sign
-        used |= 1 << i
-        chosen += ((i, flip),)
-    states = [(used, sign, {}, chosen)]  # (used indices as a bitmask, sign, naming, choices)
-    for indices in positions:
-        # the least serialization of an unused coordinate of the position's
-        # profile under each state's naming, the same under every extension
-        # of it, and the candidates reaching it: (used, sign, naming, choices,
-        # floats)
-        least, candidates = None, []
-        for used, sign, naming, chosen in states:
-            for i in indices:
-                if used >> i & 1:
-                    continue
-                sides, _, self_negating = table[i]
-                s = -sign if (used >> i).bit_count() % 2 else sign
-                floats = self_negating and sides[0][0][0][0] not in naming
-                if floats:  # the positive side stands for both; its parameter is fresh
-                    ((_, c),) = sides[0][0]
-                    flip = int(c < 0)
-                    sers = [(flip, (((f"t{len(naming)}", abs(c)),), sides[flip][1]))]
-                else:
-                    sers = enumerate([_ser(coeffs, key, naming) for coeffs, key in sides])
-                for flip, ser in sers:
-                    if least is None or ser < least:
-                        least, candidates = ser, []
-                    if ser == least:
-                        state = (used | 1 << i, -s if flip else s, naming, chosen + ((i, flip),))
-                        candidates.append((*state, floats))
-        kept = {}
-        for used, s, naming, placed, floats in candidates:
-            i, flip = placed[-1]
-            coeffs = table[i][0][flip][0]
-            if floats:  # its parameter takes the next name, with a floating sign
-                ext = dict(naming)
-                ext[coeffs[0][0]] = (f"t{len(naming)}", 0)
-                exts = [(ext, s, placed)]
-            else:
-                exts = [
-                    _settle(ext, s, placed, coeffs, table) for ext in _extend_naming(naming, coeffs)
-                ]
-            alone = len(candidates) == len(exts) == 1
-            for ext, s2, placed2 in exts:
-                # same placed set and naming: same completions; opposite signs: zero
-                key = None if alone else (used, tuple(ext.items()))
-                if kept.setdefault(key, (used, s2, ext, placed2))[1] != s2:
-                    return None
-        states = kept.values()
-    # parameters only cube slots see: every order (all tie at |1|), both signs
-    rest = [p for p in params if p not in next(iter(states))[2]]
-    out = []
-    for _, sign, naming, chosen in states:
-        floating = [n for n, (_, s) in naming.items() if not s]
-        if not (floating or rest):
-            out.append((sign, naming, chosen))
-            continue
-        # a coefficient -1 settles a floating sign to +1, a coefficient +1 to -1
-        for coeffs in itertools.product((-1, 1), repeat=len(floating)):
-            settled, s, placed = _settle(naming, sign, chosen, tuple(zip(floating, coeffs)), table)
-            for signs in itertools.product((1, -1), repeat=len(rest)):
-                for full in _extend_naming(settled, tuple(zip(rest, signs))):
-                    out.append((s, full, placed))
-    return out
-
-
-def _settle(naming, sign, chosen, coeffs, table):
-    """Fix each floating sign among the coefficients so that its coefficient
-    is negative: the least serialization, since the names in one expression
-    are distinct.  A sign -1 negates the coordinate that floated it, the
-    first placed one naming the parameter.  Returns (naming, sign, choices)."""
-    for n, c in coeffs:
-        name, s = naming[n]
-        if s:
-            continue
-        naming = dict(naming)
-        if c < 0:
-            naming[n] = (name, 1)
-            continue
-        naming[n] = (name, -1)
-        # table[j][0][0][0]: the coefficients of coordinate j's unflipped side
-        k = next(k for k, (j, _) in enumerate(chosen) if n in dict(table[j][0][0][0]))
-        j, flip = chosen[k]
-        chosen = chosen[:k] + ((j, 1 - flip),) + chosen[k + 1 :]
-        sign = -sign
-    return naming, sign, chosen
-
-
-def _extend_naming(naming: dict, coeffs):
-    """Every extension of the naming {name: (new name, sign)} to the new
-    parameters among the coefficients: they take the next names in order of
-    |coeff|, ties in every order, each signed to a positive coefficient."""
-    fresh = [t for t in coeffs if t[0] not in naming]
-    if not fresh:
-        return (naming,)
-    fresh.sort(key=lambda t: abs(t[1]))
-    if all(abs(a[1]) != abs(b[1]) for a, b in zip(fresh, fresh[1:])):
-        orders = (fresh,)  # distinct |coeff|: one order
-    else:
-        groups = [list(g) for _, g in itertools.groupby(fresh, key=lambda t: abs(t[1]))]
-        orders = (
-            itertools.chain.from_iterable(choice)
-            for choice in itertools.product(*map(itertools.permutations, groups))
-        )
-    out = []
-    for order in orders:
-        ext = dict(naming)
-        for n, c in order:
-            ext[n] = (f"t{len(ext)}", 1 if c > 0 else -1)
-        out.append(ext)
-    return out
-
-
-def _sorted_arrangements(keys):
-    """Every order of the positions that sorts the keys, equal keys permuted
-    in all ways, each with its parity."""
-    blocks = []
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        if blocks and keys[blocks[-1][-1]] == keys[i]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    for choice in itertools.product(*[list(itertools.permutations(block)) for block in blocks]):
-        arrangement = [i for block in choice for i in block]
-        inversions = sum(i > j for i, j in itertools.combinations(arrangement, 2))
-        yield arrangement, -1 if inversions % 2 else 1
+        return None
+    ser, sign, naming, chosen, qorder, orders = best
+    eser = tuple(_ser(*table[i][0][flip], naming) for i, flip in chosen)
+    key = (cycle.curve, eser, ser, tuple(qcoords[j].spec for j in qorder))
+    return key, sign, (cycle, chosen, qcoords, qorder, orders, naming)
 
 
 def _const_collapse(q):
@@ -560,36 +410,6 @@ def _const_collapse(q):
     if isinstance(q, FunCoord) and q.spec.arity == 1 and q.args[0].is_const():
         return ConstCoord(q.spec, q.args[0].const)
     return q
-
-
-# The serialization: an expression under a naming {name: (new name, sign)},
-# or under its own names (naming None; `PointExpr.key`), is (sorted (new
-# name, sign * coeff) pairs, constant key); parameters the naming lacks take
-# the next names by |coeff| and coefficient |coeff|, as under every
-# `_extend_naming` of it, and a floating sign (0) takes the negative
-# coefficient, as it settles.  A
-# cube coordinate is ("K", spec key, point key) or ("F", spec key, argument
-# serializations), the arguments of each symmetric class sorted.  The scan
-# compares candidates by it, a cycle under its own names sorts sums by it,
-# and reprs render it.
-
-
-def _ser(coeffs, const_key, naming: dict = None):
-    """The serialization of (coefficients, constant key) under a naming."""
-    if naming is None or not coeffs:
-        return coeffs, const_key
-    items, fresh = [], []
-    for n, c in coeffs:
-        named = naming.get(n)
-        if named is None:
-            fresh.append(abs(c))
-        else:
-            items.append((named[0], named[1] * c or -abs(c)))
-    if fresh:
-        fresh.sort()
-        items.extend((f"t{j}", c) for j, c in enumerate(fresh, len(naming)))
-    items.sort()
-    return tuple(items), const_key
 
 
 def _cube_row(q) -> tuple:
@@ -600,19 +420,6 @@ def _cube_row(q) -> tuple:
         return ("K", q.spec.spec_key(), q.point.key()), None
     classes = tuple(tuple(i - 1 for i in cls) for cls in q.spec.sym_classes() if len(cls) > 1)
     return q.spec.spec_key(), tuple((a.coeffs, a.const.key()) for a in q.args), classes
-
-
-def _cube_ser(row, naming: dict = None):
-    """(serialization, argument order) of a cube row under a naming."""
-    if row[1] is None:
-        return row
-    spec_key, args, classes = row
-    sers = [_ser(coeffs, key, naming) for coeffs, key in args]
-    order = list(range(len(sers)))
-    for cls in classes:
-        for pos, i in zip(cls, sorted(cls, key=sers.__getitem__)):
-            order[pos] = i
-    return ("F", spec_key, tuple(sers[i] for i in order)), order
 
 
 def _render_qcoord(ser) -> str:
@@ -666,21 +473,17 @@ class CycleSum(LinComb):
 
     @classmethod
     def of(cls, items) -> "CycleSum":
-        return cls(_canonical_items(items, canonical_term))
+        out = []
+        for cyc, coeff in items:
+            if coeff:
+                canon, sign = canonical_term(cyc)
+                if canon is not None:
+                    out.append((canon, coeff * sign))
+        return cls(out)
 
     @classmethod
     def single(cls, cycle: ParamCycle) -> "CycleSum":
         return cls.of([(cycle, 1)])
-
-
-def _canonical_items(items, canonical):
-    """The nonzero (canonical cycle, coefficient) pairs of raw items, each
-    canonicalized by `canonical` (`canonical_term` or `_scan`)."""
-    for cyc, coeff in items:
-        if coeff:
-            canon, sign = canonical(cyc)
-            if canon is not None:
-                yield canon, coeff * sign
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +566,24 @@ def term_faces(cycle: ParamCycle):
 
 
 def boundary(s: CycleSum) -> CycleSum:
-    """The cubical boundary; each raw face is scanned once and dropped."""
-    faces = ((face, c * fc) for cyc, c in s.items() for fc, face in term_faces(cyc))
-    return CycleSum(_canonical_items(faces, _scan))
+    """The cubical boundary; each raw face is scanned once and dropped.  The
+    faces share most of their E-coordinates, so the scans share one memo of
+    table rows.  Coefficients add up by the winners' keys, in the order a
+    sum of canonical forms would hold them, and only the terms that do not
+    cancel are rebuilt."""
+    rows, acc = {}, {}  # key -> (coefficient, `_rebuild` arguments)
+    for cyc, c in s.items():
+        for fc, face in term_faces(cyc):
+            found = _least_form(face, rows)
+            if found is None:
+                continue
+            key, sign, winner = found
+            coeff = acc[key][0] + c * fc * sign if key in acc else c * fc * sign
+            if coeff:
+                acc[key] = coeff, winner
+            else:
+                del acc[key]
+    return CycleSum((_rebuild(*winner), coeff) for coeff, winner in acc.values())
 
 
 # ---------------------------------------------------------------------------
@@ -775,24 +593,60 @@ def boundary(s: CycleSum) -> CycleSum:
 def external_product(s1: CycleSum, s2: CycleSum) -> CycleSum:
     """Concatenate E-factors and cube factors; bilinear.
 
-    A left term with k parameters is canonical, so they are t0..t<k-1>; the
-    right term's parameters become t<k>, t<k+1>, .. in order.  One product
-    of two terms always builds the same cycle; it is scanned once and
-    dropped.
+    A pair with a point class among its factors is merged without a scan
+    (`_point_product`); any other pair is concatenated and scanned once
+    (`_concatenate`), and nothing is kept.
     """
     items = []
     for z1, c1 in s1.items():
-        k = len(z1.params)
         for z2, c2 in s2.items():
-            z2 = z2.rename_params({p: f"t{k + i}" for i, p in enumerate(z2.params)})
-            prod = ParamCycle(
-                z1.curve,
-                z1.params + z2.params,
-                z1.ecoords + z2.ecoords,
-                z1.qcoords + z2.qcoords,
-            )
-            items.append((prod, c1 * c2))
-    return CycleSum(_canonical_items(items, _scan))
+            canon, sign = _point_product(z1, z2) or _scan(_concatenate(z1, z2), {})
+            if canon is not None:
+                items.append((canon, c1 * c2 * sign))
+    return CycleSum(items)
+
+
+def _concatenate(z1: ParamCycle, z2: ParamCycle) -> ParamCycle:
+    """The raw product of two canonical terms: the left one's k parameters
+    are t0..t<k-1>, so the right one's become t<k>, t<k+1>, .. in order, and
+    one pair always builds the same cycle."""
+    k = len(z1.params)
+    z2 = z2.rename_params({p: f"t{k + i}" for i, p in enumerate(z2.params)})
+    return ParamCycle(
+        z1.curve, z1.params + z2.params, z1.ecoords + z2.ecoords, z1.qcoords + z2.qcoords
+    )
+
+
+def _point_product(z1: ParamCycle, z2: ParamCycle):
+    """The canonical form and sign of z1 x z2 when a factor is a point class
+    (no parameters, no cube coordinates), else None; (None, 0) when the
+    product is zero.
+
+    The other factor is canonical, and constant E-coordinates sort first
+    without touching the naming of the rest, so the product is that factor
+    with the point's constants merged into its sorted constant block, each
+    on its orbit-least side (`_place_constants`).  The sign is the parity of
+    that merge times the flips, and of a right point passing the other
+    factor's parametric coordinates.  The product dies exactly when a
+    constant is its own negative or equals another one up to sign
+    (`_term_table`).
+    """
+    if not (z2.params or z2.qcoords):
+        point, other, left = z2, z1, False
+    elif not (z1.params or z1.qcoords):
+        point, other, left = z1, z2, True
+    else:
+        return None
+    m = next((i for i, e in enumerate(other.ecoords) if e.coeffs), other.b)
+    consts = point.ecoords + other.ecoords[:m] if left else other.ecoords[:m] + point.ecoords
+    table = _term_table(consts, {})
+    if table is None:
+        return None, 0
+    _, sign, chosen, _ = _place_constants(table)
+    if not left and point.b * (other.b - m) % 2:
+        sign = -sign
+    merged = tuple(-consts[i] if flip else consts[i] for i, flip in chosen)
+    return ParamCycle(other.curve, other.params, merged + other.ecoords[m:], other.qcoords), sign
 
 
 class SlotMemo:

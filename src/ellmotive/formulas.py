@@ -2,9 +2,9 @@
 
 Families are named by descriptors, and `FamilyContext` is the one path from
 a descriptor to its decorated cycle sum: one context per function tuple,
-holding every memo of the cycle engine (a sum and a boundary per
-descriptor, and the bar differential's `SlotMemo`) for as long as it
-lives.  `FamilyContext.expansions` is the one table of the displayed
+holding every memo of the cycle engine (a sum, a boundary and a match
+report per descriptor, and the bar differential's `SlotMemo`) for as long
+as it lives.  `FamilyContext.expansions` is the one table of the displayed
 boundary formulas: per eta, mu or nu descriptor, its term groups as
 products delta[left (x) right] with their multiplicities.
 `FamilyContext.swept` lists the family members a kill cycle's face sweeps.
@@ -206,6 +206,7 @@ class FamilyContext:
         self.mode = mode
         self._cache = {}  # descriptor -> decorated cycle sum
         self._boundaries = {}  # descriptor -> boundary of its sum
+        self._reports = {}  # descriptor -> its match report (expansion or kill cycle)
         self.slots = SlotMemo()  # the bar differential's slot-level pieces
 
     def g_tuple(self, names):
@@ -299,27 +300,34 @@ class FamilyContext:
 
 def verify_expansion(ctx, desc) -> GroupMatchReport:
     """Match the exact boundary of an eta/mu/nu descriptor against its table
-    terms, each product scaled by its multiplicity."""
-    lhs = ctx.boundary(desc)
-    instances = [
-        (group, label, external_product(ctx.materialize(left), ctx.materialize(right)).scale(m))
-        for group, label, m, left, right in ctx.expansions(desc)
-    ]
-    return _match_groups(lhs, instances)
+    terms, each product scaled by its multiplicity; matched once per
+    context."""
+    rep = ctx._reports.get(desc)
+    if rep is None:
+        instances = [
+            (group, label, external_product(ctx.materialize(left), ctx.materialize(right)).scale(m))
+            for group, label, m, left, right in ctx.expansions(desc)
+        ]
+        rep = ctx._reports[desc] = _match_groups(ctx.boundary(desc), instances)
+    return rep
 
 
 def verify_killer(ctx, killer) -> KillCycleReport:
     """The swept face of a kill cycle reproduces its family members; what
-    is left after them is the face tail, not a failure."""
-    lhs = ctx.boundary(killer)
-    swept = [
-        (group, label, ctx.materialize(member).scale(m))
-        for group, label, m, member in ctx.swept(killer)
-    ]
-    rep = _match_groups(lhs, swept)
-    reproduced = [(inst.label, inst.scalar) for inst in rep.instances]
-    family = "mu-killer" if killer[0] == "kmu" else "nu-killer"
-    return KillCycleReport(family, reproduced, rep.matched, len(rep.unmatched))
+    is left after them is the face tail, not a failure.  Matched once per
+    context."""
+    out = ctx._reports.get(killer)
+    if out is None:
+        swept = [
+            (group, label, ctx.materialize(member).scale(m))
+            for group, label, m, member in ctx.swept(killer)
+        ]
+        rep = _match_groups(ctx.boundary(killer), swept)
+        reproduced = [(inst.label, inst.scalar) for inst in rep.instances]
+        family = "mu-killer" if killer[0] == "kmu" else "nu-killer"
+        out = KillCycleReport(family, reproduced, rep.matched, len(rep.unmatched))
+        ctx._reports[killer] = out
+    return out
 
 
 def verify_boundary_formulas(ctx, fixed=()) -> BoundaryFormulaReport:

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellmotive.barcx import build_motive_chain
 from ellmotive.curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul
 from ellmotive.cycles import (
     AdmissibilityError,
@@ -30,16 +31,24 @@ from ellmotive.cycles import (
     term_faces,
 )
 from ellmotive.cycles import (
+    _concatenate,
     _const_collapse,
     _cube_row,
-    _cube_ser,
+    _point_product,
     _rebuild,
-    _ser,
-    _sorted_arrangements,
-    _table_row,
+    _scan,
 )
 from ellmotive.divisors import DegeneracyError, FormalDivisor, class_equation
 from ellmotive.fixtures import fixed_points, generator, rank_one_curve, standard_functions
+from ellmotive.formulas import FamilyContext
+from ellmotive.orbits import (
+    _cube_ser,
+    _least_prefixes,
+    _ser,
+    _sorted_arrangements,
+    _table_row,
+    _term_table,
+)
 from ellmotive.symgrp import Permutation, YoungShape, transpose_projector
 
 
@@ -558,6 +567,26 @@ def test_faces_match_their_derivation_afresh(cycle):
     assert _faces_or_error(term_faces, cycle) == _faces_or_error(_reference_faces, cycle)
 
 
+@given(st.lists(_f101_cycles(), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_boundary_adds_up_like_its_scanned_faces(cycles_):
+    # the boundary adds coefficients by the winners' keys and rebuilds only
+    # what survives: the same sum, in the same order, as scanning each face
+    canon = [c for c, _ in map(canonical_term, cycles_) if c is not None]
+    s = CycleSum([(c, k) for k, c in enumerate(canon, 1)])
+    try:
+        got = boundary(s)
+    except (CycleError, DegeneracyError):
+        return
+    items = []
+    for cyc, c in s.items():
+        for fc, face in term_faces(cyc):
+            face_canon, sign = _scan(face, {})
+            if face_canon is not None:
+                items.append((face_canon, c * fc * sign))
+    assert list(got.items()) == list(CycleSum(items).items())
+
+
 def _substitution_cases(cycle):
     """(class, pivot, replacement, arguments) for each face of the cycle and
     each class of each function slot the face keeps."""
@@ -667,6 +696,128 @@ def test_floating_signs_match_reference(setup):
     assert canonical_term(cases["undecided"]) == (None, 0)
     for label in ("X k=3 inf", "X k=4 inf", "cube decides", "2-torsion", "shared 2y"):
         assert canonical_term(cases[label])[0] is not None, label
+
+
+# ---------------------------------------------------------------------------
+# twin coordinates: their order floats as an open cell
+
+
+_H = UserFunction("h", _F101[1].divisor)  # a second unary spec on F_101
+
+
+@st.composite
+def _twin_cycles(draw):
+    """Fresh one-parameter coordinates with one shared constant, as on the
+    faces of the families: a balance coordinate over them, unary g- and
+    h-coordinates reading one or two of them, and a symmetric F-bar."""
+    curve, g, _, consts = _F101
+    k = draw(st.integers(2, 4))
+    names = draw(st.permutations(("u", "v", "w", "z")))[:k]
+    const = draw(st.sampled_from(consts))
+    sign = st.sampled_from((1, -1))
+    ecoords = [PointExpr.make(curve, [(n, draw(sign))], const) for n in names]
+    if draw(st.booleans()):
+        # mostly the even balance -sum(names) - c, sometimes an uneven one
+        coeff = st.sampled_from((-1, -1, -1, -1, -2, 0))
+        items = [(n, draw(coeff)) for n in names]
+        ecoords.append(PointExpr.make(curve, items, draw(st.sampled_from(consts))))
+    qcoords = []
+    for _ in range(draw(st.integers(0, k))):
+        read = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+        arg = PointExpr.make(curve, [(n, draw(sign)) for n in read], draw(st.sampled_from(consts)))
+        qcoords.append(FunCoord(draw(st.sampled_from((g, _H))), (arg,)))
+    if draw(st.booleans()):
+        args = tuple(PointExpr.make(curve, [(n, -1)], const) for n in names)
+        qcoords.append(FunCoord(FbarSpec(curve, k), args))
+    ecoords, qcoords = draw(st.permutations(ecoords)), draw(st.permutations(qcoords))
+    return ParamCycle(curve, tuple(sorted(names)), tuple(ecoords), tuple(qcoords))
+
+
+@given(_twin_cycles())
+@settings(max_examples=60, deadline=None)
+def test_twin_cells_match_reference(cycle):
+    assert canonical_term(cycle) == _reference_canonical(cycle)
+
+
+def test_twin_cells_on_the_family_shape(setup):
+    # X over three functions at a face y2 = p: x, y1, y3 are twins; the F-bar
+    # reads them evenly, g1 and g3 put y1 and y3 first, and x takes the rest
+    curve, gs, afix = setup
+    X = build_family("X", curve, gs, fixed=(afix[0],))
+    faces = [f for _, f in term_faces(X) if all(q.spec != gs[1] for q in f.qcoords)]
+    assert len(faces) == len(gs[1].divisor.terms)
+    for face in faces:
+        prefixes = _least_prefixes(_term_table(face.ecoords, {}), face.params)
+        assert [len(cells) for *_, cells in prefixes] == [1]
+        assert len(prefixes[0][3][0][1]) == 3
+        assert canonical_term(face) == _reference_canonical(face)
+
+
+# ---------------------------------------------------------------------------
+# point-class products: merged without a scan, against the scanned product
+
+
+def _scanned_product(s1, s2):
+    """The product of two sums the way a pair without a point class is
+    multiplied: each raw concatenation scanned."""
+    items = []
+    for z1, c1 in s1.items():
+        for z2, c2 in s2.items():
+            canon, sign = _scan(_concatenate(z1, z2), {})
+            if canon is not None:
+                items.append((canon, c1 * c2 * sign))
+    return CycleSum(items)
+
+
+def _all_merged(s1, s2):
+    return all(_point_product(z1, z2) is not None for z1 in s1 for z2 in s2)
+
+
+def test_point_products_match_the_scan_on_chain_slot_pairs():
+    # every ordered slot pair the n=2 chain's differential multiplies
+    curve, gs = standard_functions(2)
+    slots = build_motive_chain(curve, gs).context.slots
+    assert slots._products
+    for (left, right), product in slots._products.items():
+        pair = CycleSum([(left, 1)]), CycleSum([(right, 1)])
+        assert _all_merged(*pair)
+        assert product == _scanned_product(*pair)
+
+
+def test_point_products_match_the_scan_on_expansions(setup):
+    # every product of the displayed boundary formulas over the test config
+    curve, gs, afix = setup
+    a, b2 = afix
+    checked = 0
+    for n in (1, 2, 3):
+        ctx = FamilyContext(curve, gs[:n])
+        descs = [("eta", tuple(afix[:r]), ctx.names) for r in range(3)]
+        descs += [("mu", a, ctx.names), ("nu", 1, a, b2, ctx.names)]
+        for desc in descs:
+            for _, _, _, left, right in ctx.expansions(desc):
+                pair = ctx.materialize(left), ctx.materialize(right)
+                assert _all_merged(*pair)
+                assert external_product(*pair) == _scanned_product(*pair)
+                checked += 1
+    assert checked > 50
+
+
+@st.composite
+def _point_classes(draw):
+    """Constant E-coordinates only, raw: the identity and the 2-torsion
+    point are their own negatives, and P, -P repeat one orbit."""
+    curve, _, _, consts = _F101
+    points = draw(st.lists(st.sampled_from(consts), min_size=1, max_size=2))
+    return ParamCycle(curve, (), tuple(PointExpr.constant(p) for p in points), ())
+
+
+@given(_point_classes(), _f101_cycles(), st.booleans())
+@settings(max_examples=70, deadline=None)
+def test_point_merge_matches_reference(point, cycle, point_left):
+    canon, _ = canonical_term(cycle)
+    assume(canon is not None)
+    pair = (point, canon) if point_left else (canon, point)
+    assert _point_product(*pair) == _reference_canonical(_concatenate(*pair))
 
 
 def _decoration_projector(b):

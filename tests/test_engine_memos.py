@@ -4,13 +4,16 @@ The family context owns every memo: a boundary per descriptor, and the
 bar differential's boundary per slot and product per slot pair.
 `cycles.boundary` and `cycles.external_product` scan each raw face or
 product once and keep nothing, and `cycles._canonical_cache` grows only
-from family construction.
+from family construction.  Products with a point-class factor are merged
+without a scan, and every product the suites and builds make has one.
 """
 
 import gc
+import sys
 import weakref
 
 from ellmotive import cycles, formulas
+from ellmotive.barcx import build_motive_chain
 from ellmotive.config import default_config
 from ellmotive.fixtures import fixed_points, standard_functions
 from ellmotive.formulas import FamilyContext
@@ -70,7 +73,7 @@ def test_runs_repeat_and_leave_no_context_behind(monkeypatch):
 
     def init(self, curve, gs, mode="fbar"):
         real_init(self, curve, gs, mode)
-        assert not (self._cache or self._boundaries)
+        assert not (self._cache or self._boundaries or self._reports)
         assert not (self.slots._boundaries or self.slots._products)
         contexts.append(weakref.ref(self))
 
@@ -81,3 +84,25 @@ def test_runs_repeat_and_leave_no_context_behind(monkeypatch):
     assert first == second
     gc.collect()
     assert contexts and all(ref() is None for ref in contexts)
+
+
+def test_products_are_merged_without_a_scan(monkeypatch):
+    # every product the boundaries suite and the n=2 build make has a point
+    # class factor: a change that routes them back through the orbit scan
+    # fails here instead of only slowing down
+    callers = []
+    real = cycles._scan
+
+    def scan(cycle, rows):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "external_product":
+            frame = frame.f_back
+        callers.append(frame is not None)
+        return real(cycle, rows)
+
+    monkeypatch.setattr(cycles, "_scan", scan)
+    rep = run_suite(default_config(), "boundaries")
+    curve, gs = standard_functions(2)
+    mc = build_motive_chain(curve, gs)
+    assert not rep.failed and mc.context.slots._products
+    assert not any(callers)
