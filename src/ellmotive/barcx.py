@@ -18,10 +18,11 @@ by layer, block by block; the chain terminates in pure tensor words of point
 classes.  Each step differentiates the chain from scratch, and the build
 stops when that differential is zero: the loop's exit is the cocycle gate
 that the suites' and the CLI's `cocycle` records report.
-The mu/nu families the expansions bring in are certified trivial by the two
-kill-cycle families (each swept family combination is exactly the boundary
-of its kill cycle; see `kill_certificates` for why the discharge lives at
-the family level); the bar suite's `kill-certificates` check computes them.
+The mu/nu families the expansions bring in are certified trivial by their
+kill cycles (`FamilyContext.killer`): each kill cycle's table rows are the
+family members its face sweeps, and `kill_certificates` matches them
+against its boundary (see there for why the discharge lives at the family
+level); the bar suite's `kill-certificates` check computes them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .formulas import (
     _sorted_pts,
     desc_key,
     desc_motive,
-    verify_killer,
+    verify_expansion,
 )
 from .gl2 import tensor_supports
 from .lincomb import LinComb, accumulate
@@ -321,9 +322,9 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
         for _, descs in layers[-1]:
             for i, d in enumerate(descs):
                 # both orders: products commute up to sign, the solver decides
-                pairs = [(left, right) for *_, left, right in ctx.expansions(d)]
-                for left, right in pairs + [(b, a) for a, b in pairs]:
-                    new = descs[:i] + (left, right) + descs[i + 1 :]
+                rows = [factors for *_, factors in ctx.expansions(d)]
+                for factors in rows + [f[::-1] for f in rows]:
+                    new = descs[:i] + factors + descs[i + 1 :]
                     if new not in seen:
                         seen.add(new)
                         cand_words.append(new)
@@ -363,34 +364,15 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
 # a swept combination equal to the boundary of its kill cycle.
 
 
-def _chain_mu_nu_families(layers):
-    fams = set()
-    for _, descs in layers:
-        for d in descs:
-            if d[0] == "mu" and d[2]:
-                fams.add(d)
-            elif d[0] == "nu":
-                fams.add(d)
-    return sorted(fams, key=desc_key)
-
-
 def kill_certificates(mc: "MotiveChain") -> list:
-    """For every mu/nu family in the chain, certify the coboundary relation
-    d(kill cycle) = swept family combination + explicit face tail, exactly:
-    the boundaries suite's own `formulas.verify_killer` report, run in the
-    chain's context (`all_reproduced` is the certificate)."""
+    """For every mu/nu family d in the chain, in key order, certify the
+    coboundary relation d(kill cycle) = swept family combination + explicit
+    face tail, exactly: (d, the `formulas.verify_expansion` report of its
+    kill cycle `ctx.killer(d)`), run in the chain's context.  The report's
+    `matched` is the certificate and `len(unmatched)` the face tail."""
     ctx = mc.context
-    out = []
-    for d in _chain_mu_nu_families(mc.layers):
-        if d[0] == "mu":
-            _, c, names = d
-            # choose the sweep through the first divisor point of g_1
-            shift = ec_add(c, ec_neg(ctx.gs[names[0]].divisor.terms[0][0]))
-            killer = ("kmu", 1, shift, names)
-        else:
-            killer = ("knu",) + d[1:]
-        out.append(verify_killer(ctx, killer))
-    return out
+    fams = {d for _, descs in mc.layers for d in descs if d[0] == "nu" or (d[0] == "mu" and d[2])}
+    return [(d, verify_expansion(ctx, ctx.killer(d))) for d in sorted(fams, key=desc_key)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +457,7 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
     groups = comultiply_grouped(chain)
     leading, trailing = _unit_groups(chain, groups)
     middle = []
-    for _, _, _, left, right in ctx.expansions(mc.leading):
+    for _, _, _, (left, right) in ctx.expansions(mc.leading):
         if left[0] != "eta":
             continue  # only the divisor-point terms eta^{p}(rest) (x) [p]
         p = right[1]

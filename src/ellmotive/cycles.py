@@ -866,8 +866,8 @@ def build_mu_killer(curve, gs, i: int, shift: CurvePoint):
 def build_nu_killer(curve, gs, j: int, b1: CurvePoint, b2: CurvePoint):
     """(x, (-x - sum(y) - b1), y's without y_j ; g_1(y_1)..g_n(y_n), g_j(b2)).
 
-    Its y_j-face sweeps the nu-family cycles: the boundary reproduces the nu
-    contributions (the s = b2 term is the nu cycle itself).
+    Its y_j-face sweeps the nu-family cycles Z(j, b1 + s - b2, b2), s in
+    the divisor of g_j: the boundary reproduces the nu contributions.
     """
     _check_b2(gs, j, b2)
     params = ("x",) + _ynames(len(gs))

@@ -4,10 +4,10 @@ Families are named by descriptors, and `FamilyContext` is the one path from
 a descriptor to its decorated cycle sum: one context per function tuple,
 holding every memo of the cycle engine (a sum, a boundary and a match
 report per descriptor, and the bar differential's `SlotMemo`) for as long
-as it lives.  `FamilyContext.expansions` is the one table of the displayed
-boundary formulas: per eta, mu or nu descriptor, its term groups as
-products delta[left (x) right] with their multiplicities.
-`FamilyContext.swept` lists the family members a kill cycle's face sweeps.
+as it lives.  `FamilyContext.expansions` is the one table of boundary
+identities: per eta, mu or nu descriptor, its displayed term groups as
+products delta[left (x) right], and per kill cycle the family members its
+face sweeps, one factor each; every row carries its multiplicity.
 `desc_motive` is the one table of the families' pure-motive labels; a
 cycle sum carries none.  A context checks its tuple's admissibility once.
 The boundaries suite, the checks below and `barcx.build_motive_chain` all
@@ -15,24 +15,25 @@ materialize through a context, and the chain builder splices the same table.
 
 `verify_boundary_formulas(ctx, fixed)` checks the displayed identities over
 the context's whole tuple (n = len(ctx.names)) at r = len(fixed).
-`verify_expansion` expands the boundary of one decorated eta, mu or nu
-family symbolically and classifies every term into its table's term groups
-(for eta: divisor-point, mu, nu), instance by instance; the identities pin no
-signs or multiplicities, so each instance's coefficient is solved for and
-reported rather than asserted.  A match is complete when every boundary term
-is consumed and every group instance received a coefficient.
+`verify_expansion` expands the boundary of one descriptor symbolically and
+classifies every term into its table rows (for eta: divisor-point, mu, nu),
+instance by instance, each instance the product of its row's factors; the
+identities pin no signs or multiplicities, so each instance's coefficient
+is solved for and reported rather than asserted.  A match is complete when
+every boundary term is consumed and every group instance received a
+coefficient.  A kill cycle's match is `matched` when every swept member
+received one; the terms left over are its face tail, not a failure.
 
 The nu boundary is exactly zero for n = 1.  For n >= 2 its strict face
-boundary consists of product terms delta[smaller-nu (x) point]; the
-kill-cycle discharge certificate matches those exactly, and `verify_killer`
-checks that the two kill-cycle families reproduce the mu and nu
-contributions inside their own boundaries.
+boundary consists of product terms delta[smaller-nu (x) point], which the
+kill-cycle discharge rows match exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
 from .cycles import (
@@ -77,37 +78,22 @@ class GroupMatchReport:
 
 
 @dataclass
-class NuBoundaryReport:
-    n: int
-    strict_zero: bool
-    strict_term_count: int
-    discharge: GroupMatchReport | None  # None when strictly zero
-
-    @property
-    def passed(self) -> bool:
-        """d(nu) is strictly zero, or the kill-cycle discharge matches it all."""
-        return self.strict_zero or (self.discharge is not None and self.discharge.complete)
-
-
-@dataclass
-class KillCycleReport:
-    family: str
-    reproduced: list  # (label, scalar) per target contribution
-    all_reproduced: bool
-    tail_term_count: int
-
-
-@dataclass
 class BoundaryFormulaReport:
     eta: GroupMatchReport
     mu: GroupMatchReport
-    nu: NuBoundaryReport
-    killers: list
+    nu: GroupMatchReport  # the kill-cycle discharge of d(nu)
+    nu_terms: int  # the terms of the strict boundary d(nu)
+    killers: dict  # family -> the match of its kill cycle
+
+    @property
+    def nu_passed(self) -> bool:
+        """d(nu) is strictly zero, or the kill-cycle discharge matches it all."""
+        return not self.nu_terms or self.nu.complete
 
     @property
     def passed(self) -> bool:
-        killers_ok = all(k.all_reproduced for k in self.killers)
-        return self.eta.complete and self.mu.complete and self.nu.passed and killers_ok
+        killers_ok = all(k.matched for k in self.killers.values())
+        return self.eta.complete and self.mu.complete and self.nu_passed and killers_ok
 
 
 def _match_groups(lhs, instances) -> GroupMatchReport:
@@ -154,10 +140,6 @@ def desc_key(desc) -> str:
         return f"mu[{desc[1].key()}][{','.join(desc[2])}]"
     if kind == "nu":
         return f"nu[{desc[1]}][{desc[2].key()},{desc[3].key()}][{','.join(desc[4])}]"
-    if kind == "kmu":
-        return f"kmu[{desc[1]}][{desc[2].key()}][{','.join(desc[3])}]"
-    if kind == "knu":
-        return f"knu[{desc[1]}][{desc[2].key()},{desc[3].key()}][{','.join(desc[4])}]"
     raise ValueError(f"unknown descriptor {desc!r}")
 
 
@@ -206,7 +188,7 @@ class FamilyContext:
         self.mode = mode
         self._cache = {}  # descriptor -> decorated cycle sum
         self._boundaries = {}  # descriptor -> boundary of its sum
-        self._reports = {}  # descriptor -> its match report (expansion or kill cycle)
+        self._reports = {}  # descriptor -> the match report of its table rows
         self.slots = SlotMemo()  # the bar differential's slot-level pieces
 
     def g_tuple(self, names):
@@ -243,9 +225,11 @@ class FamilyContext:
         return out
 
     def expansions(self, desc):
-        """The displayed boundary of one eta/mu/nu descriptor, term group by
-        term group: (group, label, multiplicity, left, right) per product
-        delta[left (x) right]."""
+        """The table rows of one descriptor's boundary identity, as
+        (group, label, multiplicity, factors): for eta/mu/nu the displayed
+        term groups, one product delta[left (x) right] with factors
+        (left, right) per row; for a kill cycle the family members its face
+        sweeps, one factor (member,) per row."""
         kind = desc[0]
         if kind == "eta":
             _, pts, names = desc
@@ -256,22 +240,22 @@ class FamilyContext:
                 for idx, al in enumerate(pts):
                     other = ec_neg(ec_add(al, total))
                     if not other.infinity:
-                        yield "divisor-point", f"a{idx + 1}", 1, ("pt", al), ("pt", other)
+                        yield "divisor-point", f"a{idx + 1}", 1, (("pt", al), ("pt", other))
                 return
             for i, name in enumerate(names):
                 for p, m in self.gs[name].divisor.terms:
                     left = ("eta", _sorted_pts(pts + (p,)), _without(names, name))
-                    yield "divisor-point", f"g{i + 1}:{p.key()}", m, left, ("pt", p)
+                    yield "divisor-point", f"g{i + 1}:{p.key()}", m, (left, ("pt", p))
             for idx, al in enumerate(pts):
-                yield "mu", f"a{idx + 1}", 1, ("pt", al), ("mu", ec_add(total, al), names)
+                yield "mu", f"a{idx + 1}", 1, (("pt", al), ("mu", ec_add(total, al), names))
                 for j in range(1, len(names) + 1):
-                    yield "nu", f"a{idx + 1},j={j}", 1, ("nu", j, total, al, names), ("pt", al)
+                    yield "nu", f"a{idx + 1},j={j}", 1, (("nu", j, total, al, names), ("pt", al))
         elif kind == "mu":
             _, c, names = desc
             for i, name in enumerate(names):
                 for p, m in self.gs[name].divisor.terms:
                     left = ("mu", ec_add(c, p), _without(names, name))
-                    yield "mu-lower", f"g{i + 1}:{p.key()}", m, left, ("pt", p)
+                    yield "mu-lower", f"g{i + 1}:{p.key()}", m, (left, ("pt", p))
         elif kind == "nu":
             # the face at y_i = q shifts the balancing constant b1 by q
             _, j, b1, b2, names = desc
@@ -282,79 +266,63 @@ class FamilyContext:
                 jr = rest.index(names[j - 1]) + 1
                 for q, m in self.gs[name].divisor.terms:
                     left = ("nu", jr, ec_add(b1, q), b2, rest)
-                    yield "nu-discharge", f"g{i + 1}:{q.key()}", m, left, ("pt", q)
-
-    def swept(self, killer):
-        """The family members one face of a kill cycle sweeps:
-        (group, label, multiplicity, member)."""
-        if killer[0] == "kmu":
-            _, i, shift, names = killer
+                    yield "nu-discharge", f"g{i + 1}:{q.key()}", m, (left, ("pt", q))
+        elif kind == "kmu":
+            _, i, shift, names = desc
             for p, m in self.gs[names[i - 1]].divisor.terms:
-                yield "mu", f"mu^{{{p.key()}+shift}}", m, ("mu", ec_add(p, shift), names)
-        elif killer[0] == "knu":
-            _, j, b1, b2, names = killer
+                yield "mu", f"mu^{{{p.key()}+shift}}", m, (("mu", ec_add(p, shift), names),)
+        elif kind == "knu":
+            _, j, b1, b2, names = desc
             for s, m in self.gs[names[j - 1]].divisor.terms:
                 member = ("nu", j, ec_add(b1, ec_add(s, ec_neg(b2))), b2, names)
-                yield "nu", f"Z^{{b1+{s.key()}-b2}}", m, member
+                yield "nu", f"Z^{{b1+{s.key()}-b2}}", m, (member,)
+
+    def killer(self, desc):
+        """The kill cycle that certifies a chain mu/nu family: its sweep
+        through the first divisor point of g_1 (mu) or of g_j (nu) is desc
+        itself, so desc's own row (desc,) is among the cycle's rows.  The mu
+        cycle sweeps mu^{p + shift}, the nu cycle Z(j, b1 + s - b2, b2)."""
+        if desc[0] == "mu":
+            _, c, names = desc
+            p0 = self.gs[names[0]].divisor.terms[0][0]
+            return ("kmu", 1, ec_add(c, ec_neg(p0)), names)
+        _, j, b1, b2, names = desc
+        s0 = self.gs[names[j - 1]].divisor.terms[0][0]
+        return ("knu", j, ec_add(b1, ec_add(b2, ec_neg(s0))), b2, names)
 
 
 def verify_expansion(ctx, desc) -> GroupMatchReport:
-    """Match the exact boundary of an eta/mu/nu descriptor against its table
-    terms, each product scaled by its multiplicity; matched once per
-    context."""
+    """Match the exact boundary of a descriptor against its table rows, each
+    the product of its factors' sums scaled by its multiplicity; matched
+    once per context."""
     rep = ctx._reports.get(desc)
     if rep is None:
         instances = [
-            (group, label, external_product(ctx.materialize(left), ctx.materialize(right)).scale(m))
-            for group, label, m, left, right in ctx.expansions(desc)
+            (group, label, reduce(external_product, map(ctx.materialize, factors)).scale(m))
+            for group, label, m, factors in ctx.expansions(desc)
         ]
         rep = ctx._reports[desc] = _match_groups(ctx.boundary(desc), instances)
     return rep
-
-
-def verify_killer(ctx, killer) -> KillCycleReport:
-    """The swept face of a kill cycle reproduces its family members; what
-    is left after them is the face tail, not a failure.  Matched once per
-    context."""
-    out = ctx._reports.get(killer)
-    if out is None:
-        swept = [
-            (group, label, ctx.materialize(member).scale(m))
-            for group, label, m, member in ctx.swept(killer)
-        ]
-        rep = _match_groups(ctx.boundary(killer), swept)
-        reproduced = [(inst.label, inst.scalar) for inst in rep.instances]
-        family = "mu-killer" if killer[0] == "kmu" else "nu-killer"
-        out = KillCycleReport(family, reproduced, rep.matched, len(rep.unmatched))
-        ctx._reports[killer] = out
-    return out
 
 
 def verify_boundary_formulas(ctx, fixed=()) -> BoundaryFormulaReport:
     """Full check of the displayed boundary identities over the context's
     whole function tuple (n = len(ctx.names)), at r = len(fixed)."""
     names = ctx.names
-    n = len(names)
     eta_rep = verify_expansion(ctx, ("eta", tuple(fixed), names))
-    if n == 0:
-        return BoundaryFormulaReport(
-            eta_rep, GroupMatchReport([], []), NuBoundaryReport(0, True, 0, None), []
-        )
+    if not names:
+        empty = GroupMatchReport([], [])
+        return BoundaryFormulaReport(eta_rep, empty, empty, 0, {})
     a = fixed[0] if fixed else _default_mu_const(ctx.gs.values())
     b2 = fixed[1] if len(fixed) > 1 else a
     mu_rep = verify_expansion(ctx, ("mu", a, names))
     nu = ("nu", 1, a, b2, names)
-    strict = ctx.boundary(nu)
-    if strict.is_zero():
-        nu_rep = NuBoundaryReport(n, True, 0, None)
-    else:
-        discharge = verify_expansion(ctx, nu)
-        nu_rep = NuBoundaryReport(n, False, len(strict), discharge)
-    killers = [
-        verify_killer(ctx, ("kmu", 1, a, names)),
-        verify_killer(ctx, ("knu", 1, a, b2, names)),
-    ]
-    return BoundaryFormulaReport(eta_rep, mu_rep, nu_rep, killers)
+    nu_rep = verify_expansion(ctx, nu)
+    killers = {
+        "mu-killer": verify_expansion(ctx, ("kmu", 1, a, names)),
+        "nu-killer": verify_expansion(ctx, ("knu", 1, a, b2, names)),
+    }
+    return BoundaryFormulaReport(eta_rep, mu_rep, nu_rep, len(ctx.boundary(nu)), killers)
 
 
 def _default_mu_const(gs):

@@ -352,23 +352,22 @@ def _suite_boundaries(cfg: Config, report: Report):
             )
             nu_detail = (
                 "strictly zero"
-                if rep.nu.strict_zero
-                else f"{rep.nu.strict_term_count} strict terms, all discharged by the "
-                "kill-cycle family"
+                if not rep.nu_terms
+                else f"{rep.nu_terms} strict terms, all discharged by the kill-cycle family"
             )
             report.add(
                 f"boundaries:nu-formula:n={n},r={r}",
                 "d(nu) = 0 (exactly for n = 1; via the kill-cycle discharge for n >= 2)",
-                rep.nu.passed,
+                rep.nu_passed,
                 nu_detail,
             )
-            for k in rep.killers:
+            for family, k in rep.killers.items():
                 report.add(
-                    f"boundaries:{k.family}:n={n},r={r}",
+                    f"boundaries:{family}:n={n},r={r}",
                     "the kill-cycle boundary reproduces the mu/nu contributions",
-                    k.all_reproduced,
-                    {"reproduced": [(lbl, str(s)) for lbl, s in k.reproduced],
-                     "tail_terms": k.tail_term_count},
+                    k.matched,
+                    {"reproduced": [(i.label, str(i.scalar)) for i in k.instances],
+                     "tail_terms": len(k.unmatched)},
                 )
 
 
@@ -443,8 +442,19 @@ def _bar_dd(mc):
 
 
 def _bar_kills(mc):
+    # a certificate counts when its kill cycle matches every swept member
+    # and the family d it certifies is one of them: its own row (d,)
+    # received a scalar
     kills = barcx.kill_certificates(mc)
-    return all(k.all_reproduced for k in kills), f"{len(kills)} families certified"
+    ok = all(k.matched and _own_row_scalar(mc.context, d, k) is not None for d, k in kills)
+    return ok, f"{len(kills)} families certified"
+
+
+def _own_row_scalar(ctx, d, k):
+    """The scalar of the row (d,) in the match k of d's kill cycle, or None
+    when the cycle does not sweep d."""
+    rows = [factors for *_, factors in ctx.expansions(ctx.killer(d))]
+    return k.instances[rows.index((d,))].scalar if (d,) in rows else None
 
 
 def _bar_comultiply(mc):

@@ -160,13 +160,13 @@ def test_criterion_6_boundary_formulas():
                 assert rep.mu.complete, (n, r)
                 # d(nu) = 0: exactly for n = 1, via the exact kill-cycle
                 # discharge for n >= 2
-                if rep.nu.n == 1:
-                    assert rep.nu.strict_zero
+                if n == 1:
+                    assert rep.nu_terms == 0
                 else:
-                    assert rep.nu.discharge is not None
-                    assert rep.nu.discharge.complete, (n, r)
-                for k in rep.killers:
-                    assert k.all_reproduced, (n, r, k.family)
+                    assert rep.nu_terms
+                    assert rep.nu.complete, (n, r)
+                for family, k in rep.killers.items():
+                    assert k.matched, (n, r, family)
 
     _timed("6 (boundary formula term groups, n <= 3, r <= 2)", 120, body)
 
@@ -278,7 +278,7 @@ def test_criterion_11_motive_chain_n3():
         assert mc.chain.lengths() == [1, 2, 3, 4, 5]
         assert len(mc.chain) == 3409
         kills = barcx.kill_certificates(mc)
-        assert len(kills) == 178 and all(k.all_reproduced for k in kills)
+        assert len(kills) == 178 and all(k.matched for _, k in kills)
         assert barcx.grading_coherent(mc)
         rep = barcx.comultiply_report(mc)
         assert rep.counital and rep.coassociative
@@ -337,7 +337,7 @@ def test_criterion_12_motive_chain_n4():
         assert mc.chain.lengths() == [1, 2, 3, 4, 5, 6]
         assert len(mc.chain) == 89553
         kills = barcx.kill_certificates(mc)
-        assert len(kills) == 974 and all(k.all_reproduced for k in kills)
+        assert len(kills) == 974 and all(k.matched for _, k in kills)
         assert barcx.grading_coherent(mc)
         digest = hashlib.sha256(repr(mc.chain).encode()).hexdigest()
         assert digest == N4_SHA256

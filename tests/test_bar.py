@@ -31,6 +31,7 @@ from ellmotive.barcx import (
     verify_coassociativity,
     verify_cocycle,
 )
+from ellmotive.config import default_config
 from ellmotive.curves import ec_scalar_mul
 from ellmotive.cycles import (
     CycleSum,
@@ -41,6 +42,8 @@ from ellmotive.cycles import (
     external_product,
 )
 from ellmotive.fixtures import fixed_points, generator, standard_functions
+from ellmotive.formulas import FamilyContext
+from ellmotive.suites import run_suite
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +194,39 @@ def test_kill_certificates(chains):
     _, _, mc1, mc2 = chains
     assert kill_certificates(mc1) == []  # no mu/nu words at n = 1
     kills = kill_certificates(mc2)
-    assert kills and all(k.all_reproduced for k in kills)
+    assert kills and all(k.matched for _, k in kills)
+
+
+def test_kill_cycles_sweep_the_family_they_certify(chains):
+    # the kill cycle of every chain mu/nu family sweeps that family: its own
+    # row (d,) is among the cycle's rows and received a scalar
+    _, _, _, mc2 = chains
+    ctx = mc2.context
+    kills = kill_certificates(mc2)
+    assert sorted(d[0] for d, _ in kills) == ["mu"] * 8 + ["nu"] * 8
+    for d, k in kills:
+        rows = [factors for *_, factors in ctx.expansions(ctx.killer(d))]
+        assert (d,) in rows, d
+        assert k.instances[rows.index((d,))].scalar is not None, d
+
+
+def test_kill_record_fails_when_the_family_is_not_swept(monkeypatch):
+    # a nu kill cycle with the family's own balance constant sweeps
+    # Z(j, b1 + s - b2, b2) for s in div(g_j), never the family itself
+    # (b2 is off that divisor): its match is complete, yet it certifies
+    # other families, so the record fails
+    cfg = default_config()  # g1, g2 over Q, n_max = 2
+    real = FamilyContext.killer
+
+    def unswept(ctx, desc):
+        return ("knu",) + desc[1:] if desc[0] == "nu" else real(ctx, desc)
+
+    records = {r.id: r for r in run_suite(cfg, "bar").records}
+    assert records["bar:kill-certificates:n=2"].status == "pass"
+    monkeypatch.setattr(FamilyContext, "killer", unswept)
+    records = {r.id: r for r in run_suite(cfg, "bar").records}
+    assert records["bar:kill-certificates:n=2"].status == "fail"
+    assert records["bar:kill-certificates:n=1"].status == "pass"  # no nu family
 
 
 def test_comultiply_grouped_structure(chains):

@@ -10,7 +10,7 @@ import sys
 import pytest
 from fractions import Fraction
 
-from ellmotive import barcx, curves
+from ellmotive import barcx, curves, suites
 from ellmotive.cli import main
 from ellmotive.config import ConfigError, config_from_dict, default_config, load_config
 from ellmotive.cycles import CycleSum, boundary, build_family
@@ -143,6 +143,14 @@ def _edited(edit):
             _edited(lambda c: c["functions"][0]["divisor"][0].pop("coeff")),
             id="term-without-coeff",
         ),
+        pytest.param(
+            _edited(lambda c: c["functions"][0]["divisor"][0].update(point=["1", "0", "0"])),
+            id="point-not-a-pair",
+        ),
+        pytest.param(
+            _edited(lambda c: c["functions"][0]["divisor"][0].update(coeff="1/2")),
+            id="coeff-not-integral",
+        ),
         pytest.param(_edited(lambda c: c["bounds"].update(n_max="two")), id="n_max-not-int"),
         pytest.param(_edited(lambda c: c.update(seed="x")), id="seed-not-int"),
         pytest.param(_edited(lambda c: c.update(functions=[5])), id="function-not-object"),
@@ -183,12 +191,34 @@ def test_cli_bad_config_exit_2(tmp_path, capsys, bad):
         (lambda c: c["bounds"].update(r_max=False), "r_max"),
         (lambda c: c["bounds"].update(random_trials=-3), "random_trials"),
         (lambda c: c.update(seed=True), "seed"),
+        (
+            lambda c: c["functions"][0]["divisor"][0].update(coeff="1/2"),
+            "principality requires integer coefficients",
+        ),
     ],
-    ids=("n_max", "r_max", "random_trials", "seed"),
+    ids=("n_max", "r_max", "random_trials", "seed", "divisor-coeff"),
 )
 def test_bad_integer_names_its_key(edit, key):
     with pytest.raises(ConfigError, match=key):
         config_from_dict(_edited(edit))
+
+
+@pytest.mark.parametrize(
+    "paths, words",
+    [
+        (lambda d: ["--config", str(d / "missing.json")], "cannot read config"),
+        (
+            lambda d: ["--config", write_config(d, GOOD_CONFIG), "--out", str(d / "no" / "r.json")],
+            "cannot write report",
+        ),
+    ],
+    ids=("missing-config", "out-in-missing-directory"),
+)
+def test_unreadable_input_or_unwritable_output_exit_2(tmp_path, capsys, paths, words):
+    code = main(paths(tmp_path) + ["verify", "divisors"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert words in err and "Traceback" not in err
 
 
 def test_integral_bounds_are_accepted():
@@ -470,6 +500,21 @@ def test_default_text_report_is_byte_stable(tmp_path):
     assert main(["--format", "text", "--out", str(out), "report"]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "67fef3b0e1a0037c1b6855584aaf428dc9ff74f01228a3d6e469fafe38dfe91b"
+
+
+def test_raising_runner_becomes_an_aborted_record(tmp_path, monkeypatch):
+    # an internal error in a suite is a fail record named after its runner,
+    # not a crash
+    def _suite_projectors(cfg, report):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(suites, "_suite_projectors", _suite_projectors)
+    out = tmp_path / "r.json"
+    assert main(["--out", str(out), "verify", "projectors"]) == 1
+    (record,) = json.loads(out.read_text())["records"]
+    assert record["id"] == "_suite_projectors:aborted"
+    assert record["status"] == "fail"
+    assert record["details"] == repr(RuntimeError("forced"))
 
 
 def test_exit_one_on_failure():

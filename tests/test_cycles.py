@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellmotive.barcx import build_motive_chain
-from ellmotive.curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul
+from ellmotive.curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul
 from ellmotive.cycles import (
     AdmissibilityError,
     ConstCoord,
@@ -39,6 +39,7 @@ from ellmotive.cycles import (
     _scan,
 )
 from ellmotive.divisors import DegeneracyError, FormalDivisor, class_equation
+from ellmotive.fields import field_from_tag
 from ellmotive.fixtures import fixed_points, generator, rank_one_curve, standard_functions
 from ellmotive.formulas import FamilyContext
 from ellmotive.orbits import (
@@ -114,6 +115,70 @@ def test_inadmissible_input_raises(setup):
     with pytest.raises(AdmissibilityError):
         # b2 inside the divisor of g_j makes the constant coordinate degenerate
         build_family("Z", curve, gs[:1], j=1, b1=afix[0], b2=gs[0].divisor.support()[0])
+
+
+# y^2 = x^3 + 1 over Q: (-1, 0) has order 2 and (0, 1) order 3
+_E6 = EllipticCurve.from_coeffs(field_from_tag("rational"), 0, 0, 0, 0, 1)
+_T2, _T3 = CurvePoint.affine(_E6, -1, 0), CurvePoint.affine(_E6, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        pytest.param(
+            lambda c, gs, a, b: build_family("X", _E6, [], fixed=(_T2,)),
+            AdmissibilityError, "2- or 3-torsion", id="X-fixed-2-torsion",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("X", _E6, [], fixed=(_T3,)),
+            AdmissibilityError, "2- or 3-torsion", id="X-fixed-3-torsion",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("X", c, gs[:1], fixed=(a, a)),
+            AdmissibilityError, "repeated", id="X-fixed-repeated",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("X", c, gs[:1], fixed=gs[0].divisor.support()[:1]),
+            AdmissibilityError, "meets the support of g1", id="X-fixed-on-support",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("X", c, []),
+            CycleError, "n \\+ r >= 1", id="X-n-plus-r-zero",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("Z", c, gs[:2], b1=a, b2=b),
+            CycleError, "needs j, b1, b2", id="Z-without-j",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("Z", c, gs[:2], j=1, b1=a),
+            CycleError, "needs j, b1, b2", id="Z-without-b2",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("Z", c, gs[:2], j=0, b1=a, b2=b),
+            CycleError, "out of range", id="Z-j-zero",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("Z", c, gs[:2], j=3, b1=a, b2=b),
+            CycleError, "out of range", id="Z-j-above-n",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: build_family("W", c, gs[:1]),
+            CycleError, "unknown family kind", id="unknown-family",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: decorate("eta_point", CurvePoint.at_infinity(c)),
+            CycleError, "nonzero point", id="eta-point-at-identity",
+        ),
+        pytest.param(
+            lambda c, gs, a, b: decorate("xi", build_family("Y", c, gs[:1], fixed=(a,))),
+            CycleError, "unknown decoration kind", id="unknown-decoration",
+        ),
+    ],
+)
+def test_family_input_guards(setup, build, error, match):
+    curve, gs, (a, b) = setup
+    with pytest.raises(error, match=match):
+        build(curve, gs, a, b)
 
 
 def test_canonicalize_merges_relabeled_copies(setup):
@@ -794,7 +859,7 @@ def test_point_products_match_the_scan_on_expansions(setup):
         descs = [("eta", tuple(afix[:r]), ctx.names) for r in range(3)]
         descs += [("mu", a, ctx.names), ("nu", 1, a, b2, ctx.names)]
         for desc in descs:
-            for _, _, _, left, right in ctx.expansions(desc):
+            for _, _, _, (left, right) in ctx.expansions(desc):
                 pair = ctx.materialize(left), ctx.materialize(right)
                 assert _all_merged(*pair)
                 assert external_product(*pair) == _scanned_product(*pair)

@@ -62,26 +62,28 @@ def test_mu_boundary(setup):
 
 def test_nu_boundary_strict_zero_n1(setup):
     curve, gs, afix = setup
-    rep = verify_boundary_formulas(FamilyContext(curve, gs[:1]), tuple(afix[:2])).nu
-    assert rep.strict_zero
+    rep = verify_boundary_formulas(FamilyContext(curve, gs[:1]), tuple(afix[:2]))
+    assert rep.nu_terms == 0
 
 
 def test_nu_boundary_discharged_n2(setup):
     curve, gs, afix = setup
-    rep = verify_boundary_formulas(FamilyContext(curve, gs), tuple(afix[:2])).nu
-    assert not rep.strict_zero
-    assert rep.discharge.complete
+    rep = verify_boundary_formulas(FamilyContext(curve, gs), tuple(afix[:2]))
+    assert rep.nu_terms
+    assert rep.nu.complete
     # the strict boundary has one family per point of the other function
-    assert rep.strict_term_count == 4
+    assert rep.nu_terms == 4
 
 
 def test_killers(setup):
     curve, gs, afix = setup
-    k1, k2 = verify_boundary_formulas(FamilyContext(curve, gs), tuple(afix[:2])).killers
-    assert k1.family == "mu-killer" and k2.family == "nu-killer"
-    assert k1.all_reproduced
-    assert k1.tail_term_count > 0  # the face tail is the homotopy remainder
-    assert k2.all_reproduced
+    (f1, k1), (f2, k2) = verify_boundary_formulas(
+        FamilyContext(curve, gs), tuple(afix[:2])
+    ).killers.items()
+    assert f1 == "mu-killer" and f2 == "nu-killer"
+    assert k1.matched
+    assert len(k1.unmatched) > 0  # the face tail is the homotopy remainder
+    assert k2.matched
 
 
 def test_full_report_passes(setup):
@@ -171,9 +173,16 @@ def test_table_products_carry_the_family_label():
         if n:
             descs += [("mu", a, ctx.names), ("nu", 1, a, b, ctx.names)]
         for desc in descs:
-            for *_, left, right in ctx.expansions(desc):
+            for *_, (left, right) in ctx.expansions(desc):
                 labels = (desc_motive(left), desc_motive(right))
                 assert tensor_supports(labels, desc_motive(desc)), (desc, left, right)
+                # the fast path of cycles._point_product: a point factor
+                assert "pt" in (left[0], right[0]), (desc, left, right)
+        # a kill-cycle row is one swept member
+        killers = [ctx.killer(d) for d in descs[1:]]
+        killers += [("kmu", 1, a, ctx.names), ("knu", 1, a, b, ctx.names)] if n else []
+        for killer in killers:
+            assert all(len(factors) == 1 for *_, factors in ctx.expansions(killer)), killer
 
 
 def test_context_rejects_an_inadmissible_tuple(setup):
