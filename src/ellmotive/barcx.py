@@ -19,10 +19,10 @@ classes.  Each step differentiates the chain from scratch, and the build
 stops when that differential is zero: the loop's exit is the cocycle gate
 that the suites' and the CLI's `cocycle` records report.
 The mu/nu families the expansions bring in are certified trivial by their
-kill cycles (`FamilyContext.killer`): each kill cycle's table rows are the
-family members its face sweeps, and `kill_certificates` matches them
-against its boundary (see there for why the discharge lives at the family
-level); the bar suite's `kill-certificates` check computes them.
+kill cycles ("kill", d): `kill_certificates` matches each cycle's rows, the
+family members its face sweeps, against its boundary (see there for why the
+discharge lives at the family level), and the bar suite's
+`kill-certificates` check applies `formulas.certifies` to them.
 """
 
 from __future__ import annotations
@@ -368,11 +368,11 @@ def kill_certificates(mc: "MotiveChain") -> list:
     """For every mu/nu family d in the chain, in key order, certify the
     coboundary relation d(kill cycle) = swept family combination + explicit
     face tail, exactly: (d, the `formulas.verify_expansion` report of its
-    kill cycle `ctx.killer(d)`), run in the chain's context.  The report's
-    `matched` is the certificate and `len(unmatched)` the face tail."""
+    kill cycle ("kill", d)), run in the chain's context.  `formulas.certifies`
+    of the report is the certificate and `len(unmatched)` the face tail."""
     ctx = mc.context
     fams = {d for _, descs in mc.layers for d in descs if d[0] == "nu" or (d[0] == "mu" and d[2])}
-    return [(d, verify_expansion(ctx, ctx.killer(d))) for d in sorted(fams, key=desc_key)]
+    return [(d, verify_expansion(ctx, ("kill", d))) for d in sorted(fams, key=desc_key)]
 
 
 # ---------------------------------------------------------------------------

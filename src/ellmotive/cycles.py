@@ -850,29 +850,29 @@ def decorate(kind, cycle_or_point) -> CycleSum:
 # kill-cycle families (the two homotopy families of the triviality argument)
 
 
-def build_mu_killer(curve, gs, i: int, shift: CurvePoint):
-    """((-sum(y) - z - shift), y_1..y_n ; g_1(y_1)..g_n(y_n), g_i(z)).
+def build_mu_killer(curve, gs, shift: CurvePoint):
+    """((-sum(y) - z - shift), y_1..y_n ; g_1(y_1)..g_n(y_n), g_1(z)).
 
-    Its z-face sweeps sum_p m_p * mu^{p + shift}(gs): the boundary reproduces
-    the mu contributions.
+    Its z-face sweeps sum_p m_p * mu^{p + shift}(gs), p in the divisor of
+    g_1: the boundary reproduces the mu contributions.
     """
     params = _ynames(len(gs)) + ("z",)
     *ys, z = (PointExpr.param(curve, p) for p in params)
     qcoords = [FunCoord(g, (y,)) for g, y in zip(gs, ys)]
-    qcoords.append(FunCoord(gs[i - 1], (z,)))
+    qcoords.append(FunCoord(gs[0], (z,)))
     return ParamCycle(curve, params, (_balance(curve, params, shift), *ys), tuple(qcoords))
 
 
-def build_nu_killer(curve, gs, j: int, b1: CurvePoint, b2: CurvePoint):
-    """(x, (-x - sum(y) - b1), y's without y_j ; g_1(y_1)..g_n(y_n), g_j(b2)).
+def build_nu_killer(curve, gs, j: int, shift: CurvePoint, b2: CurvePoint):
+    """(x, (-x - sum(y) - shift - b2), y's without y_j ; g_1(y_1)..g_n(y_n), g_j(b2)).
 
-    Its y_j-face sweeps the nu-family cycles Z(j, b1 + s - b2, b2), s in
-    the divisor of g_j: the boundary reproduces the nu contributions.
+    Its y_j-face sweeps the nu-family cycles Z(j, s + shift, b2), s in the
+    divisor of g_j: the boundary reproduces the nu contributions.
     """
     _check_b2(gs, j, b2)
     params = ("x",) + _ynames(len(gs))
     x, *ys = (PointExpr.param(curve, p) for p in params)
-    ecoords = (x, _balance(curve, params, b1), *ys[: j - 1], *ys[j:])
+    ecoords = (x, _balance(curve, params, ec_add(shift, b2)), *ys[: j - 1], *ys[j:])
     qcoords = [FunCoord(g, (y,)) for g, y in zip(gs, ys)]
     qcoords.append(ConstCoord(gs[j - 1], b2))
     return ParamCycle(curve, params, ecoords, tuple(qcoords))

@@ -39,8 +39,6 @@ class RationalField:
             return value
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
         raise FieldError(f"cannot coerce {value!r} into Q")
 
     def reduce(self, a):
@@ -77,8 +75,6 @@ class PrimeField:
             return value % self.p
         if isinstance(value, Fraction):
             return self.div(self.coerce(value.numerator), self.coerce(value.denominator))
-        if isinstance(value, str):
-            return self.coerce(Fraction(value))
         raise FieldError(f"cannot coerce {value!r} into F_{self.p}")
 
     def reduce(self, a):

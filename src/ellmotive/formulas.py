@@ -21,8 +21,10 @@ instance by instance, each instance the product of its row's factors; the
 identities pin no signs or multiplicities, so each instance's coefficient
 is solved for and reported rather than asserted.  A match is complete when
 every boundary term is consumed and every group instance received a
-coefficient.  A kill cycle's match is `matched` when every swept member
-received one; the terms left over are its face tail, not a failure.
+coefficient.  The kill cycle ("kill", d) of a mu/nu family d has as rows
+the members its face sweeps, d's own row first; by `certifies`, the rule of
+both suites, it certifies d when every swept member, d among them, received
+a coefficient.  The terms left over are its face tail, not a failure.
 
 The nu boundary is exactly zero for n = 1.  For n >= 2 its strict face
 boundary consists of product terms delta[smaller-nu (x) point], which the
@@ -92,7 +94,7 @@ class BoundaryFormulaReport:
 
     @property
     def passed(self) -> bool:
-        killers_ok = all(k.matched for k in self.killers.values())
+        killers_ok = all(map(certifies, self.killers.values()))
         return self.eta.complete and self.mu.complete and self.nu_passed and killers_ok
 
 
@@ -121,8 +123,7 @@ def _match_groups(lhs, instances) -> GroupMatchReport:
 #   ("eta", points, names)      eta over X(len(names), points)
 #   ("mu", c, names)            mu over Y(len(names), c)
 #   ("nu", j, b1, b2, names)    nu over Z(len(names), j, b1, b2)
-#   ("kmu", i, shift, names)    the mu kill cycle
-#   ("knu", j, b1, b2, names)   the nu kill cycle
+#   ("kill", d)                 the kill cycle of the mu or nu family d
 #
 # names index the function tuple of a FamilyContext.
 
@@ -198,7 +199,8 @@ class FamilyContext:
         if desc in self._cache:
             return self._cache[desc]
         kind, curve = desc[0], self.curve
-        gsub = self.g_tuple(desc[-1]) if kind != "pt" else []
+        d = desc[1] if kind == "kill" else desc  # a kill cycle lives over d's names
+        gsub = self.g_tuple(d[-1]) if kind != "pt" else []
         if kind == "pt":
             out = decorate("eta_point", desc[1])
         elif kind == "eta":
@@ -208,10 +210,12 @@ class FamilyContext:
         elif kind == "nu":
             _, j, b1, b2, _ = desc
             out = decorate("nu", build_family("Z", curve, gsub, j=j, b1=b1, b2=b2))
-        elif kind == "kmu":
-            out = CycleSum.single(build_mu_killer(curve, gsub, desc[1], desc[2]))
-        elif kind == "knu":
-            out = CycleSum.single(build_nu_killer(curve, gsub, *desc[1:4]))
+        elif kind == "kill":
+            _, _, shift = self._sweep(d)
+            if d[0] == "mu":
+                out = CycleSum.single(build_mu_killer(curve, gsub, shift))
+            else:
+                out = CycleSum.single(build_nu_killer(curve, gsub, d[1], shift, d[3]))
         else:
             raise ValueError(f"unknown descriptor {desc!r}")
         self._cache[desc] = out
@@ -228,8 +232,9 @@ class FamilyContext:
         """The table rows of one descriptor's boundary identity, as
         (group, label, multiplicity, factors): for eta/mu/nu the displayed
         term groups, one product delta[left (x) right] with factors
-        (left, right) per row; for a kill cycle the family members its face
-        sweeps, one factor (member,) per row."""
+        (left, right) per row; for a kill cycle ("kill", d) the family
+        members its face sweeps, one factor (member,) per row: d's own row,
+        first, in the group "own", the others in "swept"."""
         kind = desc[0]
         if kind == "eta":
             _, pts, names = desc
@@ -267,28 +272,23 @@ class FamilyContext:
                 for q, m in self.gs[name].divisor.terms:
                     left = ("nu", jr, ec_add(b1, q), b2, rest)
                     yield "nu-discharge", f"g{i + 1}:{q.key()}", m, (left, ("pt", q))
-        elif kind == "kmu":
-            _, i, shift, names = desc
-            for p, m in self.gs[names[i - 1]].divisor.terms:
-                yield "mu", f"mu^{{{p.key()}+shift}}", m, (("mu", ec_add(p, shift), names),)
-        elif kind == "knu":
-            _, j, b1, b2, names = desc
-            for s, m in self.gs[names[j - 1]].divisor.terms:
-                member = ("nu", j, ec_add(b1, ec_add(s, ec_neg(b2))), b2, names)
-                yield "nu", f"Z^{{b1+{s.key()}-b2}}", m, (member,)
+        elif kind == "kill":
+            d = desc[1]
+            g, slot, shift = self._sweep(d)
+            for p, m in g.divisor.terms:
+                member = d[:slot] + (ec_add(p, shift),) + d[slot + 1 :]
+                label = f"mu^{{{p.key()}+shift}}" if d[0] == "mu" else f"Z^{{b1+{p.key()}-b2}}"
+                yield "own" if member == d else "swept", label, m, (member,)
 
-    def killer(self, desc):
-        """The kill cycle that certifies a chain mu/nu family: its sweep
-        through the first divisor point of g_1 (mu) or of g_j (nu) is desc
-        itself, so desc's own row (desc,) is among the cycle's rows.  The mu
-        cycle sweeps mu^{p + shift}, the nu cycle Z(j, b1 + s - b2, b2)."""
-        if desc[0] == "mu":
-            _, c, names = desc
-            p0 = self.gs[names[0]].divisor.terms[0][0]
-            return ("kmu", 1, ec_add(c, ec_neg(p0)), names)
-        _, j, b1, b2, names = desc
-        s0 = self.gs[names[j - 1]].divisor.terms[0][0]
-        return ("knu", j, ec_add(b1, ec_add(b2, ec_neg(s0))), b2, names)
+    def _sweep(self, d):
+        """(g, slot, shift) of the kill cycle of a mu/nu family d: the cycle
+        sweeps the divisor of g = g_1 (d = mu^c) or g_j (d = Z(j, b1, b2)),
+        and its member at p is d with d[slot] (c or b1) replaced by
+        p + shift.  shift = d[slot] - p0, p0 the first divisor point, so the
+        first member is d itself."""
+        slot = 1 if d[0] == "mu" else 2
+        g = self.gs[d[-1][0] if d[0] == "mu" else d[-1][d[1] - 1]]
+        return g, slot, ec_add(d[slot], ec_neg(g.divisor.terms[0][0]))
 
 
 def verify_expansion(ctx, desc) -> GroupMatchReport:
@@ -319,10 +319,17 @@ def verify_boundary_formulas(ctx, fixed=()) -> BoundaryFormulaReport:
     nu = ("nu", 1, a, b2, names)
     nu_rep = verify_expansion(ctx, nu)
     killers = {
-        "mu-killer": verify_expansion(ctx, ("kmu", 1, a, names)),
-        "nu-killer": verify_expansion(ctx, ("knu", 1, a, b2, names)),
+        "mu-killer": verify_expansion(ctx, ("kill", ("mu", a, names))),
+        "nu-killer": verify_expansion(ctx, ("kill", nu)),
     }
     return BoundaryFormulaReport(eta_rep, mu_rep, nu_rep, len(ctx.boundary(nu)), killers)
+
+
+def certifies(rep: GroupMatchReport) -> bool:
+    """The one certificate rule, for the match of a kill cycle ("kill", d):
+    it certifies d when every member its face sweeps received a scalar and
+    d's own row (d,), the group "own", is among them with a scalar."""
+    return rep.matched and any(i.scalar is not None for i in rep.instances if i.group == "own")
 
 
 def _default_mu_const(gs):

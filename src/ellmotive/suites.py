@@ -365,7 +365,7 @@ def _suite_boundaries(cfg: Config, report: Report):
                 report.add(
                     f"boundaries:{family}:n={n},r={r}",
                     "the kill-cycle boundary reproduces the mu/nu contributions",
-                    k.matched,
+                    formulas.certifies(k),
                     {"reproduced": [(i.label, str(i.scalar)) for i in k.instances],
                      "tail_terms": len(k.unmatched)},
                 )
@@ -442,19 +442,8 @@ def _bar_dd(mc):
 
 
 def _bar_kills(mc):
-    # a certificate counts when its kill cycle matches every swept member
-    # and the family d it certifies is one of them: its own row (d,)
-    # received a scalar
     kills = barcx.kill_certificates(mc)
-    ok = all(k.matched and _own_row_scalar(mc.context, d, k) is not None for d, k in kills)
-    return ok, f"{len(kills)} families certified"
-
-
-def _own_row_scalar(ctx, d, k):
-    """The scalar of the row (d,) in the match k of d's kill cycle, or None
-    when the cycle does not sweep d."""
-    rows = [factors for *_, factors in ctx.expansions(ctx.killer(d))]
-    return k.instances[rows.index((d,))].scalar if (d,) in rows else None
+    return all(formulas.certifies(k) for _, k in kills), f"{len(kills)} families certified"
 
 
 def _bar_comultiply(mc):

@@ -32,7 +32,8 @@ from ellmotive.barcx import (
     verify_cocycle,
 )
 from ellmotive.config import default_config
-from ellmotive.curves import ec_scalar_mul
+from ellmotive import barcx, formulas
+from ellmotive.curves import EllipticCurve, ec_add, ec_neg, ec_scalar_mul
 from ellmotive.cycles import (
     CycleSum,
     SlotMemo,
@@ -41,8 +42,9 @@ from ellmotive.cycles import (
     decorate,
     external_product,
 )
-from ellmotive.fixtures import fixed_points, generator, standard_functions
-from ellmotive.formulas import FamilyContext
+from ellmotive.fields import PrimeField, RationalField
+from ellmotive.fixtures import fixed_points, generator, standard_function, standard_functions
+from ellmotive.formulas import FamilyContext, certifies
 from ellmotive.suites import run_suite
 
 
@@ -198,35 +200,63 @@ def test_kill_certificates(chains):
 
 
 def test_kill_cycles_sweep_the_family_they_certify(chains):
-    # the kill cycle of every chain mu/nu family sweeps that family: its own
-    # row (d,) is among the cycle's rows and received a scalar
+    # the kill cycle ("kill", d) of every chain mu/nu family sweeps that
+    # family: its own row (d,) comes first, in the group "own", and
+    # received a scalar
     _, _, _, mc2 = chains
     ctx = mc2.context
     kills = kill_certificates(mc2)
     assert sorted(d[0] for d, _ in kills) == ["mu"] * 8 + ["nu"] * 8
     for d, k in kills:
-        rows = [factors for *_, factors in ctx.expansions(ctx.killer(d))]
-        assert (d,) in rows, d
-        assert k.instances[rows.index((d,))].scalar is not None, d
+        rows = [(group, factors) for group, _, _, factors in ctx.expansions(("kill", d))]
+        assert rows[0] == ("own", (d,)), d
+        assert all(group == "swept" for group, _ in rows[1:]), d
+        assert k.instances[0].scalar is not None, d
+        assert certifies(k), d
+
+
+_KILL_IDS = ["bar:kill-certificates:n=1", "bar:kill-certificates:n=2"] + [
+    f"boundaries:nu-killer:n={n},r={r}" for n in (1, 2) for r in range(3)
+]
+
+
+def _kill_statuses():
+    # the kill records of both suites on the default config (g1, g2 over Q)
+    cfg = default_config()
+    records = [r for suite in ("bar", "boundaries") for r in run_suite(cfg, suite).records]
+    return {r.id: r.status for r in records if r.id in _KILL_IDS}
 
 
 def test_kill_record_fails_when_the_family_is_not_swept(monkeypatch):
-    # a nu kill cycle with the family's own balance constant sweeps
-    # Z(j, b1 + s - b2, b2) for s in div(g_j), never the family itself
-    # (b2 is off that divisor): its match is complete, yet it certifies
-    # other families, so the record fails
-    cfg = default_config()  # g1, g2 over Q, n_max = 2
-    real = FamilyContext.killer
+    # a nu kill cycle with the family's own balance constant b1 sweeps
+    # Z(j, b1 + s - b2, b2) for s in div(g_j), never the family itself (b2
+    # is off that divisor): its rows match completely, yet they certify
+    # other families, so the nu kill records of both suites fail
+    assert set(_kill_statuses().values()) == {"pass"}
+    real = FamilyContext._sweep
 
-    def unswept(ctx, desc):
-        return ("knu",) + desc[1:] if desc[0] == "nu" else real(ctx, desc)
+    def sweep(ctx, d):
+        g, slot, shift = real(ctx, d)
+        return (g, slot, ec_add(d[2], ec_neg(d[3]))) if d[0] == "nu" else (g, slot, shift)
 
-    records = {r.id: r for r in run_suite(cfg, "bar").records}
-    assert records["bar:kill-certificates:n=2"].status == "pass"
-    monkeypatch.setattr(FamilyContext, "killer", unswept)
-    records = {r.id: r for r in run_suite(cfg, "bar").records}
-    assert records["bar:kill-certificates:n=2"].status == "fail"
-    assert records["bar:kill-certificates:n=1"].status == "pass"  # no nu family
+    monkeypatch.setattr(FamilyContext, "_sweep", sweep)
+    after = _kill_statuses()
+    assert after.pop("bar:kill-certificates:n=1") == "pass"  # no nu family
+    assert len(after) == 7 and set(after.values()) == {"fail"}
+
+
+def test_kill_record_fails_when_the_cycle_skips_its_rows(monkeypatch):
+    # a nu kill cycle built off its rows (balance constant moved by -b2)
+    # sweeps members its rows do not list: the family's row gets no scalar
+    real = formulas.build_nu_killer
+
+    def build(curve, gs, j, shift, b2):
+        return real(curve, gs, j, ec_add(shift, ec_neg(b2)), b2)
+
+    monkeypatch.setattr(formulas, "build_nu_killer", build)
+    after = _kill_statuses()
+    assert after.pop("bar:kill-certificates:n=1") == "pass"
+    assert len(after) == 7 and set(after.values()) == {"fail"}
 
 
 def test_comultiply_grouped_structure(chains):
@@ -456,6 +486,49 @@ def test_block_solve_matches_one_echelon(system):
         assert _apply(columns, x) == rhs
         # an integral quotient is an int, never Fraction(n, 1)
         assert all(type(v) is int or v.denominator != 1 for v in x)
+
+
+def _rank_one_functions(field, n):
+    """g1..gn of the rational fixture's model y^2 + y = x^3 - x, over field."""
+    curve = EllipticCurve.from_coeffs(field, 0, 0, 1, -1, 0)
+    P = generator(curve)
+    blocks = ((2, 3, 1, 4), (5, 8, 6, 7), (9, 12, 10, 11))[:n]
+    return curve, [standard_function(curve, P, ks, f"g{i + 1}") for i, ks in enumerate(blocks)]
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(10007)], ids=["Q", "F_10007"])
+def test_contraction_blocks_have_full_column_rank_after_step_0(monkeypatch, field):
+    # step 0 pairs each candidate with its reversed word (two columns of
+    # rank 1); after it every block has full column rank, so x is forced
+    ranks = []  # per solve: (columns, rank) of each block
+
+    def solve(columns, rhs):
+        block = []
+        for cols in barcx._blocks(columns)[1]:
+            ech = _Echelon()
+            for j in cols:
+                ech.add(columns[j], j)
+            block.append((len(cols), len(ech.rows)))
+        ranks.append(block)
+        return real(columns, rhs)
+
+    real = barcx._solve_exact
+    monkeypatch.setattr(barcx, "_solve_exact", solve)
+    for n, blocks in ((2, [8, 32, 32]), (3, [12, 84, 256, 192])):
+        ranks.clear()
+        build_motive_chain(*_rank_one_functions(field, n))
+        assert [len(step) for step in ranks] == blocks
+        assert ranks[0] == [(2, 1)] * blocks[0]
+        assert all(rank == cols for step in ranks[1:] for cols, rank in step), n
+
+
+@pytest.mark.parametrize("orders", [[(1, 0)], [(2, 1, 0), (1, 2, 0)]], ids=["n=2", "n=3"])
+def test_chain_does_not_depend_on_the_function_order(orders):
+    # over Q: the n = 2 swap, and at n = 3 the reversal and a 3-cycle
+    curve, gs = standard_functions(len(orders[0]))
+    expected = repr(build_motive_chain(curve, gs).chain)
+    for order in orders:
+        assert repr(build_motive_chain(curve, [gs[i] for i in order]).chain) == expected, order
 
 
 _HASH_SEED_SCRIPT = """

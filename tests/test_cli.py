@@ -336,10 +336,41 @@ def test_boundary_formulas_fill_the_given_context():
         ("eta", (a, b), names),
         ("mu", a, names),
         ("nu", 1, a, b, names),
-        ("kmu", 1, a, names),
-        ("knu", 1, a, b, names),
+        ("kill", ("mu", a, names)),
+        ("kill", ("nu", 1, a, b, names)),
     ):
         assert desc in ctx._cache, desc
+
+
+def test_boundaries_kill_records_certify_the_suite_families(monkeypatch):
+    # at every (n, r) of the default config, the mu-killer and nu-killer
+    # records certify the very mu and nu families that the mu-formula and
+    # nu-formula records of that (n, r) check: each kill cycle's first row
+    # is its family, and that row received a scalar
+    from ellmotive import formulas
+
+    calls = []  # (context, r, report) of each verify_boundary_formulas call
+    real = formulas.verify_boundary_formulas
+
+    def verify(ctx, fixed=()):
+        calls.append((ctx, len(fixed), real(ctx, fixed)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(formulas, "verify_boundary_formulas", verify)
+    status = {r.id: r.status for r in run_suite(default_config(), "boundaries").records}
+    assert [(len(ctx.names), r) for ctx, r, _ in calls] == [
+        (n, r) for n in (1, 2) for r in (0, 1, 2)
+    ]
+    for ctx, r, rep in calls:
+        n = len(ctx.names)
+        for family, checked in (("mu-killer", rep.mu), ("nu-killer", rep.nu)):
+            d = next(desc for desc, k in ctx._reports.items() if k is checked)
+            k = rep.killers[family]
+            assert k is formulas.verify_expansion(ctx, ("kill", d)), (family, n, r)
+            rows = [factors for *_, factors in ctx.expansions(("kill", d))]
+            assert rows[0] == (d,) and k.instances[0].scalar is not None, (family, n, r)
+            assert formulas.certifies(k)
+            assert status[f"boundaries:{family}:n={n},r={r}"] == "pass"
 
 
 def _workloads():
@@ -664,4 +695,16 @@ def test_build_motive_inadmissible_input_exits_two(tmp_path, monkeypatch):
         ["--config", write_config(tmp_path, GOOD_CONFIG), "--out", str(out), "build-motive"]
     )
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_build_motive_n_out_of_range_exits_two(tmp_path, capsys, n):
+    # the default config has two functions: --n outside 1..2 is invalid
+    # input, named on stderr, and no report is written
+    out = tmp_path / "motive.json"
+    assert main(["--out", str(out), "build-motive", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --n must be between 1 and 2\n"
+    assert captured.out == ""
     assert not out.exists()

@@ -42,6 +42,14 @@ def test_prime_field_ops():
         PrimeField(2)
 
 
+@pytest.mark.parametrize("F", [RationalField(), PrimeField(11)], ids=["Q", "F_11"])
+def test_fields_coerce_numbers_not_strings(F):
+    # config strings are parsed into Fractions before they reach a field
+    assert F.coerce(Fraction(1, 7)) == F.div(1, 7)
+    with pytest.raises(FieldError, match="cannot coerce"):
+        F.coerce("1/7")
+
+
 def test_field_tags():
     assert isinstance(field_from_tag("rational"), RationalField)
     assert field_from_tag("prime:11").p == 11

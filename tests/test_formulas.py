@@ -12,7 +12,10 @@ from ellmotive.gl2 import H1, MotiveError, PureMotive, tensor_supports
 from ellmotive.lincomb import LinComb
 from ellmotive.formulas import (
     FamilyContext,
+    GroupMatchReport,
+    MatchInstance,
     _match_groups,
+    certifies,
     desc_motive,
     verify_boundary_formulas,
     verify_expansion,
@@ -84,6 +87,22 @@ def test_killers(setup):
     assert k1.matched
     assert len(k1.unmatched) > 0  # the face tail is the homotopy remainder
     assert k2.matched
+
+
+@pytest.mark.parametrize(
+    "rows, certified",
+    [
+        ([("own", 1, 4), ("swept", -1, 4)], True),
+        ([("own", 1, 4), ("swept", None, 0)], True),  # a vanishing member
+        ([("own", 1, 4), ("swept", None, 4)], False),  # a swept member unmatched
+        ([("own", None, 4), ("swept", 1, 4)], False),  # the family itself unmatched
+        ([("own", None, 0), ("swept", 1, 4)], False),  # the family vanishes
+        ([("swept", 1, 4), ("swept", 1, 4)], False),  # the family is not swept
+    ],
+)
+def test_certifies_needs_every_swept_member_and_the_family(rows, certified):
+    instances = [MatchInstance(group, "label", scalar, terms) for group, scalar, terms in rows]
+    assert certifies(GroupMatchReport(instances, [])) is certified
 
 
 def test_full_report_passes(setup):
@@ -159,7 +178,7 @@ def test_desc_motive_labels():
             with pytest.raises(MotiveError):
                 desc_motive(("nu", 1, a, b, names))
     with pytest.raises(ValueError):
-        desc_motive(("kmu", 1, a, ("g1",)))
+        desc_motive(("kill", ("mu", a, ("g1",))))
 
 
 def test_table_products_carry_the_family_label():
@@ -178,11 +197,11 @@ def test_table_products_carry_the_family_label():
                 assert tensor_supports(labels, desc_motive(desc)), (desc, left, right)
                 # the fast path of cycles._point_product: a point factor
                 assert "pt" in (left[0], right[0]), (desc, left, right)
-        # a kill-cycle row is one swept member
-        killers = [ctx.killer(d) for d in descs[1:]]
-        killers += [("kmu", 1, a, ctx.names), ("knu", 1, a, b, ctx.names)] if n else []
-        for killer in killers:
-            assert all(len(factors) == 1 for *_, factors in ctx.expansions(killer)), killer
+        # a kill-cycle row is one swept member, the family's own row first
+        for d in descs[1:]:
+            rows = [factors for *_, factors in ctx.expansions(("kill", d))]
+            assert rows[0] == (d,), d
+            assert all(len(factors) == 1 for factors in rows), d
 
 
 def test_context_rejects_an_inadmissible_tuple(setup):
