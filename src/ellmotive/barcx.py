@@ -142,10 +142,7 @@ def verify_cocycle(chain: BarChain, slots: SlotMemo):
 
 
 def _materialize_word(ctx: FamilyContext, descs) -> BarChain:
-    sums = [ctx.materialize(d) for d in descs]
-    if any(s.is_zero() for s in sums):
-        return BarChain()
-    return BarChain.from_cycle_sums(sums)
+    return BarChain.from_cycle_sums([ctx.materialize(d) for d in descs])
 
 
 class _Echelon:
@@ -512,23 +509,27 @@ class NontrivialityCertificate:
     reason: str
 
 
+def non_principal_point(points) -> CurvePoint | None:
+    """The first point b with (b)-(-b) non-principal, i.e. 2b != 0, or None."""
+    for b in points:
+        if not is_principal(FormalDivisor.of(b.curve, [(b, 1), (ec_neg(b), -1)])):
+            return b
+    return None
+
+
 def nontriviality_witness(chain: BarChain) -> NontrivialityCertificate:
     """The final layer is not a coboundary when some point class (b)-(-b) is
     non-principal, i.e. 2b != 0."""
     pts = final_layer_points(chain)
     if not pts:
         return NontrivialityCertificate(False, None, None, "no point words in the final layer")
-    for _, points in pts:
-        for b in points:
-            if b.infinity:
-                continue
-            div = FormalDivisor.of(b.curve, [(b, 1), (ec_neg(b), -1)])
-            if not is_principal(div):
-                return NontrivialityCertificate(
-                    True, b, ec_add(b, b), f"(P)-(-P) with P = {b.key()} has group-law sum 2P != 0"
-                )
+    b = non_principal_point(p for _, points in pts for p in points)
+    if b is None:
+        return NontrivialityCertificate(
+            False, None, None, "all final-layer points are 2-torsion; every (b)-(-b) is principal"
+        )
     return NontrivialityCertificate(
-        False, None, None, "all final-layer points are 2-torsion; every (b)-(-b) is principal"
+        True, b, ec_add(b, b), f"(P)-(-P) with P = {b.key()} has group-law sum 2P != 0"
     )
 
 

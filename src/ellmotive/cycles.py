@@ -49,13 +49,13 @@ The scan names the parameters t0, t1, .. itself, so the canonical form does
 not depend on the parameter names a term was built with.
 
 The cubical boundary takes, for each cube slot, the zero and pole faces of
-the coordinate's divisor, solves the face equation (`divisors.class_equation`,
-the table fiber restriction solves too) for one parameter, and substitutes;
-signs follow the fixed convention sum_k (-1)^(k-1) (d0_k - dinf_k), and the
-integral multiplicities enter as ints.  Each slot's class equations are
-derived once per cycle: a face checks that none of its cube coordinates is
-identically 0 or infinity by substituting its pivot into the other slots'
-equations, not by deriving them again.
+the coordinate's divisor, solves the face equation (the class's affine
+equation at the slot's arguments, `divisors.class_equation`) for one
+parameter, and substitutes; signs follow the fixed convention
+sum_k (-1)^(k-1) (d0_k - dinf_k), and the integral multiplicities enter as
+ints.  Each slot's class equations are derived once per cycle: a face checks
+that none of its cube coordinates is identically 0 or infinity by
+substituting its pivot into the other slots' equations.
 
 A product pair with a point class among its factors (no parameters, no
 cube coordinates) needs no scan: the other factor is canonical, and the
@@ -95,6 +95,7 @@ from .divisors import (
     is_principal,
     make_fbar_divisor,
     make_fn_divisor,
+    pullback_to_factor,
     render_expr,
 )
 from .lincomb import LinComb
@@ -121,8 +122,21 @@ class AdmissibilityError(ValueError):
 # function specs: a cube coordinate is a function known only by its divisor
 
 
+class _ProductSpec:
+    """The face components of a spec, read off its divisor class on E^arity."""
+
+    @cached_property
+    def _components(self) -> tuple:
+        # built once per spec; not a field, so equality and hashing ignore it
+        return self.divisor_class().terms
+
+    def components(self):
+        """Face components as (class form, coefficient), sorted."""
+        return self._components
+
+
 @dataclass(frozen=True)
-class UserFunction:
+class UserFunction(_ProductSpec):
     """A named rational function on E, given by its (principal) divisor."""
 
     name: str
@@ -148,28 +162,14 @@ class UserFunction:
     def arity(self) -> int:
         return 1
 
-    def components(self):
-        """Face components as (kind tuple, coefficient)."""
-        return [(("D", 1, p), c) for p, c in self.divisor.terms]
+    def divisor_class(self) -> ProductDivisorClass:
+        return pullback_to_factor(self.divisor, 1, 1)
 
     def sym_classes(self):
         return ((1,),)
 
     def spec_key(self) -> str:
         return f"user:{self.name}"
-
-
-class _ProductSpec:
-    """The face components of a spec whose divisor is a product class."""
-
-    @cached_property
-    def _components(self) -> tuple:
-        # built once per spec; not a field, so equality and hashing ignore it
-        return self.divisor_class().terms
-
-    def components(self):
-        """Face components as (kind tuple, coefficient), sorted."""
-        return self._components
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,19 @@ Three layers:
 * `ProductDivisorClass` — a formal sum of *named* codimension-1 classes on
   E^n: coordinate fibers D_i(q) = p_i^*(q), diagonals Delta_{i,j}, the
   antidiagonal Psi_{i,j} = {x_i + x_j = 0}, and the class Dsum(q) cut out by
-  p_{n+1} = -sum(p_i) taking the value q.  On E^2 the class Dsum(0) is the
-  antidiagonal and is normalized to Psi_{1,2} on construction.  The recipes
-  for F-bar_n and F_n live here, as does the (Z/2Z)^2 alternating
-  projection used on E x E classes.
+  p_{n+1} = -sum(p_i) taking the value q.  Each class is stored as its
+  affine equation sum(c_i * x_i) + q = 0, normalized; names are read where
+  a class is made and written where it is sorted or shown, so equal classes
+  (Dsum(0) and Psi_{1,2} on E^2) are one basis element.  The recipes for
+  F-bar_n and F_n live here, as do the factor swap and the (Z/2Z)^2
+  alternating projection on E x E classes, both arithmetic on the equations.
 
 * `PointExpr` — the one affine E-valued expression type, sum(c_k * t_k) +
-  const in named parameters, and `class_equation`, the one table of the
-  affine equations that cut out the named classes.  The cubical faces of
-  the cycle families impose these equations (`cycles.term_faces`), and
-  `restrict_to_fiber` solves them for a fresh parameter at the fiber
-  coordinate, so it returns divisors over point expressions, which evaluate
-  exactly once an assignment is given.
+  const in named parameters, and `class_equation`, a class's equation at
+  point expressions.  The cubical faces of the cycle families impose these
+  equations (`cycles.term_faces`), and `restrict_to_fiber` solves them for
+  a fresh parameter at the fiber coordinate, so it returns divisors over
+  point expressions, which evaluate exactly once an assignment is given.
 """
 
 from __future__ import annotations
@@ -115,26 +116,61 @@ def make_hn_divisor(n: int, u: CurvePoint, v: CurvePoint) -> FormalDivisor:
 # ---------------------------------------------------------------------------
 # named classes on E^n
 
-# NamedClass keys:
-#   ("D", i, point)   coordinate fiber p_i^*(point), 1 <= i <= n
-#   ("Delta", i, j)   {x_i = x_j}, i < j
-#   ("Psi", i, j)     {x_i + x_j = 0}, i < j
-#   ("Dsum", point)   {-(x_1+...+x_n) = point}; the class D_{n+1}(point)
+# A class on E^n is stored as its affine form (c, q), the locus
+# sum(c_i * x_i) + q = 0 with every c_i in {-1, 0, 1}, the first nonzero 1.
+# Its name is read only by `_parse_class` and written only by `_class_key`:
+#   ("D", i, p)       D_i(p) = {x_i = p}                  x_i - p
+#   ("Delta", i, j)   {x_i = x_j}                         x_i - x_j
+#   ("Psi", i, j)     {x_i + x_j = 0}                     x_i + x_j
+#   ("Dsum", p)       D_{n+1}(p) = {-(x_1+...+x_n) = p}   x_1 + ... + x_n + p
+# Equal classes have equal forms: on E^2, Dsum(0) is Psi_{1,2}.
 
 
-def _class_key(cls) -> str:
-    kind = cls[0]
+def _parse_class(curve: EllipticCurve, n: int, named) -> tuple:
+    """The form of a class on E^n given by its name."""
+    kind, *args = named
+    c = [0] * n
     if kind == "D":
-        return f"D{cls[1]}({cls[2].key()})"
-    if kind in ("Delta", "Psi"):
-        return f"{kind}{cls[1]},{cls[2]}"
-    if kind == "Dsum":
-        return f"Dsum({cls[1].key()})"
-    raise DivisorError(f"unknown class {cls!r}")
+        i, p = args
+        if not 1 <= i <= n:
+            raise DivisorError(f"fiber index {i} out of range for E^{n}")
+        c[i - 1], q = 1, ec_neg(p)
+    elif kind in ("Delta", "Psi"):
+        i, j = sorted(args)
+        if not 1 <= i < j <= n:
+            raise DivisorError(f"{kind} indices ({i},{j}) out of range for E^{n}")
+        c[i - 1], c[j - 1], q = 1, (-1 if kind == "Delta" else 1), CurvePoint.at_infinity(curve)
+    elif kind == "Dsum":
+        c, (q,) = [1] * n, args
+    else:
+        raise DivisorError(f"unknown class {named!r}")
+    return tuple(c), q
+
+
+def _class_key(form) -> str:
+    """The name of a form, as the string that sorts and shows it."""
+    c, q = form
+    support = [i for i, ci in enumerate(c, 1) if ci]
+    if len(support) == 1:
+        return f"D{support[0]}({ec_neg(q).key()})"
+    if len(support) == 2 and q.infinity:
+        i, j = support
+        return f"{'Delta' if c[j - 1] < 0 else 'Psi'}{i},{j}"
+    if min(c) == 1:
+        return f"Dsum({q.key()})"
+    raise DivisorError(f"no named class has the equation {c} . x + {q.key()} = 0")
+
+
+def _form(c, q) -> tuple:
+    """The normalized form of sum(c_i * x_i) + q = 0, checked to name a class."""
+    if next(ci for ci in c if ci) < 0:
+        c, q = [-ci for ci in c], ec_neg(q)
+    _class_key((tuple(c), q))  # raises DivisorError on a form with no name
+    return tuple(c), q
 
 
 class ProductDivisorClass(LinComb):
-    """Formal sum of named codimension-1 classes on E^n."""
+    """Formal sum of named codimension-1 classes on E^n, keyed by their forms."""
 
     __slots__ = labels = ("curve", "n")
     sort_key = staticmethod(_class_key)
@@ -142,43 +178,19 @@ class ProductDivisorClass(LinComb):
 
     @classmethod
     def of(cls, curve: EllipticCurve, n: int, items) -> "ProductDivisorClass":
-        return cls(((_normalize_class(k, n), c) for k, c in items), curve, n)
+        """The sum over (name, coefficient) items."""
+        return cls(((_parse_class(curve, n, k), c) for k, c in items), curve, n)
 
-    def coeff(self, cls):
-        return super().coeff(_normalize_class(cls, self.n))
+    def coeff(self, named):
+        return super().coeff(_parse_class(self.curve, self.n, named))
 
     def diff(self, other: "ProductDivisorClass"):
         """Term-by-term difference report: list of (class key, self coeff,
         other coeff), in class-key order."""
-        return [
-            (_class_key(k), self.coeff(k), other.coeff(k)) for k, _ in (self - other).terms
-        ]
+        return [(_class_key(k), self.get(k, 0), other.get(k, 0)) for k, _ in (self - other).terms]
 
-    def _term_repr(self, cls, coeff) -> str:
-        return f"{coeff}*{_class_key(cls)}"
-
-
-def _normalize_class(cls, n: int):
-    kind = cls[0]
-    if kind == "D":
-        _, i, q = cls
-        if not 1 <= i <= n:
-            raise DivisorError(f"fiber index {i} out of range for E^{n}")
-        return ("D", i, q)
-    if kind in ("Delta", "Psi"):
-        _, i, j = cls
-        if i > j:
-            i, j = j, i
-        if not (1 <= i < j <= n):
-            raise DivisorError(f"{kind} indices ({i},{j}) out of range for E^{n}")
-        return (kind, i, j)
-    if kind == "Dsum":
-        _, q = cls
-        # On E^2, {x1 + x2 = -q}: for q = 0 this is exactly the antidiagonal.
-        if n == 2 and q.infinity:
-            return ("Psi", 1, 2)
-        return ("Dsum", q)
-    raise DivisorError(f"unknown class {cls!r}")
+    def _term_repr(self, form, coeff) -> str:
+        return f"{coeff}*{_class_key(form)}"
 
 
 def make_fbar_divisor(curve: EllipticCurve, n: int) -> ProductDivisorClass:
@@ -281,9 +293,6 @@ class PointExpr:
     def __sub__(self, other: "PointExpr") -> "PointExpr":
         return self + (-other)
 
-    def sub_point(self, q: CurvePoint) -> "PointExpr":
-        return PointExpr(self.curve, self.coeffs, ec_add(self.const, ec_neg(q)))
-
     def scale(self, k: int) -> "PointExpr":
         if k == 0:
             return PointExpr.make(self.curve, [])
@@ -351,25 +360,17 @@ def render_expr(ser) -> str:
     return "+".join(f"{c}{n}" for n, c in items) + f"|{const}"
 
 
-def class_equation(named, args) -> PointExpr:
-    """The expression that vanishes where the point (args[0], .., args[n-1])
-    of E^n lies on the named class."""
-    kind = named[0]
-    if kind == "D":
-        _, i, q = named
-        return args[i - 1].sub_point(q)
-    if kind == "Delta":
-        _, i, j = named
-        return args[i - 1] - args[j - 1]
-    if kind == "Psi":
-        _, i, j = named
-        return args[i - 1] + args[j - 1]
-    if kind == "Dsum":
-        total = PointExpr.constant(named[1])
-        for a in args:
-            total = total + a
-        return total
-    raise DivisorError(f"unknown class {named!r}")
+def class_equation(form, args) -> PointExpr:
+    """sum(c_i * args[i]) + q for the form (c, q): the expression that
+    vanishes where the point (args[0], .., args[n-1]) of E^n lies on the
+    class."""
+    c, q = form
+    items, const = [], q
+    for ci, a in zip(c, args):
+        if ci:
+            items += [(name, ci * v) for name, v in a.coeffs]
+            const = ec_add(const, a.const if ci > 0 else ec_neg(a.const))
+    return PointExpr.make(q.curve, items, const)
 
 
 class SymbolicDivisor(LinComb):
@@ -411,12 +412,12 @@ def restrict_to_fiber(cls: ProductDivisorClass, i: int, fixed: dict) -> Symbolic
     t = "x" + max((p for e in fixed.values() for p in e.params()), key=len, default="")
     point = [PointExpr.param(cls.curve, t) if j == i else fixed[j] for j in range(1, n + 1)]
     out = []
-    for named, c in cls.terms:
-        eq = class_equation(named, point)
+    for form, c in cls.terms:
+        eq = class_equation(form, point)
         if t in eq.params():
             out.append((eq.solve(t), c))
         elif eq.is_const() and eq.const.infinity:
-            raise DegeneracyError(f"fixed values lie on {_class_key(named)}")
+            raise DegeneracyError(f"fixed values lie on {_class_key(form)}")
     return SymbolicDivisor.of(cls.curve, out)
 
 
@@ -424,18 +425,10 @@ def restrict_to_fiber(cls: ProductDivisorClass, i: int, fixed: dict) -> Symbolic
 # the (Z/2Z)^2 alternating projection on E^2 classes
 
 
-def _negate_coordinate(named, k: int):
-    kind = named[0]
-    if kind == "D":
-        _, i, q = named
-        return ("D", i, ec_neg(q)) if i == k else named
-    if kind == "Delta":
-        _, i, j = named
-        return ("Psi", i, j) if k in (i, j) else named
-    if kind == "Psi":
-        _, i, j = named
-        return ("Delta", i, j) if k in (i, j) else named
-    raise DivisorError(f"cannot negate a coordinate of {_class_key(named)}")
+def _negate_coordinate(form, k: int):
+    """The image of a class under x_k -> -x_k."""
+    c, q = form
+    return _form([-ci if i == k else ci for i, ci in enumerate(c, 1)], q)
 
 
 def alt_project_square(cls: ProductDivisorClass) -> ProductDivisorClass:
@@ -446,25 +439,17 @@ def alt_project_square(cls: ProductDivisorClass) -> ProductDivisorClass:
     for e1 in (0, 1):
         for e2 in (0, 1):
             sign = (-1) ** (e1 + e2)
-            for named, c in cls.items():
-                img = named
+            for form, c in cls.items():
                 if e1:
-                    img = _negate_coordinate(img, 1)
+                    form = _negate_coordinate(form, 1)
                 if e2:
-                    img = _negate_coordinate(img, 2)
-                items.append((img, c * sign))
-    return ProductDivisorClass.of(cls.curve, 2, items)
+                    form = _negate_coordinate(form, 2)
+                items.append((form, c * sign))
+    return ProductDivisorClass(items, cls.curve, 2)
 
 
 def swap_factors_square(cls: ProductDivisorClass) -> ProductDivisorClass:
     """Pushforward along the swap (x, y) -> (y, x) of E^2."""
     if cls.n != 2:
         raise DivisorError("factor swap is defined on E^2 classes")
-    items = []
-    for named, c in cls.items():
-        if named[0] == "D":
-            _, i, q = named
-            items.append((("D", 3 - i, q), c))
-        else:
-            items.append((named, c))
-    return ProductDivisorClass.of(cls.curve, 2, items)
+    return ProductDivisorClass(((_form(c[::-1], q), v) for (c, q), v in cls.items()), cls.curve, 2)

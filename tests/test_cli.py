@@ -387,6 +387,27 @@ def _workloads():
     return module
 
 
+@pytest.mark.parametrize("p, found", [(19, 1), (17, 0)])
+def test_boundaries_suite_reports_too_few_decoration_points(tmp_path, p, found):
+    # r_max = 2, but the picker finds fewer points: one fail record names the
+    # shortfall, no record claims an r above what was found, and the default
+    # constant's picker failing at r = 0 fails that (n, r) alone
+    w = _workloads()
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps(w._config(f"prime:{p}", w._Field(p), 2, 2, 0)))
+    out = tmp_path / "report.json"
+    assert main(["--config", str(config), "--out", str(out), "verify", "boundaries"]) == 1
+    records = {r["id"]: r for r in json.loads(out.read_text())["records"]}
+    assert len(suites._decoration_points(load_config(str(config)))) == found
+    assert records["boundaries:decoration-points"]["status"] == "fail"
+    assert f"{found} found, 2 needed" in records["boundaries:decoration-points"]["details"]
+    assert not [i for i in records if i.endswith(":aborted")]
+    rs = [int(i.rsplit("r=", 1)[1]) for i in records if ",r=" in i]
+    assert max(rs) == found
+    assert ("boundaries:ddY:n=1" in records) == (found > 0)
+    assert "ValueError" in records["boundaries:formulas:n=1,r=0"]["details"]
+
+
 def test_bar_suite_honours_n_max_and_isolates_failures(monkeypatch):
     # three functions with n_max = 3: every n gets its own record
     cfg = config_from_dict(_workloads().make("boundaries-q-n3", 0).config)

@@ -14,7 +14,12 @@ from ellmotive.divisors import (
     FormalDivisor,
     PointExpr,
     ProductDivisorClass,
+    _class_key,
+    _form,
+    _negate_coordinate,
+    _parse_class,
     alt_project_square,
+    class_equation,
     is_principal,
     make_fbar_divisor,
     make_fn_divisor,
@@ -265,6 +270,109 @@ def test_alt_project_square_identities(E):
 def test_dsum_normalizes_to_psi_on_square(E):
     cls = ProductDivisorClass.of(E, 2, [(("Dsum", zero(E)), 1)])
     assert cls.coeff(("Psi", 1, 2)) == 1
+
+
+# ---------------------------------------------------------------------------
+# classes stored as their affine forms
+
+
+@pytest.mark.parametrize(
+    "n, named, key",
+    [
+        (2, ("D", 2, "P"), "D2({P})"),
+        (2, ("Delta", 2, 1), "Delta1,2"),
+        (2, ("Psi", 2, 1), "Psi1,2"),
+        (2, ("Dsum", "zero"), "Psi1,2"),
+        (2, ("Dsum", "P"), "Dsum({P})"),
+        (3, ("D", 1, "zero"), "D1({zero})"),
+        (3, ("Delta", 3, 1), "Delta1,3"),
+        (3, ("Psi", 3, 2), "Psi2,3"),
+        (3, ("Dsum", "zero"), "Dsum({zero})"),
+        (4, ("D", 4, "negP"), "D4({negP})"),
+        (4, ("Delta", 4, 2), "Delta2,4"),
+        (4, ("Psi", 1, 4), "Psi1,4"),
+        (4, ("Dsum", "P"), "Dsum({P})"),
+    ],
+)
+def test_name_to_form_to_key_normalizes(E, n, named, key):
+    P = generator(E)
+    points = {"P": P, "negP": ec_neg(P), "zero": zero(E)}
+    named = tuple(points.get(a, a) for a in named)
+    key = key.format(**{label: point.key() for label, point in points.items()})
+    assert _class_key(_parse_class(E, n, named)) == key
+
+
+def test_negating_a_coordinate(E):
+    P = generator(E)
+    for n in (2, 3, 4):
+        for k in range(1, n + 1):
+            form = _parse_class(E, n, ("D", k, P))
+            assert _negate_coordinate(form, k) == _parse_class(E, n, ("D", k, ec_neg(P)))
+            other = _parse_class(E, n, ("D", 1 + k % n, P))
+            assert _negate_coordinate(other, k) == other
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                delta = _parse_class(E, n, ("Delta", i, j))
+                psi = _parse_class(E, n, ("Psi", i, j))
+                for k in range(1, n + 1):
+                    want = (psi, delta) if k in (i, j) else (delta, psi)
+                    assert (_negate_coordinate(delta, k), _negate_coordinate(psi, k)) == want
+
+
+def test_a_form_naming_no_class_raises_where_it_is_made(E):
+    P = generator(E)
+    for n in (2, 3, 4):
+        for q in (P, zero(E)) if n > 2 else (P,):
+            dsum = _parse_class(E, n, ("Dsum", q))
+            with pytest.raises(DivisorError):
+                _negate_coordinate(dsum, 1)
+    with pytest.raises(DivisorError):
+        _form((1, -1, 0), P)
+    with pytest.raises(DivisorError):
+        _form((0, 1, 1, 1), zero(E))
+
+
+def _reference_equation(named, args):
+    """The per-kind table of class equations, on normalized names."""
+    kind = named[0]
+    if kind == "D":
+        return args[named[1] - 1] - PointExpr.constant(named[2])
+    if kind == "Dsum":
+        total = PointExpr.constant(named[1])
+        for a in args:
+            total = total + a
+        return total
+    i, j = sorted(named[1:])
+    return args[i - 1] - args[j - 1] if kind == "Delta" else args[i - 1] + args[j - 1]
+
+
+@st.composite
+def _named_class_and_args(draw):
+    n = draw(st.integers(2, 4))
+    point = st.sampled_from(_F101_POINTS)
+    index = st.integers(1, n)
+    named = draw(
+        st.one_of(
+            st.tuples(st.just("D"), index, point),
+            st.tuples(st.sampled_from(("Delta", "Psi")), index, index).filter(
+                lambda k: k[1] != k[2]
+            ),
+            st.tuples(st.just("Dsum"), point),
+        )
+    )
+    args = []
+    for _ in range(n):
+        coeffs = draw(st.lists(st.tuples(st.sampled_from("abc"), st.integers(-2, 2)), max_size=3))
+        args.append(PointExpr.make(_F101, coeffs, draw(point)))
+    return named, tuple(args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named_class_and_args())
+def test_class_equation_matches_the_per_kind_table(case):
+    named, args = case
+    form = _parse_class(_F101, len(args), named)
+    assert class_equation(form, args) == _reference_equation(named, args)
 
 
 def test_divisor_serialization_roundtrip(E):

@@ -304,8 +304,8 @@ def test_param_cycle_moves_round_trip(data):
     P, Q = data.draw(_points(E)), data.draw(_points(E))
     k = data.draw(st.integers(-3, 3).filter(bool))
     s, t = PointExpr.param(E, "s"), PointExpr.param(E, "t")
-    ecoords = ((s + t).sub_point(P), s.scale(k), (t - s).sub_point(Q))
-    qcoords = (FunCoord(FbarSpec(E, 2), (s.sub_point(Q), t.scale(k))),)
+    ecoords = ((s + t) - PointExpr.constant(P), s.scale(k), (t - s) - PointExpr.constant(Q))
+    qcoords = (FunCoord(FbarSpec(E, 2), (s - PointExpr.constant(Q), t.scale(k))),)
     cycle = ParamCycle(E, ("s", "t"), ecoords, qcoords)
     h = hash(cycle)
     sigma = Permutation(tuple(data.draw(st.permutations((1, 2, 3)))))
@@ -363,7 +363,7 @@ def test_value_objects_copy_and_pickle():
     # before and after the lazy caches are filled
     E = two_torsion_curve_f11()
     P = CurvePoint.affine(E, 2, 0)
-    cycle = ParamCycle(E, ("s",), (PointExpr.param(E, "s").sub_point(P),), ())
+    cycle = ParamCycle(E, ("s",), (PointExpr.param(E, "s") - PointExpr.constant(P),), ())
     for _ in range(2):
         for obj in (E, P, cycle):
             dups = (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj)))
