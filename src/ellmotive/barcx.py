@@ -8,7 +8,8 @@ products of adjacent slots (`bar_products`, one slot shorter), with signs
 determined by the cube-dimension parities (the convention compatible with
 the face-sign Leibniz rule); D squares to zero.  D is computed slot by slot:
 each distinct slot's boundary and each distinct adjacent pair's product
-once, in the `cycles.SlotMemo` of the chain's context.
+once, in the memos of the chain's `formulas.FamilyContext`, which the
+boundary-formula checks read too.
 
 `build_motive_chain` assembles the canonical cocycle with a given leading
 family: lower layers are generated mechanically by splicing in the terms of
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, ec_neg
-from .cycles import SlotMemo
 from .divisors import FormalDivisor, is_principal
 from .formulas import (
     FamilyContext,
@@ -90,13 +90,13 @@ class BarChain(LinComb):
 
 
 # D is linear in each slot, so the word level only concatenates tuples and
-# multiplies coefficients; the slot-level pieces come from `slots`, the
-# memo of the chain's context (`ctx.slots`).  The sign of slot i is
-# (-1)^(sum_{k<i} (c_k + 1)): it flips past each slot of even cube
-# dimension.
+# multiplies coefficients; the slot-level pieces come from the memos of the
+# chain's context (`FamilyContext.cycle_boundary` and `.product`).  The
+# sign of slot i is (-1)^(sum_{k<i} (c_k + 1)): it flips past each slot of
+# even cube dimension.
 
 
-def bar_faces(chain: BarChain, slots: SlotMemo) -> BarChain:
+def bar_faces(chain: BarChain, ctx: FamilyContext) -> BarChain:
     """The internal-boundary part of D: each slot replaced by its boundary.
     Every face word keeps the length of its word."""
     items = []
@@ -104,14 +104,14 @@ def bar_faces(chain: BarChain, slots: SlotMemo) -> BarChain:
         c = coeff
         for i, slot in enumerate(word):
             head, tail = word[:i], word[i + 1 :]
-            faces = slots.boundary(slot).items()
+            faces = ctx.cycle_boundary(slot).items()
             items.extend((head + (face,) + tail, c * fc) for face, fc in faces)
             if not slot.c % 2:
                 c = -c
     return BarChain(items)
 
 
-def bar_products(chain: BarChain, slots: SlotMemo) -> BarChain:
+def bar_products(chain: BarChain, ctx: FamilyContext) -> BarChain:
     """The adjacent-product part of D: two neighbouring slots replaced by
     their external product.  Every product word is one slot shorter."""
     items = []
@@ -121,19 +121,19 @@ def bar_products(chain: BarChain, slots: SlotMemo) -> BarChain:
             if not word[i].c % 2:
                 c = -c
             head, tail = word[:i], word[i + 2 :]
-            pairs = slots.product(word[i], word[i + 1]).items()
+            pairs = ctx.product(word[i], word[i + 1]).items()
             items.extend((head + (prod,) + tail, c * pc) for prod, pc in pairs)
     return BarChain(items)
 
 
-def bar_differential(chain: BarChain, slots: SlotMemo) -> BarChain:
+def bar_differential(chain: BarChain, ctx: FamilyContext) -> BarChain:
     """Internal boundaries plus adjacent products, reduced-bar signs."""
-    return bar_faces(chain, slots) + bar_products(chain, slots)
+    return bar_faces(chain, ctx) + bar_products(chain, ctx)
 
 
-def verify_cocycle(chain: BarChain, slots: SlotMemo):
+def verify_cocycle(chain: BarChain, ctx: FamilyContext):
     """True iff the bar differential of the chain canonicalizes to zero."""
-    diff = bar_differential(chain, slots)
+    diff = bar_differential(chain, ctx)
     return diff.is_zero(), diff
 
 
@@ -308,7 +308,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
     if chain.is_zero():
         raise ChainConstructionError("leading family is zero")
     for _ in range(len(gs) + len(fixed) + 4):
-        closed, residual = verify_cocycle(chain, ctx.slots)
+        closed, residual = verify_cocycle(chain, ctx)
         if closed:
             break
         ell = residual.lengths()[0]
@@ -331,7 +331,7 @@ def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
         mats = [_materialize_word(ctx, descs) for descs in cand_words]
         # a candidate is one slot longer than the target, so the length-ell
         # part of its differential is its products; its faces stay longer
-        columns = [bar_products(mat, ctx.slots) for mat in mats]
+        columns = [bar_products(mat, ctx) for mat in mats]
         if any(len(w) != ell for col in columns for w in col):
             raise ChainConstructionError(f"candidate products miss the residual length {ell}")
         x = _solve_exact(columns, -target)
@@ -465,7 +465,7 @@ def comultiply_report(mc: MotiveChain) -> ComultiplyReport:
         if left_sum.is_zero():
             middle.append((p.key(), False, False))
             continue
-        is_cocycle, _ = verify_cocycle(left_sum, ctx.slots)
+        is_cocycle, _ = verify_cocycle(left_sum, ctx)
         target = _materialize_word(ctx, (left,))
         ok = (
             not target.is_zero()

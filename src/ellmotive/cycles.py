@@ -71,10 +71,10 @@ so no raw cycle outlives the call that made it.  The scans of one boundary
 share a memo of E-coordinate table rows, and its faces add up by the keys
 of their least forms (`_least_form`), so only the terms that survive are
 rebuilt; both go with the call.  What is
-worth keeping is keyed by canonical objects on a `formulas.FamilyContext`,
-and lives as long as it: a boundary per descriptor, and in its `SlotMemo`
-the boundary of each distinct slot and the product of each distinct
-ordered slot pair, which the bar differential reads.
+worth keeping lives on a `formulas.FamilyContext`, as long as it does, one
+memo per fact: the boundary of each distinct canonical cycle and the
+product of each distinct ordered pair, which the boundary-formula checks
+and the bar differential both read.
 """
 
 from __future__ import annotations
@@ -126,13 +126,10 @@ class _ProductSpec:
     """The face components of a spec, read off its divisor class on E^arity."""
 
     @cached_property
-    def _components(self) -> tuple:
-        # built once per spec; not a field, so equality and hashing ignore it
+    def components(self) -> tuple:
+        """Face components as (class form, coefficient), sorted; built once
+        per spec, and not a field, so equality and hashing ignore it."""
         return self.divisor_class().terms
-
-    def components(self):
-        """Face components as (class form, coefficient), sorted."""
-        return self._components
 
 
 @dataclass(frozen=True)
@@ -546,7 +543,7 @@ def term_faces(cycle: ParamCycle):
     equations = [
         None
         if isinstance(q, ConstCoord)
-        else [class_equation(component, q.args) for component, _ in q.spec.components()]
+        else [class_equation(component, q.args) for component, _ in q.spec.components]
         for q in cycle.qcoords
     ]
     out = []
@@ -554,7 +551,7 @@ def term_faces(cycle: ParamCycle):
         if eqs is None:
             continue
         slot_sign = -1 if (slot - 1) % 2 else 1
-        for (_, coeff), eq in zip(q.spec.components(), eqs):
+        for (_, coeff), eq in zip(q.spec.components, eqs):
             if coeff.denominator != 1:
                 raise CycleError("face multiplicities must be integers")
             face = _solve_face(cycle, slot, eq, equations)
@@ -647,30 +644,6 @@ def _point_product(z1: ParamCycle, z2: ParamCycle):
         sign = -sign
     merged = tuple(-consts[i] if flip else consts[i] for i, flip in chosen)
     return ParamCycle(other.curve, other.params, merged + other.ecoords[m:], other.qcoords), sign
-
-
-class SlotMemo:
-    """The boundary of each distinct canonical cycle and the external
-    product of each distinct ordered pair of them, each computed once: the
-    slot-level pieces of the bar differential.  The memo lives as long as
-    its owner, a `formulas.FamilyContext`."""
-
-    def __init__(self):
-        self._boundaries = {}  # canonical cycle -> its boundary
-        self._products = {}  # (left, right) canonical cycles -> their product
-
-    def boundary(self, cycle: ParamCycle) -> CycleSum:
-        out = self._boundaries.get(cycle)
-        if out is None:
-            out = self._boundaries[cycle] = boundary(CycleSum([(cycle, 1)]))
-        return out
-
-    def product(self, left: ParamCycle, right: ParamCycle) -> CycleSum:
-        out = self._products.get((left, right))
-        if out is None:
-            out = external_product(CycleSum([(left, 1)]), CycleSum([(right, 1)]))
-            self._products[left, right] = out
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Families are named by descriptors, and `FamilyContext` is the one path from
 a descriptor to its decorated cycle sum: one context per function tuple,
-holding every memo of the cycle engine (a sum, a boundary and a match
-report per descriptor, and the bar differential's `SlotMemo`) for as long
-as it lives.  `FamilyContext.expansions` is the one table of boundary
-identities: per eta, mu or nu descriptor, its displayed term groups as
+holding every memo of the cycle engine for as long as it lives, one per
+fact: a sum and a match report per descriptor, a boundary per canonical
+cycle and a product per ordered pair of them.  A descriptor's boundary is
+the combination of its terms' boundaries, so the checks below and the bar
+differential share each family cycle's boundary.
+`FamilyContext.expansions` is the one table of boundary identities: per
+eta, mu or nu descriptor, its displayed term groups as
 products delta[left (x) right], and per kill cycle the family members its
 face sweeps, one factor each; every row carries its multiplicity.
 `desc_motive` is the one table of the families' pure-motive labels; a
@@ -41,7 +44,6 @@ from .curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
 from .cycles import (
     AdmissibilityError,
     CycleSum,
-    SlotMemo,
     boundary,
     build_family,
     build_mu_killer,
@@ -74,9 +76,6 @@ class GroupMatchReport:
     @property
     def complete(self) -> bool:
         return not self.unmatched and self.matched
-
-    def scalars(self, group: str):
-        return [inst.scalar for inst in self.instances if inst.group == group]
 
 
 @dataclass
@@ -175,9 +174,10 @@ def _without(names, name):
 class FamilyContext:
     """Materializes descriptors over a fixed admissible function tuple and
     holds the boundary-formula table: the checks below match it against
-    exact boundaries, and the bar complex splices it into chains.  The
-    tuple is checked for admissibility once, here, in the context's mode.
-    The memos are filled on first use and go with the context."""
+    exact boundaries, and the bar complex splices it into chains and
+    differentiates them through its memos.  The tuple is checked for
+    admissibility once, here, in the context's mode.  The memos are filled
+    on first use and go with the context."""
 
     def __init__(self, curve, gs, mode="fbar"):
         report = check_admissible(gs, mode)
@@ -188,9 +188,9 @@ class FamilyContext:
         self.names = tuple(self.gs)
         self.mode = mode
         self._cache = {}  # descriptor -> decorated cycle sum
-        self._boundaries = {}  # descriptor -> boundary of its sum
         self._reports = {}  # descriptor -> the match report of its table rows
-        self.slots = SlotMemo()  # the bar differential's slot-level pieces
+        self._boundaries = {}  # canonical cycle -> its boundary
+        self._products = {}  # (left, right) canonical cycles -> their product
 
     def g_tuple(self, names):
         return [self.gs[n] for n in names]
@@ -222,10 +222,28 @@ class FamilyContext:
         return out
 
     def boundary(self, desc) -> CycleSum:
-        """The boundary of a descriptor's decorated sum, computed once."""
-        out = self._boundaries.get(desc)
+        """The boundary of a descriptor's decorated sum: the combination of
+        its terms' boundaries, each computed once (`cycle_boundary`)."""
+        return CycleSum(
+            (face, c * fc)
+            for cycle, c in self.materialize(desc).items()
+            for face, fc in self.cycle_boundary(cycle).items()
+        )
+
+    def cycle_boundary(self, cycle) -> CycleSum:
+        """The boundary of one canonical cycle, computed once."""
+        out = self._boundaries.get(cycle)
         if out is None:
-            out = self._boundaries[desc] = boundary(self.materialize(desc))
+            out = self._boundaries[cycle] = boundary(CycleSum([(cycle, 1)]))
+        return out
+
+    def product(self, left, right) -> CycleSum:
+        """The external product of an ordered pair of canonical cycles,
+        computed once."""
+        out = self._products.get((left, right))
+        if out is None:
+            out = external_product(CycleSum([(left, 1)]), CycleSum([(right, 1)]))
+            self._products[left, right] = out
         return out
 
     def expansions(self, desc):

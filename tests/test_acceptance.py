@@ -174,10 +174,10 @@ def test_criterion_6_boundary_formulas():
 def _assert_dd_zero(mc):
     # D of a cocycle is 0, so D(D(chain)) would apply D to nothing: square D
     # on the length-2 layer, where faces and products both contribute
-    slots = mc.context.slots
-    d = barcx.bar_differential(mc.chain.component(2), slots)
+    ctx = mc.context
+    d = barcx.bar_differential(mc.chain.component(2), ctx)
     assert not d.is_zero()
-    assert barcx.bar_differential(d, slots).is_zero()
+    assert barcx.bar_differential(d, ctx).is_zero()
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,7 @@ def test_criterion_7_motive_chains(chain_fixture):
 
     def body():
         for mc, n in ((mc1, 1), (mc2, 2)):
-            ok, diff = barcx.verify_cocycle(mc.chain, mc.context.slots)
+            ok, diff = barcx.verify_cocycle(mc.chain, mc.context)
             assert ok, f"n={n} chain is not a cocycle"
             _assert_dd_zero(mc)
             assert mc.chain.lengths()[-1] == n + 2
@@ -272,7 +272,7 @@ def test_criterion_11_motive_chain_n3():
 
     def body():
         mc = barcx.build_motive_chain(cfg.curve, cfg.functions)
-        ok, _ = barcx.verify_cocycle(mc.chain, mc.context.slots)
+        ok, _ = barcx.verify_cocycle(mc.chain, mc.context)
         assert ok, "n=3 chain is not a cocycle"
         _assert_dd_zero(mc)
         assert mc.chain.lengths() == [1, 2, 3, 4, 5]

@@ -1,7 +1,9 @@
 """Bar words, chains, cocycles, comultiplication, the nontriviality witness."""
 
 import dataclasses
+import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,12 +33,11 @@ from ellmotive.barcx import (
     verify_coassociativity,
     verify_cocycle,
 )
-from ellmotive.config import default_config
+from ellmotive.config import config_from_dict, default_config
 from ellmotive import barcx, formulas
 from ellmotive.curves import EllipticCurve, ec_add, ec_neg, ec_scalar_mul
 from ellmotive.cycles import (
     CycleSum,
-    SlotMemo,
     boundary,
     build_family,
     decorate,
@@ -45,7 +46,7 @@ from ellmotive.cycles import (
 from ellmotive.fields import PrimeField, RationalField
 from ellmotive.fixtures import fixed_points, generator, standard_function, standard_functions
 from ellmotive.formulas import FamilyContext, certifies
-from ellmotive.suites import run_suite
+from ellmotive.suites import _BAR_CHECKS, _decoration_points, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +58,9 @@ def chains():
 
 
 def test_single_point_word_closed(chains):
-    curve, _, _, _ = chains
+    curve, gs, _, _ = chains
     w = BarChain.from_cycle_sums([decorate("eta_point", generator(curve))])
-    assert bar_differential(w, SlotMemo()).is_zero()
+    assert bar_differential(w, FamilyContext(curve, gs)).is_zero()
 
 
 def test_dd_zero_on_words(chains):
@@ -68,10 +69,10 @@ def test_dd_zero_on_words(chains):
     eta = decorate("eta", build_family("X", curve, gs[:1]))
     mu = decorate("mu", build_family("Y", curve, gs[1:2], fixed=(afix[0],)))
     pt = decorate("eta_point", generator(curve))
-    slots = SlotMemo()
+    ctx = FamilyContext(curve, gs)
     for sums in ([eta], [eta, pt], [pt, eta], [mu, pt, eta], [pt, pt, pt]):
         w = BarChain.from_cycle_sums(sums)
-        assert bar_differential(bar_differential(w, slots), slots).is_zero()
+        assert bar_differential(bar_differential(w, ctx), ctx).is_zero()
 
 
 def test_single_slot_differential_is_boundary(chains):
@@ -79,7 +80,7 @@ def test_single_slot_differential_is_boundary(chains):
     curve, gs, _, _ = chains
     afix = fixed_points(2)
     Y = decorate("mu", build_family("Y", curve, gs[:1], fixed=(afix[0],)))
-    d = bar_differential(BarChain.from_cycle_sums([Y]), SlotMemo())
+    d = bar_differential(BarChain.from_cycle_sums([Y]), FamilyContext(curve, gs))
     assert d.lengths() == [1]
     expected = BarChain.from_cycle_sums([boundary(Y)])
     assert (d + expected).is_zero() or (d - expected).is_zero()
@@ -89,10 +90,10 @@ def test_differential_is_faces_plus_products(chains):
     _, _, mc1, mc2 = chains
     for mc in (mc1, mc2):
         layer = mc.chain.component(2)
-        slots = mc.context.slots
-        faces, products = bar_faces(layer, slots), bar_products(layer, slots)
+        ctx = mc.context
+        faces, products = bar_faces(layer, ctx), bar_products(layer, ctx)
         assert faces.lengths() == [2] and products.lengths() == [1]
-        assert faces + products == bar_differential(layer, slots)
+        assert faces + products == bar_differential(layer, ctx)
 
 
 def _reference_differential(chain):
@@ -116,15 +117,15 @@ def test_slot_memo_differential_matches_the_reference(chains):
     # D is linear in words, so checking each word alone covers every
     # sub-chain, including errors that cancel in a full layer's sum
     _, _, _, mc2 = chains
-    slots = mc2.context.slots
+    ctx = mc2.context
     for word in mc2.chain:
         single = BarChain([(word, 1)])
-        assert bar_differential(single, slots) == _reference_differential(single)
+        assert bar_differential(single, ctx) == _reference_differential(single)
     for length in mc2.chain.lengths():
         layer = mc2.chain.component(length)
         expected = _reference_differential(layer)
         assert not expected.is_zero()
-        assert bar_differential(layer, slots) == expected
+        assert bar_differential(layer, ctx) == expected
     assert _reference_differential(mc2.chain).is_zero()
 
 
@@ -152,7 +153,7 @@ def test_chain_coefficients_are_ints(chains):
 
 def test_chain_n1_structure(chains):
     _, _, mc1, _ = chains
-    assert verify_cocycle(mc1.chain, mc1.context.slots)[0]
+    assert verify_cocycle(mc1.chain, mc1.context)[0]
     assert mc1.chain.lengths() == [1, 2, 3]  # layers n+2 = 3 deep
     final = final_layer_points(mc1.chain)
     assert final and all(len(pts) == 3 for _, pts in final)
@@ -160,7 +161,7 @@ def test_chain_n1_structure(chains):
 
 def test_chain_n2_structure(chains):
     _, _, _, mc2 = chains
-    assert verify_cocycle(mc2.chain, mc2.context.slots)[0]
+    assert verify_cocycle(mc2.chain, mc2.context)[0]
     assert mc2.chain.lengths() == [1, 2, 3, 4]
     top = max(len(w) for w, _ in mc2.chain.terms)
     assert all(
@@ -173,22 +174,61 @@ def test_chain_n0_pairing_structure(chains):
     # displayed pairing eta(a_i) (x) eta(-a_i - sum a_j)
     curve, _, _, _ = chains
     mc = build_motive_chain(curve, [], fixed=tuple(fixed_points(2)))
-    assert verify_cocycle(mc.chain, mc.context.slots)[0]
+    assert verify_cocycle(mc.chain, mc.context)[0]
     assert mc.chain.lengths() == [1, 2]
     pair_words = [w for w, _ in mc.chain.terms if len(w) == 2]
     assert pair_words and all(is_point_word(w) for w in pair_words)
+
+
+# (field, n, r, words, sha256 of the chain's repr) of the decorated chains
+# eta^{fixed}(g1..gn): over Q with `fixed_points(r)`, over F_10007 with the
+# boundaries suite's `_decoration_points`.  The F_10007 pins move when the
+# two decoration pickers become one (ROADMAP item 2).
+DECORATED_CHAINS = [
+    ("Q", 1, 1, 19, "50f89cce1b3d07cd1931358db3e5a2449a0be586dc8bc30e63084e0ca37bf1fb"),
+    ("Q", 1, 2, 29, "9d08ef96e05e47e0bee8487033b96c03076604cfa9facc21db393b104b33a3df"),
+    ("Q", 2, 1, 284, "0b2b7927321bde4460eeada3dfe8f05e4b4131c6da8f359c23f274105bb64184"),
+    ("Q", 2, 2, 415, "48622450401d3436da6757a59e052e17b1bc8d9e813b990a26f765141689bf88"),
+    ("F_10007", 1, 1, 19, "e4b9ce5f8cad7c046e3728c28516111c29aa0c1602b4dd652e0be21a4c6e5019"),
+    ("F_10007", 1, 2, 29, "37eac21b73e0b5db0a12e6fd5f9e5e6faa177a604b2aa4929adc5d73fb49dc7b"),
+    ("F_10007", 2, 1, 284, "b97c8072348225ccb496b650ae6e340240fa2696e2d67239fb54a44da1f379e3"),
+    ("F_10007", 2, 2, 415, "5e4386bb4ce50db0e6c5fb7165c6e481211fbda4bacaa89b69d859c1b77e291e"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, n, r, words, sha256",
+    DECORATED_CHAINS,
+    ids=[f"{field}-n={n}-r={r}" for field, n, r, *_ in DECORATED_CHAINS],
+)
+def test_decorated_chains_pass_every_bar_check(field, n, r, words, sha256):
+    if field == "Q":
+        curve, gs = standard_functions(n)
+        fixed = fixed_points(r)
+    else:
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "workloads.py")
+        workloads = runpy.run_path(path, run_name="perfbench_workloads")
+        cfg = config_from_dict(workloads["fp_config"](0, p=10007))
+        curve, gs = cfg.curve, cfg.functions[:n]
+        fixed = _decoration_points(cfg)[:r]
+    mc = build_motive_chain(curve, gs, fixed=tuple(fixed))
+    failed = [check for check, _, run in _BAR_CHECKS if not run(mc)[0]]
+    assert not failed and grading_coherent(mc)
+    assert len(mc.chain) == words
+    assert hashlib.sha256(repr(mc.chain).encode()).hexdigest() == sha256
 
 
 def test_leading_term_alone_is_not_cocycle(chains):
     _, _, mc1, mc2 = chains
     for mc in (mc1, mc2):
         top = BarChain.of([(w, c) for w, c in mc.chain.terms if len(w) == 1])
-        ok, diff = verify_cocycle(top, mc.context.slots)
+        ok, diff = verify_cocycle(top, mc.context)
         assert not ok and not diff.is_zero()
 
 
-def test_empty_chain_is_cocycle():
-    ok, _ = verify_cocycle(BarChain.of([]), SlotMemo())
+def test_empty_chain_is_cocycle(chains):
+    curve, gs, _, _ = chains
+    ok, _ = verify_cocycle(BarChain.of([]), FamilyContext(curve, gs))
     assert ok
 
 

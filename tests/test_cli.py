@@ -408,6 +408,19 @@ def test_boundaries_suite_reports_too_few_decoration_points(tmp_path, p, found):
     assert "ValueError" in records["boundaries:formulas:n=1,r=0"]["details"]
 
 
+@pytest.mark.parametrize("command", [["verify", "boundaries"], ["report"]])
+def test_config_without_functions_passes(tmp_path, command):
+    # no tuple is checked, so no record needs a decoration point
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps(dict(GOOD_CONFIG, functions=[])))
+    out = tmp_path / "report.json"
+    assert main(["--config", str(config), "--out", str(out), *command]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert [r["id"] for r in records if r["id"].startswith("boundaries:")] == [
+        "boundaries:admissible"
+    ]
+
+
 def test_bar_suite_honours_n_max_and_isolates_failures(monkeypatch):
     # three functions with n_max = 3: every n gets its own record
     cfg = config_from_dict(_workloads().make("boundaries-q-n3", 0).config)
@@ -680,6 +693,14 @@ def test_report_bytes_independent_of_hash_seed():
     assert [proc.returncode for proc in procs] == [0, 0]
     assert outputs[0] and outputs[0] == outputs[1]
     assert hashlib.sha256(outputs[0]).hexdigest() == REPORT_SHA256
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's crash and fail accounting, and its pinned known defect
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cmd = [sys.executable, os.path.join("perfbench", "selftest.py")]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -577,7 +577,7 @@ def _reference_faces(cycle):
     for slot, q in enumerate(cycle.qcoords, start=1):
         if isinstance(q, ConstCoord):
             continue
-        for component, coeff in q.spec.components():
+        for component, coeff in q.spec.components:
             eq = class_equation(component, q.args)
             if eq.is_const():
                 if eq.const.infinity:
@@ -608,7 +608,7 @@ def _reference_faces(cycle):
                             f"cube coordinate {j} is the constant 0 or infinity"
                         )
                     continue
-                for component2, _ in q2.spec.components():
+                for component2, _ in q2.spec.components:
                     eq2 = class_equation(component2, q2.args)
                     if eq2.is_const() and eq2.const.infinity:
                         raise DegeneracyError(
@@ -657,7 +657,7 @@ def _substitution_cases(cycle):
     each class of each function slot the face keeps."""
     slots = [(j, q) for j, q in enumerate(cycle.qcoords) if isinstance(q, FunCoord)]
     for j, q in slots:
-        for component, _ in q.spec.components():
+        for component, _ in q.spec.components:
             eq = class_equation(component, q.args)
             name = next((p for p in cycle.params if dict(eq.coeffs).get(p) in (1, -1)), None)
             if name is None:
@@ -665,7 +665,7 @@ def _substitution_cases(cycle):
             repl = eq.solve(name)
             for k, other in slots:
                 if k != j:
-                    for component2, _ in other.spec.components():
+                    for component2, _ in other.spec.components:
                         yield component2, name, repl, other.args
 
 
@@ -841,9 +841,9 @@ def _all_merged(s1, s2):
 def test_point_products_match_the_scan_on_chain_slot_pairs():
     # every ordered slot pair the n=2 chain's differential multiplies
     curve, gs = standard_functions(2)
-    slots = build_motive_chain(curve, gs).context.slots
-    assert slots._products
-    for (left, right), product in slots._products.items():
+    ctx = build_motive_chain(curve, gs).context
+    assert ctx._products
+    for (left, right), product in ctx._products.items():
         pair = CycleSum([(left, 1)]), CycleSum([(right, 1)])
         assert _all_merged(*pair)
         assert product == _scanned_product(*pair)

@@ -1,7 +1,9 @@
 """Where the cycle engine's memos live and how long they live.
 
-The family context owns every memo: a boundary per descriptor, and the
-bar differential's boundary per slot and product per slot pair.
+The family context owns every memo, one per fact: a sum and a match
+report per descriptor, a boundary per canonical cycle and a product per
+ordered pair of them, which the boundary-formula checks and the bar
+differential share.
 `cycles.boundary` and `cycles.external_product` scan each raw face or
 product once and keep nothing, and `cycles._canonical_cache` grows only
 from family construction.  Products with a point-class factor are merged
@@ -13,7 +15,7 @@ import sys
 import weakref
 
 from ellmotive import cycles, formulas
-from ellmotive.barcx import build_motive_chain
+from ellmotive.barcx import BarChain, bar_faces, build_motive_chain
 from ellmotive.config import default_config
 from ellmotive.fixtures import fixed_points, standard_functions
 from ellmotive.formulas import FamilyContext
@@ -50,8 +52,8 @@ def test_canonical_cache_grows_only_from_family_construction():
     before = len(cycles._canonical_cache)
     cycles.boundary(ctx.boundary(eta))
     cycles.external_product(eta_sum, pt_sum)
-    ctx.slots.boundary(nu_term)
-    ctx.slots.product(nu_term, next(iter(pt_sum)))
+    ctx.cycle_boundary(nu_term)
+    ctx.product(nu_term, next(iter(pt_sum)))
     assert len(cycles._canonical_cache) == before
 
 
@@ -60,9 +62,37 @@ def test_context_boundary_is_computed_once():
     a, _ = fixed_points(2)
     ctx = FamilyContext(curve, gs)
     desc = ("mu", a, ctx.names)
+    (Y,) = ctx.materialize(desc)
     first = ctx.boundary(desc)
-    assert ctx.boundary(desc) is first
-    assert first == cycles.boundary(ctx.materialize(desc))
+    assert ctx.cycle_boundary(Y) is ctx._boundaries[Y]
+    assert ctx.boundary(desc) == first == cycles.boundary(ctx.materialize(desc))
+
+
+def test_family_boundary_is_shared_with_the_bar_faces(monkeypatch):
+    # the formula checks and the bar differential read one memo: Y's
+    # boundary is computed once when ctx.boundary and the faces of a word
+    # holding Y both ask for it
+    calls = []
+    real = cycles.boundary
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    for module in (cycles, formulas):
+        monkeypatch.setattr(module, "boundary", counted)
+    curve, gs = standard_functions(2)
+    a, _ = fixed_points(2)
+    ctx = FamilyContext(curve, gs)
+    mu = ("mu", a, ctx.names)
+    (Y,) = ctx.materialize(mu)
+    word = BarChain.from_cycle_sums([ctx.materialize(("pt", a)), ctx.materialize(mu)])
+    assert not ctx.boundary(mu).is_zero()
+    assert not bar_faces(word, ctx).is_zero()
+    assert not ctx.boundary(mu).is_zero()
+    cycles_asked = [next(iter(s)) for s in calls]
+    assert cycles_asked.count(Y) == 1
+    assert len(cycles_asked) == len(set(cycles_asked)) == len(ctx._boundaries)
 
 
 def test_runs_repeat_and_leave_no_context_behind(monkeypatch):
@@ -73,8 +103,9 @@ def test_runs_repeat_and_leave_no_context_behind(monkeypatch):
 
     def init(self, curve, gs, mode="fbar"):
         real_init(self, curve, gs, mode)
-        assert not (self._cache or self._boundaries or self._reports)
-        assert not (self.slots._boundaries or self.slots._products)
+        assert not (self._cache or self._reports or self._boundaries or self._products)
+        memos = {name for name, value in vars(self).items() if isinstance(value, dict)}
+        assert memos == {"gs", "_cache", "_reports", "_boundaries", "_products"}
         contexts.append(weakref.ref(self))
 
     monkeypatch.setattr(formulas.FamilyContext, "__init__", init)
@@ -104,5 +135,5 @@ def test_products_are_merged_without_a_scan(monkeypatch):
     rep = run_suite(default_config(), "boundaries")
     curve, gs = standard_functions(2)
     mc = build_motive_chain(curve, gs)
-    assert not rep.failed and mc.context.slots._products
+    assert not rep.failed and mc.context._products
     assert not any(callers)

@@ -73,7 +73,7 @@ def test_coefficients_keep_their_exact_type():
     for c in ((f + f)["x"], (f - f.scale(3))["x"], f.scale(2)["x"], (a + f)["x"]):
         assert type(c) is Fraction
     rep = _match_groups(LinComb([("x", 1)]), [("g", "half", LinComb([("x", 2)]))])
-    (scalar,) = rep.scalars("g")
+    (scalar,) = [inst.scalar for inst in rep.instances if inst.group == "g"]
     assert rep.complete and type(scalar) is Fraction and scalar == Fraction(1, 2)
     (x,) = _solve_exact([{"e": 2}], {"e": 1})
     assert type(x) is Fraction and x == Fraction(1, 2)

@@ -28,7 +28,6 @@ TEST_ONLY_METHODS = {
     "ParamCycle.negate_ecoord",
     "ParamCycle.permute_ecoords",
     "ParamCycle.permute_qcoords",
-    "GroupMatchReport.scalars",
     "PureMotive.weight",
     "PureMotive.effective",
     "MotiveSum.dimension",
