@@ -64,6 +64,7 @@ def test_context_boundary_is_computed_once():
     desc = ("mu", a, ctx.names)
     (Y,) = ctx.materialize(desc)
     first = ctx.boundary(desc)
+    assert list(ctx._boundaries) == [Y]  # kept per cycle, not per descriptor
     assert ctx.cycle_boundary(Y) is ctx._boundaries[Y]
     assert ctx.boundary(desc) == first == cycles.boundary(ctx.materialize(desc))
 
