@@ -493,12 +493,16 @@ def final_layer_points(chain: BarChain):
     return pts
 
 
+def layer_labels(mc: MotiveChain) -> list:
+    """The distinct tuples of motive labels of the chain's layer words, sorted."""
+    return sorted({tuple(desc_motive(d) for d in descs) for _, descs in mc.layers})
+
+
 def grading_coherent(mc: MotiveChain) -> bool:
     """Every layer word's motive labels tensor down to a sum containing the
     leading motive: the chain is graded by one pure motive."""
     target = desc_motive(mc.leading)
-    labels = {tuple(desc_motive(d) for d in descs) for _, descs in mc.layers}
-    return all(tensor_supports(ls, target) for ls in labels)
+    return all(tensor_supports(ls, target) for ls in layer_labels(mc))
 
 
 @dataclass

@@ -79,7 +79,6 @@ and the bar differential both read.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -271,10 +270,6 @@ class ParamCycle:
     def dim(self) -> int:
         return len(self.params)
 
-    @property
-    def codim(self) -> int:
-        return self.b + self.c - self.dim
-
     def rename_params(self, mapping: dict) -> "ParamCycle":
         ecoords = tuple(e.rename(mapping) for e in self.ecoords)
         qcoords = tuple(
@@ -284,21 +279,6 @@ class ParamCycle:
             for q in self.qcoords
         )
         return ParamCycle(self.curve, tuple(mapping.get(p, p) for p in self.params), ecoords, qcoords)
-
-    def permute_ecoords(self, sigma) -> "ParamCycle":
-        inv = sigma.inverse()
-        ecoords = tuple(self.ecoords[inv(i) - 1] for i in range(1, self.b + 1))
-        return ParamCycle(self.curve, self.params, ecoords, self.qcoords)
-
-    def negate_ecoord(self, i: int) -> "ParamCycle":
-        ecoords = list(self.ecoords)
-        ecoords[i - 1] = -ecoords[i - 1]
-        return ParamCycle(self.curve, self.params, tuple(ecoords), self.qcoords)
-
-    def permute_qcoords(self, sigma) -> "ParamCycle":
-        inv = sigma.inverse()
-        qcoords = tuple(self.qcoords[inv(i) - 1] for i in range(1, self.c + 1))
-        return ParamCycle(self.curve, self.params, self.ecoords, qcoords)
 
     def __hash__(self) -> int:
         try:
@@ -656,11 +636,14 @@ class AdmissibilityReport:
     violations: tuple = ()
 
 
-def check_admissible(gs, mode: str = "fbar") -> AdmissibilityReport:
-    """Divisor-level admissibility of a function tuple.
+def check_admissible(gs) -> AdmissibilityReport:
+    """Divisor-level admissibility of a function tuple, the same in both
+    modes.
 
-    Checks pairwise disjoint supports, supports avoiding the identity (and in
-    Fn mode the nonzero 2-torsion), evenness, and the 2n-distinct-points
+    Checks pairwise disjoint supports, supports avoiding the 2- and
+    3-torsion, the identity included (the eta rows decorate X by every
+    support point, and `_check_fixed_points` rejects such a point; fn mode's
+    h_n lives on the nonzero 2-torsion), evenness, and the 2n-distinct-points
     count.
     """
     violations = []
@@ -674,14 +657,8 @@ def check_admissible(gs, mode: str = "fbar") -> AdmissibilityReport:
                     f"supports of {gs[i].name} and {gs[j].name} overlap at "
                     + ", ".join(sorted(p.key() for p in overlap))
                 )
-    special = set()
-    if supports:
-        zero = CurvePoint.at_infinity(gs[0].divisor.curve)
-        special.add(zero)
-        if mode == "fn":
-            special.update(full_two_torsion(gs[0].divisor.curve))
     for g, supp in zip(gs, supports):
-        hit = supp & special
+        hit = [p for p in supp if is_two_torsion(p) or ec_scalar_mul(3, p).infinity]
         if hit:
             violations.append(
                 f"support of {g.name} meets excluded points " + ", ".join(sorted(p.key() for p in hit))

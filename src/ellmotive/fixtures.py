@@ -51,13 +51,6 @@ def standard_functions(count: int = 3):
     ]
 
 
-def fixed_points(count: int = 2):
-    """Decoration points for the eta families, disjoint from the g supports."""
-    curve = rank_one_curve()
-    P = generator(curve)
-    return multiples(P, [13, 14][:count])
-
-
 def two_torsion_curve_f11() -> EllipticCurve:
     """y^2 = x(x-2)(x-5) over F_11, with full rational 2-torsion."""
     return EllipticCurve.from_coeffs(PrimeField(11), 0, -7, 0, 10, 0)

@@ -25,9 +25,10 @@ identities pin no signs or multiplicities, so each instance's coefficient
 is solved for and reported rather than asserted.  A match is complete when
 every boundary term is consumed and every group instance received a
 coefficient.  The kill cycle ("kill", d) of a mu/nu family d has as rows
-the members its face sweeps, d's own row first; by `certifies`, the rule of
-both suites, it certifies d when every swept member, d among them, received
-a coefficient.  The terms left over are its face tail, not a failure.
+the members its face sweeps, d's own row first, and members that are one
+canonical cycle are matched as one row; by `certifies`, the rule of both
+suites, it certifies d when every swept row, d's among them, received a
+coefficient.  The terms left over are its face tail, not a failure.
 
 The nu boundary is exactly zero for n = 1.  For n >= 2 its strict face
 boundary consists of product terms delta[smaller-nu (x) point], which the
@@ -90,11 +91,6 @@ class BoundaryFormulaReport:
     def nu_passed(self) -> bool:
         """d(nu) is strictly zero, or the kill-cycle discharge matches it all."""
         return not self.nu_terms or self.nu.complete
-
-    @property
-    def passed(self) -> bool:
-        killers_ok = all(map(certifies, self.killers.values()))
-        return self.eta.complete and self.mu.complete and self.nu_passed and killers_ok
 
 
 def _match_groups(lhs, instances) -> GroupMatchReport:
@@ -176,11 +172,11 @@ class FamilyContext:
     holds the boundary-formula table: the checks below match it against
     exact boundaries, and the bar complex splices it into chains and
     differentiates them through its memos.  The tuple is checked for
-    admissibility once, here, in the context's mode.  The memos are filled
-    on first use and go with the context."""
+    admissibility once, here.  The memos are filled on first use and go
+    with the context."""
 
     def __init__(self, curve, gs, mode="fbar"):
-        report = check_admissible(gs, mode)
+        report = check_admissible(gs)
         if not report.passed:
             raise AdmissibilityError("; ".join(report.violations))
         self.curve = curve
@@ -312,15 +308,39 @@ class FamilyContext:
 def verify_expansion(ctx, desc) -> GroupMatchReport:
     """Match the exact boundary of a descriptor against its table rows, each
     the product of its factors' sums scaled by its multiplicity; matched
-    once per context."""
+    once per context.  The rows of a kill cycle whose members materialize
+    to one canonical cycle are one row (`_merge_coincident`)."""
     rep = ctx._reports.get(desc)
     if rep is None:
         instances = [
             (group, label, reduce(external_product, map(ctx.materialize, factors)).scale(m))
             for group, label, m, factors in ctx.expansions(desc)
         ]
+        if desc[0] == "kill":
+            instances = _merge_coincident(instances)
         rep = ctx._reports[desc] = _match_groups(ctx.boundary(desc), instances)
     return rep
+
+
+def _merge_coincident(instances):
+    """One instance per canonical cycle among kill rows: coincident members
+    are one family term, so their rows add up (in "own" if d's row is among
+    them, under the joined labels, at the first row's place), and a merged
+    row that sums to zero is dropped.  A vanishing member keeps its row."""
+    merged = {}  # the member's cycles (its label when it vanishes) -> row
+    for group, label, inst in instances:
+        key = frozenset(inst) or label
+        if key in merged:
+            first, labels, total = merged[key]
+            group = "own" if group == "own" else first
+            merged[key] = (group, labels + [label], total + inst)
+        else:
+            merged[key] = (group, [label], inst)
+    return [
+        (group, " = ".join(labels), inst)
+        for group, labels, inst in merged.values()
+        if len(labels) == 1 or not inst.is_zero()
+    ]
 
 
 def verify_boundary_formulas(ctx, fixed=()) -> BoundaryFormulaReport:
@@ -345,8 +365,8 @@ def verify_boundary_formulas(ctx, fixed=()) -> BoundaryFormulaReport:
 
 def certifies(rep: GroupMatchReport) -> bool:
     """The one certificate rule, for the match of a kill cycle ("kill", d):
-    it certifies d when every member its face sweeps received a scalar and
-    d's own row (d,), the group "own", is among them with a scalar."""
+    it certifies d when every row of the members its face sweeps received a
+    scalar and d's own row, the group "own", is among them with a scalar."""
     return rep.matched and any(i.scalar is not None for i in rep.instances if i.group == "own")
 
 

@@ -11,6 +11,7 @@ from math import factorial
 from . import barcx, curves, cycles, divisors, formulas, symgrp
 from .config import Config
 from .fixtures import two_torsion_curve_f11, two_torsion_curve_f101
+from .gl2 import PureMotive
 from .report import Report
 
 
@@ -293,7 +294,7 @@ def _add_p_minus_neg_p(cfg: Config, report: Report, rid, anchor, with_double=Fal
 
 def _suite_boundaries(cfg: Config, report: Report):
     curve, gs = cfg.curve, cfg.functions
-    adm = cycles.check_admissible(gs, cfg.mode)
+    adm = cycles.check_admissible(gs)
     report.add(
         "boundaries:admissible",
         "divisors pairwise disjointly supported, disjoint from {(0)}, not even, "
@@ -476,6 +477,18 @@ def _bar_nontriviality(mc):
     }
 
 
+def _bar_weight_graded(mc):
+    # the paper's claim: the chain built for (Sym^n h^1(E))(-1) has that
+    # label as its highest weight graded piece, n the tuple's length
+    leading = formulas.desc_motive(mc.leading)
+    labels = barcx.layer_labels(mc)
+    ok = leading == PureMotive(len(mc.context.names), 1) and barcx.grading_coherent(mc)
+    return ok, {
+        "leading": leading.render(),
+        "layers": [[mot.render() for mot in ls] for ls in labels],
+    }
+
+
 def _bar_leading_alone(mc):
     # the boundary of the leading term is nonempty for n >= 1
     leading_alone, _ = barcx.verify_cocycle(mc.chain.component(1), mc.context)
@@ -513,6 +526,12 @@ _BAR_CHECKS = (
         _bar_nontriviality,
     ),
     ("leading-alone", "the leading term alone is not a cocycle", _bar_leading_alone),
+    (
+        "weight-graded",
+        "the highest weight graded piece is (Sym^n h^1(E))(-1), and every layer "
+        "word's labels tensor down to a sum containing it",
+        _bar_weight_graded,
+    ),
 )
 
 

@@ -44,9 +44,10 @@ from ellmotive.cycles import (
     external_product,
 )
 from ellmotive.fields import PrimeField, RationalField
-from ellmotive.fixtures import fixed_points, generator, standard_function, standard_functions
+from ellmotive.fixtures import generator, standard_function, standard_functions
 from ellmotive.formulas import FamilyContext, certifies
 from ellmotive.suites import _BAR_CHECKS, _decoration_points, run_suite
+from reference import fixed_points
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,43 @@ def test_grading_incoherent_layer_detected(chains):
     P = generator(curve)
     extra = (1, (("pt", P), ("pt", ec_scalar_mul(5, P))))
     assert not grading_coherent(dataclasses.replace(mc1, layers=mc1.layers + [extra]))
+
+
+def _weight_graded(mc):
+    """(ok, details) of the bar suite's weight-graded check on a chain."""
+    return next(run for check, _, run in _BAR_CHECKS if check == "weight-graded")(mc)
+
+
+def test_weight_graded_record(chains):
+    # the leading label Sym^n h1(E)(-1) and the sorted distinct label tuples
+    # of the layers: 3 at n = 1 and 5 at n = 2
+    _, _, mc1, mc2 = chains
+    ok, details = _weight_graded(mc1)
+    assert ok and details == {
+        "leading": "h1(E)(-1)",
+        "layers": [["Q(-1)", "h1(E)"], ["h1(E)", "h1(E)", "h1(E)"], ["h1(E)(-1)"]],
+    }
+    ok, details = _weight_graded(mc2)
+    assert ok and details["leading"] == "Sym^2 h1(E)(-1)" and len(details["layers"]) == 5
+
+
+def test_weight_graded_fails_on_a_foreign_layer(chains):
+    # the layer word of two point families of test_grading_incoherent_layer_detected
+    curve, _, mc1, _ = chains
+    P = generator(curve)
+    extra = (1, (("pt", P), ("pt", ec_scalar_mul(5, P))))
+    ok, details = _weight_graded(dataclasses.replace(mc1, layers=mc1.layers + [extra]))
+    assert not ok and ["h1(E)", "h1(E)"] in details["layers"]
+
+
+def test_weight_graded_fails_on_another_leading_label(chains):
+    # a graded chain led by mu(g1, g2), whose label is Sym^3 h1(E): not the
+    # one built for Sym^2 h1(E)(-1)
+    _, _, _, mc2 = chains
+    mu = ("mu", fixed_points(1)[0], mc2.context.names)
+    led = dataclasses.replace(mc2, leading=mu, layers=[(1, (mu,))])
+    assert grading_coherent(led)
+    assert _weight_graded(led) == (False, {"leading": "Sym^3 h1(E)", "layers": [["Sym^3 h1(E)"]]})
 
 
 def test_nontriviality_witness(chains):

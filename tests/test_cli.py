@@ -305,9 +305,9 @@ def test_boundaries_suite_checks_each_tuple_once(monkeypatch):
     calls, contexts = [], []
     real_check, real_init = cycles.check_admissible, formulas.FamilyContext.__init__
 
-    def check(gs, mode="fbar"):
-        calls.append((tuple(g.name for g in gs), mode))
-        return real_check(gs, mode)
+    def check(gs):
+        calls.append(tuple(g.name for g in gs))
+        return real_check(gs)
 
     def init(self, curve, gs, mode="fbar"):
         contexts.append(tuple(g.name for g in gs))
@@ -319,18 +319,18 @@ def test_boundaries_suite_checks_each_tuple_once(monkeypatch):
     rep = run_suite(cfg, "boundaries")
     assert not rep.failed
     assert len(calls) == 1 + len(contexts)
-    assert [names for names, _ in calls[1:]] == contexts
-    assert {mode for _, mode in calls} == {cfg.mode}
+    assert calls[1:] == contexts
 
 
 def test_boundary_formulas_fill_the_given_context():
-    from ellmotive.fixtures import fixed_points, standard_functions
+    from ellmotive.fixtures import standard_functions
     from ellmotive.formulas import FamilyContext, verify_boundary_formulas
+    from reference import fixed_points, formulas_pass
 
     curve, gs = standard_functions(2)
     a, b = fixed_points(2)
     ctx = FamilyContext(curve, gs)
-    assert verify_boundary_formulas(ctx, (a, b)).passed
+    assert formulas_pass(verify_boundary_formulas(ctx, (a, b)))
     names = ctx.names
     for desc in (
         ("eta", (a, b), names),
@@ -387,11 +387,11 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("p, found", [(19, 1), (17, 0)])
+@pytest.mark.parametrize("p, found", [(19, 1), (11, 0)])
 def test_boundaries_suite_reports_too_few_decoration_points(tmp_path, p, found):
     # r_max = 2, but the picker finds fewer points: one fail record names the
     # shortfall, no record claims an r above what was found, and the default
-    # constant's picker failing at r = 0 fails that (n, r) alone
+    # constant's picker failing at n = 2, r = 0 fails that (n, r) alone
     w = _workloads()
     config = tmp_path / "short.json"
     config.write_text(json.dumps(w._config(f"prime:{p}", w._Field(p), 2, 2, 0)))
@@ -405,7 +405,59 @@ def test_boundaries_suite_reports_too_few_decoration_points(tmp_path, p, found):
     rs = [int(i.rsplit("r=", 1)[1]) for i in records if ",r=" in i]
     assert max(rs) == found
     assert ("boundaries:ddY:n=1" in records) == (found > 0)
-    assert "ValueError" in records["boundaries:formulas:n=1,r=0"]["details"]
+    assert "ValueError" in records["boundaries:formulas:n=2,r=0"]["details"]
+
+
+# y^2 + y = x^3 - x over F_17, two functions on multiples of P = (0, 0);
+# g2 passes through (6, 14), a point of order 3
+F17_CONFIG = {
+    "curve": {"a1": "0", "a2": "0", "a3": "1", "a4": "-1", "a6": "0", "field": "prime:17"},
+    "functions": [
+        {
+            "name": "g1",
+            "divisor": [
+                {"point": ["1", "0"], "coeff": "1"},
+                {"point": ["16", "16"], "coeff": "1"},
+                {"point": ["0", "0"], "coeff": "-1"},
+                {"point": ["2", "14"], "coeff": "-1"},
+            ],
+        },
+        {
+            "name": "g2",
+            "divisor": [
+                {"point": ["13", "10"], "coeff": "1"},
+                {"point": ["9", "14"], "coeff": "1"},
+                {"point": ["6", "14"], "coeff": "-1"},
+                {"point": ["7", "11"], "coeff": "-1"},
+            ],
+        },
+    ],
+    "mode": "fbar",
+    "bounds": {"n_max": 2, "r_max": 2, "random_trials": 20},
+    "seed": 0,
+}
+
+
+def test_small_torsion_support_point_is_inadmissible(tmp_path):
+    # the eta rows decorate X by every support point, and a decoration point
+    # must not be 2- or 3-torsion: the admissibility record fails and names
+    # the point, and no later record meets it
+    out = tmp_path / "report.json"
+    argv = ["--config", write_config(tmp_path, F17_CONFIG), "--out", str(out)]
+    assert main([*argv, "verify", "boundaries"]) == 1
+    records = json.loads(out.read_text())["records"]
+    assert [(r["id"], r["status"]) for r in records] == [("boundaries:admissible", "fail")]
+    assert records[0]["details"] == ["support of g2 meets excluded points (6,14)"]
+
+
+@pytest.mark.parametrize("mode", ["fbar", "fn"])
+def test_small_torsion_support_point_is_inadmissible_in_both_modes(mode):
+    from ellmotive.cycles import AdmissibilityError
+    from ellmotive.formulas import FamilyContext
+
+    cfg = config_from_dict(F17_CONFIG)
+    with pytest.raises(AdmissibilityError, match=r"excluded points \(6,14\)"):
+        FamilyContext(cfg.curve, cfg.functions, mode)
 
 
 @pytest.mark.parametrize("command", [["verify", "boundaries"], ["report"]])
@@ -536,7 +588,7 @@ FP_REPORTS = [
     pytest.param(
         ("verify", "bar"),
         0,
-        "e6c64d930d2a6c992a24121393e231db5c00af9bceb6c989f31e850dc9b36dcd",
+        "ae215b4f38cf4fbf3086140313dd9b8b733b954c7c2233948237510419ac9da9",
         id="verify-bar",
     ),
 ]
@@ -564,7 +616,7 @@ def test_default_text_report_is_byte_stable(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["--format", "text", "--out", str(out), "report"]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "67fef3b0e1a0037c1b6855584aaf428dc9ff74f01228a3d6e469fafe38dfe91b"
+    assert digest == "6bf6348a54b57b4d1b4020468e8355abedcdf3763fb79a42cc5cb8baa3da1b2c"
 
 
 def test_raising_runner_becomes_an_aborted_record(tmp_path, monkeypatch):
@@ -644,7 +696,7 @@ def test_fn_mode_commands_pass(tmp_path, command):
 
 # sha256 of `verify all` on FN_CONFIG: the one pinned report whose faces
 # come from fn-mode (F_n) divisors
-FN_REPORT_SHA256 = "3a0a5f0c2d5d74fa85ad669f1254c4214e706cf5c5c3ffb0d61fb78d2109f6d0"
+FN_REPORT_SHA256 = "fb2bfd2ea780c90abc68304ad867b5965b636b390334d6420627f0e25a447279"
 
 
 def test_fn_mode_report_is_byte_stable(tmp_path, monkeypatch):
@@ -677,7 +729,7 @@ def test_face_multiplicities_are_ints():
 
 # sha256 of `ellmotive report` on the default config; refactors keep the
 # report byte-identical (ROADMAP aim 2), so only a deliberate change moves it
-REPORT_SHA256 = "ea0afb64f39653fcf14ffcd079194e18840923d60a4f9f51f1a347f79187faef"
+REPORT_SHA256 = "8adc84de2a955f6cf5cc08e006e3f43bc0b3d08e3b62fe8224715937cb7ee90e"
 
 
 def test_report_bytes_independent_of_hash_seed():

@@ -17,10 +17,11 @@ import weakref
 from ellmotive import cycles, formulas
 from ellmotive.barcx import BarChain, bar_faces, build_motive_chain
 from ellmotive.config import default_config
-from ellmotive.fixtures import fixed_points, standard_functions
+from ellmotive.fixtures import standard_functions
 from ellmotive.formulas import FamilyContext
 from ellmotive.report import emit_report
 from ellmotive.suites import run_suite
+from reference import fixed_points
 
 
 def test_boundary_keeps_no_raw_face(monkeypatch):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from ellmotive.barcx import build_motive_chain, kill_certificates
+from ellmotive.config import Bounds, Config
 from ellmotive.curves import ec_add, ec_scalar_mul
 from ellmotive.cycles import AdmissibilityError
-from ellmotive.fixtures import fixed_points, generator, standard_functions
+from ellmotive.fixtures import generator, rank_one_curve, standard_function, standard_functions
 from ellmotive.gl2 import H1, MotiveError, PureMotive, tensor_supports
 from ellmotive.lincomb import LinComb
 from ellmotive.formulas import (
@@ -16,10 +18,13 @@ from ellmotive.formulas import (
     MatchInstance,
     _match_groups,
     certifies,
+    desc_key,
     desc_motive,
     verify_boundary_formulas,
     verify_expansion,
 )
+from ellmotive.suites import run_suite
+from reference import fixed_points, formulas_pass
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +115,7 @@ def test_full_report_passes(setup):
     for n in (1, 2):
         for r in (0, 1, 2):
             rep = verify_boundary_formulas(FamilyContext(curve, gs[:n]), tuple(afix[:r]))
-            assert rep.passed, (n, r)
+            assert formulas_pass(rep), (n, r)
 
 
 def test_fn_mode_formula_n1():
@@ -212,3 +217,48 @@ def test_context_rejects_an_inadmissible_tuple(setup):
     curve, gs, _ = setup
     with pytest.raises(AdmissibilityError, match="overlap"):
         FamilyContext(curve, [gs[0], gs[0]])
+
+
+def _rank_one_config(blocks):
+    """g_i = (k1 P) + (k2 P) - (k3 P) - (k4 P) on the rational fixture."""
+    curve = rank_one_curve()
+    P = generator(curve)
+    gs = [standard_function(curve, P, ks, f"g{i + 1}") for i, ks in enumerate(blocks)]
+    return Config(curve, gs, "fbar", Bounds(), 0, raw={})
+
+
+@pytest.mark.parametrize(
+    "blocks, suite, record, status",
+    [
+        # two pairs of same-sign coincident members, d's own row among them:
+        # each pair is one row, and each gets a scalar
+        (((4, 7, 10, 1), (9, 5, 12, 2)), "bar", "bar:kill-certificates:n=2", "pass"),
+        # two swept members are one cycle with opposite multiplicities: their
+        # merged row is zero and dropped, so no swept member lacks a scalar
+        (((5, 6, 3, 8), (10, 11, 9, 12)), "boundaries", "boundaries:nu-killer:n=1,r=1", "pass"),
+        # d's own member cancels against a swept one, so the kill cycle's
+        # boundary lacks d: no certificate
+        (((10, 8, 6, 12), (3, 9, 11, 1)), "bar", "bar:kill-certificates:n=2", "fail"),
+    ],
+    ids=["same-sign-pairs", "swept-pair-cancels", "own-row-cancels"],
+)
+def test_coincident_kill_rows_merge_before_matching(blocks, suite, record, status):
+    records = {r.id: r.status for r in run_suite(_rank_one_config(blocks), suite).records}
+    assert records[record] == status
+
+
+def test_merged_kill_rows():
+    # the same-sign pairs of nu[1][(0,0),(0,0)][g2] on the first tuple above
+    # become two rows under joined labels, d's in "own"
+    cfg = _rank_one_config(((4, 7, 10, 1), (9, 5, 12, 2)))
+    kills = dict(kill_certificates(build_motive_chain(cfg.curve, cfg.functions)))
+    nu = next(d for d in kills if desc_key(d) == "nu[1][(0,0),(0,0)][g2]")
+    rows = [(i.group, i.label.count(" = "), i.scalar) for i in kills[nu].instances]
+    assert rows == [("own", 1, Fraction(1, 2)), ("swept", 1, Fraction(1, 2))]
+    assert certifies(kills[nu])
+    # where d cancels against a swept member no row is d's own
+    cfg = _rank_one_config(((10, 8, 6, 12), (3, 9, 11, 1)))
+    kills = dict(kill_certificates(build_motive_chain(cfg.curve, cfg.functions)))
+    failed = [d for d, k in kills.items() if not certifies(k)]
+    assert [desc_key(d) for d in failed] == ["nu[1][(0,0),(0,0)][g1]"]
+    assert [i.group for i in kills[failed[0]].instances] == ["swept", "swept"]

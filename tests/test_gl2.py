@@ -1,27 +1,26 @@
-"""The GL2 motive label algebra against the character oracle."""
+"""The GL2 motive label algebra against the character oracle of `reference`."""
 
 import pytest
 
-from ellmotive.gl2 import (
-    H1,
-    QQ,
+from ellmotive.gl2 import H1, QQ, MotiveError, MotiveSum, PureMotive, clebsch_gordan, tensor_supports
+from reference import (
     TATE,
-    MotiveError,
-    MotiveSum,
-    PureMotive,
-    clebsch_gordan,
     clebsch_gordan_by_characters,
+    dimension,
+    effective,
     plethysm2,
     plethysm2_by_characters,
+    total_dimension,
+    weight,
 )
 
 
 def test_basic_labels():
-    assert TATE.weight == 2 and TATE.dimension == 1
-    assert H1.weight == 1 and H1.dimension == 2
-    assert PureMotive(2, 1).weight == 4
-    assert PureMotive(3, 0).effective
-    assert not PureMotive(0, -1).effective
+    assert weight(TATE) == 2 and dimension(TATE) == 1
+    assert weight(H1) == 1 and dimension(H1) == 2
+    assert weight(PureMotive(2, 1)) == 4
+    assert effective(PureMotive(3, 0))
+    assert not effective(PureMotive(0, -1))
     assert PureMotive(2, 1).render() == "Sym^2 h1(E)(-1)"
     assert TATE.render() == "Q(-1)"
     with pytest.raises(MotiveError):
@@ -31,9 +30,8 @@ def test_basic_labels():
 def test_clebsch_gordan_examples():
     # h1 (x) h1 = Sym^2 + Q(-1): the Tate class is wedge^2 h^1(E)
     out = clebsch_gordan(H1, H1)
-    assert out.contains(PureMotive(2, 0))
-    assert out.contains(TATE)
-    assert out.dimension == 4
+    assert out.terms == ((TATE, 1), (PureMotive(2, 0), 1))
+    assert total_dimension(out) == 4
     # Sym^0 is the unit
     X = PureMotive(3, 2)
     assert clebsch_gordan(QQ, X).terms == ((X, 1),)
@@ -71,7 +69,7 @@ def test_dimension_conservation():
     for a in range(0, 9):
         for b in range(0, 9):
             out = clebsch_gordan(PureMotive(a), PureMotive(b))
-            assert out.dimension == (a + 1) * (b + 1)
+            assert total_dimension(out) == (a + 1) * (b + 1)
 
 
 def test_weight_conservation():
@@ -79,18 +77,18 @@ def test_weight_conservation():
         for b in range(0, 7):
             V, W = PureMotive(a, 1), PureMotive(b, 2)
             for mot, _ in clebsch_gordan(V, W).terms:
-                assert mot.weight == V.weight + W.weight
+                assert weight(mot) == weight(V) + weight(W)
     for n in range(0, 7):
         V = PureMotive(n, 1)
         for kind in ("sym", "wedge"):
             for mot, _ in plethysm2(kind, V).terms:
-                assert mot.weight == 2 * V.weight
+                assert weight(mot) == 2 * weight(V)
 
 
 def test_plethysm_dimension_split():
     for n in range(0, 9):
         V = PureMotive(n)
-        total = plethysm2("sym", V).dimension + plethysm2("wedge", V).dimension
+        total = total_dimension(plethysm2("sym", V)) + total_dimension(plethysm2("wedge", V))
         assert total == (n + 1) ** 2
 
 
@@ -100,3 +98,16 @@ def test_motive_sum_arithmetic():
     assert (s + s).coeff(H1) == 2
     with pytest.raises(MotiveError):
         MotiveSum.of([(H1, -1)])
+
+
+def test_tensor_supports():
+    # h1 (x) h1 holds Q(-1) and Sym^2, not h1; no labels is the unit Q
+    assert tensor_supports((H1, H1), TATE)
+    assert tensor_supports((H1, H1), PureMotive(2, 0))
+    assert not tensor_supports((H1, H1), H1)
+    assert tensor_supports((), QQ) and not tensor_supports((), H1)
+    # the labels of a length-3 layer word of the n = 2 chain reach its
+    # leading label Sym^2 h1(E)(-1), and no other twist of Sym^2
+    word = (PureMotive(2, 0), H1, H1)
+    assert tensor_supports(word, PureMotive(2, 1))
+    assert not tensor_supports(word, PureMotive(2, 2))

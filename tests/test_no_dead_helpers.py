@@ -11,28 +11,6 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ellmotive"
 
-# referenced only by the tests: the GL2 character oracle and the closed form
-# it checks, the decoration-point fixture, and the grading check on chains
-TEST_ONLY = {
-    "clebsch_gordan_by_characters",
-    "plethysm2",
-    "plethysm2_by_characters",
-    "fixed_points",
-    "grading_coherent",
-}
-
-# methods and properties only the tests read (a method counts as used when
-# src names its name as an attribute anywhere outside its own body)
-TEST_ONLY_METHODS = {
-    "ParamCycle.codim",
-    "ParamCycle.negate_ecoord",
-    "ParamCycle.permute_ecoords",
-    "ParamCycle.permute_qcoords",
-    "PureMotive.weight",
-    "PureMotive.effective",
-    "MotiveSum.dimension",
-}
-
 
 def _trees():
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -67,12 +45,8 @@ def _unreferenced():
 
 
 def test_no_dead_helpers():
-    assert _unreferenced() - TEST_ONLY == set()
-
-
-def test_test_only_list_is_current():
-    # a name that src starts to use again leaves the list
-    assert TEST_ONLY <= _unreferenced()
+    # what only the tests read lives in tests/reference.py
+    assert _unreferenced() == set()
 
 
 def _attributes(node) -> Counter:
@@ -101,11 +75,7 @@ def _unreferenced_methods():
 
 
 def test_no_dead_methods():
-    assert _unreferenced_methods() - TEST_ONLY_METHODS == set()
-
-
-def test_test_only_method_list_is_current():
-    assert TEST_ONLY_METHODS <= _unreferenced_methods()
+    assert _unreferenced_methods() == set()
 
 
 def _unused_parameters():
@@ -234,8 +204,8 @@ def _passed(call, param, index):
 
 def _one_value_parameters():
     """module:def:parameter for every defaulted parameter of a def that src
-    calls, where no src call sets it (a def only the tests call is on the
-    TEST_ONLY list).  Forwarding a one-value parameter of the calling def
+    calls, where no src call sets it (a def only the tests call is a dead
+    helper).  Forwarding a one-value parameter of the calling def
     sets nothing, so the set grows to a fixed point."""
     trees = _trees()
     calls = _calls(trees)
