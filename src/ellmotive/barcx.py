@@ -32,8 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import CurvePoint, ec_add, ec_neg
-from .divisors import FormalDivisor, is_principal
+from .curves import CurvePoint, ec_add, is_two_torsion
 from .formulas import (
     FamilyContext,
     _match_groups,
@@ -514,9 +513,10 @@ class NontrivialityCertificate:
 
 
 def non_principal_point(points) -> CurvePoint | None:
-    """The first point b with (b)-(-b) non-principal, i.e. 2b != 0, or None."""
+    """The first point b with (b)-(-b) non-principal, or None.  That divisor
+    sums to 2b, so by Abel's criterion it is principal iff 2b = 0."""
     for b in points:
-        if not is_principal(FormalDivisor.of(b.curve, [(b, 1), (ec_neg(b), -1)])):
+        if not is_two_torsion(b):
             return b
     return None
 

@@ -62,6 +62,11 @@ cube coordinates) needs no scan: the other factor is canonical, and the
 point's constants merge into its sorted constant block (`_point_product`).
 Every product the suites and the bar differential make has such a factor.
 
+Where a point may sit is one predicate, `misplaced`: off every support up
+to sign and off the 2- and 3-torsion.  Admissibility reads it for each
+support point against the later functions, `build_family` for the decoration
+points of X, and both decoration pickers in `formulas` for their candidates.
+
 Where the memos live.  `canonical_term` keeps its results in the module's
 `_canonical_cache` for the life of the process; only family construction
 (`CycleSum.of`, from `build_family`/`decorate` through a context) goes
@@ -627,63 +632,63 @@ def _point_product(z1: ParamCycle, z2: ParamCycle):
 
 
 # ---------------------------------------------------------------------------
-# admissibility
+# placement: where a point may sit
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    passed: bool
-    violations: tuple = ()
+_SMALL_TORSION = "is 2- or 3-torsion"
 
 
-def check_admissible(gs) -> AdmissibilityReport:
-    """Divisor-level admissibility of a function tuple, the same in both
-    modes.
+def misplaced(p, gs):
+    """Why the families over gs cannot use the point p, or None: p or -p
+    lies in some support, or p is 2- or 3-torsion (the identity included).
+    Support membership goes first: a point it rejects costs no group-law
+    step."""
+    neg = ec_neg(p)
+    for g in gs:
+        if p in g.divisor or neg in g.divisor:
+            return f"meets the support of {g.name}"
+    if is_two_torsion(p) or ec_scalar_mul(3, p).infinity:
+        return _SMALL_TORSION
+    return None
 
-    Checks pairwise disjoint supports, supports avoiding the 2- and
-    3-torsion, the identity included (the eta rows decorate X by every
-    support point, and `_check_fixed_points` rejects such a point; fn mode's
-    h_n lives on the nonzero 2-torsion), evenness, and the 2n-distinct-points
-    count.
+
+def check_admissible(gs) -> tuple:
+    """The violations of divisor-level admissibility of a function tuple,
+    the same in both modes; empty when the tuple is admissible.
+
+    Each support point must be placeable (`misplaced`) over the functions
+    after its own, so the supports are disjoint up to sign and avoid the 2-
+    and 3-torsion (the eta rows decorate X by every support point; fn mode's
+    h_n lives on the nonzero 2-torsion).  No function may be even, and the
+    supports hold at least 2n distinct points.
     """
     violations = []
-    n = len(gs)
-    supports = [set(g.divisor) for g in gs]
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            overlap = supports[i] & supports[j]
-            if overlap:
-                violations.append(
-                    f"supports of {gs[i].name} and {gs[j].name} overlap at "
-                    + ", ".join(sorted(p.key() for p in overlap))
-                )
-    for g, supp in zip(gs, supports):
-        hit = [p for p in supp if is_two_torsion(p) or ec_scalar_mul(3, p).infinity]
-        if hit:
+    for i, g in enumerate(gs):
+        hits = {}  # reason -> the keys of g's support points it names
+        for p in g.divisor.support():
+            why = misplaced(p, gs[i + 1 :])
+            if why:
+                hits.setdefault(why, []).append(p.key())
+        for why, keys in hits.items():
+            at = ", ".join(keys)
             violations.append(
-                f"support of {g.name} meets excluded points " + ", ".join(sorted(p.key() for p in hit))
+                f"support of {g.name} meets excluded points {at}"
+                if why == _SMALL_TORSION
+                else f"support of {g.name} {why} up to sign at {at}"
             )
         if g.divisor.negate_points() == g.divisor:
             violations.append(f"{g.name} is even (divisor invariant under x -> -x)")
-    distinct = set().union(*supports) if supports else set()
-    if len(distinct) < 2 * n:
-        violations.append(f"only {len(distinct)} distinct support points; need at least {2 * n}")
-    return AdmissibilityReport(not violations, tuple(violations))
+    distinct = set().union(*(g.divisor for g in gs))
+    if len(distinct) < 2 * len(gs):
+        violations.append(f"only {len(distinct)} distinct support points; need at least {2 * len(gs)}")
+    return tuple(violations)
 
 
 def _check_fixed_points(fixed, gs):
-    seen = set()
-    for a in fixed:
-        if a.infinity:
-            raise AdmissibilityError("fixed decoration points must be nonzero")
-        if is_two_torsion(a) or ec_scalar_mul(3, a).infinity:
-            raise AdmissibilityError(f"fixed point {a.key()} is 2- or 3-torsion")
-        if a in seen:
-            raise AdmissibilityError(f"fixed point {a.key()} repeated")
-        seen.add(a)
-        for g in gs:
-            if a in g.divisor or ec_neg(a) in g.divisor:
-                raise AdmissibilityError(f"fixed point {a.key()} meets the support of {g.name}")
+    for i, a in enumerate(fixed):
+        why = misplaced(a, gs) or (a in fixed[:i] and "repeated")
+        if why:
+            raise AdmissibilityError(f"fixed point {a.key()} {why}")
 
 
 def _check_b2(gs, j, b2):

@@ -181,9 +181,6 @@ class ProductDivisorClass(LinComb):
         """The sum over (name, coefficient) items."""
         return cls(((_parse_class(curve, n, k), c) for k, c in items), curve, n)
 
-    def coeff(self, named):
-        return super().coeff(_parse_class(self.curve, self.n, named))
-
     def diff(self, other: "ProductDivisorClass"):
         """Term-by-term difference report: list of (class key, self coeff,
         other coeff), in class-key order."""
@@ -383,9 +380,6 @@ class SymbolicDivisor(LinComb):
     @classmethod
     def of(cls, curve, items) -> "SymbolicDivisor":
         return cls(items, curve)
-
-    def degree(self):
-        return sum(self.values())
 
     def evaluate(self, assignment) -> FormalDivisor:
         return FormalDivisor.of(self.curve, [(p.evaluate(assignment), c) for p, c in self.items()])

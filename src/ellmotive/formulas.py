@@ -13,6 +13,9 @@ products delta[left (x) right], and per kill cycle the family members its
 face sweeps, one factor each; every row carries its multiplicity.
 `desc_motive` is the one table of the families' pure-motive labels; a
 cycle sum carries none.  A context checks its tuple's admissibility once.
+Both decoration pickers, `_default_mu_const` (the mu constant when none is
+given) and `_decoration_points` (the boundaries suite's points), filter
+their candidates through the rule that admitted the tuple, `cycles.misplaced`.
 The boundaries suite, the checks below and `barcx.build_motive_chain` all
 materialize through a context, and the chain builder splices the same table.
 
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .curves import CurvePoint, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
+from .curves import CurvePoint, ec_add, ec_neg, is_two_torsion
 from .cycles import (
     AdmissibilityError,
     CycleSum,
@@ -52,6 +55,7 @@ from .cycles import (
     check_admissible,
     decorate,
     external_product,
+    misplaced,
 )
 from .gl2 import H1, PureMotive
 
@@ -176,9 +180,9 @@ class FamilyContext:
     with the context."""
 
     def __init__(self, curve, gs, mode="fbar"):
-        report = check_admissible(gs)
-        if not report.passed:
-            raise AdmissibilityError("; ".join(report.violations))
+        violations = check_admissible(gs)
+        if violations:
+            raise AdmissibilityError("; ".join(violations))
         self.curve = curve
         self.gs = {g.name: g for g in gs}
         self.names = tuple(self.gs)
@@ -370,23 +374,38 @@ def certifies(rep: GroupMatchReport) -> bool:
     return rep.matched and any(i.scalar is not None for i in rep.instances if i.group == "own")
 
 
-def _default_mu_const(gs):
-    # a point away from supports and torsion whose shifts a + p stay away from
-    # 2-torsion, so no mu target degenerates
-    supports = set()
+def _signed_support(gs) -> set:
+    """The support points of gs and their negatives: both pickers' bases."""
+    out = set()
     for g in gs:
-        supports.update(g.divisor)
-        supports.update(ec_neg(p) for p in g.divisor)
+        out.update(g.divisor)
+        out.update(ec_neg(p) for p in g.divisor)
+    return out
+
+
+def _default_mu_const(gs):
+    # 2p for a support point p up to sign, placeable over gs, whose shifts
+    # a + q stay away from 2-torsion, so no mu target degenerates
+    supports = _signed_support(gs)
     for p in sorted(supports, key=lambda q: q.key()):
         cand = ec_add(p, p)
-        if (
-            cand.infinity
-            or cand in supports
-            or is_two_torsion(cand)
-            or ec_scalar_mul(3, cand).infinity
-        ):
-            continue
-        if any(is_two_torsion(ec_add(cand, q)) for q in supports):
+        if misplaced(cand, gs) or any(is_two_torsion(ec_add(cand, q)) for q in supports):
             continue
         return cand
     raise ValueError("no admissible decoration constant found")
+
+
+def _decoration_points(gs, count):
+    """Up to count decoration constants p + q, p and q support points up to
+    sign, each placeable over gs and distinct from the others up to sign."""
+    base = sorted(_signed_support(gs), key=lambda p: p.key())
+    out = []
+    for p in base:
+        for q in base:
+            cand = ec_add(p, q)
+            if misplaced(cand, gs) or cand in out or ec_neg(cand) in out:
+                continue
+            out.append(cand)
+            if len(out) >= count:
+                return out
+    return out

@@ -294,17 +294,17 @@ def _add_p_minus_neg_p(cfg: Config, report: Report, rid, anchor, with_double=Fal
 
 def _suite_boundaries(cfg: Config, report: Report):
     curve, gs = cfg.curve, cfg.functions
-    adm = cycles.check_admissible(gs)
+    violations = cycles.check_admissible(gs)
     report.add(
         "boundaries:admissible",
         "divisors pairwise disjointly supported, disjoint from {(0)}, not even, "
         ">= 2n distinct points",
-        adm.passed,
-        list(adm.violations),
+        not violations,
+        list(violations),
     )
-    if not adm.passed:
+    if violations:
         return
-    fixed = _decoration_points(cfg)
+    fixed = formulas._decoration_points(gs, cfg.bounds.r_max + 1)
     # the records at r use fixed[:r], the Y and Z families fixed[0]: a
     # shortfall is one fail record when a tuple is checked (n_max >= 1), and
     # no record claims a point it lacks
@@ -407,33 +407,6 @@ def _match_failure(rep) -> dict:
     }
 
 
-def _decoration_points(cfg: Config):
-    """Decoration constants away from supports and small torsion."""
-    supports = set()
-    for g in cfg.functions:
-        supports.update(g.divisor)
-        supports.update(curves.ec_neg(p) for p in g.divisor)
-    out = []
-    base = sorted(supports, key=lambda p: p.key())
-    for p in base:
-        for q in base:
-            cand = curves.ec_add(p, q)
-            if (
-                cand.infinity
-                or cand in supports
-                or curves.ec_neg(cand) in supports
-                or curves.is_two_torsion(cand)
-                or curves.ec_scalar_mul(3, cand).infinity
-                or cand in out
-                or curves.ec_neg(cand) in out
-            ):
-                continue
-            out.append(cand)
-            if len(out) >= cfg.bounds.r_max + 1:
-                return out
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 _CHAIN_ERRORS = (barcx.ChainConstructionError, divisors.DegeneracyError, cycles.AdmissibilityError)
@@ -455,7 +428,10 @@ def _bar_dd(mc):
 
 def _bar_kills(mc):
     kills = barcx.kill_certificates(mc)
-    return all(formulas.certifies(k) for _, k in kills), f"{len(kills)} families certified"
+    failing = [formulas.desc_key(d) for d, k in kills if not formulas.certifies(k)]
+    if failing:
+        return False, f"{len(failing)} of {len(kills)} families not certified: " + ", ".join(failing)
+    return True, f"{len(kills)} families certified"
 
 
 def _bar_comultiply(mc):

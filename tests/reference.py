@@ -1,10 +1,12 @@
 """What the tests compare the program against, and the program itself never
 reads: the GL2 character oracle with the plethysm closed form it checks and
 the labels' dimension and weight, the decoration-point fixture, the signed
-symmetry moves on parametric cycles, and the full pass rule of a
-boundary-formula report."""
+symmetry moves on parametric cycles, the named-class coefficient and
+symbolic-divisor degree, and the full pass rule of a boundary-formula
+report."""
 
 from ellmotive.cycles import ParamCycle
+from ellmotive.divisors import _parse_class
 from ellmotive.fixtures import generator, multiples, rank_one_curve
 from ellmotive.formulas import certifies
 from ellmotive.gl2 import MotiveError, MotiveSum, PureMotive
@@ -147,6 +149,21 @@ def permute_qcoords(cycle: ParamCycle, sigma) -> ParamCycle:
     inv = sigma.inverse()
     qcoords = tuple(cycle.qcoords[inv(i) - 1] for i in range(1, cycle.c + 1))
     return ParamCycle(cycle.curve, cycle.params, cycle.ecoords, qcoords)
+
+
+# ---------------------------------------------------------------------------
+# divisors
+
+
+def class_coeff(cls, named):
+    """The coefficient in a class on E^n of the class given by its name,
+    e.g. ("Delta", 1, 2) or ("D", 1, p)."""
+    return cls.coeff(_parse_class(cls.curve, cls.n, named))
+
+
+def symbolic_degree(sym) -> int:
+    """The degree of a divisor of point expressions."""
+    return sum(sym.values())
 
 
 # ---------------------------------------------------------------------------

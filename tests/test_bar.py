@@ -45,8 +45,8 @@ from ellmotive.cycles import (
 )
 from ellmotive.fields import PrimeField, RationalField
 from ellmotive.fixtures import generator, standard_function, standard_functions
-from ellmotive.formulas import FamilyContext, certifies
-from ellmotive.suites import _BAR_CHECKS, _decoration_points, run_suite
+from ellmotive.formulas import FamilyContext, _decoration_points, certifies
+from ellmotive.suites import _BAR_CHECKS, run_suite
 from reference import fixed_points
 
 
@@ -183,8 +183,8 @@ def test_chain_n0_pairing_structure(chains):
 
 # (field, n, r, words, sha256 of the chain's repr) of the decorated chains
 # eta^{fixed}(g1..gn): over Q with `fixed_points(r)`, over F_10007 with the
-# boundaries suite's `_decoration_points`.  The F_10007 pins move when the
-# two decoration pickers become one (ROADMAP item 2).
+# boundaries suite's picker, `formulas._decoration_points`.  The F_10007 pins
+# move when the two decoration pickers become one (ROADMAP item 2).
 DECORATED_CHAINS = [
     ("Q", 1, 1, 19, "50f89cce1b3d07cd1931358db3e5a2449a0be586dc8bc30e63084e0ca37bf1fb"),
     ("Q", 1, 2, 29, "9d08ef96e05e47e0bee8487033b96c03076604cfa9facc21db393b104b33a3df"),
@@ -211,7 +211,7 @@ def test_decorated_chains_pass_every_bar_check(field, n, r, words, sha256):
         workloads = runpy.run_path(path, run_name="perfbench_workloads")
         cfg = config_from_dict(workloads["fp_config"](0, p=10007))
         curve, gs = cfg.curve, cfg.functions[:n]
-        fixed = _decoration_points(cfg)[:r]
+        fixed = _decoration_points(cfg.functions, cfg.bounds.r_max + 1)[:r]
     mc = build_motive_chain(curve, gs, fixed=tuple(fixed))
     failed = [check for check, _, run in _BAR_CHECKS if not run(mc)[0]]
     assert not failed and grading_coherent(mc)

@@ -10,7 +10,7 @@ import sys
 import pytest
 from fractions import Fraction
 
-from ellmotive import barcx, curves, suites
+from ellmotive import barcx, curves, formulas, suites
 from ellmotive.cli import main
 from ellmotive.config import ConfigError, config_from_dict, default_config, load_config
 from ellmotive.cycles import CycleSum, boundary, build_family
@@ -250,10 +250,8 @@ def test_divisors_suite_has_flagged_records(tmp_path):
 def test_boundaries_suite_isolates_degenerate_checks(tmp_path, monkeypatch):
     # one degenerate family fails its own dd record and the formula records
     # that materialize it, not the rest
-    from ellmotive import formulas, suites
-
     cfg = load_config(write_config(tmp_path, GOOD_CONFIG))
-    degenerate = ("eta", tuple(suites._decoration_points(cfg)[:1]), ("g1",))
+    degenerate = ("eta", tuple(formulas._decoration_points(cfg.functions, 1)), ("g1",))
     real = formulas.FamilyContext.materialize
 
     def materialize(self, desc):
@@ -398,7 +396,8 @@ def test_boundaries_suite_reports_too_few_decoration_points(tmp_path, p, found):
     out = tmp_path / "report.json"
     assert main(["--config", str(config), "--out", str(out), "verify", "boundaries"]) == 1
     records = {r["id"]: r for r in json.loads(out.read_text())["records"]}
-    assert len(suites._decoration_points(load_config(str(config)))) == found
+    cfg = load_config(str(config))
+    assert len(formulas._decoration_points(cfg.functions, cfg.bounds.r_max + 1)) == found
     assert records["boundaries:decoration-points"]["status"] == "fail"
     assert f"{found} found, 2 needed" in records["boundaries:decoration-points"]["details"]
     assert not [i for i in records if i.endswith(":aborted")]
@@ -458,6 +457,75 @@ def test_small_torsion_support_point_is_inadmissible_in_both_modes(mode):
     cfg = config_from_dict(F17_CONFIG)
     with pytest.raises(AdmissibilityError, match=r"excluded points \(6,14\)"):
         FamilyContext(cfg.curve, cfg.functions, mode)
+
+
+# the F_p workload's curve and blocks over F_23: g2 passes through
+# (2, 2) = -(2, 20) and (22, 0) = -(22, 22), both on g1
+F23_CONFIG = dict(
+    F17_CONFIG,
+    curve=dict(F17_CONFIG["curve"], field="prime:23"),
+    functions=[
+        {
+            "name": "g1",
+            "divisor": [
+                {"point": ["1", "0"], "coeff": "1"},
+                {"point": ["22", "22"], "coeff": "1"},
+                {"point": ["0", "0"], "coeff": "-1"},
+                {"point": ["2", "20"], "coeff": "-1"},
+            ],
+        },
+        {
+            "name": "g2",
+            "divisor": [
+                {"point": ["6", "8"], "coeff": "1"},
+                {"point": ["22", "0"], "coeff": "1"},
+                {"point": ["6", "14"], "coeff": "-1"},
+                {"point": ["2", "2"], "coeff": "-1"},
+            ],
+        },
+    ],
+)
+
+
+def test_supports_meeting_up_to_sign_are_inadmissible(tmp_path):
+    # the eta rows decorate X by the support points of g1, which must lie off
+    # the support of g2 up to sign: the admissibility record fails and names
+    # them, and no later record meets them
+    out = tmp_path / "report.json"
+    argv = ["--config", write_config(tmp_path, F23_CONFIG), "--out", str(out)]
+    assert main([*argv, "verify", "boundaries"]) == 1
+    records = json.loads(out.read_text())["records"]
+    assert [(r["id"], r["status"]) for r in records] == [("boundaries:admissible", "fail")]
+    assert records[0]["details"] == [
+        "support of g1 meets the support of g2 up to sign at (2,20), (22,22)"
+    ]
+
+
+def test_admissible_tuples_never_trip_a_family_check():
+    # every family of an admissible tuple places its points by the rule that
+    # admitted the tuple; "no constant" is the picker's own failure
+    from ellmotive.cycles import AdmissibilityError, check_admissible
+    from ellmotive.formulas import FamilyContext, verify_boundary_formulas
+
+    w = _workloads()
+    admissible = []
+    for p in range(11, 401):
+        if not w._is_prime(p) or w.DISCRIMINANT % p == 0:
+            continue
+        cfg = config_from_dict(w._config(f"prime:{p}", w._Field(p), 2, 2, 0))
+        if check_admissible(cfg.functions):
+            continue
+        admissible.append(p)
+        try:
+            verify_boundary_formulas(FamilyContext(cfg.curve, cfg.functions))
+        except AdmissibilityError as exc:
+            pytest.fail(f"p = {p}: {exc!r}")
+        except ValueError as exc:
+            assert "no admissible decoration constant" in str(exc), p
+    assert len(admissible) == 65 and 23 not in admissible
+    assert config_from_dict(w._config("prime:23", w._Field(23), 2, 2, 0)).functions == (
+        config_from_dict(F23_CONFIG).functions
+    )
 
 
 @pytest.mark.parametrize("command", [["verify", "boundaries"], ["report"]])

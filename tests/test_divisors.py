@@ -34,6 +34,7 @@ from ellmotive.fixtures import (
     two_torsion_curve_f11,
     two_torsion_curve_f101,
 )
+from reference import class_coeff, symbolic_degree
 
 
 @pytest.fixture(scope="module")
@@ -54,20 +55,20 @@ def zero(E):
 
 def test_fbar2_display(E):
     cls = make_fbar_divisor(E, 2)
-    assert cls.coeff(("Delta", 1, 2)) == 1
-    assert cls.coeff(("Psi", 1, 2)) == 1
-    assert cls.coeff(("D", 1, zero(E))) == -2
-    assert cls.coeff(("D", 2, zero(E))) == -2
+    assert class_coeff(cls, ("Delta", 1, 2)) == 1
+    assert class_coeff(cls, ("Psi", 1, 2)) == 1
+    assert class_coeff(cls, ("D", 1, zero(E))) == -2
+    assert class_coeff(cls, ("D", 2, zero(E))) == -2
     assert len(cls.terms) == 4
 
 
 def test_fbar3_display(E):
     cls = make_fbar_divisor(E, 3)
     for i in range(1, 4):
-        assert cls.coeff(("D", i, zero(E))) == -3
+        assert class_coeff(cls, ("D", i, zero(E))) == -3
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        assert cls.coeff(("Delta", i, j)) == 1
-    assert cls.coeff(("Dsum", zero(E))) == 1
+        assert class_coeff(cls, ("Delta", i, j)) == 1
+    assert class_coeff(cls, ("Dsum", zero(E))) == 1
 
 
 def test_fbar2_swap_invariant(E):
@@ -106,26 +107,26 @@ def test_fn_divisor_both_readings(torsion):
     E11, u, v, _ = torsion
     rep = make_fn_divisor(E11, 2, u, v)
     # product reading: Delta + Psi - 2 D1(0) - 2 D2(u)
-    assert rep.product.coeff(("D", 1, zero(E11))) == -2
-    assert rep.product.coeff(("D", 2, u)) == -2
-    assert rep.product.coeff(("Delta", 1, 2)) == 1
-    assert rep.product.coeff(("Psi", 1, 2)) == 1
+    assert class_coeff(rep.product, ("D", 1, zero(E11))) == -2
+    assert class_coeff(rep.product, ("D", 2, u)) == -2
+    assert class_coeff(rep.product, ("Delta", 1, 2)) == 1
+    assert class_coeff(rep.product, ("Psi", 1, 2)) == 1
     # displayed reading: -2 D1(u) - 2 D2(u) + Delta + D3(0) (= Psi on E^2)
-    assert rep.displayed.coeff(("D", 1, u)) == -2
-    assert rep.displayed.coeff(("D", 2, u)) == -2
-    assert rep.displayed.coeff(("Psi", 1, 2)) == 1
+    assert class_coeff(rep.displayed, ("D", 1, u)) == -2
+    assert class_coeff(rep.displayed, ("D", 2, u)) == -2
+    assert class_coeff(rep.displayed, ("Psi", 1, 2)) == 1
     assert rep.difference  # the diff report is nonempty
 
 
 def test_fn_odd_case(torsion):
     E11, u, v, w = torsion
     rep = make_fn_divisor(E11, 3, u, v)
-    assert rep.displayed.coeff(("D", 2, u)) == -1
-    assert rep.displayed.coeff(("D", 2, v)) == -1
-    assert rep.displayed.coeff(("D", 2, w)) == -1
+    assert class_coeff(rep.displayed, ("D", 2, u)) == -1
+    assert class_coeff(rep.displayed, ("D", 2, v)) == -1
+    assert class_coeff(rep.displayed, ("D", 2, w)) == -1
     # the product reading keeps coordinate 1 poles at 0
-    assert rep.product.coeff(("D", 1, zero(E11))) == -3
-    assert rep.product.coeff(("D", 1, u)) == 0
+    assert class_coeff(rep.product, ("D", 1, zero(E11))) == -3
+    assert class_coeff(rep.product, ("D", 1, u)) == 0
 
 
 def test_restrict_fbar2_generic(E):
@@ -133,7 +134,7 @@ def test_restrict_fbar2_generic(E):
     q = PointExpr.param(E, "q")
     sym = restrict_to_fiber(cls, 1, {2: q})
     # (q) + (-q) - 2(0): degree 0, sum 0
-    assert sym.degree() == 0
+    assert symbolic_degree(sym) == 0
     P = generator(E)
     conc = sym.evaluate({"q": P})
     assert conc.coeff(P) == 1
@@ -146,7 +147,7 @@ def test_restrict_fbar3_generic(E):
     cls = make_fbar_divisor(E, 3)
     fixed = {2: PointExpr.param(E, "q2"), 3: PointExpr.param(E, "q3")}
     sym = restrict_to_fiber(cls, 1, fixed)
-    assert sym.degree() == 0
+    assert symbolic_degree(sym) == 0
     P = generator(E)
     Q = ec_add(P, P)
     conc = sym.evaluate({"q2": P, "q3": Q})
@@ -269,7 +270,7 @@ def test_alt_project_square_identities(E):
 
 def test_dsum_normalizes_to_psi_on_square(E):
     cls = ProductDivisorClass.of(E, 2, [(("Dsum", zero(E)), 1)])
-    assert cls.coeff(("Psi", 1, 2)) == 1
+    assert class_coeff(cls, ("Psi", 1, 2)) == 1
 
 
 # ---------------------------------------------------------------------------

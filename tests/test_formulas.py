@@ -215,7 +215,7 @@ def test_table_products_carry_the_family_label():
 def test_context_rejects_an_inadmissible_tuple(setup):
     # the tuple is checked once, when its context is built
     curve, gs, _ = setup
-    with pytest.raises(AdmissibilityError, match="overlap"):
+    with pytest.raises(AdmissibilityError, match="meets the support of g1 up to sign"):
         FamilyContext(curve, [gs[0], gs[0]])
 
 
@@ -243,8 +243,13 @@ def _rank_one_config(blocks):
     ids=["same-sign-pairs", "swept-pair-cancels", "own-row-cancels"],
 )
 def test_coincident_kill_rows_merge_before_matching(blocks, suite, record, status):
-    records = {r.id: r.status for r in run_suite(_rank_one_config(blocks), suite).records}
-    assert records[record] == status
+    records = {r.id: r for r in run_suite(_rank_one_config(blocks), suite).records}
+    assert records[record].status == status
+    if status == "fail":
+        # the fail record names the one family of 16 whose certificate fails
+        assert records[record].details == (
+            "1 of 16 families not certified: nu[1][(0,0),(0,0)][g1]"
+        )
 
 
 def test_merged_kill_rows():
