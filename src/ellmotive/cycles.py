@@ -23,14 +23,12 @@ constant one equal to its own negative, dies at sight.  `canonical_term`
 finds the least normal form one E-position at a time, never the whole
 orbit, and the term is zero iff that form is reached with both signs.  The
 scan reads one table per term, built once, and works on it in `orbits`:
-constant E-coordinates are placed without branching, a parameter whose
-sign no E-position has decided yet floats until the next one that names it,
-and so does the order of twin coordinates (fresh one-parameter coordinates
-that serialize alike, such as x and y_j on the face y_i = p of X): they are
-placed as one open cell, a later E-coordinate that reads them unevenly
-opens it, and the cube rows order what is left group by group, a group that
-reads one twin putting it first.  No expression is built until `_rebuild`
-renames the winner.
+constant E-coordinates are placed without branching, and a parameter
+whose sign no E-position has decided yet floats until the next one that
+names it.  Every other E-coordinate, twins that serialize alike included,
+is placed one position at a time; each surviving prefix's cube rows are
+sorted once, and two equal rows reach that order with both signs.  No
+expression is built until `_rebuild` renames the winner.
 
 Every permuted copy of a term canonicalizes back with the sign character,
 so the signed action of a projector is multiplication by its coefficient
@@ -108,8 +106,7 @@ from .orbits import (
     _least_prefixes,
     _place_constants,
     _ser,
-    _resolve_cells,
-    _sorted_arrangements,
+    _sorted_order,
     _term_table,
 )
 
@@ -370,15 +367,15 @@ def _least_form(cycle: ParamCycle, rows: dict):
     qcoords = [_const_collapse(q) for q in cycle.qcoords]
     cube = [_cube_row(q) for q in qcoords]
     best, both = None, False  # (serialization, sign, naming, choices, cube order, argument orders)
-    for prefix in prefixes:
-        for sign, naming, chosen, _ in _resolve_cells(prefix, cube) if prefix[3] else (prefix,):
-            qsers, orders = zip(*[_cube_ser(row, naming) for row in cube]) if cube else ((), ())
-            for qorder, qsign in _sorted_arrangements(qsers):
-                ser = tuple(qsers[j] for j in qorder)
-                if best is None or ser < best[0]:
-                    best, both = (ser, sign * qsign, naming, chosen, qorder, orders), False
-                elif ser == best[0] and sign * qsign != best[1]:
-                    both = True
+    for sign, naming, chosen in prefixes:
+        qsers, orders = zip(*[_cube_ser(row, naming) for row in cube]) if cube else ((), ())
+        # two equal cube rows reach the sorted order with both signs
+        qorder, qsign, tied = _sorted_order(qsers)
+        ser = tuple(qsers[j] for j in qorder)
+        if best is None or ser < best[0]:
+            best, both = (ser, sign * qsign, naming, chosen, qorder, orders), tied
+        elif ser == best[0] and (tied or sign * qsign != best[1]):
+            both = True
     if both:
         return None
     ser, sign, naming, chosen, qorder, orders = best

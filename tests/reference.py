@@ -1,9 +1,11 @@
 """What the tests compare the program against, and the program itself never
 reads: the GL2 character oracle with the plethysm closed form it checks and
 the labels' dimension and weight, the decoration-point fixture, the signed
-symmetry moves on parametric cycles, the named-class coefficient and
-symbolic-divisor degree, and the full pass rule of a boundary-formula
-report."""
+symmetry moves on parametric cycles and every sorting arrangement, the
+named-class coefficient and symbolic-divisor degree, and the full pass rule
+of a boundary-formula report."""
+
+import itertools
 
 from ellmotive.cycles import ParamCycle
 from ellmotive.divisors import _parse_class
@@ -149,6 +151,21 @@ def permute_qcoords(cycle: ParamCycle, sigma) -> ParamCycle:
     inv = sigma.inverse()
     qcoords = tuple(cycle.qcoords[inv(i) - 1] for i in range(1, cycle.c + 1))
     return ParamCycle(cycle.curve, cycle.params, cycle.ecoords, qcoords)
+
+
+def sorted_arrangements(keys):
+    """Every order of the positions that sorts the keys, equal keys permuted
+    in all ways, each with its parity; the stable order comes first."""
+    blocks = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if blocks and keys[blocks[-1][-1]] == keys[i]:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    for choice in itertools.product(*[list(itertools.permutations(block)) for block in blocks]):
+        arrangement = [i for block in choice for i in block]
+        inversions = sum(i > j for i, j in itertools.combinations(arrangement, 2))
+        yield arrangement, -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,19 @@ from ellmotive.fixtures import generator, rank_one_curve, standard_functions
 from ellmotive.formulas import FamilyContext
 from ellmotive.orbits import (
     _cube_ser,
-    _least_prefixes,
     _ser,
-    _sorted_arrangements,
+    _sorted_order,
     _table_row,
-    _term_table,
 )
 from ellmotive.symgrp import Permutation, YoungShape, transpose_projector
-from reference import codim, fixed_points, negate_ecoord, permute_ecoords, permute_qcoords
+from reference import (
+    codim,
+    fixed_points,
+    negate_ecoord,
+    permute_ecoords,
+    permute_qcoords,
+    sorted_arrangements,
+)
 
 
 @pytest.fixture(scope="module")
@@ -478,7 +483,7 @@ def _reference_canonical(cycle):
     profiles = [_table_row(e)[1] for e in cycle.ecoords]
     qcoords = [_const_collapse(q) for q in cycle.qcoords]
     seen, best = {}, None
-    for arrangement, perm_sign in _sorted_arrangements(profiles):
+    for arrangement, perm_sign in sorted_arrangements(profiles):
         for flips in itertools.product((0, 1), repeat=cycle.b):
             ecoords = [-cycle.ecoords[i] if f else cycle.ecoords[i]
                        for i, f in zip(arrangement, flips)]
@@ -487,7 +492,7 @@ def _reference_canonical(cycle):
                 eser = tuple(_ser(e.coeffs, e.const.key(), naming) for e in ecoords)
                 cube = [_cube_ser(_cube_row(q), naming) for q in qcoords]
                 qsers, orders = list(zip(*cube)) or [(), ()]
-                for qorder, qsign in _sorted_arrangements(qsers):
+                for qorder, qsign in sorted_arrangements(qsers):
                     ser = (eser, tuple(qsers[j] for j in qorder))
                     if seen.setdefault(ser, sign * qsign) != sign * qsign:
                         return None, 0
@@ -762,7 +767,7 @@ def test_floating_signs_match_reference(setup):
 
 
 # ---------------------------------------------------------------------------
-# twin coordinates: their order floats as an open cell
+# twin coordinates: placed one at a time, each order a prefix of its own
 
 
 _H = UserFunction("h", _F101[1].divisor)  # a second unary spec on F_101
@@ -804,16 +809,43 @@ def test_twin_cells_match_reference(cycle):
 
 def test_twin_cells_on_the_family_shape(setup):
     # X over three functions at a face y2 = p: x, y1, y3 are twins; the F-bar
-    # reads them evenly, g1 and g3 put y1 and y3 first, and x takes the rest
+    # reads them evenly, and g1 and g3 tell y1 and y3 apart from x
     curve, gs, afix = setup
     X = build_family("X", curve, gs, fixed=(afix[0],))
     faces = [f for _, f in term_faces(X) if all(q.spec != gs[1] for q in f.qcoords)]
     assert len(faces) == len(gs[1].divisor.terms)
     for face in faces:
-        prefixes = _least_prefixes(_term_table(face.ecoords, {}), face.params)
-        assert [len(cells) for *_, cells in prefixes] == [1]
-        assert len(prefixes[0][3][0][1]) == 3
         assert canonical_term(face) == _reference_canonical(face)
+
+
+# ---------------------------------------------------------------------------
+# the cube rows' sort: one stable order, and a tie reaches it with both signs
+
+
+def test_equal_cube_rows_kill_the_term(setup):
+    curve, gs, _ = setup
+    g1, g2 = gs[:2]
+    t, s = PointExpr.param(curve, "t"), PointExpr.param(curve, "s")
+    # swapping the two equal cube slots is odd and fixes the term
+    dead = ParamCycle(curve, ("t",), (t,), (FunCoord(g1, (t,)), FunCoord(g1, (t,))))
+    assert canonical_term(dead) == (None, 0)
+    assert _reference_canonical(dead) == (None, 0)
+    # distinct rows; or equal only after swapping t and s, an even move
+    alive = [
+        ParamCycle(curve, ("t",), (t,), (FunCoord(g1, (t,)), FunCoord(g2, (t,)))),
+        ParamCycle(curve, ("s", "t"), (t, s), (FunCoord(g1, (t,)), FunCoord(g1, (s,)))),
+    ]
+    for cycle in alive:
+        assert canonical_term(cycle)[0] is not None, cycle
+        assert canonical_term(cycle) == _reference_canonical(cycle)
+
+
+@given(st.lists(st.integers(0, 3), max_size=6))
+def test_sorted_order_is_the_first_arrangement(keys):
+    arrangements = list(sorted_arrangements(keys))
+    order, sign, tied = _sorted_order(keys)
+    assert (order, sign) == arrangements[0]
+    assert tied == (len(arrangements) > 1)
 
 
 # ---------------------------------------------------------------------------
