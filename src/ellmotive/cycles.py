@@ -2,9 +2,9 @@
 
 A `ParamCycle` is the image of an affine parametrization: each E-coordinate
 is a `divisors.PointExpr` sum(+-t_k) + const in named E-valued parameters,
-each cube coordinate is either a function evaluated at such expressions
-(identified with its divisor; nothing is ever evaluated in a function field)
-or a symbolic constant.
+and each cube coordinate is a function evaluated at such expressions
+(identified with its divisor; nothing is ever evaluated in a function field).
+A unary function at a constant argument is a constant slot: it has no faces.
 
 Equality of cycle sums is canonical-form equality under the symmetries the
 ambient algebra imposes:
@@ -53,7 +53,9 @@ parameter, and substitutes; signs follow the fixed convention
 sum_k (-1)^(k-1) (d0_k - dinf_k), and the integral multiplicities enter as
 ints.  Each slot's class equations are derived once per cycle: a face checks
 that none of its cube coordinates is identically 0 or infinity by
-substituting its pivot into the other slots' equations.
+substituting its pivot into the other slots' equations.  A constant slot's
+equations are constants, so it gives no face, and it is degenerate where
+one of them is the identity.
 
 A product pair with a point class among its factors (no parameters, no
 cube coordinates) needs no scan: the other factor is canonical, and the
@@ -226,14 +228,6 @@ class FunCoord:
             raise CycleError("argument count does not match the function arity")
 
 
-@dataclass(frozen=True, slots=True)
-class ConstCoord:
-    """A function evaluated at a fixed point; faces on it are empty."""
-
-    spec: object
-    point: CurvePoint
-
-
 # ---------------------------------------------------------------------------
 # parametric cycles
 
@@ -243,15 +237,13 @@ class ParamCycle:
     curve: EllipticCurve
     params: tuple  # ordered tuple of names
     ecoords: tuple  # tuple of PointExpr
-    qcoords: tuple  # tuple of FunCoord | ConstCoord
+    qcoords: tuple  # tuple of FunCoord
     _hash: int = field(init=False, repr=False, compare=False)  # filled on first use
     _key: tuple = field(init=False, repr=False, compare=False)  # filled on first use
 
     def __post_init__(self):
         used = {n for e in self.ecoords for n, _ in e.coeffs}
-        for q in self.qcoords:
-            if isinstance(q, FunCoord):
-                used.update(n for a in q.args for n, _ in a.coeffs)
+        used.update(n for q in self.qcoords for a in q.args for n, _ in a.coeffs)
         declared = set(self.params)
         if used == declared:
             return
@@ -271,16 +263,6 @@ class ParamCycle:
     @property
     def dim(self) -> int:
         return len(self.params)
-
-    def rename_params(self, mapping: dict) -> "ParamCycle":
-        ecoords = tuple(e.rename(mapping) for e in self.ecoords)
-        qcoords = tuple(
-            FunCoord(q.spec, tuple(a.rename(mapping) for a in q.args))
-            if isinstance(q, FunCoord)
-            else q
-            for q in self.qcoords
-        )
-        return ParamCycle(self.curve, tuple(mapping.get(p, p) for p in self.params), ecoords, qcoords)
 
     def __hash__(self) -> int:
         try:
@@ -364,8 +346,7 @@ def _least_form(cycle: ParamCycle, rows: dict):
     prefixes = None if table is None else _least_prefixes(table, cycle.params)
     if prefixes is None:
         return None
-    qcoords = [_const_collapse(q) for q in cycle.qcoords]
-    cube = [_cube_row(q) for q in qcoords]
+    cube = [_cube_row(q) for q in cycle.qcoords]
     best, both = None, False  # (serialization, sign, naming, choices, cube order, argument orders)
     for sign, naming, chosen in prefixes:
         qsers, orders = zip(*[_cube_ser(row, naming) for row in cube]) if cube else ((), ())
@@ -380,23 +361,17 @@ def _least_form(cycle: ParamCycle, rows: dict):
         return None
     ser, sign, naming, chosen, qorder, orders = best
     eser = tuple(_ser(*table[i][0][flip], naming) for i, flip in chosen)
-    key = (cycle.curve, eser, ser, tuple(qcoords[j].spec for j in qorder))
-    return key, sign, (cycle, chosen, qcoords, qorder, orders, naming)
-
-
-def _const_collapse(q):
-    """A unary function at a constant argument is a constant coordinate."""
-    if isinstance(q, FunCoord) and q.spec.arity == 1 and q.args[0].is_const():
-        return ConstCoord(q.spec, q.args[0].const)
-    return q
+    key = (cycle.curve, eser, ser, tuple(cycle.qcoords[j].spec for j in qorder))
+    return key, sign, (cycle, chosen, qorder, orders, naming)
 
 
 def _cube_row(q) -> tuple:
     """A cube coordinate's row of the scan's table: (serialization, None) if
-    it is constant, else (spec key, (coefficients, constant key) of each
-    argument, its symmetric classes as 0-based positions)."""
-    if isinstance(q, ConstCoord):
-        return ("K", q.spec.spec_key(), q.point.key()), None
+    it is a constant slot (a unary function at a constant argument), else
+    (spec key, (coefficients, constant key) of each argument, its symmetric
+    classes as 0-based positions)."""
+    if q.spec.arity == 1 and q.args[0].is_const():
+        return ("K", q.spec.spec_key(), q.args[0].const.key()), None
     classes = tuple(tuple(i - 1 for i in cls) for cls in q.spec.sym_classes() if len(cls) > 1)
     return q.spec.spec_key(), tuple((a.coeffs, a.const.key()) for a in q.args), classes
 
@@ -420,14 +395,15 @@ def _rename(e: PointExpr, naming: dict, flip: int = 0) -> PointExpr:
     return e if coeffs == e.coeffs else PointExpr(e.curve, coeffs, e.const)
 
 
-def _rebuild(cycle, chosen, qcoords, qorder, orders, naming) -> ParamCycle:
+def _rebuild(cycle, chosen, qorder, orders, naming) -> ParamCycle:
     """The winning candidate: E-coordinate i negated where its flip is 1, in
     the chosen order, the cube slots in qorder with their arguments in the
-    given orders, all renamed by the naming."""
+    given orders (a constant slot has none and stays as it is), all renamed
+    by the naming."""
     qcoords2 = []
     for j in qorder:
-        q = qcoords[j]
-        if isinstance(q, FunCoord):
+        q = cycle.qcoords[j]
+        if orders[j] is not None:
             q = FunCoord(q.spec, tuple(_rename(q.args[i], naming) for i in orders[j]))
         qcoords2.append(q)
     names = tuple(f"t{i}" for i in range(len(naming)))
@@ -476,9 +452,10 @@ def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr, equations):
     family; raises DegeneracyError when it holds identically, cannot be
     solved with a unit pivot, or leaves a cube coordinate of the face
     identically 0 or infinity.  `equations` holds each slot's class
-    equations (None for a constant slot); substituting the pivot into them
-    gives the face's own, so none is derived again, and the check sums a
-    constant only where the coefficients cancel (`PointExpr.vanishes_with`).
+    equations; substituting the pivot into them gives the face's own, so
+    none is derived again, and the check sums a constant only where the
+    coefficients cancel (`PointExpr.vanishes_with`), which a constant slot's
+    equations always do.
     """
     if eq.is_const():
         if eq.const.infinity:
@@ -496,19 +473,11 @@ def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr, equations):
     for j, (q, eqs) in enumerate(zip(cycle.qcoords, equations), start=1):
         if j == slot:
             continue
-        if eqs is not None:
-            q = _const_collapse(FunCoord(q.spec, tuple(a.substitute(name, repl) for a in q.args)))
-        qcoords.append(q)
+        qcoords.append(FunCoord(q.spec, tuple(a.substitute(name, repl) for a in q.args)))
         kept.append(eqs)
     params = tuple(p for p in cycle.params if p != name)
     face = ParamCycle(cycle.curve, params, ecoords, tuple(qcoords))
-    for j, (q, eqs) in enumerate(zip(qcoords, kept), start=1):
-        if isinstance(q, ConstCoord):
-            if q.spec.arity == 1 and q.point in q.spec.divisor:
-                raise DegeneracyError(
-                    f"cube coordinate {j} is the constant 0 or infinity"
-                )
-            continue
+    for j, eqs in enumerate(kept, start=1):
         for component_eq in eqs:
             if component_eq.vanishes_with(name, repl):
                 raise DegeneracyError(
@@ -520,18 +489,16 @@ def _solve_face(cycle: ParamCycle, slot: int, eq: PointExpr, equations):
 def term_faces(cycle: ParamCycle):
     """All boundary faces of one cycle: list of (coefficient, face cycle).
 
-    Each function slot's class equations are derived once; its own faces
-    solve them, and every face substitutes its pivot into the others'."""
+    Each slot's class equations are derived once; its own faces solve them,
+    and every face substitutes its pivot into the others'.  A constant
+    slot's equations are constants: it gives no face, and it is degenerate
+    where one of them is the identity."""
     equations = [
-        None
-        if isinstance(q, ConstCoord)
-        else [class_equation(component, q.args) for component, _ in q.spec.components]
+        [class_equation(component, q.args) for component, _ in q.spec.components]
         for q in cycle.qcoords
     ]
     out = []
     for slot, (q, eqs) in enumerate(zip(cycle.qcoords, equations), start=1):
-        if eqs is None:
-            continue
         slot_sign = -1 if (slot - 1) % 2 else 1
         for (_, coeff), eq in zip(q.spec.components, eqs):
             if coeff.denominator != 1:
@@ -590,9 +557,12 @@ def _concatenate(z1: ParamCycle, z2: ParamCycle) -> ParamCycle:
     are t0..t<k-1>, so the right one's become t<k>, t<k+1>, .. in order, and
     one pair always builds the same cycle."""
     k = len(z1.params)
-    z2 = z2.rename_params({p: f"t{k + i}" for i, p in enumerate(z2.params)})
+    naming = {p: (f"t{k + i}", 1) for i, p in enumerate(z2.params)}
+    params = tuple(name for name, _ in naming.values())
+    ecoords = tuple(_rename(e, naming) for e in z2.ecoords)
+    qcoords = tuple(FunCoord(q.spec, tuple(_rename(a, naming) for a in q.args)) for q in z2.qcoords)
     return ParamCycle(
-        z1.curve, z1.params + z2.params, z1.ecoords + z2.ecoords, z1.qcoords + z2.qcoords
+        z1.curve, z1.params + params, z1.ecoords + ecoords, z1.qcoords + qcoords
     )
 
 
@@ -689,7 +659,7 @@ def _check_fixed_points(fixed, gs):
 
 
 def _check_b2(gs, j, b2):
-    # b2 inside the divisor of g_j makes the constant coordinate g_j(b2) degenerate
+    # b2 inside the divisor of g_j makes the constant slot g_j(b2) degenerate
     if b2 in gs[j - 1].divisor:
         raise AdmissibilityError(f"b2 = {b2.key()} lies in the divisor of {gs[j-1].name}")
 
@@ -728,7 +698,8 @@ def build_family(kind, curve, gs, fixed=(), mode="fbar", j=None, b1=None, b2=Non
     coordinates (F_{n+1+r}(x, y, a), g_1(y_1), .., g_n(y_n)).
     Y(n, a):  ((-sum(y) - a), y_1..y_n; g_1(y_1)..g_n(y_n)).
     Z(n, j, b1, b2): x, (-x - sum_{i != j} y_i - b1 - b2), y's without y_j;
-    the j-th cube coordinate is the constant g_j(b2).
+    the j-th cube coordinate is g_j at the constant argument b2, a constant
+    slot.
     """
     n = len(gs)
     if kind == "X":
@@ -762,7 +733,7 @@ def build_family(kind, curve, gs, fixed=(), mode="fbar", j=None, b1=None, b2=Non
         params = ("x",) + tuple(f"y{i}" for i in range(1, n + 1) if i != j)
         x, *ys = (PointExpr.param(curve, p) for p in params)
         qcoords = tuple(
-            ConstCoord(g, b2) if i == j else FunCoord(g, (PointExpr.param(curve, f"y{i}"),))
+            FunCoord(g, (PointExpr.constant(b2) if i == j else PointExpr.param(curve, f"y{i}"),))
             for i, g in enumerate(gs, 1)
         )
         ecoords = (x, _balance(curve, params, ec_add(b1, b2)), *ys)
@@ -819,12 +790,14 @@ def build_nu_killer(curve, gs, j: int, shift: CurvePoint, b2: CurvePoint):
     """(x, (-x - sum(y) - shift - b2), y's without y_j ; g_1(y_1)..g_n(y_n), g_j(b2)).
 
     Its y_j-face sweeps the nu-family cycles Z(j, s + shift, b2), s in the
-    divisor of g_j: the boundary reproduces the nu contributions.
+    divisor of g_j: the boundary reproduces the nu contributions.  The last
+    cube coordinate is g_j at the constant argument b2, a constant slot, so
+    it has no faces.
     """
     _check_b2(gs, j, b2)
     params = ("x",) + _ynames(len(gs))
     x, *ys = (PointExpr.param(curve, p) for p in params)
     ecoords = (x, _balance(curve, params, ec_add(shift, b2)), *ys[: j - 1], *ys[j:])
     qcoords = [FunCoord(g, (y,)) for g, y in zip(gs, ys)]
-    qcoords.append(ConstCoord(gs[j - 1], b2))
+    qcoords.append(FunCoord(gs[j - 1], (PointExpr.constant(b2),)))
     return ParamCycle(curve, params, ecoords, tuple(qcoords))

@@ -329,11 +329,6 @@ class PointExpr:
             return False
         return ec_add(self.const, ec_scalar_mul(c, repl.const)).infinity
 
-    def rename(self, mapping: dict) -> "PointExpr":
-        return PointExpr.make(
-            self.curve, [(mapping.get(n, n), c) for n, c in self.coeffs], self.const
-        )
-
     def evaluate(self, assignment) -> CurvePoint:
         """The point at an assignment {name: point} of the parameters."""
         acc = self.const

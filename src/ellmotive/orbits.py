@@ -226,7 +226,8 @@ def _sorted_order(keys):
 # the next names by |coeff| and coefficient |coeff|, as under every
 # `_extend_naming` of it, and a floating sign (0) takes the negative
 # coefficient, as it settles.  A
-# cube coordinate is ("K", spec key, point key) or ("F", spec key, argument
+# constant slot (a unary function at a constant argument) is ("K", spec key,
+# point key), any other cube coordinate ("F", spec key, argument
 # serializations), the arguments of each symmetric class sorted.  The scan
 # compares candidates by it, a cycle under its own names sorts sums by it,
 # and reprs render it.

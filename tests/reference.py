@@ -1,14 +1,15 @@
 """What the tests compare the program against, and the program itself never
 reads: the GL2 character oracle with the plethysm closed form it checks and
 the labels' dimension and weight, the decoration-point fixture, the signed
-symmetry moves on parametric cycles and every sorting arrangement, the
+symmetry moves on parametric cycles (parameter renaming included) and every
+sorting arrangement, the
 named-class coefficient and symbolic-divisor degree, and the full pass rule
 of a boundary-formula report."""
 
 import itertools
 
-from ellmotive.cycles import ParamCycle
-from ellmotive.divisors import _parse_class
+from ellmotive.cycles import FunCoord, ParamCycle
+from ellmotive.divisors import PointExpr, _parse_class
 from ellmotive.fixtures import generator, multiples, rank_one_curve
 from ellmotive.formulas import certifies
 from ellmotive.gl2 import MotiveError, MotiveSum, PureMotive
@@ -151,6 +152,17 @@ def permute_qcoords(cycle: ParamCycle, sigma) -> ParamCycle:
     inv = sigma.inverse()
     qcoords = tuple(cycle.qcoords[inv(i) - 1] for i in range(1, cycle.c + 1))
     return ParamCycle(cycle.curve, cycle.params, cycle.ecoords, qcoords)
+
+
+def rename_params(cycle: ParamCycle, mapping: dict) -> ParamCycle:
+    """The cycle with each parameter p renamed mapping.get(p, p)."""
+
+    def rename(e: PointExpr) -> PointExpr:
+        return PointExpr.make(e.curve, [(mapping.get(n, n), c) for n, c in e.coeffs], e.const)
+
+    ecoords = tuple(rename(e) for e in cycle.ecoords)
+    qcoords = tuple(FunCoord(q.spec, tuple(rename(a) for a in q.args)) for q in cycle.qcoords)
+    return ParamCycle(cycle.curve, tuple(mapping.get(p, p) for p in cycle.params), ecoords, qcoords)
 
 
 def sorted_arrangements(keys):

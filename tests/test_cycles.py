@@ -14,7 +14,6 @@ from ellmotive.barcx import build_motive_chain
 from ellmotive.curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul
 from ellmotive.cycles import (
     AdmissibilityError,
-    ConstCoord,
     CycleError,
     CycleSum,
     FbarSpec,
@@ -32,7 +31,6 @@ from ellmotive.cycles import (
 )
 from ellmotive.cycles import (
     _concatenate,
-    _const_collapse,
     _cube_row,
     _point_product,
     _rebuild,
@@ -55,6 +53,7 @@ from reference import (
     negate_ecoord,
     permute_ecoords,
     permute_qcoords,
+    rename_params,
     sorted_arrangements,
 )
 
@@ -75,11 +74,8 @@ def test_family_shapes(setup):
     assert (Y.b, Y.c, codim(Y)) == (2, 1, 2)
     Z = build_family("Z", curve, gs[:1], j=1, b1=afix[0], b2=afix[1])
     assert (Z.b, Z.c, codim(Z)) == (2, 1, 2)
-    # Z's j-th cube coordinate is the constant g_j(b2)
-    from ellmotive.cycles import ConstCoord
-
-    assert isinstance(Z.qcoords[0], ConstCoord)
-    assert Z.qcoords[0].point == afix[1]
+    # Z's j-th cube coordinate is g_j at the constant argument b2
+    assert Z.qcoords[0] == FunCoord(gs[0], (PointExpr.constant(afix[1]),))
 
 
 def test_Y_without_functions_is_the_constant_point(setup):
@@ -190,7 +186,7 @@ def test_canonicalize_merges_relabeled_copies(setup):
     X = build_family("X", curve, gs[:1])
     # the reversed mapping also reverses the alphabetical order of the names
     for mapping in ({"x": "a", "y1": "b"}, {"x": "b", "y1": "a"}):
-        relabeled = X.rename_params(mapping)
+        relabeled = rename_params(X, mapping)
         assert CycleSum.of([(X, 1), (relabeled, -1)]).is_zero()
         s = CycleSum.of([(X, 1), (relabeled, 1)])
         assert len(s.terms) == 1 and s == CycleSum.single(X).scale(2)
@@ -395,7 +391,7 @@ def test_canonical_form_orbit_invariance(setup):
         # every alphabetical order of the parameter names gives the same form
         for order in itertools.permutations(range(base.dim)):
             mapping = {p: f"p{k}" for p, k in zip(base.params, order)}
-            assert canonical_term(base.rename_params(mapping)) == (canon, sign)
+            assert canonical_term(rename_params(base, mapping)) == (canon, sign)
         if canon is None:
             continue
         for _ in range(12):
@@ -413,7 +409,7 @@ def test_canonical_form_orbit_invariance(setup):
                     acc *= -1
                 else:
                     mapping = {p: f"r{k}_{p}" for k, p in enumerate(moved.params)}
-                    moved = moved.rename_params(mapping)
+                    moved = rename_params(moved, mapping)
             canon2, sign2 = canonical_term(moved)
             assert canon2 == canon
             assert sign2 == sign * acc
@@ -429,7 +425,7 @@ def test_cube_only_parameters_rename_invariant(setup):
     assert canon is not None
     for order in itertools.permutations(range(3)):
         mapping = {p: f"p{k}" for p, k in zip(base.params, order)}
-        assert canonical_term(base.rename_params(mapping)) == (canon, sign)
+        assert canonical_term(rename_params(base, mapping)) == (canon, sign)
     swapped = permute_qcoords(base, Permutation((2, 1)))
     assert canonical_term(swapped) == (canon, -sign)
 
@@ -481,7 +477,6 @@ def _reference_canonical(cycle):
     the least serialization, or zero when any serialization is reached with
     both signs."""
     profiles = [_table_row(e)[1] for e in cycle.ecoords]
-    qcoords = [_const_collapse(q) for q in cycle.qcoords]
     seen, best = {}, None
     for arrangement, perm_sign in sorted_arrangements(profiles):
         for flips in itertools.product((0, 1), repeat=cycle.b):
@@ -490,7 +485,7 @@ def _reference_canonical(cycle):
             sign = -perm_sign if sum(flips) % 2 else perm_sign
             for naming in _reference_namings(ecoords, cycle.params):
                 eser = tuple(_ser(e.coeffs, e.const.key(), naming) for e in ecoords)
-                cube = [_cube_ser(_cube_row(q), naming) for q in qcoords]
+                cube = [_cube_ser(_cube_row(q), naming) for q in cycle.qcoords]
                 qsers, orders = list(zip(*cube)) or [(), ()]
                 for qorder, qsign in sorted_arrangements(qsers):
                     ser = (eser, tuple(qsers[j] for j in qorder))
@@ -498,7 +493,7 @@ def _reference_canonical(cycle):
                         return None, 0
                     if best is None or ser < best[0]:
                         chosen = tuple(zip(arrangement, flips))
-                        best = (ser, sign * qsign, (chosen, qcoords, qorder, orders, naming))
+                        best = (ser, sign * qsign, (chosen, qorder, orders, naming))
     return _rebuild(cycle, *best[2]), best[1]
 
 
@@ -555,11 +550,11 @@ def _f101_cycles(draw):
         if kind == "g":
             qcoords.append(FunCoord(g, (arg,)))
         elif kind == "K":
-            qcoords.append(ConstCoord(g, consts[1]))
+            qcoords.append(FunCoord(g, (PointExpr.constant(draw(st.sampled_from(consts))),)))
         else:
             qcoords.append(FunCoord(fbar, (expr(names + ("z",)), arg)))
     used = {n for e in ecoords for n in e.params()}
-    used.update(n for q in qcoords if isinstance(q, FunCoord) for a in q.args for n in a.params())
+    used.update(n for q in qcoords for a in q.args for n in a.params())
     return ParamCycle(curve, tuple(sorted(used)), tuple(ecoords), tuple(qcoords))
 
 
@@ -578,8 +573,6 @@ def _reference_faces(cycle):
     arguments, instead of substituting its pivot into the cycle's."""
     out = []
     for slot, q in enumerate(cycle.qcoords, start=1):
-        if isinstance(q, ConstCoord):
-            continue
         for component, coeff in q.spec.components:
             eq = class_equation(component, q.args)
             if eq.is_const():
@@ -593,11 +586,7 @@ def _reference_faces(cycle):
                 raise DegeneracyError(f"face equation {eq!r} has no unit pivot")
             repl = eq.solve(name)
             qcoords = [
-                q2
-                if isinstance(q2, ConstCoord)
-                else _const_collapse(
-                    FunCoord(q2.spec, tuple(a.substitute(name, repl) for a in q2.args))
-                )
+                FunCoord(q2.spec, tuple(a.substitute(name, repl) for a in q2.args))
                 for j, q2 in enumerate(cycle.qcoords, start=1)
                 if j != slot
             ]
@@ -605,12 +594,6 @@ def _reference_faces(cycle):
             params = tuple(p for p in cycle.params if p != name)
             face = ParamCycle(cycle.curve, params, ecoords, tuple(qcoords))
             for j, q2 in enumerate(face.qcoords, start=1):
-                if isinstance(q2, ConstCoord):
-                    if q2.spec.arity == 1 and q2.point in q2.spec.divisor:
-                        raise DegeneracyError(
-                            f"cube coordinate {j} is the constant 0 or infinity"
-                        )
-                    continue
                 for component2, _ in q2.spec.components:
                     eq2 = class_equation(component2, q2.args)
                     if eq2.is_const() and eq2.const.infinity:
@@ -658,7 +641,7 @@ def test_boundary_adds_up_like_its_scanned_faces(cycles_):
 def _substitution_cases(cycle):
     """(class, pivot, replacement, arguments) for each face of the cycle and
     each class of each function slot the face keeps."""
-    slots = [(j, q) for j, q in enumerate(cycle.qcoords) if isinstance(q, FunCoord)]
+    slots = list(enumerate(cycle.qcoords))
     for j, q in slots:
         for component, _ in q.spec.components:
             eq = class_equation(component, q.args)
@@ -702,17 +685,15 @@ def test_degeneracy_texts_and_order():
     P = consts[1]  # a pole of g
     u, v = PointExpr.param(curve, "u"), PointExpr.param(curve, "v")
     gu, fvv = FunCoord(g, (u,)), FunCoord(fbar, (v, v))
-    constant = "cube coordinate 1 is the constant 0 or infinity"
+    kP = FunCoord(g, (PointExpr.constant(P),))
     vanishing = "cube coordinate 1 became identically zero or infinite"
     cases = [
-        ((u,), (FunCoord(g, (PointExpr.constant(P),)), gu),
-         "cube coordinate 1 is identically degenerate on a face"),
+        ((u,), (kP, gu), "cube coordinate 1 is identically degenerate on a face"),
         ((u,), (FunCoord(g, (u.scale(2),)),), "face equation 2u|(1,99) has no unit pivot"),
-        ((u,), (ConstCoord(g, P), gu), constant),
         ((u, v), (gu, fvv), vanishing),
         # the face of slot 1 meets both degeneracies: its first slot is reported
-        ((u, v), (gu, ConstCoord(g, P), fvv), constant),
-        ((u, v), (gu, fvv, ConstCoord(g, P)), vanishing),
+        ((u, v), (gu, kP, fvv), vanishing),
+        ((u, v), (gu, fvv, kP), vanishing),
     ]
     for ecoords, qcoords, text in cases:
         params = tuple(sorted({n for e in ecoords for n in e.params()} | {"u"}))
