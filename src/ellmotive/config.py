@@ -9,7 +9,7 @@ criterion, with errors naming the offending entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .curves import CurveError, CurvePoint, EllipticCurve, full_two_torsion
@@ -32,9 +32,9 @@ class Bounds:
     @staticmethod
     def from_dict(data: dict) -> "Bounds":
         return Bounds(
-            n_max=_int(data, "n_max", 2, least=1),
-            r_max=_int(data, "r_max", 2, least=0),
-            random_trials=_int(data, "random_trials", 20, least=1),
+            n_max=_int(data, "n_max", Bounds.n_max, least=1),
+            r_max=_int(data, "r_max", Bounds.r_max, least=0),
+            random_trials=_int(data, "random_trials", Bounds.random_trials, least=1),
         )
 
 
@@ -57,10 +57,10 @@ def _int(data: dict, key: str, default: int, least=None) -> int:
 class Config:
     curve: EllipticCurve
     functions: list  # list of UserFunction
-    mode: str = "fbar"
-    bounds: Bounds = field(default_factory=Bounds)
-    seed: int = 0
-    raw: dict = field(default_factory=dict)
+    mode: str
+    bounds: Bounds
+    seed: int
+    raw: dict  # the input as given, which the report echoes
 
 
 def parse_point(curve: EllipticCurve, payload) -> CurvePoint:
@@ -147,15 +147,16 @@ def load_config(path: str) -> Config:
 
 
 def default_config() -> Config:
-    """The rank-1 rational fixture with two admissible functions."""
-    curve, gs = standard_functions(2)
+    """The rank-1 rational fixture with two admissible functions, validated
+    like a loaded file."""
+    _, gs = standard_functions(2)
     raw = {
         "curve": {"a1": "0", "a2": "0", "a3": "1", "a4": "-1", "a6": "0", "field": "rational"},
         "functions": [
             {"name": g.name, "divisor": g.divisor.serialize()} for g in gs
         ],
         "mode": "fbar",
-        "bounds": {"n_max": 2, "r_max": 2, "random_trials": 20},
+        "bounds": asdict(Bounds()),
         "seed": 0,
     }
-    return Config(curve, list(gs), "fbar", Bounds(), 0, raw=raw)
+    return config_from_dict(raw)

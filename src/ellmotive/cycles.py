@@ -57,10 +57,12 @@ substituting its pivot into the other slots' equations.  A constant slot's
 equations are constants, so it gives no face, and it is degenerate where
 one of them is the identity.
 
-A product pair with a point class among its factors (no parameters, no
-cube coordinates) needs no scan: the other factor is canonical, and the
-point's constants merge into its sorted constant block (`_point_product`).
-Every product the suites and the bar differential make has such a factor.
+Every product is a point merge.  The motive's bar words splice one family
+into point classes, so each product the bar differential and the
+boundary-formula table form has a point class among its factors (no
+parameters, no cube coordinates).  The other factor is canonical, and the
+point's constants merge into its sorted constant block without a scan
+(`_point_product`); a pair without a point class raises CycleError.
 
 Where a point may sit is one predicate, `misplaced`: off every support up
 to sign and off the 2- and 3-torsion.  Admissibility reads it for each
@@ -71,10 +73,10 @@ Where the memos live.  `canonical_term` keeps its results in the module's
 `_canonical_cache` for the life of the process; only family construction
 (`CycleSum.of`, from `build_family`/`decorate` through a context) goes
 through it.  `term_faces`, `boundary` and `external_product` keep nothing:
-each raw face or product is scanned once (`_scan`), or merged, and dropped,
-so no raw cycle outlives the call that made it.  The scans of one boundary
-share a memo of E-coordinate table rows, and its faces add up by the keys
-of their least forms (`_least_form`), so only the terms that survive are
+each raw face is scanned once and each product merged, and dropped, so no
+raw cycle outlives the call that made it.  The scans of one boundary share
+a memo of E-coordinate table rows, and its faces add up by the keys of
+their least forms (`_least_form`), so only the terms that survive are
 rebuilt; both go with the call.  What is
 worth keeping lives on a `formulas.FamilyContext`, as long as it does, one
 memo per fact: the boundary of each distinct canonical cycle and the
@@ -319,23 +321,15 @@ def canonical_term(cycle: ParamCycle):
 
     The scan reads one table per term (`orbits._term_table`, `_cube_row`)
     and builds no expression until `_rebuild` renames the winner.  Results
-    are kept in `_canonical_cache`; faces and products go through `_scan`,
-    which keeps nothing.
+    are kept in `_canonical_cache`; faces go through `_least_form`, which
+    keeps nothing.
     """
     cached = _canonical_cache.get(cycle)
     if cached is None:
-        cached = _canonical_cache[cycle] = _scan(cycle, {})
+        found = _least_form(cycle, {})
+        cached = (None, 0) if found is None else (_rebuild(*found[2]), found[1])
+        _canonical_cache[cycle] = cached
     return cached
-
-
-def _scan(cycle: ParamCycle, rows: dict):
-    """`canonical_term` without the cache: the orbit scan itself.  `rows`
-    memoizes E-coordinates' table rows across the scans of one call."""
-    found = _least_form(cycle, rows)
-    if found is None:
-        return None, 0
-    _, sign, winner = found
-    return _rebuild(*winner), sign
 
 
 def _least_form(cycle: ParamCycle, rows: dict):
@@ -539,37 +533,22 @@ def boundary(s: CycleSum) -> CycleSum:
 def external_product(s1: CycleSum, s2: CycleSum) -> CycleSum:
     """Concatenate E-factors and cube factors; bilinear.
 
-    A pair with a point class among its factors is merged without a scan
-    (`_point_product`); any other pair is concatenated and scanned once
-    (`_concatenate`), and nothing is kept.
+    Every pair is a point merge (`_point_product`): nothing is scanned or
+    kept, and a pair without a point-class factor raises CycleError.
     """
     items = []
     for z1, c1 in s1.items():
         for z2, c2 in s2.items():
-            canon, sign = _point_product(z1, z2) or _scan(_concatenate(z1, z2), {})
+            canon, sign = _point_product(z1, z2)
             if canon is not None:
                 items.append((canon, c1 * c2 * sign))
     return CycleSum(items)
 
 
-def _concatenate(z1: ParamCycle, z2: ParamCycle) -> ParamCycle:
-    """The raw product of two canonical terms: the left one's k parameters
-    are t0..t<k-1>, so the right one's become t<k>, t<k+1>, .. in order, and
-    one pair always builds the same cycle."""
-    k = len(z1.params)
-    naming = {p: (f"t{k + i}", 1) for i, p in enumerate(z2.params)}
-    params = tuple(name for name, _ in naming.values())
-    ecoords = tuple(_rename(e, naming) for e in z2.ecoords)
-    qcoords = tuple(FunCoord(q.spec, tuple(_rename(a, naming) for a in q.args)) for q in z2.qcoords)
-    return ParamCycle(
-        z1.curve, z1.params + params, z1.ecoords + ecoords, z1.qcoords + qcoords
-    )
-
-
 def _point_product(z1: ParamCycle, z2: ParamCycle):
-    """The canonical form and sign of z1 x z2 when a factor is a point class
-    (no parameters, no cube coordinates), else None; (None, 0) when the
-    product is zero.
+    """The canonical form and sign of z1 x z2, a factor of which is a point
+    class (no parameters, no cube coordinates); (None, 0) when the product
+    is zero.  A pair without a point class raises CycleError.
 
     The other factor is canonical, and constant E-coordinates sort first
     without touching the naming of the rest, so the product is that factor
@@ -585,7 +564,7 @@ def _point_product(z1: ParamCycle, z2: ParamCycle):
     elif not (z1.params or z1.qcoords):
         point, other, left = z1, z2, True
     else:
-        return None
+        raise CycleError(f"neither factor of {z1!r} x {z2!r} is a point class")
     m = next((i for i, e in enumerate(other.ecoords) if e.coeffs), other.b)
     consts = point.ecoords + other.ecoords[:m] if left else other.ecoords[:m] + point.ecoords
     table = _term_table(consts, {})

@@ -19,14 +19,32 @@ class FieldError(ValueError):
     """Raised for malformed field data (bad modulus, division by zero...)."""
 
 
+# Miller-Rabin on the primes up to 37 decides primality below _PRIME_BOUND,
+# the least composite that passes all of them (Sorenson and Webster 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime, for p below `_PRIME_BOUND`."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -64,6 +82,10 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= _PRIME_BOUND:
+            raise FieldError(
+                f"modulus {self.p} is too large: primality is decided below {_PRIME_BOUND}"
+            )
         if not _is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
         if self.p == 2:

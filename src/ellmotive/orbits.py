@@ -7,7 +7,7 @@ rows and symmetric classes (`cycles._cube_row`).  The scan reads only those
 rows.  `_least_prefixes` places the E-coordinates one position at a
 time, in sorted-profile order, keeping only the candidates least at each
 position; `cycles._least_form` sorts each survivor's cube rows once
-(`_sorted_order`) and compares them, and `cycles._scan` rebuilds the winner.
+(`_sorted_order`) and compares them, and `cycles._rebuild` renames the winner.
 
 A state is (used indices as a bitmask, sign, naming {name: (new name,
 sign)}, choices ((index, flip), ..)).  A floating sign (0 in the naming)

@@ -60,15 +60,10 @@ def _suite_projectors(cfg: Config, report: Report):
     inv_ok = True
     for b in range(2, 6):
         for rows in symgrp.partitions(b):
-            for mode in ("tableau", "tabloid"):
-                shape = symgrp.YoungShape.standard(rows, mode)
-                p = (
-                    symgrp.young_symmetrizer(shape)
-                    if mode == "tableau"
-                    else symgrp.tabloid_row_projector(shape)
-                )
-                ptt = symgrp.transpose_projector(shape.transpose())
-                if ptt != p:
+            shape = symgrp.YoungShape.standard(rows)
+            back = shape.transpose().transpose()
+            for projector in (symgrp.young_symmetrizer, symgrp.row_sum):
+                if projector(back) != projector(shape):
                     inv_ok = False
     report.add(
         "projectors:transpose-involution",
@@ -97,8 +92,8 @@ def _suite_projectors(cfg: Config, report: Report):
         b = rng.randint(2, 4)
         v = symgrp.GroupAlgebraElement.unit(b)
         p = symgrp.young_symmetrizer(symgrp.YoungShape.standard(_rand_rows(rng, b)))
-        twice = symgrp.right_act_element(symgrp.right_act_element(v, p), p)
-        once = symgrp.right_act_element(v, p * p)
+        twice = symgrp.right_act(symgrp.right_act(v, p), p)
+        once = symgrp.right_act(v, p * p)
         if twice != once:
             act_ok = False
     report.add(

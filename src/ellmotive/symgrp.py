@@ -30,7 +30,7 @@ from .lincomb import LinComb
 
 
 class GroupAlgebraError(ValueError):
-    """Structural errors: degree mismatch, malformed shapes, bad mode."""
+    """Structural errors: degree mismatch, malformed shapes."""
 
 
 @dataclass(frozen=True)
@@ -158,31 +158,28 @@ def _of_degree(degree: int, items):
         yield perm, coeff
 
 
-def right_act(vector: GroupAlgebraElement, sigma: Permutation):
-    """Right action on formal vectors: v . sigma = sgn(sigma) * (sigma^{-1} v).
+def right_act(vector: GroupAlgebraElement, element: GroupAlgebraElement):
+    """Right action on formal vectors: v . sigma = sgn(sigma) * (sigma^{-1} v),
+    extended linearly, so v . p is one product: the signed inverse
+    sum c_sigma sgn(sigma) sigma^{-1} of p times v.
 
     Signed by the sign character, this is a genuine right action, so acting
     twice via an element p equals acting once via p*p.
     """
-    left = GroupAlgebraElement.of(vector.degree, [(sigma.inverse(), sigma.sign())])
-    return left * vector
-
-
-def right_act_element(vector, element: GroupAlgebraElement):
-    """sum_g c_g * (v . g), one accumulation."""
-    acted = (
-        (p, c * d) for sigma, c in element.items() for p, d in right_act(vector, sigma).items()
+    signed_inverse = GroupAlgebraElement.of(
+        element.degree, [(sigma.inverse(), c * sigma.sign()) for sigma, c in element.items()]
     )
-    return GroupAlgebraElement.of(vector.degree, acted)
+    return signed_inverse * vector
 
 
 # ---------------------------------------------------------------------------
-# Young shapes, symmetrizers, tabloid projectors
+# Young shapes and their projectors
 
 
 @dataclass(frozen=True)
 class YoungShape:
-    """A filled Young diagram, flagged as tableau or tabloid.
+    """A filled Young diagram.  Its projector as a tableau is
+    `young_symmetrizer`, as a tabloid `row_sum`.
 
     rows are weakly decreasing lengths; filling is a bijection of {1..b} onto
     the cells, given row by row.
@@ -190,21 +187,18 @@ class YoungShape:
 
     rows: tuple
     filling: tuple  # tuple of tuples, matching rows
-    mode: str = "tableau"  # "tableau" | "tabloid"
 
     @staticmethod
-    def standard(rows, mode: str = "tableau") -> "YoungShape":
+    def standard(rows) -> "YoungShape":
         """Row-major filling 1, 2, ..., b."""
         filling = []
         k = 1
         for r in rows:
             filling.append(tuple(range(k, k + r)))
             k += r
-        return YoungShape(tuple(rows), tuple(filling), mode)
+        return YoungShape(tuple(rows), tuple(filling))
 
     def __post_init__(self):
-        if self.mode not in ("tableau", "tabloid"):
-            raise GroupAlgebraError(f"bad mode {self.mode!r}")
         if any(self.rows[i] < self.rows[i + 1] for i in range(len(self.rows) - 1)):
             raise GroupAlgebraError("row lengths must be weakly decreasing")
         if tuple(len(r) for r in self.filling) != self.rows:
@@ -226,11 +220,7 @@ class YoungShape:
     def transpose(self) -> "YoungShape":
         """Flip about the diagonal, keeping the inscribed entries."""
         cols = tuple(self.columns())
-        return YoungShape(tuple(len(c) for c in cols), cols, self.mode)
-
-    def __repr__(self) -> str:
-        body = "/".join(",".join(str(x) for x in row) for row in self.filling)
-        return f"{self.mode}[{body}]"
+        return YoungShape(tuple(len(c) for c in cols), cols)
 
 
 def _subgroup_sum(b: int, blocks, signed: bool) -> GroupAlgebraElement:
@@ -247,7 +237,8 @@ def _subgroup_sum(b: int, blocks, signed: bool) -> GroupAlgebraElement:
 
 
 def row_sum(shape: YoungShape) -> GroupAlgebraElement:
-    """c_T = sum over permutations preserving each row."""
+    """c_T = sum over permutations preserving each row: the projector of a
+    tabloid."""
     return _subgroup_sum(shape.size, shape.filling, signed=False)
 
 
@@ -257,29 +248,8 @@ def signed_column_sum(shape: YoungShape) -> GroupAlgebraElement:
 
 
 def young_symmetrizer(shape: YoungShape) -> GroupAlgebraElement:
-    """c_T * d_T for a tableau."""
-    if shape.mode != "tableau":
-        raise GroupAlgebraError("young_symmetrizer needs tableau mode")
+    """c_T * d_T: the projector of a tableau."""
     return row_sum(shape) * signed_column_sum(shape)
-
-
-def tabloid_row_projector(shape: YoungShape) -> GroupAlgebraElement:
-    """c_T alone, for a tabloid."""
-    if shape.mode != "tabloid":
-        raise GroupAlgebraError("tabloid_row_projector needs tabloid mode")
-    return row_sum(shape)
-
-
-def transpose_projector(shape: YoungShape) -> GroupAlgebraElement:
-    """The projector of the diagonal-flipped filling.
-
-    Tableau -> symmetrizer of the flipped tableau; tabloid -> row projector
-    of the flipped shape (the row tabloid of the transposed shape).
-    """
-    flipped = shape.transpose()
-    if shape.mode == "tableau":
-        return young_symmetrizer(flipped)
-    return tabloid_row_projector(flipped)
 
 
 def hook_length_dimension(rows) -> int:
@@ -303,7 +273,7 @@ def standard_tableaux(rows):
 
     def place(k, grid):
         if k > b:
-            results.append(YoungShape(rows, tuple(tuple(r) for r in grid), "tableau"))
+            results.append(YoungShape(rows, tuple(tuple(r) for r in grid)))
             return
         for i, r in enumerate(rows):
             j = len(grid[i])

@@ -1,14 +1,14 @@
 """What the tests compare the program against, and the program itself never
 reads: the GL2 character oracle with the plethysm closed form it checks and
 the labels' dimension and weight, the decoration-point fixture, the signed
-symmetry moves on parametric cycles (parameter renaming included) and every
-sorting arrangement, the
+symmetry moves on parametric cycles (parameter renaming included), the
+general external product of two cycle sums and every sorting arrangement, the
 named-class coefficient and symbolic-divisor degree, and the full pass rule
 of a boundary-formula report."""
 
 import itertools
 
-from ellmotive.cycles import FunCoord, ParamCycle
+from ellmotive.cycles import CycleSum, FunCoord, ParamCycle, canonical_term
 from ellmotive.divisors import PointExpr, _parse_class
 from ellmotive.fixtures import generator, multiples, rank_one_curve
 from ellmotive.formulas import certifies
@@ -163,6 +163,30 @@ def rename_params(cycle: ParamCycle, mapping: dict) -> ParamCycle:
     ecoords = tuple(rename(e) for e in cycle.ecoords)
     qcoords = tuple(FunCoord(q.spec, tuple(rename(a) for a in q.args)) for q in cycle.qcoords)
     return ParamCycle(cycle.curve, tuple(mapping.get(p, p) for p in cycle.params), ecoords, qcoords)
+
+
+def concatenate(z1: ParamCycle, z2: ParamCycle) -> ParamCycle:
+    """The raw product of two canonical terms: the left one's k parameters
+    are t0..t<k-1>, so the right one's become t<k>, t<k+1>, .. in order, and
+    one pair always builds the same cycle."""
+    k = len(z1.params)
+    z2 = rename_params(z2, {p: f"t{k + i}" for i, p in enumerate(z2.params)})
+    return ParamCycle(
+        z1.curve, z1.params + z2.params, z1.ecoords + z2.ecoords, z1.qcoords + z2.qcoords
+    )
+
+
+def general_product(s1: CycleSum, s2: CycleSum) -> CycleSum:
+    """The external product of any two cycle sums: each pair's concatenation
+    canonicalized.  `cycles.external_product` merges the pairs with a
+    point-class factor to the same sum, and takes no other pair."""
+    items = []
+    for z1, c1 in s1.items():
+        for z2, c2 in s2.items():
+            canon, sign = canonical_term(concatenate(z1, z2))
+            if canon is not None:
+                items.append((canon, c1 * c2 * sign))
+    return CycleSum(items)
 
 
 def sorted_arrangements(keys):

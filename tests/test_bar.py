@@ -47,7 +47,7 @@ from ellmotive.fields import PrimeField, RationalField
 from ellmotive.fixtures import generator, standard_function, standard_functions
 from ellmotive.formulas import FamilyContext, _decoration_points, certifies
 from ellmotive.suites import _BAR_CHECKS, run_suite
-from reference import fixed_points
+from reference import fixed_points, general_product
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,10 @@ def test_single_point_word_closed(chains):
     assert bar_differential(w, FamilyContext(curve, gs)).is_zero()
 
 
-def test_dd_zero_on_words(chains):
+def test_dd_zero_on_words(chains, monkeypatch):
+    # D of [mu, pt, eta] holds the word [mu x pt, eta], whose product has no
+    # point-class factor: D^2 multiplies through the general product
+    monkeypatch.setattr(formulas, "external_product", general_product)
     curve, gs, _, _ = chains
     afix = fixed_points(2)
     eta = decorate("eta", build_family("X", curve, gs[:1]))

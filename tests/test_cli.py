@@ -175,6 +175,10 @@ def _edited(edit):
         pytest.param(_edited(lambda c: c["bounds"].update(r_max=-1)), id="r_max-negative"),
         pytest.param(_edited(lambda c: c.update(seed=True)), id="seed-bool"),
         pytest.param([GOOD_CONFIG], id="top-level-list"),
+        pytest.param(
+            _edited(lambda c: c["curve"].update(field=f"prime:{10**24 + 7}")),
+            id="modulus-too-large",
+        ),
     ],
 )
 def test_cli_bad_config_exit_2(tmp_path, capsys, bad):
@@ -219,6 +223,18 @@ def test_unreadable_input_or_unwritable_output_exit_2(tmp_path, capsys, paths, w
     err = capsys.readouterr().err
     assert code == 2
     assert words in err and "Traceback" not in err
+
+
+def test_large_prime_modulus_runs(tmp_path):
+    # a 61-bit modulus is checked prime at once, not by trial division
+    big = {"curve": {"a4": "1", "a6": "1", "field": f"prime:{2**61 - 1}"}, "functions": []}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "ellmotive.cli", "--config", write_config(tmp_path, big)]
+    proc = subprocess.run(cmd + ["verify", "divisors"], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["fail"] == 0
 
 
 def test_integral_bounds_are_accepted():

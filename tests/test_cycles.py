@@ -30,11 +30,9 @@ from ellmotive.cycles import (
     term_faces,
 )
 from ellmotive.cycles import (
-    _concatenate,
     _cube_row,
     _point_product,
     _rebuild,
-    _scan,
 )
 from ellmotive.divisors import DegeneracyError, FormalDivisor, class_equation
 from ellmotive.fields import field_from_tag
@@ -46,10 +44,12 @@ from ellmotive.orbits import (
     _sorted_order,
     _table_row,
 )
-from ellmotive.symgrp import Permutation, YoungShape, transpose_projector
+from ellmotive.symgrp import Permutation, YoungShape, row_sum
 from reference import (
     codim,
+    concatenate,
     fixed_points,
+    general_product,
     negate_ecoord,
     permute_ecoords,
     permute_qcoords,
@@ -312,6 +312,7 @@ def test_external_product(setup):
 
 
 def test_external_product_names_are_deterministic(setup):
+    # the general product (the reference for pairs without a point class):
     # the right factor's parameters follow the left factor's t0..t<k-1>, so
     # computing one product again builds the same cycle and the canonical
     # cache gains nothing
@@ -320,10 +321,19 @@ def test_external_product_names_are_deterministic(setup):
     curve, gs, afix = setup
     Y1 = CycleSum.single(build_family("Y", curve, gs[:1], fixed=(afix[0],)))
     Y2 = CycleSum.single(build_family("Y", curve, gs[1:2], fixed=(afix[1],)))
-    first = external_product(Y1, Y2)
+    first = general_product(Y1, Y2)
     before = len(cycles._canonical_cache)
-    assert external_product(Y1, Y2) == first
+    assert general_product(Y1, Y2) == first
     assert len(cycles._canonical_cache) == before
+
+
+def test_product_without_a_point_class_raises(setup):
+    # every product is a point merge: two family cycles are no such pair
+    curve, gs, afix = setup
+    Y1 = CycleSum.single(build_family("Y", curve, gs[:1], fixed=(afix[0],)))
+    Y2 = CycleSum.single(build_family("Y", curve, gs[1:2], fixed=(afix[1],)))
+    with pytest.raises(CycleError, match="is a point class"):
+        external_product(Y1, Y2)
 
 
 def test_cycles_does_not_import_gl2():
@@ -345,10 +355,10 @@ def test_leibniz_rule(setup):
     curve, gs, afix = setup
     Y1 = CycleSum.single(build_family("Y", curve, gs[:1], fixed=(afix[0],)))
     Y2 = CycleSum.single(build_family("Y", curve, gs[1:2], fixed=(afix[1],)))
-    lhs = boundary(external_product(Y1, Y2))
+    lhs = boundary(general_product(Y1, Y2))
     c1 = Y1.terms[0][0].c
     sign = Fraction(-1) if c1 % 2 else Fraction(1)
-    rhs = external_product(boundary(Y1), Y2) + external_product(Y1, boundary(Y2)).scale(sign)
+    rhs = general_product(boundary(Y1), Y2) + general_product(Y1, boundary(Y2)).scale(sign)
     assert (lhs - rhs).is_zero()
 
 
@@ -632,7 +642,7 @@ def test_boundary_adds_up_like_its_scanned_faces(cycles_):
     items = []
     for cyc, c in s.items():
         for fc, face in term_faces(cyc):
-            face_canon, sign = _scan(face, {})
+            face_canon, sign = canonical_term(face)
             if face_canon is not None:
                 items.append((face_canon, c * fc * sign))
     assert list(got.items()) == list(CycleSum(items).items())
@@ -830,23 +840,16 @@ def test_sorted_order_is_the_first_arrangement(keys):
 
 
 # ---------------------------------------------------------------------------
-# point-class products: merged without a scan, against the scanned product
+# point-class products: merged without a scan, against the general product
 
 
-def _scanned_product(s1, s2):
-    """The product of two sums the way a pair without a point class is
-    multiplied: each raw concatenation scanned."""
-    items = []
-    for z1, c1 in s1.items():
-        for z2, c2 in s2.items():
-            canon, sign = _scan(_concatenate(z1, z2), {})
-            if canon is not None:
-                items.append((canon, c1 * c2 * sign))
-    return CycleSum(items)
+def _is_point(z):
+    return not (z.params or z.qcoords)
 
 
 def _all_merged(s1, s2):
-    return all(_point_product(z1, z2) is not None for z1 in s1 for z2 in s2)
+    # every pair has a point-class factor, so `external_product` merges it
+    return all(_is_point(z1) or _is_point(z2) for z1 in s1 for z2 in s2)
 
 
 def test_point_products_match_the_scan_on_chain_slot_pairs():
@@ -857,7 +860,7 @@ def test_point_products_match_the_scan_on_chain_slot_pairs():
     for (left, right), product in ctx._products.items():
         pair = CycleSum([(left, 1)]), CycleSum([(right, 1)])
         assert _all_merged(*pair)
-        assert product == _scanned_product(*pair)
+        assert product == general_product(*pair)
 
 
 def test_point_products_match_the_scan_on_expansions(setup):
@@ -873,7 +876,7 @@ def test_point_products_match_the_scan_on_expansions(setup):
             for _, _, _, (left, right) in ctx.expansions(desc):
                 pair = ctx.materialize(left), ctx.materialize(right)
                 assert _all_merged(*pair)
-                assert external_product(*pair) == _scanned_product(*pair)
+                assert external_product(*pair) == general_product(*pair)
                 checked += 1
     assert checked > 50
 
@@ -893,12 +896,12 @@ def test_point_merge_matches_reference(point, cycle, point_left):
     canon, _ = canonical_term(cycle)
     assume(canon is not None)
     pair = (point, canon) if point_left else (canon, point)
-    assert _point_product(*pair) == _reference_canonical(_concatenate(*pair))
+    assert _point_product(*pair) == _reference_canonical(concatenate(*pair))
 
 
 def _decoration_projector(b):
     """rho^t_{b-1,1}: the transposed tabloid projector eta and nu act by."""
-    return transpose_projector(YoungShape.standard((b - 1, 1), "tabloid"))
+    return row_sum(YoungShape.standard((b - 1, 1)).transpose())
 
 
 def _reference_decoration(cycle):

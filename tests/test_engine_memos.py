@@ -4,14 +4,13 @@ The family context owns every memo, one per fact: a sum and a match
 report per descriptor, a boundary per canonical cycle and a product per
 ordered pair of them, which the boundary-formula checks and the bar
 differential share.
-`cycles.boundary` and `cycles.external_product` scan each raw face or
-product once and keep nothing, and `cycles._canonical_cache` grows only
-from family construction.  Products with a point-class factor are merged
-without a scan, and every product the suites and builds make has one.
+`cycles.boundary` scans each raw face once and `cycles.external_product`
+merges each product without a scan; both keep nothing, and
+`cycles._canonical_cache` grows only from family construction.  Every
+product the suites and builds make has a point-class factor.
 """
 
 import gc
-import sys
 import weakref
 
 from ellmotive import cycles, formulas
@@ -119,23 +118,14 @@ def test_runs_repeat_and_leave_no_context_behind(monkeypatch):
     assert contexts and all(ref() is None for ref in contexts)
 
 
-def test_products_are_merged_without_a_scan(monkeypatch):
+def test_products_are_merged_without_a_scan():
     # every product the boundaries suite and the n=2 build make has a point
-    # class factor: a change that routes them back through the orbit scan
-    # fails here instead of only slowing down
-    callers = []
-    real = cycles._scan
-
-    def scan(cycle, rows):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name != "external_product":
-            frame = frame.f_back
-        callers.append(frame is not None)
-        return real(cycle, rows)
-
-    monkeypatch.setattr(cycles, "_scan", scan)
+    # class factor, so each is merged; a pair without one would raise
+    # (`test_cycles.py::test_product_without_a_point_class_raises`) and fail
+    # a record or the build
     rep = run_suite(default_config(), "boundaries")
     curve, gs = standard_functions(2)
     mc = build_motive_chain(curve, gs)
     assert not rep.failed and mc.context._products
-    assert not any(callers)
+    for pair in mc.context._products:
+        assert any(not (z.params or z.qcoords) for z in pair)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 
@@ -24,6 +25,7 @@ from ellmotive.curves import (
 )
 from ellmotive.cycles import FbarSpec, FunCoord, ParamCycle, PointExpr
 from ellmotive.fields import FieldError, PrimeField, RationalField, field_from_tag
+from ellmotive.fields import _PRIME_BOUND, _is_prime
 from ellmotive.fixtures import generator, rank_one_curve, two_torsion_curve_f11
 from ellmotive.symgrp import Permutation
 from reference import permute_ecoords, rename_params
@@ -41,6 +43,28 @@ def test_prime_field_ops():
         PrimeField(10)
     with pytest.raises(FieldError):
         PrimeField(2)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(10**4) if _is_prime(n) != _trial_division(n)] == []
+
+
+def test_large_prime_moduli():
+    # Miller-Rabin on the primes up to 37: a Mersenne prime is accepted at
+    # once; the Carmichael numbers 561 and 41041 and 3215031751, a strong
+    # pseudoprime to the bases 2, 3, 5 and 7, are rejected
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    for n in (561, 41041, 3215031751):
+        with pytest.raises(FieldError, match="not prime"):
+            PrimeField(n)
+    # at and above the bound the witnesses decide nothing
+    for n in (_PRIME_BOUND, 10**24 + 7):
+        with pytest.raises(FieldError, match="too large"):
+            PrimeField(n)
 
 
 @pytest.mark.parametrize("F", [RationalField(), PrimeField(11)], ids=["Q", "F_11"])
