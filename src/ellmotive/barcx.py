@@ -29,7 +29,6 @@ discharge lives at the family level), and the bar suite's
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurvePoint, ec_add, is_two_torsion
@@ -280,14 +279,14 @@ def _solve_exact(columns, rhs):
     return x
 
 
-@dataclass
 class MotiveChain:
     """A bar cocycle with its construction data."""
 
-    chain: BarChain
-    layers: list  # list of (coeff, descriptor tuple) actually used
-    context: FamilyContext
-    leading: tuple  # the top descriptor
+    def __init__(self, chain: BarChain, layers: list, context: FamilyContext, leading: tuple):
+        self.chain = chain
+        self.layers = layers  # list of (coeff, descriptor tuple) actually used
+        self.context = context
+        self.leading = leading  # the top descriptor
 
 
 def build_motive_chain(curve, gs, fixed=(), mode="fbar") -> MotiveChain:
@@ -423,12 +422,12 @@ def verify_coassociativity(chain: BarChain) -> bool:
     return first == second == third
 
 
-@dataclass
 class ComultiplyReport:
-    coassociative: bool
-    leading_ok: bool  # the E (x) 1 group equals the chain
-    trailing_ok: bool  # the 1 (x) E group equals the chain
-    middle: list  # (point key, cocycle flag, leading-match flag)
+    def __init__(self, coassociative: bool, leading_ok: bool, trailing_ok: bool, middle: list):
+        self.coassociative = coassociative
+        self.leading_ok = leading_ok  # the E (x) 1 group equals the chain
+        self.trailing_ok = trailing_ok  # the 1 (x) E group equals the chain
+        self.middle = middle  # (point key, cocycle flag, leading-match flag)
 
     @property
     def counital(self) -> bool:
@@ -504,12 +503,12 @@ def grading_coherent(mc: MotiveChain) -> bool:
     return all(tensor_supports(ls, target) for ls in layer_labels(mc))
 
 
-@dataclass
 class NontrivialityCertificate:
-    nontrivial: bool
-    point: CurvePoint | None
-    double: CurvePoint | None
-    reason: str
+    def __init__(self, nontrivial: bool, point: CurvePoint | None, double, reason: str):
+        self.nontrivial = nontrivial
+        self.point = point
+        self.double = double  # 2 * point
+        self.reason = reason
 
 
 def non_principal_point(points) -> CurvePoint | None:
@@ -541,11 +540,11 @@ def nontriviality_witness(chain: BarChain) -> NontrivialityCertificate:
 # comodule span
 
 
-@dataclass
 class ComoduleSpanReport:
-    members: list  # (label, BarChain)
-    closed: bool
-    failures: list
+    def __init__(self, members: list, closed: bool, failures: list):
+        self.members = members  # (label, BarChain)
+        self.closed = closed
+        self.failures = failures
 
 
 def comodule_span(mc: MotiveChain) -> ComoduleSpanReport:

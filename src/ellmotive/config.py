@@ -9,7 +9,6 @@ criterion, with errors naming the offending entry.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .curves import CurveError, CurvePoint, EllipticCurve, full_two_torsion
@@ -23,18 +22,19 @@ class ConfigError(ValueError):
     """Invalid input; the CLI maps this to exit code 2."""
 
 
-@dataclass
 class Bounds:
-    n_max: int = 2
-    r_max: int = 2
-    random_trials: int = 20
+    def __init__(self, n_max: int = 2, r_max: int = 2, random_trials: int = 20):
+        self.n_max = n_max
+        self.r_max = r_max
+        self.random_trials = random_trials
 
     @staticmethod
     def from_dict(data: dict) -> "Bounds":
+        default = Bounds()
         return Bounds(
-            n_max=_int(data, "n_max", Bounds.n_max, least=1),
-            r_max=_int(data, "r_max", Bounds.r_max, least=0),
-            random_trials=_int(data, "random_trials", Bounds.random_trials, least=1),
+            n_max=_int(data, "n_max", default.n_max, least=1),
+            r_max=_int(data, "r_max", default.r_max, least=0),
+            random_trials=_int(data, "random_trials", default.random_trials, least=1),
         )
 
 
@@ -53,14 +53,16 @@ def _int(data: dict, key: str, default: int, least=None) -> int:
     return number
 
 
-@dataclass
 class Config:
-    curve: EllipticCurve
-    functions: list  # list of UserFunction
-    mode: str
-    bounds: Bounds
-    seed: int
-    raw: dict  # the input as given, which the report echoes
+    def __init__(
+        self, curve: EllipticCurve, functions: list, mode: str, bounds: Bounds, seed: int, raw: dict
+    ):
+        self.curve = curve
+        self.functions = functions  # list of UserFunction
+        self.mode = mode
+        self.bounds = bounds
+        self.seed = seed
+        self.raw = raw  # the input as given, which the report echoes
 
 
 def parse_point(curve: EllipticCurve, payload) -> CurvePoint:
@@ -156,7 +158,7 @@ def default_config() -> Config:
             {"name": g.name, "divisor": g.divisor.serialize()} for g in gs
         ],
         "mode": "fbar",
-        "bounds": asdict(Bounds()),
+        "bounds": vars(Bounds()),
         "seed": 0,
     }
     return config_from_dict(raw)

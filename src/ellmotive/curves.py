@@ -27,44 +27,50 @@ result once, divides and keys.  Int literals stand on the right of a product
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .fields import FieldError, PrimeField, RationalField
+from .frozen import Frozen, _set
 
 
 class CurveError(ValueError):
     """Structural errors: singular curve, off-curve point, mismatched curves."""
 
 
-@dataclass(frozen=True, slots=True)
-class EllipticCurve:
-    field: object
-    a1: object
-    a2: object
-    a3: object
-    a4: object
-    a6: object
-    _key: str = _field(init=False, repr=False, compare=False)
-    _hash: int = _field(init=False, repr=False, compare=False)
-    # the group-law memo: (P, Q) -> P + Q and P -> -P
-    _sums: dict = _field(init=False, repr=False, compare=False)
-    _negs: dict = _field(init=False, repr=False, compare=False)
-    _points: dict = _field(init=False, repr=False, compare=False)  # value -> the one object
-    _zero: object = _field(init=False, repr=False, compare=False)  # the identity point
-    _two_torsion: tuple = _field(init=False, repr=False, compare=False)  # filled on first use
+class EllipticCurve(Frozen):
+    __slots__ = (
+        "field",
+        "a1",
+        "a2",
+        "a3",
+        "a4",
+        "a6",
+        "_key",
+        "_hash",
+        # the group-law memo: (P, Q) -> P + Q and P -> -P
+        "_sums",
+        "_negs",
+        "_points",  # value -> the one object
+        "_zero",  # the identity point
+        "_two_torsion",  # filled on first use
+    )
 
-    def __post_init__(self):
-        F = self.field
-        coeffs = ",".join(F.key(c) for c in (self.a1, self.a2, self.a3, self.a4, self.a6))
-        key = f"E[{coeffs}]/{F}"
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_sums", {})
-        object.__setattr__(self, "_negs", {})
-        object.__setattr__(self, "_points", {})
-        object.__setattr__(self, "_zero", CurvePoint(self, infinity=True))
+    def __init__(self, field, a1, a2, a3, a4, a6):
+        _set(self, "field", field)
+        _set(self, "a1", a1)
+        _set(self, "a2", a2)
+        _set(self, "a3", a3)
+        _set(self, "a4", a4)
+        _set(self, "a6", a6)
+        coeffs = ",".join(field.key(c) for c in (a1, a2, a3, a4, a6))
+        key = f"E[{coeffs}]/{field}"
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
+        _set(self, "_sums", {})
+        _set(self, "_negs", {})
+        _set(self, "_points", {})
+        _set(self, "_zero", CurvePoint(self, infinity=True))
 
     @staticmethod
     def from_coeffs(field, a1, a2, a3, a4, a6) -> "EllipticCurve":
@@ -96,29 +102,28 @@ class EllipticCurve:
     def key(self) -> str:
         return self._key
 
+    def _args(self) -> tuple:
+        # copies and pickles start with an empty group-law memo
+        return self.field, self.a1, self.a2, self.a3, self.a4, self.a6
+
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # copies and pickles recompute the caches (str hashes are per process)
-        # and start with an empty group-law memo
-        return EllipticCurve, (self.field, self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def __repr__(self) -> str:
         return self._key
 
 
-@dataclass(frozen=True, slots=True)
-class CurvePoint:
+class CurvePoint(Frozen):
     """A point of E(k): Infinity (the group identity 0) or an affine (x, y)."""
 
-    curve: EllipticCurve
-    x: object = None
-    y: object = None
-    infinity: bool = False
-    # filled on first use by key() and __hash__
-    _key: str = _field(init=False, repr=False, compare=False)
-    _hash: int = _field(init=False, repr=False, compare=False)
+    # _key and _hash are filled on first use by key() and __hash__
+    __slots__ = ("curve", "x", "y", "infinity", "_key", "_hash")
+
+    def __init__(self, curve: EllipticCurve, x=None, y=None, infinity=False):
+        _set(self, "curve", curve)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "infinity", infinity)
 
     @staticmethod
     def at_infinity(curve: EllipticCurve) -> "CurvePoint":
@@ -140,23 +145,28 @@ class CurvePoint:
             else:
                 F = self.curve.field
                 key = f"({F.key(self.x)},{F.key(self.y)})"
-            object.__setattr__(self, "_key", key)
+            _set(self, "_key", key)
             return key
 
     def __repr__(self) -> str:
         return self.key()
+
+    def _args(self) -> tuple:
+        return self.curve, self.x, self.y, self.infinity
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = self.curve, self.x, self.y, self.infinity
+        return mine == (other.curve, other.x, other.y, other.infinity)
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
             h = hash((self.curve._hash, self.key()))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
-
-    def __reduce__(self):
-        # copies and pickles recompute the caches (str hashes are per process)
-        return CurvePoint, (self.curve, self.x, self.y, self.infinity)
 
 
 def _require_same_curve(P: CurvePoint, Q: CurvePoint):
@@ -249,11 +259,11 @@ def full_two_torsion(curve: EllipticCurve) -> list:
     except AttributeError:
         pass
     F = curve.field
-    c3, c2, c1, c0 = _two_torsion_cubic(curve)
+    cubic = _two_torsion_cubic(curve)
     if isinstance(F, PrimeField):
-        roots = [x for x in F.elements() if F.reduce(((c3 * x + c2) * x + c1) * x + c0) == 0]
+        roots = _prime_cubic_roots(cubic, F.p)
     elif isinstance(F, RationalField):
-        roots = _rational_cubic_roots(c3, c2, c1, c0)
+        roots = _rational_cubic_roots(*cubic)
     else:
         raise FieldError("unsupported field for two-torsion search")
     out = []
@@ -261,40 +271,126 @@ def full_two_torsion(curve: EllipticCurve) -> list:
         y = F.div(-curve.a1 * x - curve.a3, 2)
         out.append(CurvePoint.affine(curve, x, y))
     out.sort(key=lambda P: P.key())
-    object.__setattr__(curve, "_two_torsion", tuple(out))
+    _set(curve, "_two_torsion", tuple(out))
     return out
 
 
 def _rational_cubic_roots(c3: Fraction, c2: Fraction, c1: Fraction, c0: Fraction):
-    """Rational roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0): x = 0 while
-    the constant term is 0, then the rational root test on what is left."""
+    """Rational roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0), in order.
+
+    Scaled to integer coefficients a3, .., a0, a rational root x makes
+    y = a3 x an integer root of g(y) = y^3 + a2 y^2 + a1 a3 y + a0 a3^2.
+    The critical points of g cut the integers into at most three runs on
+    which g is monotone, and bisection finds the one root a run can hold."""
     denom = lcm(c3.denominator, c2.denominator, c1.denominator, c0.denominator)
-    coeffs = [int(c * denom) for c in (c3, c2, c1, c0)]
+    a3, a2, a1, a0 = (int(c * denom) for c in (c3, c2, c1, c0))
+    b, c, d = a2, a1 * a3, a0 * a3 * a3
+
+    def g(y):
+        return ((y + b) * y + c) * y + d
+
+    bound = 1 + max(abs(b), abs(c), abs(d))  # every real root lies strictly within
+    disc = b * b - 3 * c  # g' = 3y^2 + 2by + c vanishes at (-b -+ sqrt(disc)) / 3
+    runs = [(-bound, bound)]
+    if disc > 0:
+        s = isqrt(disc)
+        up = s + (s * s != disc)  # the ceiling of sqrt(disc)
+        runs = [
+            (-bound, (-b - up) // 3),
+            (-((b + s) // 3), (s - b) // 3),
+            (-((b - up) // 3), bound),
+        ]
     roots = set()
-    while coeffs[-1] == 0:
-        roots.add(Fraction(0))
-        coeffs.pop()
+    for lo, hi in runs:
+        if lo > hi:
+            continue
+        sign = 1 if g(hi) >= g(lo) else -1
+        while lo < hi:  # the least y of the run with sign * g(y) >= 0
+            mid = (lo + hi) // 2
+            if sign * g(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if g(lo) == 0:
+            roots.add(lo)
+    return sorted(Fraction(y, a3) for y in roots)
 
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
 
-    for p in divisors(coeffs[-1]):
-        for q in divisors(coeffs[0]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = 0
-                for a in coeffs:
-                    val = val * cand + a
-                if val == 0:
-                    roots.add(cand)
-    return sorted(roots)
+# polynomials over F_p: coefficient lists, lowest degree first, no trailing zeros
+
+
+def _poly_divmod(a, m, p: int):
+    """Quotient and remainder of a by the monic m."""
+    rem = [c % p for c in a]
+    d = len(m) - 1
+    quo = [0] * max(len(rem) - d, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rem[i + d]
+        if c:
+            for j, mj in enumerate(m):
+                rem[i + j] = (rem[i + j] - c * mj) % p
+    del rem[d:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _poly_mulmod(a, b, m, p: int):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_divmod(out, m, p)[1]
+
+
+def _poly_powmod(base, e: int, m, p: int):
+    """base^e modulo the monic m, by square-and-multiply."""
+    out, base = [1], _poly_divmod(base, m, p)[1]
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, base, m, p)
+        e >>= 1
+        if e:
+            base = _poly_mulmod(base, base, m, p)
+    return out
+
+
+def _poly_gcd(a, b, p: int):
+    """The monic gcd of the monic a and b."""
+    b = _poly_divmod(b, a, p)[1]
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = [c * inv % p for c in b], a
+        b = _poly_divmod(b, a, p)[1]
+    return a
+
+
+def _prime_cubic_roots(cubic, p: int) -> list:
+    """The roots in F_p of a cubic given leading coefficient first: its gcd
+    with x^p - x is the product of its distinct linear factors."""
+    inv = pow(cubic[0], -1, p)
+    f = [c * inv % p for c in reversed(cubic)]
+    h = _poly_powmod([0, 1], p, f, p) + [0, 0]
+    h[1] -= 1
+    return sorted(_split_linear(_poly_gcd(f, h, p), p))
+
+
+def _split_linear(g, p: int) -> list:
+    """The roots of g, a monic product of distinct linear factors over F_p.
+    The roots r with r + a a nonzero square are those of
+    gcd(g, (x + a)^((p-1)/2) - 1).  Two distinct roots fall on different
+    sides for (p-1)/2 of the p shifts a, so the first shift that splits g
+    comes within a few steps, and each factor splits in turn."""
+    if len(g) <= 2:
+        return [-g[0] % p] if len(g) == 2 else []
+    a = 0
+    while True:
+        h = _poly_powmod([a, 1], (p - 1) // 2, g, p)
+        h[0] -= 1
+        k = _poly_gcd(g, h, p)
+        if 1 < len(k) < len(g):
+            return _split_linear(k, p) + _split_linear(_poly_divmod(g, k, p)[0], p)
+        a += 1
 
 
 def enumerate_points(curve: EllipticCurve) -> list:

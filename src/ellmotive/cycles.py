@@ -86,7 +86,6 @@ and the bar differential both read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
@@ -104,6 +103,7 @@ from .divisors import (
     pullback_to_factor,
     render_expr,
 )
+from .frozen import Frozen, _set
 from .lincomb import LinComb
 from .orbits import (
     _cube_ser,
@@ -127,7 +127,7 @@ class AdmissibilityError(ValueError):
 # function specs: a cube coordinate is a function known only by its divisor
 
 
-class _ProductSpec:
+class _ProductSpec(Frozen):
     """The face components of a spec, read off its divisor class on E^arity."""
 
     @cached_property
@@ -137,16 +137,17 @@ class _ProductSpec:
         return self.divisor_class().terms
 
 
-@dataclass(frozen=True)
 class UserFunction(_ProductSpec):
     """A named rational function on E, given by its (principal) divisor."""
 
-    name: str
-    divisor: FormalDivisor
+    def __init__(self, name: str, divisor: FormalDivisor):
+        if not is_principal(divisor):
+            raise DivisorError(f"divisor of {name} fails Abel's criterion")
+        _set(self, "name", name)
+        _set(self, "divisor", divisor)
 
-    def __post_init__(self):
-        if not is_principal(self.divisor):
-            raise DivisorError(f"divisor of {self.name} fails Abel's criterion")
+    def _args(self) -> tuple:
+        return self.name, self.divisor
 
     @cached_property
     def _hash(self) -> int:
@@ -155,10 +156,6 @@ class UserFunction(_ProductSpec):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # copies and pickles recompute the hash (str hashes are per process)
-        return UserFunction, (self.name, self.divisor)
 
     @property
     def arity(self) -> int:
@@ -174,12 +171,15 @@ class UserFunction(_ProductSpec):
         return f"user:{self.name}"
 
 
-@dataclass(frozen=True)
 class FbarSpec(_ProductSpec):
     """The function on E^n with divisor -n sum D_i(0) + sum Delta_{i,j} + Dsum(0)."""
 
-    curve: EllipticCurve
-    n: int
+    def __init__(self, curve: EllipticCurve, n: int):
+        _set(self, "curve", curve)
+        _set(self, "n", n)
+
+    def _args(self) -> tuple:
+        return self.curve, self.n
 
     @property
     def arity(self) -> int:
@@ -196,14 +196,17 @@ class FbarSpec(_ProductSpec):
         return f"fbar:{self.n}"
 
 
-@dataclass(frozen=True)
 class FnSpec(_ProductSpec):
     """F-bar_n corrected by h_n in coordinates 2..n (the product reading)."""
 
-    curve: EllipticCurve
-    n: int
-    u: CurvePoint
-    v: CurvePoint
+    def __init__(self, curve: EllipticCurve, n: int, u: CurvePoint, v: CurvePoint):
+        _set(self, "curve", curve)
+        _set(self, "n", n)
+        _set(self, "u", u)
+        _set(self, "v", v)
+
+    def _args(self) -> tuple:
+        return self.curve, self.n, self.u, self.v
 
     @property
     def arity(self) -> int:
@@ -220,39 +223,47 @@ class FnSpec(_ProductSpec):
         return f"fn:{self.n}:{self.u.key()}:{self.v.key()}"
 
 
-@dataclass(frozen=True, slots=True)
-class FunCoord:
-    spec: object
-    args: tuple  # tuple of PointExpr, length spec.arity
+class FunCoord(Frozen):
+    __slots__ = ("spec", "args")
 
-    def __post_init__(self):
-        if len(self.args) != self.spec.arity:
+    def __init__(self, spec, args: tuple):
+        if len(args) != spec.arity:
             raise CycleError("argument count does not match the function arity")
+        _set(self, "spec", spec)
+        _set(self, "args", args)  # tuple of PointExpr, length spec.arity
+
+    def _args(self) -> tuple:
+        return self.spec, self.args
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.args) == (other.spec, other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.args))
 
 
 # ---------------------------------------------------------------------------
 # parametric cycles
 
 
-@dataclass(frozen=True, slots=True)
-class ParamCycle:
-    curve: EllipticCurve
-    params: tuple  # ordered tuple of names
-    ecoords: tuple  # tuple of PointExpr
-    qcoords: tuple  # tuple of FunCoord
-    _hash: int = field(init=False, repr=False, compare=False)  # filled on first use
-    _key: tuple = field(init=False, repr=False, compare=False)  # filled on first use
+class ParamCycle(Frozen):
+    # _hash and _key are filled on first use
+    __slots__ = ("curve", "params", "ecoords", "qcoords", "_hash", "_key")
 
-    def __post_init__(self):
-        used = {n for e in self.ecoords for n, _ in e.coeffs}
-        used.update(n for q in self.qcoords for a in q.args for n, _ in a.coeffs)
-        declared = set(self.params)
-        if used == declared:
-            return
-        if used - declared:
-            raise CycleError(f"undeclared parameters {sorted(used - declared)}")
-        if declared - used:
+    def __init__(self, curve: EllipticCurve, params: tuple, ecoords: tuple, qcoords: tuple):
+        used = {n for e in ecoords for n, _ in e.coeffs}
+        used.update(n for q in qcoords for a in q.args for n, _ in a.coeffs)
+        declared = set(params)
+        if used != declared:
+            if used - declared:
+                raise CycleError(f"undeclared parameters {sorted(used - declared)}")
             raise CycleError(f"unused parameters {sorted(declared - used)}")
+        _set(self, "curve", curve)
+        _set(self, "params", params)  # ordered tuple of names
+        _set(self, "ecoords", ecoords)  # tuple of PointExpr
+        _set(self, "qcoords", qcoords)  # tuple of FunCoord
 
     @property
     def b(self) -> int:
@@ -266,17 +277,22 @@ class ParamCycle:
     def dim(self) -> int:
         return len(self.params)
 
+    def _args(self) -> tuple:
+        return self.curve, self.params, self.ecoords, self.qcoords
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = self.curve, self.params, self.ecoords, self.qcoords
+        return mine == (other.curve, other.params, other.ecoords, other.qcoords)
+
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
             h = hash((self.params, self.ecoords, self.qcoords))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
-
-    def __reduce__(self):
-        # copies and pickles recompute the hash (str hashes are per process)
-        return ParamCycle, (self.curve, self.params, self.ecoords, self.qcoords)
 
     def key(self) -> tuple:
         """The serialization under the cycle's own names: the sort key of
@@ -288,7 +304,7 @@ class ParamCycle:
                 tuple(e.key() for e in self.ecoords),
                 tuple(_cube_ser(_cube_row(q))[0] for q in self.qcoords),
             )
-            object.__setattr__(self, "_key", k)
+            _set(self, "_key", k)
             return k
 
     def __repr__(self) -> str:

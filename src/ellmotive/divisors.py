@@ -26,9 +26,8 @@ Three layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curves import CurvePoint, EllipticCurve, ec_add, ec_neg, ec_scalar_mul, is_two_torsion
+from .frozen import Frozen, _set
 from .lincomb import LinComb
 
 
@@ -206,8 +205,7 @@ def pullback_to_factor(D: FormalDivisor, n: int, j: int) -> ProductDivisorClass:
     return ProductDivisorClass.of(D.curve, n, [(("D", j, p), c) for p, c in D.items()])
 
 
-@dataclass(frozen=True)
-class FnDivisorReport:
+class FnDivisorReport(Frozen):
     """Both readings of (F_n) plus their term-by-term difference.
 
     `product` is the divisor of the defining product
@@ -217,9 +215,13 @@ class FnDivisorReport:
     the difference is flagged downstream.
     """
 
-    product: ProductDivisorClass
-    displayed: ProductDivisorClass
-    difference: list
+    def __init__(self, product: ProductDivisorClass, displayed: ProductDivisorClass, difference):
+        _set(self, "product", product)
+        _set(self, "displayed", displayed)
+        _set(self, "difference", difference)  # a list: the report is unhashable
+
+    def _args(self) -> tuple:
+        return self.product, self.displayed, self.difference
 
 
 def make_fn_divisor(curve: EllipticCurve, n: int, u: CurvePoint, v: CurvePoint) -> FnDivisorReport:
@@ -248,14 +250,16 @@ def make_fn_divisor(curve: EllipticCurve, n: int, u: CurvePoint, v: CurvePoint) 
 # affine E-valued expressions, the class equations, fiberwise restriction
 
 
-@dataclass(frozen=True, slots=True)
-class PointExpr:
+class PointExpr(Frozen):
     """sum(c_k * t_k) + const, with integer coefficients in named E-valued
     parameters and a point constant."""
 
-    curve: EllipticCurve
-    coeffs: tuple = ()  # tuple of (name, int), sorted by name, nonzero
-    const: CurvePoint = None
+    __slots__ = ("curve", "coeffs", "const")
+
+    def __init__(self, curve: EllipticCurve, coeffs: tuple, const: CurvePoint):
+        _set(self, "curve", curve)
+        _set(self, "coeffs", coeffs)  # tuple of (name, int), sorted by name, nonzero
+        _set(self, "const", const)
 
     @staticmethod
     def make(curve, items, const=None) -> "PointExpr":
@@ -339,6 +343,14 @@ class PointExpr:
     def key(self) -> tuple:
         """The serialization under the expression's own names."""
         return self.coeffs, self.const.key()
+
+    def _args(self) -> tuple:
+        return self.curve, self.coeffs, self.const
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.curve, self.coeffs, self.const) == (other.curve, other.coeffs, other.const)
 
     def __hash__(self) -> int:
         return hash((self.coeffs, self.const))

@@ -11,8 +11,9 @@ element for serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .frozen import Frozen, _set
 
 
 class FieldError(ValueError):
@@ -48,8 +49,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(Frozen):
     """The field Q, with elements represented as Fraction."""
 
     def coerce(self, value) -> Fraction:
@@ -75,22 +75,23 @@ class RationalField:
         return "rational"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Frozen):
     """The field F_p for an odd prime p; elements are ints in [0, p)."""
 
-    p: int
-
-    def __post_init__(self):
-        if self.p >= _PRIME_BOUND:
+    def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
             raise FieldError(
-                f"modulus {self.p} is too large: primality is decided below {_PRIME_BOUND}"
+                f"modulus {p} is too large: primality is decided below {_PRIME_BOUND}"
             )
-        if not _is_prime(self.p):
-            raise FieldError(f"{self.p} is not prime")
-        if self.p == 2:
+        if not _is_prime(p):
+            raise FieldError(f"{p} is not prime")
+        if p == 2:
             # 2-torsion solving divides by 2; char 2 is out of scope.
             raise FieldError("characteristic 2 is not supported")
+        _set(self, "p", p)
+
+    def _args(self) -> tuple:
+        return (self.p,)
 
     def coerce(self, value) -> int:
         if isinstance(value, int):

@@ -40,7 +40,6 @@ kill-cycle discharge rows match exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
@@ -60,18 +59,18 @@ from .cycles import (
 from .gl2 import H1, PureMotive
 
 
-@dataclass
 class MatchInstance:
-    group: str
-    label: str
-    scalar: Fraction | None
-    term_count: int
+    def __init__(self, group: str, label: str, scalar: Fraction | None, term_count: int):
+        self.group = group
+        self.label = label
+        self.scalar = scalar
+        self.term_count = term_count
 
 
-@dataclass
 class GroupMatchReport:
-    instances: list
-    unmatched: list  # (repr, coefficient) pairs left over
+    def __init__(self, instances: list, unmatched: list):
+        self.instances = instances
+        self.unmatched = unmatched  # (repr, coefficient) pairs left over
 
     @property
     def matched(self) -> bool:
@@ -83,13 +82,20 @@ class GroupMatchReport:
         return not self.unmatched and self.matched
 
 
-@dataclass
 class BoundaryFormulaReport:
-    eta: GroupMatchReport
-    mu: GroupMatchReport
-    nu: GroupMatchReport  # the kill-cycle discharge of d(nu)
-    nu_terms: int  # the terms of the strict boundary d(nu)
-    killers: dict  # family -> the match of its kill cycle
+    def __init__(
+        self,
+        eta: GroupMatchReport,
+        mu: GroupMatchReport,
+        nu: GroupMatchReport,
+        nu_terms: int,
+        killers: dict,
+    ):
+        self.eta = eta
+        self.mu = mu
+        self.nu = nu  # the kill-cycle discharge of d(nu)
+        self.nu_terms = nu_terms  # the terms of the strict boundary d(nu)
+        self.killers = killers  # family -> the match of its kill cycle
 
     @property
     def nu_passed(self) -> bool:

@@ -11,8 +11,7 @@ closed form is standard but the engine must not trust it unchecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .frozen import Frozen, _set
 from .lincomb import LinComb
 
 
@@ -20,16 +19,23 @@ class MotiveError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class PureMotive:
-    """Sym^n h^1(E)(-m); Q(-1) is PureMotive(0, 1), h^1(E) is PureMotive(1, 0)."""
+class PureMotive(Frozen):
+    """Sym^n h^1(E)(-m); Q(-1) is PureMotive(0, 1), h^1(E) is PureMotive(1, 0).
+    Labels sort by (n, m)."""
 
-    n: int
-    m: int = 0
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, m: int = 0):
+        if n < 0:
             raise MotiveError("symmetric power must be >= 0")
+        _set(self, "n", n)
+        _set(self, "m", m)
+
+    def _args(self) -> tuple:
+        return self.n, self.m
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._args() < other._args()
 
     def render(self) -> str:
         base = f"Sym^{self.n} h1(E)" if self.n else "Q"

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from .frozen import Frozen, _set
+
 
 def accumulate(acc: dict, items, factor=1) -> dict:
     """Add factor * c to acc[b] for every (b, c) in items, deleting the
@@ -40,7 +42,7 @@ def accumulate(acc: dict, items, factor=1) -> dict:
     return acc
 
 
-class LinComb(Mapping):
+class LinComb(Frozen, Mapping):
     """An exact formal sum: basis -> nonzero coefficient, immutable."""
 
     __slots__ = ("_coeffs", "_terms")
@@ -51,11 +53,10 @@ class LinComb(Mapping):
         self._init(accumulate({}, items), labels)
 
     def _init(self, coeffs: dict, labels):
-        set_ = object.__setattr__
-        set_(self, "_coeffs", coeffs)
-        set_(self, "_terms", None)
+        _set(self, "_coeffs", coeffs)
+        _set(self, "_terms", None)
         for name, value in zip(self.labels, labels, strict=True):
-            set_(self, name, value)
+            _set(self, name, value)
         return self
 
     def _like(self, coeffs: dict):
@@ -79,7 +80,7 @@ class LinComb(Mapping):
         if terms is None:
             key = self.sort_key
             terms = tuple(sorted(self._coeffs.items(), key=lambda t: key(t[0])))
-            object.__setattr__(self, "_terms", terms)
+            _set(self, "_terms", terms)
         return terms
 
     # read-only mapping ---------------------------------------------------
@@ -146,9 +147,6 @@ class LinComb(Mapping):
 
     def __hash__(self):
         return hash(frozenset(self._coeffs.items()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         labels = [getattr(self, name) for name in self.labels]

@@ -10,15 +10,14 @@ right action).  Serialization is bit-stable for a fixed config and seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Record:
-    id: str
-    anchor: str
-    status: str  # pass | fail | flagged
-    details: object = None
+    def __init__(self, id: str, anchor: str, status: str, details):
+        self.id = id
+        self.anchor = anchor
+        self.status = status  # pass | fail | flagged
+        self.details = details
 
     def to_dict(self) -> dict:
         return {
@@ -29,10 +28,10 @@ class Record:
         }
 
 
-@dataclass
 class Report:
-    config_echo: dict
-    records: list = field(default_factory=list)
+    def __init__(self, config_echo: dict):
+        self.config_echo = config_echo
+        self.records = []
 
     def add(self, id: str, anchor: str, ok, details=None):
         status = "pass" if ok else "fail"

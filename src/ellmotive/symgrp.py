@@ -22,10 +22,10 @@ degree 2c and multiplies like every projector.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
 from operator import itemgetter
 
+from .frozen import Frozen, _set
 from .lincomb import LinComb
 
 
@@ -33,11 +33,16 @@ class GroupAlgebraError(ValueError):
     """Structural errors: degree mismatch, malformed shapes."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """One-line notation: images[i-1] is the image of i."""
 
-    images: tuple
+    def __init__(self, images: tuple):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise GroupAlgebraError(f"{images} is not a permutation")
+        _set(self, "images", images)
+
+    def _args(self) -> tuple:
+        return (self.images,)
 
     @staticmethod
     def identity(b: int) -> "Permutation":
@@ -56,16 +61,12 @@ class Permutation:
             images[x - 1] = cycle[(k + 1) % len(cycle)]
         return Permutation(tuple(images))
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise GroupAlgebraError(f"{self.images} is not a permutation")
-
     @staticmethod
     def _trusted(images: tuple) -> "Permutation":
         """A permutation from images known to be one (a composition of
         permutations), without the bijection check."""
         perm = object.__new__(Permutation)
-        object.__setattr__(perm, "images", images)
+        _set(perm, "images", images)
         return perm
 
     @property
@@ -176,8 +177,7 @@ def right_act(vector: GroupAlgebraElement, element: GroupAlgebraElement):
 # Young shapes and their projectors
 
 
-@dataclass(frozen=True)
-class YoungShape:
+class YoungShape(Frozen):
     """A filled Young diagram.  Its projector as a tableau is
     `young_symmetrizer`, as a tabloid `row_sum`.
 
@@ -185,8 +185,19 @@ class YoungShape:
     the cells, given row by row.
     """
 
-    rows: tuple
-    filling: tuple  # tuple of tuples, matching rows
+    def __init__(self, rows: tuple, filling: tuple):
+        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+            raise GroupAlgebraError("row lengths must be weakly decreasing")
+        if tuple(len(r) for r in filling) != rows:
+            raise GroupAlgebraError("filling does not match the shape")
+        cells = [x for row in filling for x in row]
+        if sorted(cells) != list(range(1, len(cells) + 1)):
+            raise GroupAlgebraError("filling is not a bijection onto the cells")
+        _set(self, "rows", rows)
+        _set(self, "filling", filling)  # tuple of tuples, matching rows
+
+    def _args(self) -> tuple:
+        return self.rows, self.filling
 
     @staticmethod
     def standard(rows) -> "YoungShape":
@@ -197,15 +208,6 @@ class YoungShape:
             filling.append(tuple(range(k, k + r)))
             k += r
         return YoungShape(tuple(rows), tuple(filling))
-
-    def __post_init__(self):
-        if any(self.rows[i] < self.rows[i + 1] for i in range(len(self.rows) - 1)):
-            raise GroupAlgebraError("row lengths must be weakly decreasing")
-        if tuple(len(r) for r in self.filling) != self.rows:
-            raise GroupAlgebraError("filling does not match the shape")
-        cells = [x for row in self.filling for x in row]
-        if sorted(cells) != list(range(1, len(cells) + 1)):
-            raise GroupAlgebraError("filling is not a bijection onto the cells")
 
     @property
     def size(self) -> int:

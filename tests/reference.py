@@ -3,10 +3,12 @@ reads: the GL2 character oracle with the plethysm closed form it checks and
 the labels' dimension and weight, the decoration-point fixture, the signed
 symmetry moves on parametric cycles (parameter renaming included), the
 general external product of two cycle sums and every sorting arrangement, the
-named-class coefficient and symbolic-divisor degree, and the full pass rule
-of a boundary-formula report."""
+named-class coefficient and symbolic-divisor degree, the full pass rule
+of a boundary-formula report, and the rational root test."""
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
 from ellmotive.cycles import CycleSum, FunCoord, ParamCycle, canonical_term
 from ellmotive.divisors import PointExpr, _parse_class
@@ -228,3 +230,33 @@ def formulas_pass(rep) -> bool:
     d(nu) is zero or discharged, and both kill cycles certify their family."""
     killers_ok = all(map(certifies, rep.killers.values()))
     return rep.eta.complete and rep.mu.complete and rep.nu_passed and killers_ok
+
+
+# ---------------------------------------------------------------------------
+# rational roots
+
+
+def rational_roots_by_divisors(*coeffs):
+    """The rational roots of a polynomial, leading coefficient first, by the
+    rational root test: scaled to integers, every root p/q has p dividing
+    the last nonzero coefficient and q the leading one.  It trial-divides,
+    so it serves small coefficients only."""
+    denom = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    roots = set()
+    while ints[-1] == 0:
+        ints.pop()
+        roots.add(Fraction(0))
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for p in divisors(ints[-1]):
+        for q in divisors(ints[0]):
+            for x in (Fraction(p, q), Fraction(-p, q)):
+                value = 0
+                for a in ints:
+                    value = value * x + a
+                if value == 0:
+                    roots.add(x)
+    return sorted(roots)

@@ -1,6 +1,5 @@
 """Bar words, chains, cocycles, comultiplication, the nontriviality witness."""
 
-import dataclasses
 import hashlib
 import os
 import runpy
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from ellmotive.barcx import (
     BarChain,
     ChainConstructionError,
+    MotiveChain,
     _Echelon,
     _solve_exact,
     bar_differential,
@@ -357,7 +357,8 @@ def test_grading_incoherent_layer_detected(chains):
     curve, _, mc1, _ = chains
     P = generator(curve)
     extra = (1, (("pt", P), ("pt", ec_scalar_mul(5, P))))
-    assert not grading_coherent(dataclasses.replace(mc1, layers=mc1.layers + [extra]))
+    foreign = MotiveChain(mc1.chain, mc1.layers + [extra], mc1.context, mc1.leading)
+    assert not grading_coherent(foreign)
 
 
 def _weight_graded(mc):
@@ -383,7 +384,9 @@ def test_weight_graded_fails_on_a_foreign_layer(chains):
     curve, _, mc1, _ = chains
     P = generator(curve)
     extra = (1, (("pt", P), ("pt", ec_scalar_mul(5, P))))
-    ok, details = _weight_graded(dataclasses.replace(mc1, layers=mc1.layers + [extra]))
+    ok, details = _weight_graded(
+        MotiveChain(mc1.chain, mc1.layers + [extra], mc1.context, mc1.leading)
+    )
     assert not ok and ["h1(E)", "h1(E)"] in details["layers"]
 
 
@@ -392,7 +395,7 @@ def test_weight_graded_fails_on_another_leading_label(chains):
     # one built for Sym^2 h1(E)(-1)
     _, _, _, mc2 = chains
     mu = ("mu", fixed_points(1)[0], mc2.context.names)
-    led = dataclasses.replace(mc2, leading=mu, layers=[(1, (mu,))])
+    led = MotiveChain(mc2.chain, [(1, (mu,))], mc2.context, mu)
     assert grading_coherent(led)
     assert _weight_graded(led) == (False, {"leading": "Sym^3 h1(E)", "layers": [["Sym^3 h1(E)"]]})
 

@@ -225,16 +225,38 @@ def test_unreadable_input_or_unwritable_output_exit_2(tmp_path, capsys, paths, w
     assert words in err and "Traceback" not in err
 
 
-def test_large_prime_modulus_runs(tmp_path):
-    # a 61-bit modulus is checked prime at once, not by trial division
-    big = {"curve": {"a4": "1", "a6": "1", "field": f"prime:{2**61 - 1}"}, "functions": []}
+def _run_cli(tmp_path, config, *args, timeout=60):
+    """The CLI in a fresh process on a config dict."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "ellmotive.cli", "--config", write_config(tmp_path, big)]
-    proc = subprocess.run(cmd + ["verify", "divisors"], env=env, capture_output=True, timeout=60)
+    cmd = [sys.executable, "-m", "ellmotive.cli", "--config", write_config(tmp_path, config)]
+    return subprocess.run(cmd + list(args), env=env, capture_output=True, timeout=timeout)
+
+
+def test_large_prime_modulus_runs(tmp_path):
+    # a 61-bit modulus is checked prime at once, not by trial division
+    big = {"curve": {"a4": "1", "a6": "1", "field": f"prime:{2**61 - 1}"}, "functions": []}
+    proc = _run_cli(tmp_path, big, "verify", "divisors")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        {"a4": "1", "a6": "1", "field": f"prime:{2**61 - 1}"},
+        {"a4": "-1", "a6": str(10**36 + 1), "field": "rational"},
+    ],
+    ids=("F_(2^61-1)", "Q-large-a6"),
+)
+def test_fn_mode_on_large_coefficients_loads_at_once(tmp_path, curve):
+    # the fn-mode check for full 2-torsion finds the roots of the 2-division
+    # cubic without a scan of F_p or a trial division of its constant term
+    config = {"curve": curve, "functions": [], "mode": "fn"}
+    proc = _run_cli(tmp_path, config, "verify", "divisors", timeout=10)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_integral_bounds_are_accepted():
@@ -886,3 +908,20 @@ def test_build_motive_n_out_of_range_exits_two(tmp_path, capsys, n):
     assert captured.err == "error: --n must be between 1 and 2\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_start_up_generates_no_code():
+    # importing the CLI, the suites and the bar complex loads no code
+    # generator: no dataclasses, and none of inspect, ast or dis it pulls
+    # in (-S keeps site hooks out of the check)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = (
+        "import ellmotive.barcx, ellmotive.cli, ellmotive.suites, sys\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

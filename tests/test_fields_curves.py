@@ -1,7 +1,7 @@
 """Exact field arithmetic and the elliptic-curve group law."""
 
 import copy
-import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ellmotive.curves import (
     CurveError,
     _rational_cubic_roots,
+    _two_torsion_cubic,
     CurvePoint,
     EllipticCurve,
     ec_add,
@@ -23,12 +24,15 @@ from ellmotive.curves import (
     full_two_torsion,
     is_two_torsion,
 )
-from ellmotive.cycles import FbarSpec, FunCoord, ParamCycle, PointExpr
+from ellmotive.cycles import FbarSpec, FnSpec, FunCoord, ParamCycle, PointExpr, UserFunction
+from ellmotive.divisors import FormalDivisor, make_fn_divisor
 from ellmotive.fields import FieldError, PrimeField, RationalField, field_from_tag
 from ellmotive.fields import _PRIME_BOUND, _is_prime
-from ellmotive.fixtures import generator, rank_one_curve, two_torsion_curve_f11
-from ellmotive.symgrp import Permutation
-from reference import permute_ecoords, rename_params
+from ellmotive.fixtures import generator, rank_one_curve, standard_functions, two_torsion_curve_f11
+from ellmotive.frozen import FrozenError
+from ellmotive.gl2 import PureMotive
+from ellmotive.symgrp import Permutation, YoungShape
+from reference import permute_ecoords, rational_roots_by_divisors, rename_params
 
 
 def test_prime_field_ops():
@@ -188,6 +192,72 @@ def test_group_law_hands_out_one_point_per_value():
 def test_two_torsion_rational_empty():
     # the cubic 4x^3 - 4x + 1 has no rational root
     assert full_two_torsion(rank_one_curve()) == []
+
+
+def _two_torsion_by_search(E):
+    """The points T != 0 with T = -T of E(F_p), trying every x: such a T has
+    y = -(a1 x + a3) / 2."""
+    F = E.field
+    found = []
+    for x in F.elements():
+        y = F.div(-E.a1 * x - E.a3, 2)
+        if E.contains(x, y):
+            found.append(CurvePoint(E, x, y))
+    return sorted(found, key=lambda T: T.key())
+
+
+def test_two_torsion_matches_a_search_on_every_prime_below_1000():
+    # the F_11 / F_101 model y^2 = x(x-2)(x-5) and the rank-one model
+    full = 0
+    for p in filter(_is_prime, range(3, 1000)):
+        for coeffs in ((0, -7, 0, 10, 0), (0, 0, 1, -1, 0)):
+            try:
+                E = EllipticCurve.from_coeffs(PrimeField(p), *coeffs)
+            except CurveError:
+                continue  # singular mod p
+            tors = full_two_torsion(E)
+            assert tors == _two_torsion_by_search(E), (p, coeffs)
+            assert all(is_two_torsion(T) for T in tors)
+            full += len(tors) == 3
+    assert full > 100
+
+
+def test_two_torsion_over_q_matches_the_rational_root_test():
+    # the rational curves of the tests and every small model a1, a3 in
+    # {0, 1}, a2, a4, a6 in [-3, 3]
+    models = [(0, 0, 1, -1, 0), (0, 0, 0, 0, 1), (0, 0, 0, -1, 0)]
+    models += [
+        (a1, a2, a3, a4, a6)
+        for a1, a3 in itertools.product((0, 1), repeat=2)
+        for a2, a4, a6 in itertools.product(range(-3, 4), repeat=3)
+    ]
+    counts = set()
+    for coeffs in models:
+        try:
+            E = EllipticCurve.from_coeffs(RationalField(), *coeffs)
+        except CurveError:
+            continue
+        xs = [T.x for T in full_two_torsion(E)]
+        assert sorted(xs) == rational_roots_by_divisors(*_two_torsion_cubic(E)), coeffs
+        counts.add(len(xs))
+    assert counts == {0, 1, 3}
+
+
+def test_two_torsion_of_large_coefficients_is_found_at_once():
+    # the 2-division cubics of these curves have constant terms near 10^36
+    # and roots near 10^18: trial division or a scan of F_p would not end
+    Q, big = RationalField(), 10**18
+    E = EllipticCurve.from_coeffs(Q, 0, 0, 0, -(big**2), 0)
+    assert [T.x for T in full_two_torsion(E)] == [-big, 0, big]
+    assert full_two_torsion(EllipticCurve.from_coeffs(Q, 0, 0, 0, -1, big**2 + 1)) == []
+    r = Fraction(big + 1, 3)
+    E = EllipticCurve.from_coeffs(Q, 0, -3 * r, 0, 2 * r * r, 0)  # x(x - r)(x - 2r)
+    assert [T.x for T in full_two_torsion(E)] == [0, r, 2 * r]
+    Fp = PrimeField(2**61 - 1)
+    E = EllipticCurve.from_coeffs(Fp, 0, 0, 0, -1, 0)  # x(x - 1)(x + 1)
+    assert [T.x for T in full_two_torsion(E)] == [0, 1, Fp.p - 1]
+    for T in full_two_torsion(EllipticCurve.from_coeffs(Fp, 0, 0, 0, 1, 1)):
+        assert is_two_torsion(T) and T.y == 0
 
 
 def test_reduction_mod_p_respects_the_group_law():
@@ -372,6 +442,42 @@ def test_scalar_mul_matches_repeated_addition(data):
     assert ec_scalar_mul(n, P) == Q
 
 
+def _value_twins():
+    """(value, an equal value built separately, a field name) for every
+    immutable value type, with the lazy caches of the first value filled."""
+    E = two_torsion_curve_f11()
+    E2 = EllipticCurve.from_coeffs(E.field, E.a1, E.a2, E.a3, E.a4, E.a6)
+    u, v, _ = full_two_torsion(E)
+    u2, v2 = (CurvePoint.affine(E2, T.x, T.y) for T in (u, v))
+    s, s2 = PointExpr.param(E, "s"), PointExpr.param(E2, "s")
+    fbar, fbar2 = FbarSpec(E, 2), FbarSpec(E2, 2)
+    fn, fn2 = FnSpec(E, 2, u, v), FnSpec(E2, 2, u2, v2)
+    q, q2 = FunCoord(fbar, (s, s)), FunCoord(fbar2, (s2, s2))
+    cycle, cycle2 = ParamCycle(E, ("s",), (s,), (q,)), ParamCycle(E2, ("s",), (s2,), (q2,))
+    Q, (g,) = standard_functions(1)
+    g2 = UserFunction(g.name, FormalDivisor.of(Q, list(g.divisor.items())))
+    twins = [
+        (E, E2, "field"),
+        (u, u2, "curve"),
+        (s, s2, "coeffs"),
+        (fbar, fbar2, "n"),
+        (fn, fn2, "u"),
+        (q, q2, "args"),
+        (cycle, cycle2, "qcoords"),
+        (g, g2, "name"),
+        (RationalField(), RationalField(), "p"),
+        (PrimeField(11), PrimeField(11), "p"),
+        (Permutation((2, 3, 1)), Permutation.from_cycle(3, (1, 2, 3)), "images"),
+        (YoungShape.standard((2, 1)), YoungShape((2, 1), ((1, 2), (3,))), "rows"),
+        (PureMotive(2, 1), PureMotive(2, 1), "m"),
+        (make_fn_divisor(E, 2, u, v), make_fn_divisor(E, 2, u, v), "product"),
+    ]
+    for value, _, _ in twins[:-1]:  # the last holds a list: unhashable
+        hash(value)
+    u.key(), cycle.key(), fbar.components, g.components  # the other lazy caches
+    return twins
+
+
 def test_value_objects_stay_frozen():
     E = two_torsion_curve_f11()
     P = full_two_torsion(E)[0]
@@ -379,9 +485,15 @@ def test_value_objects_stay_frozen():
     s = PointExpr.param(E, "s")
     cycle = ParamCycle(E, ("s",), (s,), ())
     hash(cycle)
-    for obj, name in ((E, "a1"), (E, "_hash"), (P, "x"), (P, "_key"), (s, "const"), (cycle, "_hash")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    cases = [(E, "a1"), (E, "_hash"), (P, "x"), (P, "_key"), (s, "const"), (cycle, "_hash")]
+    cases += [(value, name) for value, _, name in _value_twins()]
+    cases.append((FormalDivisor.of(E, [(P, 1)]), "curve"))  # the linear combinations too
+    for obj, name in cases:
+        with pytest.raises(FrozenError):
             setattr(obj, name, None)
+        with pytest.raises(FrozenError):
+            delattr(obj, name)
+    assert issubclass(FrozenError, AttributeError)
 
 
 def test_value_objects_copy_and_pickle():
@@ -393,6 +505,31 @@ def test_value_objects_copy_and_pickle():
         for obj in (E, P, cycle):
             dups = (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj)))
             assert all(dup == obj and hash(dup) == hash(obj) for dup in dups)
+    twins = _value_twins()
+    for obj, _, _ in twins:
+        for dup in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert dup.__class__ is obj.__class__ and dup == obj
+            assert obj is twins[-1][0] or hash(dup) == hash(obj)
+
+
+def test_equal_values_hash_equal():
+    twins = _value_twins()
+    for value, twin, _ in twins:
+        assert value is not twin and value == twin and not value != twin
+    for value, twin, _ in twins[:-1]:
+        assert hash(value) == hash(twin)
+    with pytest.raises(TypeError):  # its difference is a list
+        hash(twins[-1][0])
+
+
+def test_values_of_different_classes_never_compare_equal():
+    E = two_torsion_curve_f11()
+    u, v, _ = full_two_torsion(E)
+    fbar, fn = FbarSpec(E, 2), FnSpec(E, 2, u, v)
+    assert fbar != fn and fn != fbar and not fbar == fn
+    assert fbar.divisor_class() != fn.divisor_class()
+    assert fbar != (E, 2) and PureMotive(1, 0) != (1, 0) and RationalField() != PrimeField(11)
+    assert Permutation((1, 2)) != (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,13 @@ def test_tensor_supports():
     word = (PureMotive(2, 0), H1, H1)
     assert tensor_supports(word, PureMotive(2, 1))
     assert not tensor_supports(word, PureMotive(2, 2))
+
+
+def test_labels_sort_by_power_then_twist():
+    labels = [PureMotive(n, m) for n in (2, 0, 1) for m in (1, 0, 2)]
+    ordered = sorted(labels)
+    assert [(V.n, V.m) for V in ordered] == sorted((V.n, V.m) for V in labels)
+    assert min(labels) == QQ and max(labels) == PureMotive(2, 2)
+    assert repr(MotiveSum.of([(V, 1) for V in labels])).startswith("Q + Q(-1) + Q(-2) + h1(E)")
+    with pytest.raises(TypeError):
+        sorted([H1, (1, 0)])

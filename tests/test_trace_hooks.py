@@ -1,8 +1,8 @@
 """The benchmark tracer's hooks must still find every layer entry point.
 
 `perfbench/trace.py` wraps functions and methods from outside by looking
-them up in the owner's `__dict__`.  A refactor that moves a method (say, a
-dataclass rebuilt with `slots=True`) would otherwise leave a layer silently
+them up in the owner's `__dict__`.  A refactor that moves a method (say,
+into a shared base class) would otherwise leave a layer silently
 unhooked and its counter at zero.
 """
 
