@@ -181,9 +181,10 @@ class ProductDivisorClass(LinComb):
         return cls(((_parse_class(curve, n, k), c) for k, c in items), curve, n)
 
     def diff(self, other: "ProductDivisorClass"):
-        """Term-by-term difference report: list of (class key, self coeff,
+        """Term-by-term difference report: tuple of (class key, self coeff,
         other coeff), in class-key order."""
-        return [(_class_key(k), self.get(k, 0), other.get(k, 0)) for k, _ in (self - other).terms]
+        terms = (self - other).terms
+        return tuple((_class_key(k), self.get(k, 0), other.get(k, 0)) for k, _ in terms)
 
     def _term_repr(self, form, coeff) -> str:
         return f"{coeff}*{_class_key(form)}"
@@ -218,7 +219,7 @@ class FnDivisorReport(Frozen):
     def __init__(self, product: ProductDivisorClass, displayed: ProductDivisorClass, difference):
         _set(self, "product", product)
         _set(self, "displayed", displayed)
-        _set(self, "difference", difference)  # a list: the report is unhashable
+        _set(self, "difference", difference)
 
     def _args(self) -> tuple:
         return self.product, self.displayed, self.difference
@@ -384,10 +385,6 @@ class SymbolicDivisor(LinComb):
     sort_key = staticmethod(PointExpr.key)
     error = DivisorError
 
-    @classmethod
-    def of(cls, curve, items) -> "SymbolicDivisor":
-        return cls(items, curve)
-
     def evaluate(self, assignment) -> FormalDivisor:
         return FormalDivisor.of(self.curve, [(p.evaluate(assignment), c) for p, c in self.items()])
 
@@ -419,7 +416,7 @@ def restrict_to_fiber(cls: ProductDivisorClass, i: int, fixed: dict) -> Symbolic
             out.append((eq.solve(t), c))
         elif eq.is_const() and eq.const.infinity:
             raise DegeneracyError(f"fixed values lie on {_class_key(form)}")
-    return SymbolicDivisor.of(cls.curve, out)
+    return SymbolicDivisor(out, cls.curve)
 
 
 # ---------------------------------------------------------------------------

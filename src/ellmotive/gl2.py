@@ -72,9 +72,7 @@ def clebsch_gordan(V: PureMotive, W: PureMotive) -> MotiveSum:
     vanishes), which is what collapses Littlewood-Richardson to this ladder.
     """
     a, b = V.n, W.n
-    return MotiveSum.of(
-        [(PureMotive(a + b - 2 * k, V.m + W.m + k), 1) for k in range(min(a, b) + 1)]
-    )
+    return MotiveSum((PureMotive(a + b - 2 * k, V.m + W.m + k), 1) for k in range(min(a, b) + 1))
 
 
 def tensor_supports(labels, target: PureMotive) -> bool:

@@ -65,10 +65,6 @@ class LinComb(Frozen, Mapping):
         labels = [getattr(self, name) for name in self.labels]
         return object.__new__(type(self))._init(coeffs, labels)
 
-    @classmethod
-    def of(cls, items=()):
-        return cls(items)
-
     @staticmethod
     def sort_key(basis):
         return basis

@@ -60,8 +60,8 @@ def _suite_projectors(cfg: Config, report: Report):
     inv_ok = True
     for b in range(2, 6):
         for rows in symgrp.partitions(b):
-            shape = symgrp.YoungShape.standard(rows)
-            back = shape.transpose().transpose()
+            shape = symgrp.standard_shape(rows)
+            back = symgrp.transpose(symgrp.transpose(shape))
             for projector in (symgrp.young_symmetrizer, symgrp.row_sum):
                 if projector(back) != projector(shape):
                     inv_ok = False
@@ -91,7 +91,7 @@ def _suite_projectors(cfg: Config, report: Report):
     for _ in range(10):
         b = rng.randint(2, 4)
         v = symgrp.GroupAlgebraElement.unit(b)
-        p = symgrp.young_symmetrizer(symgrp.YoungShape.standard(_rand_rows(rng, b)))
+        p = symgrp.young_symmetrizer(symgrp.standard_shape(_rand_rows(rng, b)))
         twice = symgrp.right_act(symgrp.right_act(v, p), p)
         once = symgrp.right_act(v, p * p)
         if twice != once:

@@ -1,12 +1,20 @@
 """Exact group-algebra arithmetic over the symmetric group.
 
-Permutations use one-line notation on {1..b}; composition is right-to-left,
-so (sigma * tau)(x) = sigma(tau(x)): tau acts first.  Group-algebra elements
-are formal sums of permutations with integer coefficients, so sums and
+A permutation of {1..b} is its one-line image tuple: sigma[i - 1] is the
+image of i.  Composition is right-to-left, so (sigma * tau)(x) =
+sigma(tau(x)): tau acts first, and on image tuples the composition is
+tuple(sigma[t - 1] for t in tau).  Group-algebra elements are formal sums of
+image tuples with integer coefficients, in Python's tuple order, so sums and
 products of Young symmetrizers stay plain ints.  Young symmetrizers are
 stored unnormalized (the raw sums of group elements); the quasi-idempotency
 e * e = (b!/dim) e is checked by scaling with the integer eigenvalue, never
 by dividing.
+
+A filled Young shape is its tuple of rows of entries, ((1, 2), (3,)) for the
+standard filling of the shape (2, 1): row lengths weakly decrease and the
+entries are 1..b.  Its projector as a tableau is `young_symmetrizer`, as a
+tabloid `row_sum`; the transposed projector is the same function of
+`transpose(shape)`.
 
 The right action of a permutation on cycle-valued vectors carries a sign.
 The displayed formula admits two readings of that sign, (-1)^{|sigma|} (the
@@ -25,101 +33,43 @@ import itertools
 from math import factorial
 from operator import itemgetter
 
-from .frozen import Frozen, _set
 from .lincomb import LinComb
 
 
 class GroupAlgebraError(ValueError):
-    """Structural errors: degree mismatch, malformed shapes."""
+    """Raised when elements or permutations of different degrees are combined."""
 
 
-class Permutation(Frozen):
-    """One-line notation: images[i-1] is the image of i."""
+def _inverse(sigma: tuple) -> tuple:
+    images = [0] * len(sigma)
+    for x, y in enumerate(sigma, 1):
+        images[y - 1] = x
+    return tuple(images)
 
-    def __init__(self, images: tuple):
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise GroupAlgebraError(f"{images} is not a permutation")
-        _set(self, "images", images)
 
-    def _args(self) -> tuple:
-        return (self.images,)
-
-    @staticmethod
-    def identity(b: int) -> "Permutation":
-        return Permutation(tuple(range(1, b + 1)))
-
-    @staticmethod
-    def transposition(b: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, b + 1))
-        images[i - 1], images[j - 1] = j, i
-        return Permutation(tuple(images))
-
-    @staticmethod
-    def from_cycle(b: int, cycle) -> "Permutation":
-        images = list(range(1, b + 1))
-        for k, x in enumerate(cycle):
-            images[x - 1] = cycle[(k + 1) % len(cycle)]
-        return Permutation(tuple(images))
-
-    @staticmethod
-    def _trusted(images: tuple) -> "Permutation":
-        """A permutation from images known to be one (a composition of
-        permutations), without the bijection check."""
-        perm = object.__new__(Permutation)
-        _set(perm, "images", images)
-        return perm
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # right-to-left: apply other first
-        if self.degree != other.degree:
-            raise GroupAlgebraError("degree mismatch in composition")
-        return Permutation(tuple(self(other(x)) for x in range(1, self.degree + 1)))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for x in range(1, self.degree + 1):
-            images[self(x) - 1] = x
-        return Permutation(tuple(images))
-
-    def transposition_count(self) -> int:
-        """|sigma|: size of a minimal decomposition into transpositions."""
-        seen = set()
-        count = 0
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            length = 0
+def _transposition_count(sigma: tuple) -> int:
+    """|sigma|: size of a minimal decomposition into transpositions, the
+    degree minus the number of cycles."""
+    seen = set()
+    cycles = 0
+    for start in sigma:
+        if start not in seen:
+            cycles += 1
             x = start
             while x not in seen:
                 seen.add(x)
-                x = self(x)
-                length += 1
-            count += length - 1
-        return count
-
-    def sign(self) -> int:
-        return -1 if self.transposition_count() % 2 else 1
-
-    def __repr__(self) -> str:
-        return "".join(str(i) for i in self.images) if self.degree <= 9 else str(self.images)
+                x = sigma[x - 1]
+    return len(sigma) - cycles
 
 
-def _images(perm: Permutation) -> tuple:
-    return perm.images
+def _sign(sigma: tuple) -> int:
+    return -1 if _transposition_count(sigma) % 2 else 1
 
 
 class GroupAlgebraElement(LinComb):
     """Formal sum of permutations of {1..degree}; int coefficients stay ints."""
 
     __slots__ = labels = ("degree",)
-    sort_key = staticmethod(_images)
     error = GroupAlgebraError
 
     @classmethod
@@ -128,7 +78,7 @@ class GroupAlgebraElement(LinComb):
 
     @staticmethod
     def unit(degree: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.of(degree, [(Permutation.identity(degree), 1)])
+        return GroupAlgebraElement.of(degree, [(tuple(range(1, degree + 1)), 1)])
 
     def __mul__(self, other):
         self._check(other)
@@ -138,23 +88,22 @@ class GroupAlgebraElement(LinComb):
         if self.degree < 2:
             rights = [(lambda images: images, c2) for _, c2 in other.items()]
         else:
-            rights = [(itemgetter(*[x - 1 for x in p2.images]), c2) for p2, c2 in other.items()]
+            rights = [(itemgetter(*[x - 1 for x in p2]), c2) for p2, c2 in other.items()]
         acc = {}
         for p1, c1 in self.items():
-            images = p1.images
             for pick, c2 in rights:
-                key = pick(images)
+                key = pick(p1)
                 acc[key] = acc.get(key, 0) + c1 * c2
-        trusted = Permutation._trusted
-        return self._like({trusted(k): c for k, c in acc.items() if c})
+        return self._like({k: c for k, c in acc.items() if c})
 
     def _term_repr(self, perm, coeff) -> str:
-        return f"{coeff}*[{perm!r}]"
+        shown = "".join(map(str, perm)) if len(perm) <= 9 else str(perm)
+        return f"{coeff}*[{shown}]"
 
 
 def _of_degree(degree: int, items):
     for perm, coeff in items:
-        if perm.degree != degree:
+        if len(perm) != degree:
             raise GroupAlgebraError("permutation degree mismatch")
         yield perm, coeff
 
@@ -168,7 +117,7 @@ def right_act(vector: GroupAlgebraElement, element: GroupAlgebraElement):
     twice via an element p equals acting once via p*p.
     """
     signed_inverse = GroupAlgebraElement.of(
-        element.degree, [(sigma.inverse(), c * sigma.sign()) for sigma, c in element.items()]
+        element.degree, [(_inverse(sigma), c * _sign(sigma)) for sigma, c in element.items()]
     )
     return signed_inverse * vector
 
@@ -177,79 +126,50 @@ def right_act(vector: GroupAlgebraElement, element: GroupAlgebraElement):
 # Young shapes and their projectors
 
 
-class YoungShape(Frozen):
-    """A filled Young diagram.  Its projector as a tableau is
-    `young_symmetrizer`, as a tabloid `row_sum`.
-
-    rows are weakly decreasing lengths; filling is a bijection of {1..b} onto
-    the cells, given row by row.
-    """
-
-    def __init__(self, rows: tuple, filling: tuple):
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise GroupAlgebraError("row lengths must be weakly decreasing")
-        if tuple(len(r) for r in filling) != rows:
-            raise GroupAlgebraError("filling does not match the shape")
-        cells = [x for row in filling for x in row]
-        if sorted(cells) != list(range(1, len(cells) + 1)):
-            raise GroupAlgebraError("filling is not a bijection onto the cells")
-        _set(self, "rows", rows)
-        _set(self, "filling", filling)  # tuple of tuples, matching rows
-
-    def _args(self) -> tuple:
-        return self.rows, self.filling
-
-    @staticmethod
-    def standard(rows) -> "YoungShape":
-        """Row-major filling 1, 2, ..., b."""
-        filling = []
-        k = 1
-        for r in rows:
-            filling.append(tuple(range(k, k + r)))
-            k += r
-        return YoungShape(tuple(rows), tuple(filling))
-
-    @property
-    def size(self) -> int:
-        return sum(self.rows)
-
-    def columns(self):
-        cols = []
-        for c in range(self.rows[0] if self.rows else 0):
-            cols.append(tuple(row[c] for row in self.filling if len(row) > c))
-        return cols
-
-    def transpose(self) -> "YoungShape":
-        """Flip about the diagonal, keeping the inscribed entries."""
-        cols = tuple(self.columns())
-        return YoungShape(tuple(len(c) for c in cols), cols)
+def standard_shape(rows) -> tuple:
+    """The shape with the given row lengths filled row by row with 1..b."""
+    shape = []
+    k = 1
+    for r in rows:
+        shape.append(tuple(range(k, k + r)))
+        k += r
+    return tuple(shape)
 
 
-def _subgroup_sum(b: int, blocks, signed: bool) -> GroupAlgebraElement:
-    """Sum over the Young subgroup preserving each block, optionally signed."""
+def transpose(shape) -> tuple:
+    """Flip about the diagonal, keeping the inscribed entries: the columns."""
+    return tuple(
+        tuple(x for x in column if x is not None) for column in itertools.zip_longest(*shape)
+    )
+
+
+def _subgroup_sum(blocks, signed: bool) -> GroupAlgebraElement:
+    """Sum over the Young subgroup preserving each block (the blocks
+    partition 1..b), optionally signed."""
+    b = sum(map(len, blocks))
     items = []
     for parts in itertools.product(*[itertools.permutations(block) for block in blocks]):
         images = list(range(1, b + 1))
         for block, perm in zip(blocks, parts):
             for src, dst in zip(block, perm):
                 images[src - 1] = dst
-        sigma = Permutation(tuple(images))
-        items.append((sigma, sigma.sign() if signed else 1))
+        sigma = tuple(images)
+        items.append((sigma, _sign(sigma) if signed else 1))
     return GroupAlgebraElement.of(b, items)
 
 
-def row_sum(shape: YoungShape) -> GroupAlgebraElement:
+def row_sum(shape) -> GroupAlgebraElement:
     """c_T = sum over permutations preserving each row: the projector of a
     tabloid."""
-    return _subgroup_sum(shape.size, shape.filling, signed=False)
+    return _subgroup_sum(shape, signed=False)
 
 
-def signed_column_sum(shape: YoungShape) -> GroupAlgebraElement:
+def signed_column_sum(shape) -> GroupAlgebraElement:
     """d_T = sum of sgn(h) h over permutations preserving each column."""
-    return _subgroup_sum(shape.size, shape.columns(), signed=True)
+    return _subgroup_sum(transpose(shape), signed=True)
 
 
-def young_symmetrizer(shape: YoungShape) -> GroupAlgebraElement:
+def young_symmetrizer(shape) -> GroupAlgebraElement:
     """c_T * d_T: the projector of a tableau."""
     return row_sum(shape) * signed_column_sum(shape)
 
@@ -275,7 +195,7 @@ def standard_tableaux(rows):
 
     def place(k, grid):
         if k > b:
-            results.append(YoungShape(rows, tuple(tuple(r) for r in grid)))
+            results.append(tuple(tuple(r) for r in grid))
             return
         for i, r in enumerate(rows):
             j = len(grid[i])
@@ -303,26 +223,25 @@ def partitions(b: int):
 # the signed group G_c = (Z/2Z)^c x| Sigma_c inside Sigma_2c
 
 
-def signed_permutation(signs, perm: Permutation) -> Permutation:
+def signed_permutation(signs, perm: tuple) -> tuple:
     """(signs, perm) in G_c as a permutation of the signed points, i for +e_i
     and i + c for -e_i.  (s, sigma) sends +e_i to s_sigma(i) e_sigma(i),
     which is the semidirect law (s, sigma)(t, tau) = (s sigma(t), sigma tau)
     with sigma(t)_i = t_sigma^-1(i), carried injectively into Sigma_2c."""
-    c = perm.degree
-    negated = [signs[j - 1] == -1 for j in perm.images]
-    plus = tuple(j + c if neg else j for j, neg in zip(perm.images, negated))
-    minus = tuple(j if neg else j + c for j, neg in zip(perm.images, negated))
-    return Permutation(plus + minus)
+    c = len(perm)
+    negated = [signs[j - 1] == -1 for j in perm]
+    plus = tuple(j + c if neg else j for j, neg in zip(perm, negated))
+    minus = tuple(j if neg else j + c for j, neg in zip(perm, negated))
+    return plus + minus
 
 
 def alt_signed_group(c: int) -> GroupAlgebraElement:
     """Alt over G_c in the group algebra of Sigma_2c: the sum of
     sgn(sigma) * prod(s) * (s, sigma) over its 2^c c! elements."""
     items = []
-    for images in itertools.permutations(range(1, c + 1)):
-        perm = Permutation(images)
+    for perm in itertools.permutations(range(1, c + 1)):
         for signs in itertools.product((1, -1), repeat=c):
-            items.append((signed_permutation(signs, perm), perm.sign() * (-1) ** signs.count(-1)))
+            items.append((signed_permutation(signs, perm), _sign(perm) * (-1) ** signs.count(-1)))
     return GroupAlgebraElement.of(2 * c, items)
 
 
@@ -331,19 +250,19 @@ def sign_convention_table():
     "parity" is the sign character (-1)^{|sigma|} that `right_act` uses,
     "parity-plus-one" the literal (-1)^{|sigma|+1}; the samples live in S_4."""
     samples = [
-        ("identity", Permutation.identity(4)),
-        ("transposition (1 2)", Permutation.transposition(4, 1, 2)),
-        ("3-cycle (1 2 3)", Permutation.from_cycle(4, (1, 2, 3))),
-        ("4-cycle (1 2 3 4)", Permutation.from_cycle(4, (1, 2, 3, 4))),
+        ("identity", (1, 2, 3, 4)),
+        ("transposition (1 2)", (2, 1, 3, 4)),
+        ("3-cycle (1 2 3)", (2, 3, 1, 4)),
+        ("4-cycle (1 2 3 4)", (2, 3, 4, 1)),
     ]
     rows = []
     for name, sigma in samples:
         rows.append(
             {
                 "permutation": name,
-                "transposition_count": sigma.transposition_count(),
-                "parity": sigma.sign(),
-                "parity-plus-one": -sigma.sign(),
+                "transposition_count": _transposition_count(sigma),
+                "parity": _sign(sigma),
+                "parity-plus-one": -_sign(sigma),
             }
         )
     return rows

@@ -1,6 +1,7 @@
 """What the tests compare the program against, and the program itself never
 reads: the GL2 character oracle with the plethysm closed form it checks and
-the labels' dimension and weight, the decoration-point fixture, the signed
+the labels' dimension and weight, the decoration-point fixture, permutations as
+image tuples (composition and the named permutations), the signed
 symmetry moves on parametric cycles (parameter renaming included), the
 general external product of two cycle sums and every sorting arrangement, the
 named-class coefficient and symbolic-divisor degree, the full pass rule
@@ -16,6 +17,7 @@ from ellmotive.fixtures import generator, multiples, rank_one_curve
 from ellmotive.formulas import certifies
 from ellmotive.gl2 import MotiveError, MotiveSum, PureMotive
 from ellmotive.lincomb import accumulate
+from ellmotive.symgrp import _inverse
 
 TATE = PureMotive(0, 1)  # Q(-1) = wedge^2 h^1(E)
 
@@ -63,7 +65,7 @@ def plethysm2(kind: str, V: PureMotive) -> MotiveSum:
             j += 1
     else:
         raise MotiveError(f"plethysm kind must be sym or wedge, not {kind!r}")
-    return MotiveSum.of(items)
+    return MotiveSum(items)
 
 
 # character oracle: exact Laurent polynomials in the torus eigenvalues
@@ -112,7 +114,7 @@ def decompose_character(c: dict) -> MotiveSum:
         mot = PureMotive(a - b, b)
         items.append((mot, mult))
         c = accumulate(c, character(mot).items(), -mult)
-    return MotiveSum.of(items)
+    return MotiveSum(items)
 
 
 def clebsch_gordan_by_characters(V: PureMotive, W: PureMotive) -> MotiveSum:
@@ -134,13 +136,38 @@ def fixed_points(count: int = 2):
     return multiples(generator(rank_one_curve()), [13, 14][:count])
 
 
+# ---------------------------------------------------------------------------
+# permutations as one-line image tuples: sigma[i - 1] is the image of i
+
+
+def compose(sigma: tuple, tau: tuple) -> tuple:
+    """sigma * tau, right to left: tau acts first."""
+    return tuple(sigma[x - 1] for x in tau)
+
+
+def identity(b: int) -> tuple:
+    return tuple(range(1, b + 1))
+
+
+def transposition(b: int, i: int, j: int) -> tuple:
+    images = list(identity(b))
+    images[i - 1], images[j - 1] = j, i
+    return tuple(images)
+
+
+def from_cycle(b: int, cycle) -> tuple:
+    images = list(identity(b))
+    for k, x in enumerate(cycle):
+        images[x - 1] = cycle[(k + 1) % len(cycle)]
+    return tuple(images)
+
+
 def codim(cycle: ParamCycle) -> int:
     return cycle.b + cycle.c - cycle.dim
 
 
 def permute_ecoords(cycle: ParamCycle, sigma) -> ParamCycle:
-    inv = sigma.inverse()
-    ecoords = tuple(cycle.ecoords[inv(i) - 1] for i in range(1, cycle.b + 1))
+    ecoords = tuple(cycle.ecoords[j - 1] for j in _inverse(sigma))
     return ParamCycle(cycle.curve, cycle.params, ecoords, cycle.qcoords)
 
 
@@ -151,8 +178,7 @@ def negate_ecoord(cycle: ParamCycle, i: int) -> ParamCycle:
 
 
 def permute_qcoords(cycle: ParamCycle, sigma) -> ParamCycle:
-    inv = sigma.inverse()
-    qcoords = tuple(cycle.qcoords[inv(i) - 1] for i in range(1, cycle.c + 1))
+    qcoords = tuple(cycle.qcoords[j - 1] for j in _inverse(sigma))
     return ParamCycle(cycle.curve, cycle.params, cycle.ecoords, qcoords)
 
 

@@ -225,14 +225,14 @@ def test_decorated_chains_pass_every_bar_check(field, n, r, words, sha256):
 def test_leading_term_alone_is_not_cocycle(chains):
     _, _, mc1, mc2 = chains
     for mc in (mc1, mc2):
-        top = BarChain.of([(w, c) for w, c in mc.chain.terms if len(w) == 1])
+        top = BarChain([(w, c) for w, c in mc.chain.terms if len(w) == 1])
         ok, diff = verify_cocycle(top, mc.context)
         assert not ok and not diff.is_zero()
 
 
 def test_empty_chain_is_cocycle(chains):
     curve, gs, _, _ = chains
-    ok, _ = verify_cocycle(BarChain.of([]), FamilyContext(curve, gs))
+    ok, _ = verify_cocycle(BarChain([]), FamilyContext(curve, gs))
     assert ok
 
 
@@ -419,7 +419,7 @@ def test_degenerate_witness_two_torsion():
     u = full_two_torsion(E11)[0]
     cyc = decorate("eta_point", u)
     assert cyc.is_zero()
-    chain = BarChain.from_cycle_sums([cyc]) if not cyc.is_zero() else BarChain.of([])
+    chain = BarChain.from_cycle_sums([cyc]) if not cyc.is_zero() else BarChain([])
     cert = nontriviality_witness(chain)
     assert not cert.nontrivial
 

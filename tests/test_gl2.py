@@ -93,11 +93,11 @@ def test_plethysm_dimension_split():
 
 
 def test_motive_sum_arithmetic():
-    s = MotiveSum.of([(H1, 1), (TATE, 2)])
+    s = MotiveSum([(H1, 1), (TATE, 2)])
     assert s.coeff(TATE) == 2
     assert (s + s).coeff(H1) == 2
     with pytest.raises(MotiveError):
-        MotiveSum.of([(H1, -1)])
+        MotiveSum([(H1, -1)])
 
 
 def test_tensor_supports():
@@ -118,6 +118,6 @@ def test_labels_sort_by_power_then_twist():
     ordered = sorted(labels)
     assert [(V.n, V.m) for V in ordered] == sorted((V.n, V.m) for V in labels)
     assert min(labels) == QQ and max(labels) == PureMotive(2, 2)
-    assert repr(MotiveSum.of([(V, 1) for V in labels])).startswith("Q + Q(-1) + Q(-2) + h1(E)")
+    assert repr(MotiveSum([(V, 1) for V in labels])).startswith("Q + Q(-1) + Q(-2) + h1(E)")
     with pytest.raises(TypeError):
         sorted([H1, (1, 0)])
