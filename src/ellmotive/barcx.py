@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from .curves import CurvePoint, ec_add, is_two_torsion
 from .formulas import (
@@ -144,49 +145,65 @@ def _materialize_word(ctx: FamilyContext, descs) -> BarChain:
 
 
 class _Echelon:
-    """Incremental exact row echelon over sparse vectors (key -> int or Fraction).
+    """Incremental fraction-free row echelon over sparse vectors (key -> int
+    or Fraction).
 
     Keys are replaced by their rank in first-appearance order, and a row's
-    pivot is its least rank.  Rows are scaled to pivot coefficient 1, and
-    an integral quotient stays an int.  Each row also records the
-    combination of added vectors it equals, as {tag: coefficient}.  Neither
-    membership nor that combination depends on the key order: a vector
-    becomes a row only when it is independent of the vectors added before
-    it, and a vector in the span of independent vectors has exactly one
-    combination over them.
+    pivot is its least rank.  A vector is cleared of denominators on entry
+    and stays integral (integer-preserving elimination, cf. E. H. Bareiss,
+    Math. Comp. 22, 1968): a row with pivot coefficient r reduces a vector
+    with pivot coefficient v to a*vec - b*row, where a/b = r/v in lowest
+    terms.  Each row also records the integer combination of added vectors
+    it equals, as {tag: coefficient}, and a row with its combination is
+    divided by their common content, so that together they form an integral
+    primitive vector.  Membership does not depend on the key order, and
+    neither does a combination up to its scale: a vector becomes a row only
+    when it is independent of the vectors added before it, and a vector in
+    the span of independent vectors has exactly one combination over them.
     """
 
     def __init__(self):
         self.rank = {}  # key -> position of its first appearance
-        self.rows = {}  # pivot rank -> (vector with pivot coefficient 1, combination)
+        self.rows = {}  # pivot rank -> (integral vector, integral combination)
 
     def reduce(self, vec):
-        """(residual, combination) with residual = vec + sum_t c_t * added_t,
-        keyed by rank; the residual is empty iff vec lies in the span."""
-        rank = self.rank
-        vec = {rank.setdefault(k, len(rank)): v for k, v in vec.items() if v}
+        """(residual, combination, lam): an int lam > 0 and the integral
+        residual = lam * vec + sum_t c_t * added_t, keyed by rank; the
+        residual is empty iff vec lies in the span."""
+        rank, rows = self.rank, self.rows
+        lam = lcm(*(v.denominator for v in vec.values()))
+        vec = {
+            rank.setdefault(k, len(rank)): v.numerator * (lam // v.denominator)
+            for k, v in vec.items()
+            if v
+        }
         combo = {}
         while vec:
             pivot = min(vec)
-            if pivot not in self.rows:
+            if pivot not in rows:
                 break
-            row, row_combo = self.rows[pivot]
-            f = -vec[pivot]
-            accumulate(vec, row.items(), f)
-            accumulate(combo, row_combo.items(), f)
-        return vec, combo
+            row, row_combo = rows[pivot]
+            r, v = row[pivot], vec[pivot]
+            g = gcd(r, v)
+            a, b = (r // g, v // g) if r > 0 else (-r // g, -v // g)
+            if a != 1:
+                vec = {k: a * c for k, c in vec.items()}
+                combo = {t: a * c for t, c in combo.items()}
+                lam *= a
+            accumulate(vec, row.items(), -b)
+            accumulate(combo, row_combo.items(), -b)
+        return vec, combo, lam
 
     def add(self, vec, tag):
-        vec, combo = self.reduce(vec)
+        vec, combo, lam = self.reduce(vec)
         if not vec:
             return
-        combo[tag] = 1
-        pivot = min(vec)
-        pv = vec[pivot]
-        self.rows[pivot] = (
-            {k: _quotient(v, pv) for k, v in vec.items()},
-            {t: _quotient(c, pv) for t, c in combo.items()},
-        )
+        combo[tag] = lam
+        g = gcd(*vec.values(), *combo.values())
+        if g != 1:
+            vec = {k: c // g for k, c in vec.items()}
+            combo = {t: c // g for t, c in combo.items()}
+        self.rows[min(vec)] = (vec, combo)
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)[0]
@@ -271,11 +288,11 @@ def _solve_exact(columns, rhs):
         ech = _Echelon()
         for j in cols:
             ech.add(columns[j], j)
-        residual, combo = ech.reduce(part)
+        residual, combo, lam = ech.reduce(part)
         if residual:
             return None
         for j, c in combo.items():
-            x[j] = _quotient(-c)
+            x[j] = _quotient(-c, lam)
     return x
 
 

@@ -19,16 +19,20 @@ once `full_two_torsion` has found it.  These memos live exactly as long as
 their curve; equal curves do not share them, and copies and pickles start
 empty.
 
-Coordinates are plain numbers (Fractions over Q, ints in [0, p) over F_p)
-and the formulas use Python's operators; the curve's field reduces each
-result once, divides and keys.  Int literals stand on the right of a product
-(`x * x * 3`), so a Fraction product takes Fraction's forward operator.
+Coordinates are plain numbers (Fractions over Q, ints in [0, p) over F_p);
+the curve's field reduces each result once, divides and keys.  The curve
+formulas use Python's operators, with int literals on the right of a product
+(`x * x * 3`), so a Fraction product takes Fraction's forward operator.  The
+chord-tangent step is one formula for both fields on the integer numerators
+and denominators of the coordinates and coefficients (an int is its own
+numerator, over 1): the slope stays a reduced integer pair, and the field
+divides once per result coordinate, which over Q is one `Fraction(n, d)`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .fields import FieldError, PrimeField, RationalField
 from .frozen import Frozen, _set
@@ -207,20 +211,46 @@ def _intern(P: CurvePoint) -> CurvePoint:
 
 
 def _chord_tangent(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    """P + Q for affine points on one curve."""
-    F, E = P.curve.field, P.curve
-    if P.x == Q.x:
+    """P + Q for affine points on one curve.
+
+    One formula for both fields, on the integer numerators and denominators
+    of the coordinates and of a1..a4 (an int is its own numerator, over 1):
+    x_i = X_i/U_i, y_i = Y_i/V_i and a_i = n_i/d_i.  The slope lambda = l/m
+    stays a reduced integer pair, and the field divides once per result
+    coordinate."""
+    E = P.curve
+    x1, y1, x2 = P.x, P.y, Q.x
+    X1, U1, Y1, V1 = x1.numerator, x1.denominator, y1.numerator, y1.denominator
+    X2, U2 = x2.numerator, x2.denominator
+    n1, d1 = E.a1.numerator, E.a1.denominator
+    n2, d2 = E.a2.numerator, E.a2.denominator
+    n3, d3 = E.a3.numerator, E.a3.denominator
+    if x1 == x2:
         if Q == ec_neg(P):
             return CurvePoint.at_infinity(E)
-        # doubling: lambda = (3x^2 + 2*a2*x + a4 - a1*y) / (2y + a1*x + a3)
-        num = P.x * P.x * 3 + E.a2 * P.x * 2 + E.a4 - E.a1 * P.y
-        den = P.y * 2 + E.a1 * P.x + E.a3
+        # doubling: lambda = (3x^2 + 2*a2*x + a4 - a1*y) / (2y + a1*x + a3),
+        # a quotient of num / (U^2 V d1 d2 d4) by den / (U V d1 d3)
+        n4, d4 = E.a4.numerator, E.a4.denominator
+        num = ((X1 * d2 * 3 + n2 * U1 * 2) * X1 * d4 + n4 * U1 * U1 * d2) * d1 * V1
+        num -= n1 * Y1 * U1 * U1 * d2 * d4
+        den = (Y1 * d1 * U1 * 2 + n1 * X1 * V1) * d3 + n3 * d1 * U1 * V1
+        l, m = num * d3, den * U1 * d2 * d4
     else:
-        num = Q.y - P.y
-        den = Q.x - P.x
-    lam = F.div(num, den)
-    x3 = F.reduce(lam * lam + E.a1 * lam - E.a2 - P.x - Q.x)
-    y3 = F.reduce(lam * (P.x - x3) - P.y - E.a1 * x3 - E.a3)
+        y2 = Q.y
+        Y2, V2 = y2.numerator, y2.denominator
+        l = (Y2 * V1 - Y1 * V2) * U1 * U2
+        m = (X2 * U1 - X1 * U2) * V1 * V2
+    g = gcd(l, m)
+    l, m = l // g, m // g
+    # x3 = lambda (lambda + a1) - a2 - x1 - x2
+    M = m * m * d1 * d2
+    S = l * (l * d1 + n1 * m) * d2 - n2 * m * m * d1
+    x3 = E.field.div(S * U1 * U2 - (X1 * U2 + X2 * U1) * M, M * U1 * U2)
+    # y3 = lambda (x1 - x3) - a1 x3 - y1 - a3, the first two terms over W
+    X3, U3 = x3.numerator, x3.denominator
+    W = m * U1 * U3 * d1
+    R = l * (X1 * U3 - X3 * U1) * d1 - n1 * X3 * m * U1
+    y3 = E.field.div(R * V1 * d3 - (Y1 * d3 + n3 * V1) * W, W * V1 * d3)
     return CurvePoint(E, x3, y3)
 
 

@@ -63,10 +63,9 @@ class RationalField(Frozen):
         return a
 
     def div(self, a, b):
-        b = self.coerce(b)  # a Fraction divisor: never int / int
         if b == 0:
             raise FieldError("division by zero in Q")
-        return a / b
+        return Fraction(a, b)
 
     def key(self, a) -> str:
         return str(a)

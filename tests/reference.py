@@ -5,7 +5,8 @@ image tuples (composition and the named permutations), the signed
 symmetry moves on parametric cycles (parameter renaming included), the
 general external product of two cycle sums and every sorting arrangement, the
 named-class coefficient and symbolic-divisor degree, the full pass rule
-of a boundary-formula report, and the rational root test."""
+of a boundary-formula report, the rational root test, and the group law over
+Q by Fraction operators."""
 
 import itertools
 from fractions import Fraction
@@ -286,3 +287,28 @@ def rational_roots_by_divisors(*coeffs):
                 if value == 0:
                     roots.add(x)
     return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# the group law over Q
+
+
+def rational_add(E, P, Q):
+    """P + Q from the chord-tangent formulas with Fraction operators, on
+    coordinate pairs over Q (None is the identity)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and y1 + y2 + E.a1 * x2 + E.a3 == 0:
+        return None
+    if x1 == x2:
+        num = x1 * x1 * 3 + E.a2 * x1 * 2 + E.a4 - E.a1 * y1
+        den = y1 * 2 + E.a1 * x1 + E.a3
+    else:
+        num, den = y2 - y1, x2 - x1
+    lam = num / den
+    x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
+    y3 = lam * (x1 - x3) - y1 - E.a1 * x3 - E.a3
+    return x3, y3

@@ -149,10 +149,13 @@ def test_build_gate_rejects_a_non_cocycle(chains, monkeypatch):
 
 def test_chain_coefficients_are_ints(chains):
     # the solved coefficients are +-1/2^k and the columns are integral, and
-    # every product is integral: an integral coefficient is stored as an int
+    # every product is integral: an integral coefficient is stored as an int.
+    # The builder normalizes each picked word once; without it, xi * c leaves
+    # integral Fractions that every later pass over the chain pays for.
     _, _, mc1, mc2 = chains
-    for mc in (mc1, mc2):
-        assert all(type(c) is int for _, c in mc.chain.items())
+    twins = [build_motive_chain(*_rank_one_functions(PrimeField(10007), n)) for n in (1, 2)]
+    for mc in (mc1, mc2, *twins):
+        assert all(type(c) is int for c in mc.chain.values())
 
 
 def test_chain_n1_structure(chains):
@@ -453,7 +456,8 @@ def _apply(columns, x):
     return {k: v for k, v in out.items() if v != 0}
 
 
-_coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+# ints, and Fractions for the echelon's clear-denominators entry
+_coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(bool)
 _sparse_vec = st.dictionaries(st.integers(0, 7), _coeff, max_size=4)
 
 
@@ -515,6 +519,7 @@ def test_echelon_contains_agrees_with_solve(system, vec):
         ech.add(col, j)
     assert ech.contains(vec) == (_solve_exact(columns, vec) is not None)
     assert ech.contains(vec) == (_rank(columns + [vec]) == _rank(columns))
+    assert ech.reduce(vec)[2] > 0  # the multiplier lam of vec
 
 
 # ---------------------------------------------------------------------------
@@ -526,34 +531,31 @@ def _one_echelon(columns, rhs):
     ech = _Echelon()
     for j, col in enumerate(columns):
         ech.add(col, j)
-    residual, combo = ech.reduce(rhs)
+    residual, combo, lam = ech.reduce(rhs)
     if residual:
         return None
-    return [-combo.get(j, 0) for j in range(len(columns))]
-
-
-_int_coeff = st.integers(-3, 3).filter(bool)
+    return [Fraction(-combo.get(j, 0), lam) for j in range(len(columns))]
 
 
 @st.composite
 def _block_systems(draw):
-    """Sparse integer systems of up to four components on disjoint key
-    ranges, their columns interleaved.  Each block's rhs part is a
-    combination of its columns, perturbed in some blocks (which may make
-    them inconsistent); the rhs may also carry a key no column touches."""
+    """Sparse systems of up to four components on disjoint key ranges,
+    their columns interleaved.  Each block's rhs part is a combination of
+    its columns, perturbed in some blocks (which may make them
+    inconsistent); the rhs may also carry a key no column touches."""
     columns, rhs = [], {}
     for b in range(draw(st.integers(1, 4))):
         keys = st.integers(10 * b, 10 * b + 4)
-        block = draw(st.lists(st.dictionaries(keys, _int_coeff, min_size=1, max_size=3), max_size=4))
+        block = draw(st.lists(st.dictionaries(keys, _coeff, min_size=1, max_size=3), max_size=4))
         for col, xj in zip(block, draw(st.lists(st.integers(-2, 2), min_size=len(block)))):
             for k, v in col.items():
                 rhs[k] = rhs.get(k, 0) + xj * v
         if draw(st.booleans()):
             k = draw(keys)
-            rhs[k] = rhs.get(k, 0) + draw(_int_coeff)
+            rhs[k] = rhs.get(k, 0) + draw(_coeff)
         columns.extend(block)
     if draw(st.booleans()):
-        rhs[100] = draw(_int_coeff)  # no column has key 100
+        rhs[100] = draw(_coeff)  # no column has key 100
     order = draw(st.permutations(range(len(columns))))
     return [columns[j] for j in order], {k: v for k, v in rhs.items() if v}
 

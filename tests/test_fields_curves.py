@@ -37,7 +37,7 @@ from ellmotive.frozen import Frozen, FrozenError
 from ellmotive.gl2 import PureMotive
 from ellmotive.lincomb import LinComb
 from ellmotive.symgrp import _inverse
-from reference import permute_ecoords, rational_roots_by_divisors, rename_params
+from reference import permute_ecoords, rational_add, rational_roots_by_divisors, rename_params
 
 
 def test_prime_field_ops():
@@ -647,3 +647,41 @@ def test_memoized_group_law_matches_the_formulas(data):
         # the doubling branch's vertical tangent
         assert ec_neg(T) == T and ec_add(T, T).infinity
         assert _pair(ec_add(T, P)) == _reference_add(E, _pair(T), _pair(P))
+
+
+_rationals = st.fractions(-6, 6, max_denominator=5)
+_nonzero_rationals = _rationals.filter(bool)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_group_law_matches_the_operator_formulas(data):
+    # every a_i nonzero, unlike the fixtures (a1 = a2 = 0): a2 and a6 are
+    # picked so that a drawn point P and a drawn 2-torsion point T fit
+    a1, a3, a4 = (data.draw(_nonzero_rationals) for _ in range(3))
+    x0, y0, t = data.draw(_rationals), data.draw(_rationals), data.draw(_rationals)
+    assume(x0 * x0 != t * t)
+    s = -(a1 * t + a3) / 2  # 2T = 0 iff 2y + a1 x + a3 = 0
+
+    def rest(x, y):  # a2 x^2 + a6 on the curve
+        return y * y + a1 * x * y + a3 * y - x * x * x - a4 * x
+
+    a2 = (rest(x0, y0) - rest(t, s)) / (x0 * x0 - t * t)
+    assume(a2 != 0)
+    try:
+        E = EllipticCurve.from_coeffs(RationalField(), a1, a2, a3, a4, rest(x0, y0) - a2 * x0 * x0)
+    except CurveError:
+        assume(False)
+    P, T = CurvePoint.affine(E, x0, y0), CurvePoint.affine(E, t, s)
+    multiples = [P]
+    for _ in range(3):
+        multiples.append(ec_add(multiples[-1], P))
+    torsion = full_two_torsion(E)
+    assert T in torsion
+    # chords, doublings, P = -Q and the vertical tangents at the 2-torsion
+    cases = list(itertools.combinations_with_replacement(multiples, 2))
+    cases += [(P, ec_neg(P))] + [(T2, X) for T2 in torsion for X in (T2, P)]
+    for X, Y in cases:
+        S = ec_add(X, Y)
+        assert _pair(S) == rational_add(E, _pair(X), _pair(Y))
+        assert S.infinity or type(S.x) is type(S.y) is Fraction
